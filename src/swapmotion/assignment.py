@@ -27,7 +27,7 @@ from .geometry import (
     points_in_free_space,
     boundary_distance_many,
 )
-from .trajectory import Hold, Line, MotionSegment, TrajectorySet, SPEED
+from .trajectory import SPEED, Track, TrajectorySet, hold_record, line_record
 
 
 @dataclass
@@ -100,7 +100,7 @@ def navigate(
     via_hints = via_hints or {}
     vias = None
     t = 0.0
-    moves: dict[object, list[MotionSegment]] = {a: [] for a in current}
+    records = {a: [hold_record(0.0, p)] for a, p in current.items()}
     stuck: list = []
     budget = 6 * len(targets) + 12
 
@@ -109,7 +109,7 @@ def navigate(
         for p, q in zip(route, route[1:]):
             d = dist(p, q) / SPEED
             if d > 0:
-                moves[a].append(MotionSegment(a, t, t + d, Line(p, q)))
+                records[a].append(line_record(t, t + d, p, q))
                 t += d
         pos[a] = route[-1]
 
@@ -156,21 +156,8 @@ def navigate(
         if nudged not in remaining_all:
             remaining_all.append(nudged)
             remaining_all.sort(key=lambda a: (phases[a], order_cost[a], repr(a)))
-    segments: dict[object, list[MotionSegment]] = {}
-    for a in current:
-        segs = []
-        cur = current[a]
-        tt = 0.0
-        for s in moves[a]:
-            if s.t0 > tt:
-                segs.append(MotionSegment(a, tt, s.t0, Hold(cur)))
-            segs.append(s)
-            tt = s.t1
-            cur = s.end_position()
-        if tt < t or not segs:
-            segs.append(MotionSegment(a, tt, t, Hold(cur)))
-        segments[a] = segs
-    return NavigationResult(TrajectorySet(segments, t), stuck)
+    tracks = {a: Track.from_records(a, recs) for a, recs in records.items()}
+    return NavigationResult(TrajectorySet(tracks, t), stuck)
 
 
 def _find_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:

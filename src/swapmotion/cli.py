@@ -22,7 +22,6 @@ from .fileio import (
     plan_to_dict,
     scenario_from_dict,
     scenario_to_dict,
-    trajectory_to_csv,
 )
 from .pipeline import bench, bench_table, run_pipeline
 from .render_svg import render_frames, render_scene
@@ -112,11 +111,9 @@ def cmd_exec(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .trajectory import verify_trajectories
-
     s = _load_scenario(args)
     run, art = run_pipeline(s)
-    rep = verify_trajectories(art.trajectory, s.workspace, s.r, s.params.dt)
+    rep = art.verification
     print(
         f"verify: min pairwise {rep.min_pairwise:.6f} (2r = {2*s.r}), "
         f"min clearance {rep.min_clearance:.6f} (r = {s.r}), "

@@ -1,8 +1,10 @@
 """Scenario / graph / plan / trajectory file formats.
 
 Structured text (JSON with sorted keys) for scenario, graph, and plan files
-so artifacts stay human-diffable and byte-deterministic; CSV for sampled
-trajectories. Every writer has a reader that round-trips exactly.
+so artifacts stay human-diffable and byte-deterministic. Trajectories are an
+exact CSV segment table: one row per motion record of each agent's track,
+floats written with `repr`. Every writer has a reader that round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .conversion import (
     ConversionResult,
     GapCorridor,
@@ -24,7 +24,7 @@ from .conversion import (
 from .geometry import Disk, Point2, Polygon, Rect, Workspace
 from .planner import LoopRotation, Plan, VacancySwap
 from .swap_graph import Occupancy, SwapGraph, VACANT, edge_key
-from .trajectory import TrajectorySet, _PackedTrack
+from .trajectory import KIND_NAMES, Track, TrajectorySet
 
 
 @dataclass
@@ -261,25 +261,39 @@ def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def trajectory_to_csv(ts: TrajectorySet, path, sample_dt: float) -> None:
-    """Sampled trajectory table: one row per (time, agent)."""
-    times = np.arange(0.0, ts.horizon + 0.5 * sample_dt, sample_dt)
-    if len(times) == 0 or times[-1] < ts.horizon:
-        times = np.append(times, ts.horizon)
-    lines = ["t,agent,x,y"]
+TRAJECTORY_HEADER = "agent,t0,t1,kind,p0,p1,p2,p3,p4"
+
+
+def trajectory_to_csv(ts: TrajectorySet, path) -> None:
+    """Exact segment table: a `# horizon=` line, the header, then one row per
+    motion record (see `trajectory.Track`), agents in `ts.agents()` order."""
+    lines = [f"# horizon={ts.horizon!r}", TRAJECTORY_HEADER]
     for a in ts.agents():
-        track = _PackedTrack(ts.segments[a])
-        pts = track.sample(times)
-        for t, (x, y) in zip(times, pts):
-            lines.append(f"{float(t)!r},{a},{float(x)!r},{float(y)!r}")
+        tr = ts.segments[a]
+        for t0, t1, k, (p0, p1, p2, p3, p4) in zip(
+            tr.t0.tolist(), tr.t1.tolist(), tr.kind.tolist(), tr.par.tolist()
+        ):
+            lines.append(
+                f"{a},{t0!r},{t1!r},{KIND_NAMES[k]},{p0!r},{p1!r},{p2!r},{p3!r},{p4!r}"
+            )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def trajectory_from_csv(path) -> dict:
-    """Parsed samples: agent -> list of (t, x, y)."""
-    out: dict = {}
-    rows = Path(path).read_text().strip().split("\n")[1:]
-    for row in rows:
-        t, a, x, y = row.split(",")
-        out.setdefault(a, []).append((float(t), float(x), float(y)))
-    return out
+def trajectory_from_csv(path) -> TrajectorySet:
+    """The `TrajectorySet` written by `trajectory_to_csv`; integer agent ids
+    come back as ints."""
+    rows = Path(path).read_text().splitlines()
+    if rows[1:2] != [TRAJECTORY_HEADER] or not rows[0].startswith("# horizon="):
+        raise ValueError(f"{path}: not a trajectory segment table")
+    kinds = {name: code for code, name in enumerate(KIND_NAMES)}
+    records: dict = {}
+    for row in rows[2:]:
+        a, t0, t1, kind, *par = row.split(",")
+        agent = int(a) if a.lstrip("-").isdigit() else a
+        records.setdefault(agent, []).append(
+            (float(t0), float(t1), kinds[kind], *map(float, par))
+        )
+    return TrajectorySet(
+        {a: Track.from_records(a, recs) for a, recs in records.items()},
+        float(rows[0].split("=", 1)[1]),
+    )

@@ -233,6 +233,11 @@ def _edge_distances(pts: np.ndarray, w: Workspace) -> np.ndarray:
 
 def boundary_distance_many(pts: np.ndarray, w: Workspace) -> np.ndarray:
     """Distance from each point to the free-space boundary curves."""
+    step = (1 << 16) // max(1, len(w._edges_a))  # bounds the per-edge temporaries
+    if len(pts) > step:
+        return np.concatenate(
+            [boundary_distance_many(pts[k : k + step], w) for k in range(0, len(pts), step)]
+        )
     b = w.bounds
     d = np.minimum.reduce(
         [pts[:, 0] - b.xmin, b.xmax - pts[:, 0], pts[:, 1] - b.ymin, b.ymax - pts[:, 1]]

@@ -30,8 +30,7 @@ from .planner import Plan, plan_permutation
 from .render_svg import render_scene
 from .swap_graph import Occupancy, VACANT
 from .trajectory import (
-    Hold,
-    MotionSegment,
+    Track,
     TrajectorySet,
     VerificationReport,
     realize_plan,
@@ -80,29 +79,15 @@ class RunArtifacts:
 
 
 def concat_trajectories(parts: list[TrajectorySet]) -> TrajectorySet:
-    """Stitch trajectory sets end to end (agents must match up)."""
+    """Stitch trajectory sets end to end; an agent missing from a part holds."""
     parts = [p for p in parts if p is not None]
-    agents = set()
-    for p in parts:
-        agents |= set(p.segments)
-    segments: dict[object, list[MotionSegment]] = {a: [] for a in agents}
+    pieces: dict[object, list] = {}
     t = 0.0
     for p in parts:
-        for a in agents:
-            segs = p.segments.get(a)
-            if segs is None:
-                prev = segments[a][-1] if segments[a] else None
-                pos = prev.end_position() if prev else Point2(0.0, 0.0)
-                segments[a].append(
-                    MotionSegment(a, t, t + p.horizon, Hold(pos))
-                )
-            else:
-                for s in segs:
-                    segments[a].append(
-                        MotionSegment(a, s.t0 + t, s.t1 + t, s.path)
-                    )
+        for a, track in p.segments.items():
+            pieces.setdefault(a, []).append((track, t))
         t += p.horizon
-    return TrajectorySet(segments, t)
+    return TrajectorySet({a: Track.joined(a, ps) for a, ps in pieces.items()}, t)
 
 
 def scenario_density(s: Scenario) -> float:
@@ -281,15 +266,14 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, outbound: bo
 
 
 def _write_artifacts(out_dir, s: Scenario, run: RunReport, art: RunArtifacts):
+    """Write every artifact, then `report.json` with the time they took."""
+    t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(scenario_to_dict(s), out / "scenario.json")
     dump_json(graph_to_dict(art.conversion), out / "graph.json")
     dump_json(plan_to_dict(art.plan), out / "plan.json")
-    dump_json(run.to_dict(), out / "report.json")
-    trajectory_to_csv(
-        art.trajectory, out / "trajectory.csv", sample_dt=max(10 * s.params.dt, 0.5 * s.r)
-    )
+    trajectory_to_csv(art.trajectory, out / "trajectory.csv")
     svg = render_scene(
         s.workspace,
         res=art.conversion,
@@ -299,6 +283,8 @@ def _write_artifacts(out_dir, s: Scenario, run: RunReport, art: RunArtifacts):
         r=s.r,
     )
     (out / "scene.svg").write_text(svg)
+    run.timings["artifacts"] = round(time.perf_counter() - t0, 4)
+    dump_json(run.to_dict(), out / "report.json")
 
 
 def sample_free_positions(

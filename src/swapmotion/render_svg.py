@@ -10,7 +10,7 @@ import numpy as np
 
 from .conversion import ConversionResult
 from .geometry import Workspace
-from .trajectory import TrajectorySet, _PackedTrack
+from .trajectory import TrajectorySet
 
 _PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -136,8 +136,7 @@ def render_scene(
     if trajectories is not None:
         times = np.linspace(0.0, trajectories.horizon, 160)
         for k, a in enumerate(trajectories.agents()):
-            track = _PackedTrack(trajectories.segments[a])
-            pts = track.sample(times)
+            pts = trajectories.segments[a].sample(times)
             svg.polyline(
                 [tuple(p) for p in pts], _PALETTE[k % len(_PALETTE)], width=0.8
             )
@@ -163,14 +162,13 @@ def render_frames(
     out.mkdir(parents=True, exist_ok=True)
     n = max(2, min(max_frames, int(ts.horizon / dt) + 1 if dt > 0 else 2))
     times = np.linspace(0.0, ts.horizon, n)
-    agents = ts.agents()
-    tracks = {a: _PackedTrack(ts.segments[a]) for a in agents}
+    # (agents, frames, 2): each track sampled once over all frame times
+    pos = np.array([ts.segments[a].sample(times) for a in ts.agents()]).reshape(-1, n, 2)
     paths = []
-    for i, t in enumerate(times):
+    for i in range(n):
         svg = _Svg(w)
         _draw_workspace(svg, w)
-        for k, a in enumerate(agents):
-            p = tracks[a].sample(np.array([t]))[0]
+        for k, p in enumerate(pos[:, i]):
             svg.circle(
                 (float(p[0]), float(p[1])), r, "#222222",
                 fill=_PALETTE[k % len(_PALETTE)], width=0.5,

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swapmotion.cli import main
@@ -24,6 +25,7 @@ from swapmotion.fileio import (
 )
 from swapmotion.geometry import Point2, rectangle_workspace
 from swapmotion.pipeline import bench, run_pipeline, sample_free_positions
+from swapmotion.trajectory import sample_times, verify_trajectories
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -55,11 +57,54 @@ class TestRoundTrips:
         d = plan_to_dict(art.plan)
         assert plan_to_dict(plan_from_dict(json.loads(json.dumps(d)))) == d
         csv_path = tmp_path / "traj.csv"
-        trajectory_to_csv(art.trajectory, csv_path, sample_dt=2.0)
-        parsed = trajectory_from_csv(csv_path)
-        assert len(parsed) == len(s.agents)
-        for rows in parsed.values():
-            assert rows[0][0] == 0.0
+        trajectory_to_csv(art.trajectory, csv_path)
+        loaded = trajectory_from_csv(csv_path)
+        assert loaded.agents() == art.trajectory.agents()
+        assert sorted(loaded.agents()) == [a.id for a in s.agents]
+        assert loaded.horizon == art.trajectory.horizon
+        for a in loaded.agents():
+            assert list(loaded.segments[a]) == list(art.trajectory.segments[a])
+            assert loaded.segments[a][0].t0 == 0.0
+
+
+class TestExactTrajectoryExport:
+    """`exec` writes trajectory.csv as an exact segment table."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        outs = []
+        for k in range(2):
+            out = tmp_path_factory.mktemp(f"exec{k}")
+            assert main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"),
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        s = small_scenario()
+        run, art = run_pipeline(s)
+        return s, art, outs
+
+    def test_positions_equal_at_every_verify_sample(self, runs):
+        s, art, outs = runs
+        loaded = trajectory_from_csv(outs[0] / "trajectory.csv")
+        assert loaded.horizon == art.trajectory.horizon
+        times = sample_times(art.trajectory.horizon, s.params.dt)
+        for a in art.trajectory.agents():
+            assert np.array_equal(
+                loaded.segments[a].sample(times), art.trajectory.segments[a].sample(times)
+            )
+
+    def test_reverify_gives_identical_report(self, runs):
+        s, art, outs = runs
+        loaded = trajectory_from_csv(outs[0] / "trajectory.csv")
+        rep = verify_trajectories(loaded, s.workspace, s.r, s.params.dt)
+        assert rep == art.verification
+        assert rep.ok
+
+    def test_two_runs_byte_identical(self, runs):
+        s, art, outs = runs
+        first = (outs[0] / "trajectory.csv").read_bytes()
+        assert first == (outs[1] / "trajectory.csv").read_bytes()
+        header = first.decode().splitlines()[1]
+        assert header == "agent,t0,t1,kind,p0,p1,p2,p3,p4"
 
 
 class TestDeterminism:
@@ -85,6 +130,7 @@ class TestCli:
             assert (tmp_path / name).exists()
         report = load_json(tmp_path / "report.json")
         assert report["success"] is True
+        assert report["timings"]["artifacts"] > 0.0
 
     def test_convert_only(self, tmp_path):
         code = main(
@@ -108,6 +154,14 @@ class TestCli:
         assert code == 0
         report = load_json(tmp_path / "report.json")
         assert report["n_agents"] == 4
+
+    def test_verify_prints_pipeline_report(self, capsys):
+        code = main(["verify", "--scenario", str(SCENARIOS / "rect_12.json"), "--dt", "0.5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        s = small_scenario()
+        samples = len(sample_times(run_pipeline(s)[0].horizon, 0.5))
+        assert f"0 violations over {samples} samples" in out
 
     def test_render(self, tmp_path):
         code = main(

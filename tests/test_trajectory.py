@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from swapmotion.conversion import convert_single_circle, convert_two_circles
@@ -8,6 +9,7 @@ from swapmotion.errors import UnrealizableOp
 from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
 from swapmotion.planner import (
     LoopRotation,
+    Plan,
     VacancySwap,
     apply_op,
     plan_permutation,
@@ -186,13 +188,16 @@ class TestRealizePlan:
         rep = verify_trajectories(ts, w, 1.0, 0.05)
         assert rep.ok, rep.violations[:3]
         assert rep.min_pairwise >= 2.0 - 1e-6
-        # horizon equals the sum of op durations: segments tile it exactly
+        # each track opens with a hold at t = 0 and its records follow in
+        # time order (holds between them are implicit); the horizon equals
+        # the sum of op durations, so the last record of the run ends on it
         for a in ts.agents():
-            segs = ts.segments[a]
-            assert segs[0].t0 == 0.0
-            assert segs[-1].t1 == pytest.approx(ts.horizon)
+            segs = list(ts.segments[a])
+            assert segs[0].t0 == 0.0 and isinstance(segs[0].path, Hold)
+            assert segs[-1].t1 <= ts.horizon
             for s1, s2 in zip(segs, segs[1:]):
-                assert s1.t1 == pytest.approx(s2.t0)
+                assert s1.t1 <= s2.t0 or s1.t1 == pytest.approx(s2.t0)
+        assert max(ts.segments[a][-1].t1 for a in ts.agents()) == pytest.approx(ts.horizon)
 
     def test_two_circle_plan_verifies(self):
         a = Disk(Point2(10.0, 10.0), 5.0)
@@ -256,3 +261,45 @@ class TestVerifyTrajectories:
         pair = [v for v in rep.violations if v.kind == "pair"]
         assert len(pair) == 1
         assert pair[0].t_end > pair[0].t_start
+
+
+class TestTrack:
+    def test_sample_matches_record_positions(self):
+        res, occ = single_circle_setup(radius=6.0)
+        rng = random.Random(9)
+        verts = res.graph.vertex_ids()
+        contents = [occ.mapping[v] for v in verts]
+        rng.shuffle(contents)
+        plan = plan_permutation(res.graph, occ, Occupancy(dict(zip(verts, contents))))
+        ts = realize_plan(res, plan)
+        times = np.array(sorted(rng.uniform(0.0, ts.horizon) for _ in range(200)))
+        for a in ts.agents():
+            track = ts.segments[a]
+            segs = list(track)
+            pts = track.sample(times)
+            for t, (x, y) in zip(times, pts):
+                # the record in force is the last one starting at or before t;
+                # before and between records the agent holds
+                seg = [s for s in segs if s.t0 <= t][-1]
+                p = seg.position(t)
+                assert math.hypot(x - p.x, y - p.y) < 1e-9
+
+    def test_holds_are_implicit(self):
+        res, occ = single_circle_setup(radius=6.0)
+        li = next(k for k, (c, ring) in enumerate(res.loop_layer) if ring == 1)
+        plan = Plan([LoopRotation(li, 1), LoopRotation(li, 1)], occ,
+                    apply_op(apply_op(occ, res.graph, LoopRotation(li, 1)),
+                             res.graph, LoopRotation(li, 1)))
+        ts = realize_plan(res, plan)
+        for a in ts.agents():
+            kinds = [type(s.path) for s in ts.segments[a]]
+            assert kinds[0] is Hold and Hold not in kinds[1:]
+
+    def test_segment_lists_are_packed(self):
+        ts = TrajectorySet(
+            {"a": [MotionSegment("a", 0.0, 2.0, Line(Point2(1, 1), Point2(3, 1)))]}, 4.0
+        )
+        assert len(ts.segments["a"]) == 1
+        assert ts.position("a", 1.0) == Point2(2.0, 1.0)
+        assert ts.position("a", 3.0) == Point2(3.0, 1.0)
+        assert ts.segments["a"][-1].end_position() == Point2(3.0, 1.0)

@@ -22,10 +22,12 @@ from .geometry import (
     Disk,
     Point2,
     Workspace,
-    capsule_free,
-    dist,
-    points_in_free_space,
     boundary_distance_many,
+    capsule_free,
+    capsules_free,
+    dist,
+    point_segment_distance,
+    points_in_free_space,
 )
 from .trajectory import SPEED, Track, TrajectorySet, hold_record, line_record
 
@@ -235,57 +237,46 @@ def _grid_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
     return _string_pull(waypoints, w, r, others)
 
 
+def _disk_arrays(others: Sequence[Disk]) -> tuple[list, list]:
+    return [o.center for o in others], [o.radius for o in others]
+
+
 def _string_pull(waypoints, w, r, others) -> Optional[list[Point2]]:
+    """Shortcut the polyline: from each kept point jump to the farthest
+    waypoint it reaches by a free (or zero-length) segment."""
+    disks = _disk_arrays(others)
     out = [waypoints[0]]
     k = 0
-    guard = 0
-    while k < len(waypoints) - 1 and guard < 10 * len(waypoints):
-        guard += 1
-        nxt = k + 1
-        for j in range(len(waypoints) - 1, k, -1):
-            if dist(out[-1], waypoints[j]) <= 1e-12 or capsule_free(
-                Capsule(out[-1], waypoints[j], r), w, others
-            ):
-                nxt = j
-                break
-        else:
+    while k < len(waypoints) - 1:
+        rest = waypoints[k + 1 :]
+        ok = capsules_free(out[-1], rest, r, w, *disks)
+        ok |= np.array([dist(out[-1], q) <= 1e-12 for q in rest])
+        hits = np.flatnonzero(ok)
+        if not len(hits):
             return None
-        out.append(waypoints[nxt])
-        k = nxt
-    if k < len(waypoints) - 1:
-        return None
+        k += 1 + int(hits[-1])
+        out.append(waypoints[k])
     return out
 
 
 def _free_sidestep(p, away_from, w, r, others, vias) -> Optional[Point2]:
     """Nearest reachable via spot that steps clear of the given segment."""
-    best = None
+    cands, scores = [], []
     for v in vias:
         d = dist(p, v)
         if d < 2 * r:
             continue
-        seg_clear = _seg_point_dist(away_from[0], away_from[1], v)
+        seg_clear = point_segment_distance(v, away_from[0], away_from[1])
         if seg_clear < 2.5 * r:
             continue
-        score = d - 0.1 * seg_clear
-        if best is not None and score >= best[0]:
-            continue
-        if all(dist(v, o.center) >= 2 * r for o in others) and capsule_free(
-            Capsule(p, v, r), w, others
-        ):
-            best = (score, v)
-    return None if best is None else best[1]
-
-
-def _seg_point_dist(a, b, p) -> float:
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = min(1.0, max(0.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / seg2))
-    return math.hypot(p[0] - ax - t * dx, p[1] - ay - t * dy)
+        cands.append(v)
+        scores.append(d - 0.1 * seg_clear)
+    free = capsules_free(p, cands, r, w, *_disk_arrays(others))
+    # stable order: the first candidate of minimum score wins ties
+    for k in sorted(range(len(cands)), key=scores.__getitem__):
+        if free[k] and all(dist(cands[k], o.center) >= 2 * r for o in others):
+            return cands[k]
+    return None
 
 
 def _clear_crowd(blocked, pos, targets, w, r, vias, emit):
@@ -301,9 +292,9 @@ def _clear_crowd(blocked, pos, targets, w, r, vias, emit):
                 (
                     x
                     for x in pos
-                    if x != a and _seg_point_dist(seg[0], seg[1], pos[x]) < 2.2 * r
+                    if x != a and point_segment_distance(pos[x], *seg) < 2.2 * r
                 ),
-                key=lambda x: (_seg_point_dist(seg[0], seg[1], pos[x]), repr(x)),
+                key=lambda x: (point_segment_distance(pos[x], *seg), repr(x)),
             )
             for b in crowd:
                 parked = dist(pos[b], targets.get(b, pos[b])) <= 1e-12
@@ -318,16 +309,14 @@ def _clear_crowd(blocked, pos, targets, w, r, vias, emit):
 
 
 def _detour_route(a, b, w, r, others, vias) -> Optional[list[Point2]]:
+    """a -> v -> b through the free via v of least extra length (first on ties)."""
+    cands = [v for v in vias if dist(a, v) >= 1e-12 and dist(v, b) >= 1e-12]
+    n = len(cands)
+    ok = capsules_free([a] * n + cands, cands + [b] * n, r, w, *_disk_arrays(others))
     best = None
-    for v in vias:
+    for v, free in zip(cands, ok[:n] & ok[n:]):
         extra = dist(a, v) + dist(v, b)
-        if best is not None and extra >= best[0]:
-            continue
-        if dist(a, v) < 1e-12 or dist(v, b) < 1e-12:
-            continue
-        if capsule_free(Capsule(a, v, r), w, others) and capsule_free(
-            Capsule(v, b, r), w, others
-        ):
+        if free and (best is None or extra < best[0]):
             best = (extra, v)
     if best is None:
         return None
@@ -336,18 +325,22 @@ def _detour_route(a, b, w, r, others, vias) -> Optional[list[Point2]]:
 
 def _two_leg_route(a, b, w, r, others, hints, vias) -> Optional[list[Point2]]:
     """Route a -> grid via -> hint -> b for targets needing a staged approach."""
-    for h in hints:
-        if dist(h, b) < 1e-12 or not capsule_free(Capsule(h, b, r), w, others):
+    disks = _disk_arrays(others)
+    n = len(hints)
+    ok = capsules_free(list(hints) + [a] * n, [b] * n + list(hints), r, w, *disks)
+    first_legs = None  # vias reachable from a, computed on first need
+    for h, to_b, from_a in zip(hints, ok[:n], ok[n:]):
+        if dist(h, b) < 1e-12 or not to_b:
             continue
-        if capsule_free(Capsule(a, h, r), w, others):
+        if from_a:
             return [a, h, b]
-        for v in vias or []:
-            if dist(a, v) < 1e-12 or dist(v, h) < 1e-12:
-                continue
-            if capsule_free(Capsule(a, v, r), w, others) and capsule_free(
-                Capsule(v, h, r), w, others
-            ):
-                return [a, v, h, b]
+        if first_legs is None:
+            vs = [v for v in vias or [] if dist(a, v) >= 1e-12]
+            first_legs = [v for v, f in zip(vs, capsules_free(a, vs, r, w, *disks)) if f]
+        cands = [v for v in first_legs if dist(v, h) >= 1e-12]
+        hits = np.flatnonzero(capsules_free(cands, h, r, w, *disks))
+        if len(hits):
+            return [a, cands[hits[0]], h, b]
     return None
 
 

@@ -33,14 +33,15 @@ from .capacity import (
 )
 from .errors import EmptyFreeSpace, PreconditionViolated
 from .geometry import (
-    Capsule,
+    CapsuleCache,
     Disk,
     Point2,
     Workspace,
     boundary_distance_many,
-    capsule_free,
+    capsule_free,  # noqa: F401  (looked up here by bench/tracing.py)
     circle_circle_intersections,
     dist,
+    point_segment_distances,
 )
 from .medial_axis import SkeletonGraph, SkeletonPath, sample_circles, skeleton_path
 from .medial_axis import extract_medial_axis
@@ -89,6 +90,11 @@ class ConversionResult:
     vertex_rings: dict[int, list[tuple[int, int, float]]]  # vid -> (circle, ring, angle)
     inter_edge_kind: dict[tuple[int, int], EdgeKind]
     ring_ports: dict[tuple[int, int], Optional[int]] = field(default_factory=dict)
+    # (vid, circle, ring) -> slot angle, the first entry of vertex_rings
+    _angle: dict[tuple[int, int, int], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._angle = _angle_table(self.vertex_rings)
 
     def loop_index_of(self, circle: int, ring: int) -> Optional[int]:
         for li, key in enumerate(self.loop_layer):
@@ -97,10 +103,15 @@ class ConversionResult:
         return None
 
     def angle_in(self, vid: int, circle: int, ring: int) -> float:
-        for c, k, ang in self.vertex_rings[vid]:
-            if c == circle and k == ring:
-                return ang
-        raise KeyError((vid, circle, ring))
+        return self._angle[(vid, circle, ring)]
+
+
+def _angle_table(vertex_rings) -> dict[tuple[int, int, int], float]:
+    out: dict[tuple[int, int, int], float] = {}
+    for v, rings in vertex_rings.items():
+        for c, k, ang in rings:
+            out.setdefault((v, c, k), ang)
+    return out
 
 
 def _circle_angle(center: Point2, p: Point2) -> float:
@@ -109,12 +120,6 @@ def _circle_angle(center: Point2, p: Point2) -> float:
 
 def _signed_angle(x: float) -> float:
     return (x + math.pi) % (2 * math.pi) - math.pi
-
-
-def _ring_point(circles, r, circle: int, ring: int, angle: float) -> Point2:
-    c = circles[circle].center
-    rad = 2.0 * r * ring
-    return Point2(c.x + rad * math.cos(angle), c.y + rad * math.sin(angle))
 
 
 def _mid_waypoints(circles, kind: PathCorridor) -> list[Point2]:
@@ -208,8 +213,12 @@ def _build(
     r: float,
     workspace: Optional[Workspace] = None,
     tau_provider: Optional[TauProvider] = None,
+    capsules: Optional[CapsuleCache] = None,
 ) -> Optional[ConversionResult]:
-    """Assemble the swap graph for a fixed circle set; None when invalid."""
+    """Assemble the swap graph for a fixed circle set; None when invalid.
+
+    `capsules` memoizes the workspace checks of connector routes; it must
+    belong to `workspace`."""
     tol = 1e-9 * max([c.radius for c in circles] + [r])
     if not _pairwise_center_check(circles, tol):
         raise PreconditionViolated("a circle center lies inside another circle")
@@ -338,9 +347,11 @@ def _build(
                 if t in placed_ports:
                     port_of_angle[(a, i, placed_ports[t])] = v
             ring_port[(a, i)] = port_vid
-            members = sorted(set(members), key=lambda v: _ring_angle(vertex_rings, v, a, i))
             if members:
                 ring_members[(a, i)] = members
+    angle_of = _angle_table(vertex_rings)
+    for (a, i), members in ring_members.items():
+        ring_members[(a, i)] = sorted(set(members), key=lambda v: angle_of[(v, a, i)])
 
     # reject rings too small to form a loop
     for key, members in ring_members.items():
@@ -385,18 +396,22 @@ def _build(
         edge_kind[e] = kind
         return True
 
+    if workspace is not None and capsules is None:
+        capsules = CapsuleCache(workspace)
+
     def route_ok(kind: EdgeKind, u: int, v: int) -> bool:
         route = _route_points(circles, kind, positions[u], positions[v])
-        static = [positions[x] for x in sorted(positions) if x not in (u, v)]
-        for p, q in zip(route, route[1:]):
-            if p == q:
-                continue
-            if workspace is not None and not capsule_free(Capsule(p, q, r), workspace):
-                return False
-            for s_ in static:
-                if _seg_point(p, q, s_) < 2 * r * (1 - 1e-7):
-                    return False
-        return True
+        spines = [(p, q) for p, q in zip(route, route[1:]) if p != q]
+        if not spines:
+            return True
+        if capsules is not None and not capsules.all_free(spines, r):
+            return False
+        static = np.array(
+            [positions[x] for x in sorted(positions) if x not in (u, v)], dtype=float
+        ).reshape(-1, 2)
+        ends = np.array(spines, dtype=float)  # (S, 2 ends, 2)
+        d = point_segment_distances(static, ends[:, None, 0], ends[:, None, 1])
+        return not (d < 2 * r * (1 - 1e-7)).any()
 
     # radial corridors between consecutive kept rings, anchored at the outer
     # ring's port slot so the descent clears its flanking agents
@@ -406,13 +421,10 @@ def _build(
             u = ring_port.get((a, hi))
             if u is None:
                 continue
-            ang = _ring_angle(vertex_rings, u, a, hi)
+            ang = angle_of[(u, a, hi)]
             v = min(
                 ring_members[(a, lo)],
-                key=lambda x: (
-                    abs(_signed_angle(_ring_angle(vertex_rings, x, a, lo) - ang)),
-                    x,
-                ),
+                key=lambda x: (abs(_signed_angle(angle_of[(x, a, lo)] - ang)), x),
             )
             add_inter(u, v, RadialCorridor(a, hi, lo))
 
@@ -452,12 +464,6 @@ def _build(
         inter_edge_kind=edge_kind,
         ring_ports={k: v for k, v in ring_port.items() if k in ring_members},
     )
-
-
-def _seg_point(a: Point2, b: Point2, p: Point2) -> float:
-    from .medial_axis import _segment_point_distance
-
-    return _segment_point_distance(a, b, p)
 
 
 def _ring_layout(
@@ -585,13 +591,6 @@ def _pack_interval(lo: float, hi: float, pitch: float) -> list[float]:
     return [lo + k * (hi - lo) / (n - 1) for k in range(n)]
 
 
-def _ring_angle(vertex_rings, v: int, circle: int, ring: int) -> float:
-    for c, k, ang in vertex_rings[v]:
-        if c == circle and k == ring:
-            return ang
-    raise KeyError((v, circle, ring))
-
-
 def _nearest_pair(positions, group_a: list[int], group_b: list[int]) -> tuple[int, int]:
     best = None
     for u in group_a:
@@ -631,12 +630,17 @@ def convert_circles(
 
 @dataclass
 class _TauCache:
-    """Caches skeleton paths per circle pair, revalidating against the set."""
+    """Per-conversion memo: skeleton paths per circle pair (revalidated
+    against the set) and the workspace-only capsule checks of all routes."""
 
     skeleton: SkeletonGraph
     r: float
     w: Workspace
     store: dict = field(default_factory=dict)
+    capsules: CapsuleCache = field(init=False)
+
+    def __post_init__(self):
+        self.capsules = CapsuleCache(self.w)
 
     def provider(self, circles: list[Disk]) -> TauProvider:
         from .medial_axis import _path_clear
@@ -647,9 +651,11 @@ class _TauCache:
             others = [c for k, c in enumerate(circles) if k not in (ai, bi)]
             if key in self.store:
                 tau = self.store[key]
-                if tau is not None and _path_clear(tau, a, b, others, self.r, self.w):
+                if tau is not None and _path_clear(
+                    tau, a, b, others, self.r, self.w, self.capsules
+                ):
                     return SkeletonPath(tau.waypoints, ai, bi)
-            tau = skeleton_path(self.skeleton, a, b, circles, self.r, self.w)
+            tau = skeleton_path(self.skeleton, a, b, circles, self.r, self.w, self.capsules)
             self.store[key] = tau
             return tau
 
@@ -710,7 +716,11 @@ def greedy_convert(
             if not assumptions_ok(tentative):
                 continue
             res = _build(
-                tentative, r, workspace=w, tau_provider=cache.provider(tentative)
+                tentative,
+                r,
+                workspace=w,
+                tau_provider=cache.provider(tentative),
+                capsules=cache.capsules,
             )
             if res is None or res.graph.num_vertices() <= best.graph.num_vertices():
                 continue

@@ -254,7 +254,7 @@ def plan_from_dict(d: dict) -> Plan:
 
 
 def dump_json(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(data, sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:

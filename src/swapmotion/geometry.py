@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -105,9 +106,12 @@ class Workspace:
 
     bounds: Rect
     obstacles: tuple[Polygon, ...] = ()
-    # cached obstacle edge endpoints, shape (E, 2) each
+    # cached obstacle edge endpoints, shape (E, 2) each, ring after ring
     _edges_a: np.ndarray = field(init=False, repr=False, compare=False)
     _edges_b: np.ndarray = field(init=False, repr=False, compare=False)
+    # per ring: index of its first edge, and +1 (CCW, solid) or -1 (CW, hole)
+    _ring_start: np.ndarray = field(init=False, repr=False, compare=False)
+    _ring_sign: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -120,8 +124,12 @@ class Workspace:
         eb = np.asarray(b, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "_edges_a", ea)
         object.__setattr__(self, "_edges_b", eb)
+        sizes = [len(poly.vertices) for poly in self.obstacles]
+        object.__setattr__(self, "_ring_start", np.cumsum([0] + sizes, dtype=np.intp)[:-1])
+        signs = [1 if poly.is_ccw() else -1 for poly in self.obstacles]
+        object.__setattr__(self, "_ring_sign", np.array(signs, dtype=int))
 
-    @property
+    @cached_property
     def tol(self) -> float:
         return TOL_SCALE * self.bounds.diameter()
 
@@ -136,99 +144,59 @@ def dist(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def _point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
+def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
+    """Distance from point p to segment ab."""
     ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
+    dx, dy = b[0] - ax, b[1] - ay
     seg2 = dx * dx + dy * dy
     if seg2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        return math.hypot(p[0] - ax, p[1] - ay)
+    t = min(1.0, max(0.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / seg2))
+    return math.hypot(p[0] - ax - t * dx, p[1] - ay - t * dy)
 
 
-def _segment_segment_distance(a: Point2, b: Point2, c: Point2, d: Point2) -> float:
-    if _segments_intersect(a, b, c, d):
-        return 0.0
-    return min(
-        _point_segment_distance(a, c, d),
-        _point_segment_distance(b, c, d),
-        _point_segment_distance(c, a, b),
-        _point_segment_distance(d, a, b),
-    )
+def point_segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise `point_segment_distance` over broadcast (..., 2) arrays."""
+    px, py = p[..., 0], p[..., 1]
+    ax, ay = a[..., 0], a[..., 1]
+    dx, dy = b[..., 0] - ax, b[..., 1] - ay
+    seg2 = dx * dx + dy * dy
+    t = ((px - ax) * dx + (py - ay) * dy) / np.where(seg2 == 0.0, 1.0, seg2)
+    t = np.clip(t, 0.0, 1.0)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return np.sqrt(ex * ex + ey * ey)
 
 
-def _orient(a: Point2, b: Point2, c: Point2) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _ring_depths(pts: np.ndarray, w: Workspace) -> np.ndarray:
+    """Material depth of each point: CCW rings containing it minus CW ones.
 
-
-def _segments_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool:
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
-
-
-def _point_in_ring(p: Point2, poly: Polygon) -> bool:
-    """Even-odd crossing test for a single simple ring."""
-    px, py = p
-    inside = False
-    verts = poly.vertices
-    n = len(verts)
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        if (yi > py) != (yj > py) and px < (xj - xi) * (py - yi) / (yj - yi) + xi:
-            inside = not inside
-        j = i
-    return inside
+    Even-odd crossing test against every obstacle edge at once; the parity
+    of each ring is reduced over its slice of the edge arrays."""
+    ax, ay = w._edges_a[:, 0], w._edges_a[:, 1]
+    bx, by = w._edges_b[:, 0], w._edges_b[:, 1]
+    x, y = pts[:, 0, None], pts[:, 1, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xcross = (ax - bx) * (y - by) / (ay - by) + bx
+    crossing = ((by > y) != (ay > y)) & (x < xcross)
+    parity = np.logical_xor.reduceat(crossing, w._ring_start, axis=1)
+    return parity.astype(int) @ w._ring_sign
 
 
 def point_in_free_space(p: Point2, w: Workspace) -> bool:
     """True iff p lies strictly inside bounds and outside obstacle material.
 
     Orientation-aware containment: CCW rings add material, CW rings carve
-    holes, so overlapping solids stay solid and holes stay free.
+    holes, so overlapping solids stay solid and holes stay free. Points on
+    any obstacle edge, hole edges included, are boundary and not free.
     """
-    x, y = p
-    b = w.bounds
-    if not (b.xmin < x < b.xmax and b.ymin < y < b.ymax):
-        return False
-    depth = 0
-    for poly in w.obstacles:
-        if _point_in_ring(p, poly):
-            depth += 1 if poly.is_ccw() else -1
-    if depth > 0:
-        return False
-    if len(w._edges_a) and depth == 0:
-        # points exactly on an obstacle edge belong to the boundary, not to free space
-        d = _edge_distances(np.array([[x, y]]), w)[0]
-        if d <= w.tol:
-            return False
-    return True
+    return bool(points_in_free_space(np.array([p], dtype=float), w)[0])
 
 
 def _edge_distances(pts: np.ndarray, w: Workspace) -> np.ndarray:
     """Min distance from each point to any obstacle edge (inf if none)."""
     if len(w._edges_a) == 0:
         return np.full(len(pts), np.inf)
-    a = w._edges_a[None, :, :]  # (1, E, 2)
-    b = w._edges_b[None, :, :]
-    p = pts[:, None, :]  # (P, 1, 2)
-    ab = b - a
-    seg2 = np.einsum("pez,pez->pe", ab, ab)
-    seg2 = np.where(seg2 == 0.0, 1.0, seg2)
-    t = np.einsum("pez,pez->pe", p - a, ab) / seg2
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, :, None] * ab
-    d = np.linalg.norm(p - proj, axis=2)
-    return d.min(axis=1)
+    return point_segment_distances(pts[:, None, :], w._edges_a, w._edges_b).min(axis=1)
 
 
 def boundary_distance_many(pts: np.ndarray, w: Workspace) -> np.ndarray:
@@ -245,37 +213,18 @@ def boundary_distance_many(pts: np.ndarray, w: Workspace) -> np.ndarray:
     return np.minimum(d, _edge_distances(pts, w))
 
 
-def points_in_free_space(pts: np.ndarray, w: Workspace) -> np.ndarray:
-    """Vectorized free-space membership (boundary treated as not free)."""
+def points_in_free_space(pts: np.ndarray, w: Workspace, edge_d=None) -> np.ndarray:
+    """Vectorized free-space membership (boundary treated as not free).
+
+    `edge_d`, when given, is each point's distance to the obstacle edges."""
     b = w.bounds
     inside = (
         (pts[:, 0] > b.xmin) & (pts[:, 0] < b.xmax) & (pts[:, 1] > b.ymin) & (pts[:, 1] < b.ymax)
     )
     if w.obstacles:
-        depth = np.zeros(len(pts), dtype=int)
-        for poly in w.obstacles:
-            sign = 1 if poly.is_ccw() else -1
-            depth += sign * _ring_contains_many(pts, poly)
-        inside &= depth <= 0
-        inside &= _edge_distances(pts, w) > w.tol
+        edge_d = _edge_distances(pts, w) if edge_d is None else edge_d
+        inside &= (_ring_depths(pts, w) <= 0) & (edge_d > w.tol)
     return inside
-
-
-def _ring_contains_many(pts: np.ndarray, poly: Polygon) -> np.ndarray:
-    verts = np.asarray(poly.vertices, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    n = len(verts)
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        cond = (yi > y) != (yj > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = (xj - xi) * (y - yi) / (yj - yi) + xi
-        inside ^= cond & (x < xcross)
-        j = i
-    return inside.astype(int)
 
 
 def clearance(p: Point2, w: Workspace) -> float:
@@ -293,33 +242,97 @@ def disk_in_free_space(d: Disk, w: Workspace) -> bool:
     return bool(c >= d.radius - w.tol)
 
 
+def _spines_clear_of_edges(a: np.ndarray, b: np.ndarray, r: float, w: Workspace) -> np.ndarray:
+    """Per spine ab: no obstacle edge within r, and neither end buried in material."""
+    tol = w.tol
+    A, B = a[:, None, :], b[:, None, :]
+    ea, eb = w._edges_a, w._edges_b
+    da = point_segment_distances(A, ea, eb)
+    db = point_segment_distances(B, ea, eb)
+    near = np.minimum(
+        np.minimum(da, db),
+        np.minimum(point_segment_distances(ea, A, B), point_segment_distances(eb, A, B)),
+    )
+
+    def orient(p, q, s):
+        return (q[..., 0] - p[..., 0]) * (s[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (
+            s[..., 0] - p[..., 0]
+        )
+
+    # proper crossing: each segment's ends lie strictly on both sides of the other
+    crossing = ((orient(ea, eb, A) > 0) != (orient(ea, eb, B) > 0)) & (
+        (orient(A, B, ea) > 0) != (orient(A, B, eb) > 0)
+    )
+    ok = ~(np.where(crossing, 0.0, near) < r - tol).any(axis=1)
+    # an end inside material far from every edge means the capsule is buried
+    for ends, d in ((a, da), (b, db)):
+        edge_d = d.min(axis=1)
+        ok &= points_in_free_space(ends, w, edge_d) | (edge_d < r - tol)
+    return ok
+
+
+def capsules_free(
+    a: np.ndarray,
+    b: np.ndarray,
+    r: float,
+    w: Workspace,
+    centers: np.ndarray = (),
+    radii: np.ndarray = (),
+) -> np.ndarray:
+    """Batched `capsule_free`: bool[K] for the K spines a[k]-b[k] of radius r.
+
+    `a` and `b` are (K, 2) arrays or single points, which broadcast. Each
+    capsule is checked against the bounds, every obstacle edge and every
+    excluded disk (`centers` (D, 2), `radii` (D,)).
+    """
+    a, b = np.broadcast_arrays(
+        np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2)
+    )
+    step = (1 << 14) // max(1, len(w._edges_a), len(radii))  # bounds the K x E temporaries
+    if len(a) > step:
+        return np.concatenate(
+            [capsules_free(a[k : k + step], b[k : k + step], r, w, centers, radii)
+             for k in range(0, len(a), step)]
+        )
+    tol = w.tol
+    bd = w.bounds
+    ok = np.ones(len(a), dtype=bool)
+    for p in (a, b):
+        ok &= (bd.xmin + r - tol <= p[:, 0]) & (p[:, 0] <= bd.xmax - r + tol)
+        ok &= (bd.ymin + r - tol <= p[:, 1]) & (p[:, 1] <= bd.ymax - r + tol)
+    if len(w._edges_a):
+        ok &= _spines_clear_of_edges(a, b, r, w)
+    if len(radii):
+        d = point_segment_distances(np.asarray(centers, dtype=float), a[:, None, :], b[:, None, :])
+        ok &= ~(d < r + np.asarray(radii, dtype=float) - tol).any(axis=1)
+    return ok
+
+
 def capsule_free(c: Capsule, w: Workspace, excluded: Sequence[Disk] = ()) -> bool:
     """True iff the swept disk of segment ab stays inside the free space and
     does not penetrate any of the `excluded` disks (tangency is allowed)."""
-    tol = w.tol
-    b = w.bounds
-    r = c.radius
-    for px, py in (c.a, c.b):
-        if not (
-            b.xmin + r - tol <= px <= b.xmax - r + tol
-            and b.ymin + r - tol <= py <= b.ymax - r + tol
-        ):
-            return False
-    if w.obstacles:
-        # spine endpoints inside obstacle material (covers capsule-in-obstacle);
-        # spine crossing an edge is caught by the distance test below
-        for p in (c.a, c.b):
-            if not point_in_free_space(p, w) and _edge_distances(
-                np.array([p], dtype=float), w
-            )[0] >= r - tol:
-                return False
-        for pa, pb in zip(w._edges_a, w._edges_b):
-            if _segment_segment_distance(c.a, c.b, Point2(*pa), Point2(*pb)) < r - tol:
-                return False
-    for d in excluded:
-        if _point_segment_distance(d.center, c.a, c.b) < r + d.radius - tol:
-            return False
-    return True
+    centers, radii = [d.center for d in excluded], [d.radius for d in excluded]
+    return bool(capsules_free(c.a, c.b, c.radius, w, centers, radii)[0])
+
+
+class CapsuleCache:
+    """Workspace-only capsule results, keyed by the exact spine ends and radius.
+
+    Meant to live as long as one computation on one workspace (e.g. one
+    conversion), never process-wide."""
+
+    def __init__(self, w: Workspace):
+        self.w = w
+        self.known: dict[tuple, bool] = {}
+
+    def all_free(self, spines: Sequence[tuple[Point2, Point2]], r: float) -> bool:
+        """True iff every capsule (p, q, r) lies in the free space."""
+        keys = [(tuple(p), tuple(q), r) for p, q in spines]
+        todo = list(dict.fromkeys(k for k in keys if k not in self.known))
+        if todo:
+            free = capsules_free([k[0] for k in todo], [k[1] for k in todo], r, self.w)
+            self.known.update(zip(todo, free.tolist()))
+        return all(self.known[k] for k in keys)
 
 
 def circle_circle_intersections(
@@ -347,15 +360,3 @@ def circle_circle_intersections(
 def rectangle_workspace(width: float, height: float, obstacles=()) -> Workspace:
     """Axis-aligned workspace anchored at the origin."""
     return Workspace(Rect(0.0, 0.0, float(width), float(height)), tuple(obstacles))
-
-
-def regular_polygon(center: Point2, radius: float, n: int, ccw: bool = True) -> Polygon:
-    angles = [2.0 * math.pi * k / n for k in range(n)]
-    if not ccw:
-        angles.reverse()
-    return Polygon(
-        tuple(
-            Point2(center[0] + radius * math.cos(t), center[1] + radius * math.sin(t))
-            for t in angles
-        )
-    )

@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import EmptyFreeSpace
 from .geometry import (
-    Capsule,
+    CapsuleCache,
     Disk,
     Point2,
     Workspace,
     boundary_distance_many,
-    capsule_free,
+    capsule_free,  # noqa: F401  (looked up here by bench/tracing.py)
     dist,
+    point_segment_distances,
     points_in_free_space,
 )
 
@@ -346,9 +347,12 @@ def skeleton_path(
     all_circles: list[Disk],
     r: float,
     w: Workspace,
+    capsules: CapsuleCache | None = None,
 ) -> SkeletonPath | None:
     """Shortest skeleton polyline from circle a to circle b whose r-inflation,
-    outside the two endpoint circles, avoids every obstacle and circle."""
+    outside the two endpoint circles, avoids every obstacle and circle.
+
+    `capsules` memoizes the workspace checks; it must belong to `w`."""
     ia = _circle_index(all_circles, a)
     ib = _circle_index(all_circles, b)
     others = [c for k, c in enumerate(all_circles) if k not in (ia, ib)]
@@ -399,7 +403,7 @@ def skeleton_path(
     chain.reverse()
     waypoints = [s.nodes[i].position for i in chain]
     path = SkeletonPath(waypoints, ia, ib)
-    if not _path_clear(path, a, b, others, r, w):
+    if not _path_clear(path, a, b, others, r, w, capsules):
         return None
     return path
 
@@ -412,33 +416,33 @@ def _circle_index(circles: list[Disk], c: Disk) -> int:
 
 
 def _path_clear(
-    path: SkeletonPath, a: Disk, b: Disk, others: list[Disk], r: float, w: Workspace
+    path: SkeletonPath,
+    a: Disk,
+    b: Disk,
+    others: list[Disk],
+    r: float,
+    w: Workspace,
+    capsules: CapsuleCache | None = None,
 ) -> bool:
-    """Segment-by-segment check of the inflated-path condition."""
+    """Inflated-path condition for every segment not well inside a or b."""
 
     def well_inside(c: Disk, p: Point2) -> bool:
         return dist(c.center, p) + r <= c.radius + w.tol
 
-    for p, q in zip(path.waypoints, path.waypoints[1:]):
-        if well_inside(a, p) and well_inside(a, q):
-            continue
-        if well_inside(b, p) and well_inside(b, q):
-            continue
-        if not capsule_free(Capsule(p, q, r), w):
-            return False
-        for c in others:
-            lo = _segment_point_distance(p, q, c.center)
-            if lo < c.radius + r - w.tol:
-                return False
-    return True
-
-
-def _segment_point_distance(a: Point2, b: Point2, p: Point2) -> float:
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = min(1.0, max(0.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / seg2))
-    return math.hypot(p[0] - ax - t * dx, p[1] - ay - t * dy)
+    spines = [
+        (p, q)
+        for p, q in zip(path.waypoints, path.waypoints[1:])
+        if not (well_inside(a, p) and well_inside(a, q))
+        and not (well_inside(b, p) and well_inside(b, q))
+    ]
+    if not spines:
+        return True
+    if not (capsules or CapsuleCache(w)).all_free(spines, r):
+        return False
+    if not others:
+        return True
+    ends = np.array(spines, dtype=float)  # (S, 2 ends, 2)
+    centers = np.array([c.center for c in others], dtype=float)
+    radii = np.array([c.radius for c in others], dtype=float)
+    lo = point_segment_distances(centers, ends[:, None, 0], ends[:, None, 1])
+    return not (lo < radii + r - w.tol).any()

@@ -41,14 +41,10 @@ class SwapGraph:
 
     def _build_caches(self):
         self._loops_of: dict[int, list[int]] = {v: [] for v in self.positions}
-        self._index_in: list[dict[int, int]] = []
         for li, cyc in enumerate(self.loops):
-            idx = {}
-            for k, v in enumerate(cyc):
-                idx[v] = k
+            for v in cyc:
                 if v in self._loops_of:
                     self._loops_of[v].append(li)
-            self._index_in.append(idx)
         self._loop_edges: list[set[tuple[int, int]]] = []
         for cyc in self.loops:
             es = set()
@@ -90,12 +86,6 @@ class SwapGraph:
 
     def loops_of(self, v: int) -> list[int]:
         return self._loops_of[v]
-
-    def loop_edge_set(self, li: int) -> set[tuple[int, int]]:
-        return self._loop_edges[li]
-
-    def index_in_loop(self, li: int, v: int) -> int:
-        return self._index_in[li][v]
 
     def loops_containing_edge(self, u: int, v: int) -> list[int]:
         e = edge_key(u, v)
@@ -172,11 +162,6 @@ class SwapGraph:
             raise InvalidGraph(v)
 
 
-def validate(g: SwapGraph) -> list[str]:
-    """Report every violated swap-graph rule (empty list = valid)."""
-    return g.violations()
-
-
 @dataclass
 class Occupancy:
     """Mapping from vertex id to agent id, with vacant vertices set to None."""
@@ -185,9 +170,6 @@ class Occupancy:
 
     def copy(self) -> "Occupancy":
         return Occupancy(dict(self.mapping))
-
-    def agent_at(self, v: int):
-        return self.mapping[v]
 
     def vacant_vertices(self) -> list[int]:
         return sorted(v for v, a in self.mapping.items() if a is VACANT)

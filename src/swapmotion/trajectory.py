@@ -34,6 +34,7 @@ from .conversion import (
     GapCorridor,
     PathCorridor,
     RadialCorridor,
+    _signed_angle,
     corridor_polyline,
 )
 from .errors import UnrealizableOp
@@ -238,10 +239,6 @@ class TrajectorySet:
         return sorted(self.segments, key=repr)
 
 
-def _signed_short(x: float) -> float:
-    return (x + math.pi) % (2 * math.pi) - math.pi
-
-
 def _slot_point(res: ConversionResult, circle: int, ring: int, angle: float) -> Point2:
     c = res.circles[circle].center
     rad = 2.0 * res.r * ring
@@ -291,7 +288,15 @@ def realize_type1(
     return _one_op(res, occ, _type1_motion, op)
 
 
-def _type1_motion(res, op: LoopRotation, occ_map, t0, emit) -> float:
+def _slot_angles(res: ConversionResult) -> list[list[float]]:
+    """Slot angles of every loop with ring metadata, in loop order."""
+    return [
+        [res.angle_in(v, circle, ring) for v in cyc]
+        for cyc, (circle, ring) in zip(res.graph.loops, res.loop_layer)
+    ]
+
+
+def _type1_motion(res, op: LoopRotation, occ_map, t0, emit, slot_angles=None) -> float:
     li = op.loop
     if li >= len(res.loop_layer):
         raise UnrealizableOp(f"loop {li} has no ring metadata")
@@ -302,7 +307,7 @@ def _type1_motion(res, op: LoopRotation, occ_map, t0, emit) -> float:
     if k == 0:
         return 0.0
     signed = k if k <= m - k else k - m
-    angles = [res.angle_in(v, circle, ring) for v in cyc]
+    angles = (slot_angles or _slot_angles(res))[li]
     riders = []
     for p, v in enumerate(cyc):
         if occ_map[v] is VACANT:
@@ -374,7 +379,7 @@ def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) ->
     li_v = res.loop_index_of(circle, ring_v)
     ang_u = res.angle_in(u, circle, ring_u)
     ang_v = res.angle_in(v, circle, ring_v)
-    delta = _signed_short(ang_u - ang_v)
+    delta = _signed_angle(ang_u - ang_v)
     t = t0
     riders = _ring_riders(res, occ_map, li_v, delta)
     t += _arc_phase(res, li_v, t, riders, emit)
@@ -455,9 +460,12 @@ def realize_plan(res: ConversionResult, plan: Plan) -> TrajectorySet:
         records[agent].append(rec)
 
     t = 0.0
+    slot_angles = _slot_angles(res)
     for op in plan.ops:
-        motion = _type1_motion if isinstance(op, LoopRotation) else _type2_motion
-        t += motion(res, op, occ.mapping, t, emit)
+        if isinstance(op, LoopRotation):
+            t += _type1_motion(res, op, occ.mapping, t, emit, slot_angles)
+        else:
+            t += _type2_motion(res, op, occ.mapping, t, emit)
         _apply_inplace(occ.mapping, res.graph, op)
     # exact endpoint check against the final occupancy
     for a, tgt in _positions_of(res, occ.mapping).items():

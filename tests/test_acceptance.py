@@ -29,8 +29,7 @@ from swapmotion.fileio import (
     plan_to_dict,
     scenario_from_dict,
 )
-from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
-from swapmotion.medial_axis import _segment_point_distance
+from swapmotion.geometry import Disk, Point2, dist, point_segment_distance, rectangle_workspace
 from swapmotion.pipeline import run_pipeline, sample_free_positions
 from swapmotion.planner import exchange, execute, plan_permutation, apply_ops
 from swapmotion.swap_graph import (
@@ -126,7 +125,7 @@ def test_criterion_2_capacity_anchors():
         for x in ids:
             if x in (u, v):
                 continue
-            assert _segment_point_distance(a, b, pts[x]) >= 2.0 - 1e-9, (e, x)
+            assert point_segment_distance(pts[x], a, b) >= 2.0 - 1e-9, (e, x)
     # packing oracle never fits fewer slots than the formula claims
     for i in range(2, 11):
         pitch = slot_pitch(i)

@@ -5,15 +5,29 @@ import random
 import numpy as np
 import pytest
 
+from capsule_reference import capsule_free_reference
 from swapmotion.assignment import (
     Assignment,
+    _detour_route,
+    _free_sidestep,
+    _string_pull,
+    _two_leg_route,
+    _via_candidates,
     navigate,
     navigate_to_vertices,
     optimal_assignment,
 )
 from swapmotion.conversion import convert_single_circle
 from swapmotion.errors import TooFewSlots
-from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
+from swapmotion.geometry import (
+    Capsule,
+    Disk,
+    Point2,
+    Polygon,
+    dist,
+    point_segment_distance,
+    rectangle_workspace,
+)
 from swapmotion.swap_graph import Occupancy
 from swapmotion.trajectory import verify_trajectories
 
@@ -109,3 +123,109 @@ class TestNavigate:
         for i, j in asg.agent_to_slot.items():
             end = out.trajectory.segments[i][-1].end_position()
             assert dist(end, res.graph.positions[vids[j]]) < 1e-9
+
+
+# Scalar versions of the via loops: one capsule per via, checked in order.
+def _free(a, b, w, r, others) -> bool:
+    return capsule_free_reference(Capsule(a, b, r), w, others)
+
+
+def scalar_detour(a, b, w, r, others, vias):
+    best = None
+    for v in vias:
+        extra = dist(a, v) + dist(v, b)
+        if best is not None and extra >= best[0]:
+            continue
+        if dist(a, v) < 1e-12 or dist(v, b) < 1e-12:
+            continue
+        if _free(a, v, w, r, others) and _free(v, b, w, r, others):
+            best = (extra, v)
+    return None if best is None else [a, best[1], b]
+
+
+def scalar_two_leg(a, b, w, r, others, hints, vias):
+    for h in hints:
+        if dist(h, b) < 1e-12 or not _free(h, b, w, r, others):
+            continue
+        if _free(a, h, w, r, others):
+            return [a, h, b]
+        for v in vias or []:
+            if dist(a, v) < 1e-12 or dist(v, h) < 1e-12:
+                continue
+            if _free(a, v, w, r, others) and _free(v, h, w, r, others):
+                return [a, v, h, b]
+    return None
+
+
+def scalar_sidestep(p, away_from, w, r, others, vias):
+    best = None
+    for v in vias:
+        d = dist(p, v)
+        if d < 2 * r:
+            continue
+        seg_clear = point_segment_distance(v, away_from[0], away_from[1])
+        if seg_clear < 2.5 * r:
+            continue
+        score = d - 0.1 * seg_clear
+        if best is not None and score >= best[0]:
+            continue
+        if all(dist(v, o.center) >= 2 * r for o in others) and _free(p, v, w, r, others):
+            best = (score, v)
+    return None if best is None else best[1]
+
+
+def scalar_string_pull(waypoints, w, r, others):
+    out = [waypoints[0]]
+    k = 0
+    while k < len(waypoints) - 1:
+        for j in range(len(waypoints) - 1, k, -1):
+            if dist(out[-1], waypoints[j]) <= 1e-12 or _free(out[-1], waypoints[j], w, r, others):
+                break
+        else:
+            return None
+        out.append(waypoints[j])
+        k = j
+    return out
+
+
+def _route_scene(rng):
+    """A 20 x 14 room with up to three boxes, crowded by 4-12 parked agents."""
+    boxes = []
+    for _ in range(rng.randint(0, 3)):
+        x0, y0 = rng.uniform(3, 15), rng.uniform(3, 9)
+        x1, y1 = x0 + rng.uniform(1, 4), y0 + rng.uniform(1, 3)
+        boxes.append(Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))))
+    w = rectangle_workspace(20, 14, boxes)
+    r = 1.0
+    free = [Point2(*p) for p in _via_candidates(w, r, 1.3)]
+    rng.shuffle(free)
+    others = [Disk(p, r) for p in free[: rng.randint(4, 12)]]
+    return w, r, others, free
+
+
+def test_batched_via_loops_return_the_scalar_routes():
+    rng = random.Random(21)
+    found = {"detour": 0, "two_leg": 0, "sidestep": 0, "pull": 0}
+    for _ in range(25):
+        w, r, others, free = _route_scene(rng)
+        vias = _via_candidates(w, r, 2.5 * r)
+        for _ in range(4):
+            a, b = rng.sample(free, 2)
+            hints = rng.sample(free, 4) + [b]
+            got = _detour_route(a, b, w, r, others, vias)
+            assert got == scalar_detour(a, b, w, r, others, vias)
+            found["detour"] += got is not None
+            got = _two_leg_route(a, b, w, r, others, hints, vias)
+            assert got == scalar_two_leg(a, b, w, r, others, hints, vias)
+            found["two_leg"] += got is not None
+            seg = (b, rng.choice(free))
+            got = _free_sidestep(a, seg, w, r, others, vias)
+            assert got == scalar_sidestep(a, seg, w, r, others, vias)
+            found["sidestep"] += got is not None
+            # a jittered polyline with a repeated point, as a grid route would give
+            line = [a] + rng.sample(free, rng.randint(1, 6)) + [b]
+            line.insert(rng.randint(1, len(line) - 1), line[rng.randint(0, len(line) - 1)])
+            got = _string_pull(line, w, r, others)
+            assert got == scalar_string_pull(line, w, r, others)
+            found["pull"] += got is not None
+    assert min(found.values()) >= 10, found

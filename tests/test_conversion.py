@@ -178,3 +178,43 @@ class TestGreedy:
         assert res.circles
         first = res.circles[0]
         assert dist(first.center, starts[0]) <= first.radius
+
+
+_FRESH = """
+import json, sys
+from swapmotion.conversion import greedy_convert
+from swapmotion.fileio import graph_to_dict, workspace_from_dict
+w = workspace_from_dict(json.loads(sys.argv[1]))
+print(json.dumps(graph_to_dict(greedy_convert(w, 1.0)), sort_keys=True))
+"""
+
+
+def test_consecutive_conversions_equal_fresh_ones():
+    """Per-conversion memos (skeleton paths, capsule checks) do not leak
+    from one greedy_convert call into the next."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import swapmotion
+    from swapmotion.fileio import graph_to_dict, workspace_to_dict
+    from swapmotion.geometry import Polygon
+
+    def box(x0, y0, x1, y1):
+        return Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
+
+    spaces = [
+        rectangle_workspace(40.0, 20.0, [box(14, 6, 26, 14)]),
+        rectangle_workspace(40.0, 20.0, [box(14, 6, 26, 14), box(30, 0.5, 33, 5)]),
+    ]
+    in_a_row = [json.dumps(graph_to_dict(greedy_convert(w, 1.0)), sort_keys=True) for w in spaces]
+    env = dict(os.environ, PYTHONPATH=str(Path(swapmotion.__file__).resolve().parents[1]))
+    for w, got in zip(spaces, in_a_row):
+        arg = json.dumps(workspace_to_dict(w))
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH, arg], env=env, capture_output=True, text=True, check=True
+        ).stdout.strip()
+        assert got == fresh
+    assert in_a_row[0] != in_a_row[1]

@@ -55,6 +55,15 @@ class TestPointInFreeSpace:
         assert not point_in_free_space(Point2(3.0, 3.0), w)
         assert point_in_free_space(Point2(5.0, 5.0), w)
 
+    def test_point_on_hole_edge_is_not_free(self):
+        hole = Polygon((Point2(2, 2), Point2(2, 6), Point2(6, 6), Point2(6, 2)))  # CW
+        w = rectangle_workspace(10, 10, [hole])
+        edge_pts = [Point2(2.0, 4.0), Point2(4.0, 2.0), Point2(6.0, 4.0), Point2(4.0, 6.0)]
+        for p in edge_pts:
+            assert not point_in_free_space(p, w), p
+        assert not points_in_free_space(np.array(edge_pts), w).any()
+        assert point_in_free_space(Point2(4.0, 4.0), w)
+
     def test_agrees_with_raycast_oracle(self):
         w, tri = triangle_scene()
         rng = random.Random(0)
@@ -182,7 +191,7 @@ def random_scene(rng):
             rr = rng.uniform(0.5, 1.6)
             pts.append(Point2(cx + rr * math.cos(t), cy + rr * math.sin(t)))
         poly = Polygon(tuple(pts))
-        if not poly.is_ccw():
+        if poly.is_ccw() != (rng.random() < 0.7):  # about 3 in 10 rings are holes
             poly = Polygon(tuple(reversed(poly.vertices)))
         polys.append(poly)
     return rectangle_workspace(10, 10, polys)

@@ -8,7 +8,6 @@ from swapmotion.swap_graph import (
     Occupancy,
     SwapGraph,
     path_complexity,
-    validate,
     vertex_distance,
     vertex_loop_distance,
 )
@@ -16,7 +15,7 @@ from swapmotion.swap_graph import (
 
 class TestValidate:
     def test_four_loop_example_is_valid(self):
-        assert validate(four_loop_example()) == []
+        assert four_loop_example().violations() == []
 
     def test_single_loop_violates_k(self):
         g = SwapGraph(

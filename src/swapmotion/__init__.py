@@ -8,6 +8,7 @@ from .errors import (
     IllegalOp,
     InsufficientCapacity,
     InvalidGraph,
+    InvalidScenario,
     NavigationFailure,
     NotInFreeSpace,
     PlannerError,
@@ -19,35 +20,6 @@ from .errors import (
 from .geometry import Capsule, Disk, Point2, Polygon, Rect, Workspace
 from .swap_graph import Occupancy, SwapGraph, VACANT
 
-
-def __getattr__(name):
-    # late imports keep `import swapmotion` light; heavy deps load on demand
-    from importlib import import_module
-
-    lookup = {
-        "greedy_convert": "conversion",
-        "convert_circles": "conversion",
-        "convert_single_circle": "conversion",
-        "convert_two_circles": "conversion",
-        "plan_permutation": "planner",
-        "exchange": "planner",
-        "move_vacancy": "planner",
-        "apply_op": "planner",
-        "realize_plan": "trajectory",
-        "verify_trajectories": "trajectory",
-        "optimal_assignment": "assignment",
-        "navigate_to_vertices": "assignment",
-        "extract_medial_axis": "medial_axis",
-        "sample_circles": "medial_axis",
-        "skeleton_path": "medial_axis",
-        "run_pipeline": "pipeline",
-        "bench": "pipeline",
-        "Scenario": "fileio",
-    }
-    if name in lookup:
-        return getattr(import_module(f".{lookup[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "AssignmentFailure",
     "AssignmentMismatch",
@@ -58,6 +30,7 @@ __all__ = [
     "IllegalOp",
     "InsufficientCapacity",
     "InvalidGraph",
+    "InvalidScenario",
     "NavigationFailure",
     "NotInFreeSpace",
     "Occupancy",

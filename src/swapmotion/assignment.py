@@ -10,7 +10,7 @@ it sequential keeps verification trivial and failures honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -355,29 +355,3 @@ def radial_hints(res, vid: int, r: float) -> list[Point2]:
             rad = 2.0 * r * ring + extra * r
             out.append(Point2(c.x + rad * ux, c.y + rad * uy))
     return out
-
-
-def navigate_to_vertices(
-    starts: Sequence[Point2],
-    asg: Assignment,
-    res,
-    w: Workspace,
-    r: float,
-) -> NavigationResult:
-    """Best-effort motion of each agent to its assigned graph vertex."""
-    vids = res.graph.vertex_ids()
-    current = {i: Point2(*starts[i]) for i in asg.agent_to_slot}
-    targets = {
-        i: res.graph.positions[vids[j]] for i, j in asg.agent_to_slot.items()
-    }
-    ring_depth = {
-        i: min(k for _, k, _ in res.vertex_rings[vids[j]])
-        for i, j in asg.agent_to_slot.items()
-    }
-    costs = {i: dist(current[i], targets[i]) for i in current}
-    hints = {
-        i: radial_hints(res, vids[j], r) for i, j in asg.agent_to_slot.items()
-    }
-    return navigate(
-        current, targets, w, r, costs, via_hints=hints, phases=ring_depth
-    )

@@ -1,4 +1,8 @@
-"""Command-line interface: convert, plan, exec, verify, render, bench."""
+"""Command-line interface: exec (the whole pipeline), convert, render.
+
+`exec` is the one command that plans; `convert` stops after the swap graph,
+and `render` draws frames from the files an `exec --out` run wrote.
+"""
 
 from __future__ import annotations
 
@@ -16,15 +20,13 @@ from .errors import (
 from .fileio import (
     Scenario,
     dump_json,
-    graph_from_dict,
     graph_to_dict,
     load_json,
-    plan_to_dict,
     scenario_from_dict,
-    scenario_to_dict,
+    trajectory_from_csv,
 )
-from .pipeline import bench, bench_table, run_pipeline
-from .render_svg import render_frames, render_scene
+from .pipeline import convert_scenario, run_pipeline
+from .render_svg import render_frames
 
 _EXIT_CODES = {
     InsufficientCapacity: 3,
@@ -53,27 +55,12 @@ def _load_scenario(args) -> Scenario:
     return s
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_convert(args) -> int:
-    from .conversion import greedy_convert
-
     s = _load_scenario(args)
     n = len(s.agents)
-    res = greedy_convert(
-        s.workspace,
-        s.r,
-        threshold=s.params.threshold if s.params.threshold is not None else n + 1,
-        starts=s.starts(),
-        epsilon=s.params.epsilon,
-        grid_resolution=s.params.grid_resolution,
-        k_max=s.params.k_max,
-    )
-    out = _out_dir(args)
+    res = convert_scenario(s)
+    out = Path(args.out or "out")
+    out.mkdir(parents=True, exist_ok=True)
     dump_json(graph_to_dict(res), out / "graph.json")
     print(
         f"convert: {res.graph.num_vertices()} vertices in {res.graph.K} loops "
@@ -85,21 +72,10 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def cmd_plan(args) -> int:
-    s = _load_scenario(args)
-    out = _out_dir(args)
-    run, art = run_pipeline(s)
-    dump_json(graph_to_dict(art.conversion), out / "graph.json")
-    dump_json(plan_to_dict(art.plan), out / "plan.json")
-    print(f"plan: {run.op_count} ops over {run.num_vertices} vertices -> {out/'plan.json'}")
-    return 0
-
-
 def cmd_exec(args) -> int:
     s = _load_scenario(args)
-    out = _out_dir(args)
     t0 = time.perf_counter()
-    run, art = run_pipeline(s, out_dir=out)
+    run, art = run_pipeline(s, out_dir=args.out)
     wall = time.perf_counter() - t0
     print(
         f"exec: {s.name}: N={run.n_agents} |V|={run.num_vertices} ops={run.op_count} "
@@ -107,12 +83,6 @@ def cmd_exec(args) -> int:
     )
     for stage, secs in run.timings.items():
         print(f"  {stage:>8}: {secs:.3f}s")
-    return 0 if run.success else 1
-
-
-def cmd_verify(args) -> int:
-    s = _load_scenario(args)
-    run, art = run_pipeline(s)
     rep = art.verification
     print(
         f"verify: min pairwise {rep.min_pairwise:.6f} (2r = {2*s.r}), "
@@ -121,36 +91,17 @@ def cmd_verify(args) -> int:
     )
     for v in rep.violations[:20]:
         print(f"  {v.kind} {v.agents} t=[{v.t_start:.2f},{v.t_end:.2f}] worst={v.worst:.6f}")
-    return 0 if rep.ok else 1
+    return 0 if run.success else 1
 
 
 def cmd_render(args) -> int:
-    s = _load_scenario(args)
-    out = _out_dir(args)
-    run, art = run_pipeline(s)
-    svg = render_scene(
-        s.workspace,
-        res=art.conversion,
-        trajectories=art.trajectory,
-        agents={a.id: a.start for a in s.agents},
-        goals={a.id: a.goal for a in s.agents},
-        r=s.r,
-    )
-    (out / "scene.svg").write_text(svg)
-    frames = render_frames(out / "frames", art.trajectory, s.workspace, s.r, s.params.dt)
-    print(f"render: scene + {len(frames)} frames -> {out}")
+    out = Path(args.out)
+    s = scenario_from_dict(load_json(out / "scenario.json"))
+    ts = trajectory_from_csv(out / "trajectory.csv")
+    dt = s.params.dt if args.dt is None else args.dt
+    frames = render_frames(out / "frames", ts, s.workspace, s.r, dt)
+    print(f"render: {len(frames)} frames -> {out/'frames'}")
     return 0
-
-
-def cmd_bench(args) -> int:
-    suite = [scenario_from_dict(load_json(p)) for p in args.scenario]
-    rows = bench(suite, trials=args.trials, seed=args.seed or 0)
-    print(bench_table(rows))
-    if args.out:
-        out = _out_dir(args)
-        dump_json({"rows": rows}, out / "bench.json")
-        print(f"bench: rows -> {out/'bench.json'}")
-    return 0 if all(r["success"] for r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,21 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan collision-free motions for disk agents via swap graphs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, multi in [
-        ("convert", cmd_convert, False),
-        ("plan", cmd_plan, False),
-        ("exec", cmd_exec, False),
-        ("verify", cmd_verify, False),
-        ("render", cmd_render, False),
-        ("bench", cmd_bench, True),
+    for name, fn, out_help in [
+        ("exec", cmd_exec, "write every artifact here (default: none, run in memory)"),
+        ("convert", cmd_convert, "write graph.json here (default: out)"),
     ]:
         p = sub.add_parser(name)
-        if multi:
-            p.add_argument("--scenario", nargs="+", required=True, help="scenario JSON file(s)")
-            p.add_argument("--trials", type=int, default=15)
-        else:
-            p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
+        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--grid", type=float, default=None)
         p.add_argument("--kmax", type=int, default=None)
@@ -182,6 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--max-agents", type=int, default=None, dest="max_agents")
         p.set_defaults(func=fn)
+    p = sub.add_parser("render")
+    p.add_argument("--out", required=True, help="directory written by exec --out")
+    p.add_argument("--dt", type=float, default=None,
+                   help="frame step (default: the scenario's dt)")
+    p.set_defaults(func=cmd_render)
     return ap
 
 

@@ -5,6 +5,10 @@ class SwapMotionError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidScenario(SwapMotionError):
+    """A scenario breaks an input invariant (see `Scenario.validate`)."""
+
+
 class NotInFreeSpace(SwapMotionError):
     """A query point lies outside the free space."""
 

@@ -10,7 +10,6 @@ exactly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,7 +22,7 @@ from .conversion import (
 )
 from .geometry import Disk, Point2, Polygon, Rect, Workspace
 from .planner import LoopRotation, Plan, VacancySwap
-from .swap_graph import Occupancy, SwapGraph, VACANT, edge_key
+from .swap_graph import Occupancy, SwapGraph, edge_key
 from .trajectory import KIND_NAMES, Track, TrajectorySet
 
 
@@ -63,6 +62,13 @@ class Scenario:
         from .geometry import Disk, disk_in_free_space, dist
 
         out = []
+        p = self.params
+        if not p.dt > 0:
+            out.append(f"dt {p.dt} not positive")
+        for name in ("epsilon", "grid_resolution"):
+            value = getattr(p, name)
+            if value is not None and not value > 0:
+                out.append(f"{name} {value} not positive")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             out.append("agent ids not distinct")

@@ -1,20 +1,26 @@
-"""End-to-end pipeline: convert, assign, plan, realize, verify; bench harness."""
+"""End-to-end pipeline: convert, assign, navigate, plan, realize, verify.
+
+`run_pipeline` is the one path from a scenario to a verified plan (and, with
+an output directory, its artifacts); `convert_scenario` is its first stage,
+shared with the CLI's `convert`.
+"""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .assignment import Assignment, navigate, optimal_assignment
-from .conversion import ConversionResult, greedy_convert
+from .assignment import Assignment, navigate, optimal_assignment, radial_hints
+from .conversion import ConversionResult, greedy_convert, realization_edge_cost
 from .errors import (
     AssignmentFailure,
     InsufficientCapacity,
+    InvalidScenario,
     NavigationFailure,
 )
 from .fileio import (
@@ -25,7 +31,7 @@ from .fileio import (
     scenario_to_dict,
     trajectory_to_csv,
 )
-from .geometry import Point2, Workspace, dist, disk_in_free_space, Disk, points_in_free_space, boundary_distance_many
+from .geometry import Point2, Workspace, dist, disk_in_free_space, Disk
 from .planner import Plan, plan_permutation
 from .render_svg import render_scene
 from .swap_graph import Occupancy, VACANT
@@ -94,26 +100,20 @@ def scenario_density(s: Scenario) -> float:
     return len(s.agents) * math.pi * s.r**2 / s.workspace.free_area()
 
 
-def run_pipeline(
-    s: Scenario, out_dir: Optional[str] = None
-) -> tuple[RunReport, RunArtifacts]:
-    """Full run: convert -> assign -> plan -> realize -> verify (+ artifacts).
+def convert_scenario(s: Scenario) -> ConversionResult:
+    """Check `s`, then convert its free space into a swap graph.
 
-    Raises InsufficientCapacity / AssignmentFailure / NavigationFailure with
-    the failing stage; any violation found by the final verification also
-    fails the run (reflected in the report's success flag).
+    Raises InvalidScenario, naming the first broken invariant, before any
+    conversion work. The graph stops growing at the scenario's threshold,
+    which defaults to N + 1 vertices.
     """
-    w = s.workspace
-    n = len(s.agents)
     problems = s.validate()
     if problems:
-        raise ValueError(f"scenario: {problems[0]} (+{len(problems) - 1} more)"
-                         if len(problems) > 1 else f"scenario: {problems[0]}")
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    res = greedy_convert(
-        w,
+        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise InvalidScenario(f"scenario: {problems[0]}{more}")
+    n = len(s.agents)
+    return greedy_convert(
+        s.workspace,
         s.r,
         threshold=s.params.threshold if s.params.threshold is not None else n + 1,
         starts=s.starts(),
@@ -121,6 +121,24 @@ def run_pipeline(
         grid_resolution=s.params.grid_resolution,
         k_max=s.params.k_max,
     )
+
+
+def run_pipeline(
+    s: Scenario, out_dir: Optional[str] = None
+) -> tuple[RunReport, RunArtifacts]:
+    """Full run: convert -> assign -> plan -> realize -> verify (+ artifacts).
+
+    Raises InvalidScenario before any work, and InsufficientCapacity /
+    AssignmentFailure / NavigationFailure with the failing stage; any
+    violation found by the final verification also fails the run (reflected
+    in the report's success flag).
+    """
+    w = s.workspace
+    n = len(s.agents)
+    timings: dict[str, float] = {}
+
+    t0 = time.perf_counter()
+    res = convert_scenario(s)
     timings["convert"] = time.perf_counter() - t0
     g = res.graph
     if g.num_vertices() < n + 1:
@@ -154,8 +172,6 @@ def run_pipeline(
     timings["navigate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    from .conversion import realization_edge_cost
-
     plan = plan_permutation(g, start_occ, goal_occ, realization_edge_cost(res))
     timings["plan"] = time.perf_counter() - t0
 
@@ -201,8 +217,6 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, outbound: bo
     outbound legs move them from slots to goals. On a stall the stuck agent's
     slot is swapped for the nearest free spare and the leg is retried.
     """
-    from .assignment import radial_hints
-
     g = res.graph
     asg = Assignment(dict(asg.agent_to_slot), asg.total_cost)
     points = {a.id: (a.goal if outbound else a.start) for a in s.agents}
@@ -308,69 +322,3 @@ def sample_free_positions(
         out.append(p)
     return out
 
-
-def randomize_scenario(s: Scenario, trial_seed: int) -> Scenario:
-    """Fresh random starts/goals for one bench trial of a scenario."""
-    from .fileio import AgentSpec
-
-    rng = np.random.default_rng(trial_seed)
-    n = len(s.agents)
-    starts = sample_free_positions(s.workspace, s.r, n, rng, 2.0 * s.r)
-    goals = sample_free_positions(s.workspace, s.r, n, rng, 2.0 * s.r)
-    return Scenario(
-        name=s.name,
-        workspace=s.workspace,
-        r=s.r,
-        agents=[AgentSpec(i, starts[i], goals[i]) for i in range(n)],
-        params=s.params,
-    )
-
-
-def bench(
-    suite: list[Scenario], trials: int, seed: int
-) -> list[dict]:
-    """Run each scenario `trials` times with fresh random starts and goals."""
-    rows = []
-    for idx, base in enumerate(suite):
-        for trial in range(trials):
-            scen = randomize_scenario(base, seed + 1000 * idx + trial)
-            t0 = time.perf_counter()
-            try:
-                run, _ = run_pipeline(scen)
-                ok = run.success
-                row = run.to_dict()
-            except Exception as e:  # noqa: BLE001 - bench reports failures as data
-                ok = False
-                row = {
-                    "scenario": base.name,
-                    "n_agents": len(base.agents),
-                    "error": f"{type(e).__name__}: {e}",
-                }
-            row["trial"] = trial
-            row["wall_time"] = round(time.perf_counter() - t0, 3)
-            row["success"] = ok
-            rows.append(row)
-    return rows
-
-
-def bench_table(rows: list[dict]) -> str:
-    by_scenario: dict[str, list[dict]] = {}
-    for row in rows:
-        by_scenario.setdefault(row["scenario"], []).append(row)
-    lines = [
-        f"{'scenario':<20} {'N':>4} {'trials':>6} {'success':>8} "
-        f"{'med_time':>9} {'max_time':>9} {'med_ops':>8} {'density':>8}"
-    ]
-    for name, group in sorted(by_scenario.items()):
-        n = group[0].get("n_agents", 0)
-        succ = sum(1 for g in group if g["success"])
-        times = sorted(g["wall_time"] for g in group)
-        med_t = times[len(times) // 2]
-        ops = sorted(g.get("op_count", 0) for g in group)
-        med_ops = ops[len(ops) // 2]
-        dens = group[0].get("density", float("nan"))
-        lines.append(
-            f"{name:<20} {n:>4} {len(group):>6} {succ:>3}/{len(group):<4} "
-            f"{med_t:>9.2f} {times[-1]:>9.2f} {med_ops:>8} {dens:>8.3f}"
-        )
-    return "\n".join(lines)

@@ -556,26 +556,6 @@ def exchange(
     return _run_exchange(g, occ, v, v2, edge_cost)
 
 
-def exchange_same_loop(g: SwapGraph, occ: Occupancy, v: int, v2: int) -> list[SwapOp]:
-    """Exchange two occupied vertices of one loop (restores everything else)."""
-    if v == v2:
-        return []
-    if not g.common_loops(v, v2):
-        raise PlannerError("vertices do not share a loop")
-    return _run_exchange(g, occ, v, v2)
-
-
-def exchange_connected_loops(
-    g: SwapGraph, occ: Occupancy, v: int, v2: int
-) -> list[SwapOp]:
-    """Exchange two occupied vertices in connected loops."""
-    from .swap_graph import vertex_distance
-
-    if vertex_distance(g, v, v2) != 1:
-        raise PlannerError("vertices are not in connected loops")
-    return _run_exchange(g, occ, v, v2)
-
-
 def move_vacancy(g: SwapGraph, occ: Occupancy, target: int) -> list[SwapOp]:
     """Swap chain moving the designated vacancy to `target`."""
     occ.check(g)

@@ -14,8 +14,8 @@ from swapmotion.assignment import (
     _two_leg_route,
     _via_candidates,
     navigate,
-    navigate_to_vertices,
     optimal_assignment,
+    radial_hints,
 )
 from swapmotion.conversion import convert_single_circle
 from swapmotion.errors import TooFewSlots
@@ -115,11 +115,19 @@ class TestNavigate:
                 starts.append(p)
         slots = [res.graph.positions[v] for v in res.graph.vertex_ids()]
         asg = optimal_assignment(starts, slots)
-        out = navigate_to_vertices(starts, asg, res, w, 1.0)
+        vids = res.graph.vertex_ids()
+        current = {i: starts[i] for i in asg.agent_to_slot}
+        targets = {i: slots[j] for i, j in asg.agent_to_slot.items()}
+        phases = {
+            i: min(k for _, k, _ in res.vertex_rings[vids[j]])
+            for i, j in asg.agent_to_slot.items()
+        }
+        costs = {i: dist(current[i], targets[i]) for i in current}
+        hints = {i: radial_hints(res, vids[j], 1.0) for i, j in asg.agent_to_slot.items()}
+        out = navigate(current, targets, w, 1.0, costs, via_hints=hints, phases=phases)
         assert out.ok, out.stuck_agents
         rep = verify_trajectories(out.trajectory, w, 1.0, 0.05)
         assert rep.ok, rep.violations[:3]
-        vids = res.graph.vertex_ids()
         for i, j in asg.agent_to_slot.items():
             end = out.trajectory.segments[i][-1].end_position()
             assert dist(end, res.graph.positions[vids[j]]) < 1e-9

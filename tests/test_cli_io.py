@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from swapmotion.cli import main
+from swapmotion.errors import InvalidScenario
 from swapmotion.conversion import greedy_convert
 from swapmotion.fileio import (
     AgentSpec,
@@ -24,7 +25,8 @@ from swapmotion.fileio import (
     trajectory_to_csv,
 )
 from swapmotion.geometry import Point2, rectangle_workspace
-from swapmotion.pipeline import bench, run_pipeline, sample_free_positions
+from swapmotion import pipeline
+from swapmotion.pipeline import run_pipeline, sample_free_positions
 from swapmotion.trajectory import sample_times, verify_trajectories
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -155,30 +157,78 @@ class TestCli:
         report = load_json(tmp_path / "report.json")
         assert report["n_agents"] == 4
 
-    def test_verify_prints_pipeline_report(self, capsys):
-        code = main(["verify", "--scenario", str(SCENARIOS / "rect_12.json"), "--dt", "0.5"])
+    def test_verify_prints_pipeline_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"), "--dt", "0.5"])
         assert code == 0
         out = capsys.readouterr().out
         s = small_scenario()
         samples = len(sample_times(run_pipeline(s)[0].horizon, 0.5))
         assert f"0 violations over {samples} samples" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_render(self, tmp_path):
-        code = main(
-            ["render", "--scenario", str(SCENARIOS / "rect_12.json"),
-             "--out", str(tmp_path), "--dt", "5.0"]
-        )
+        assert main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"),
+                     "--out", str(tmp_path)]) == 0
+        code = main(["render", "--out", str(tmp_path), "--dt", "5.0"])
         assert code == 0
         assert (tmp_path / "scene.svg").exists()
         frames = list((tmp_path / "frames").glob("frame_*.svg"))
         assert frames
 
+    def test_render_reads_exec_dir_and_never_plans(self, tmp_path, monkeypatch):
+        assert main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"),
+                     "--out", str(tmp_path)]) == 0
 
-class TestBench:
-    def test_single_trial_reproducible(self):
+        def fail(*args, **kwargs):
+            raise AssertionError("render must not run the pipeline")
+
+        monkeypatch.setattr(pipeline, "run_pipeline", fail)
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        assert main(["render", "--out", str(tmp_path), "--dt", "5"]) == 0
+        assert list((tmp_path / "frames").glob("frame_*.svg"))
+
+
+class TestInvalidScenario:
+    """An invalid scenario is a typed error: exit code 2 and one line, before any work."""
+
+    @pytest.fixture
+    def same_starts(self, tmp_path):
+        d = load_json(SCENARIOS / "rect_12.json")
+        d["agents"][1]["start"] = list(d["agents"][0]["start"])
+        path = tmp_path / "same_starts.json"
+        dump_json(d, path)
+        return path
+
+    @pytest.mark.parametrize("command", ["exec", "convert"])
+    def test_coincident_starts_exit_2(self, command, same_starts, tmp_path, capsys):
+        code = main([command, "--scenario", str(same_starts), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error [InvalidScenario]: scenario: starts of agents 0,1 closer than 2r"]
+
+    def test_run_pipeline_raises_invalid_scenario(self, same_starts):
+        s = scenario_from_dict(load_json(same_starts))
+        with pytest.raises(InvalidScenario, match="starts of agents 0,1"):
+            run_pipeline(s)
+
+    @pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-1"),
+                                            ("--epsilon", "0"), ("--grid", "-0.5")])
+    def test_nonpositive_step_fails_before_convert(self, flag, value, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        code = main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"), flag, value])
+        assert code == 2
+
+    def test_validate_names_nonpositive_steps(self):
         s = small_scenario()
-        rows1 = bench([s], trials=1, seed=5)
-        rows2 = bench([s], trials=1, seed=5)
-        for k in ("success", "op_count", "num_vertices", "horizon"):
-            assert rows1[0][k] == rows2[0][k]
-        assert rows1[0]["success"]
+        s.params.dt = 0.0
+        s.params.epsilon = -1.0
+        s.params.grid_resolution = 0.0
+        assert s.validate() == [
+            "dt 0.0 not positive",
+            "epsilon -1.0 not positive",
+            "grid_resolution 0.0 not positive",
+        ]

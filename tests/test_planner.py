@@ -19,14 +19,12 @@ from swapmotion.planner import (
     apply_op,
     apply_ops,
     exchange,
-    exchange_connected_loops,
-    exchange_same_loop,
     execute,
     move_vacancy,
     plan_permutation,
     reverse_ops,
 )
-from swapmotion.swap_graph import Occupancy
+from swapmotion.swap_graph import Occupancy, vertex_distance
 
 
 def occupancy_with_hole(g, hole):
@@ -106,7 +104,8 @@ class TestExchanges:
     def test_same_loop_contract(self):
         g = four_loop_example()
         occ = occupancy_with_hole(g, 16)
-        out = apply_ops(occ, g, exchange_same_loop(g, occ, 6, 8))
+        assert g.common_loops(6, 8)
+        out = apply_ops(occ, g, exchange(g, occ, 6, 8))
         expect = dict(occ.mapping)
         expect[6], expect[8] = expect[8], expect[6]
         assert out.mapping == expect
@@ -114,7 +113,8 @@ class TestExchanges:
     def test_connected_loops_contract(self):
         g = four_loop_example()
         occ = occupancy_with_hole(g, 2)
-        out = apply_ops(occ, g, exchange_connected_loops(g, occ, 12, 15))
+        assert vertex_distance(g, 12, 15) == 1
+        out = apply_ops(occ, g, exchange(g, occ, 12, 15))
         expect = dict(occ.mapping)
         expect[12], expect[15] = expect[15], expect[12]
         assert out.mapping == expect

@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import (
     AssignmentFailure,
     InsufficientCapacity,
+    InvalidScenario,
     NavigationFailure,
     SwapMotionError,
 )
@@ -35,8 +36,23 @@ _EXIT_CODES = {
 }
 
 
+def _read(path, parse):
+    """`parse(path)`; a missing or malformed input file is an InvalidScenario."""
+    try:
+        return parse(path)
+    except OSError as e:
+        raise InvalidScenario(f"cannot read {path}: {e.strerror or e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        what = f"missing key {e}" if isinstance(e, KeyError) else f"{type(e).__name__}: {e}"
+        raise InvalidScenario(f"{path}: malformed ({what})") from e
+
+
+def _scenario_file(path) -> Scenario:
+    return scenario_from_dict(load_json(path))
+
+
 def _load_scenario(args) -> Scenario:
-    s = scenario_from_dict(load_json(args.scenario))
+    s = _read(args.scenario, _scenario_file)
     p = s.params
     if args.epsilon is not None:
         p.epsilon = args.epsilon
@@ -96,8 +112,8 @@ def cmd_exec(args) -> int:
 
 def cmd_render(args) -> int:
     out = Path(args.out)
-    s = scenario_from_dict(load_json(out / "scenario.json"))
-    ts = trajectory_from_csv(out / "trajectory.csv")
+    s = _read(out / "scenario.json", _scenario_file)
+    ts = _read(out / "trajectory.csv", trajectory_from_csv)
     dt = s.params.dt if args.dt is None else args.dt
     frames = render_frames(out / "frames", ts, s.workspace, s.r, dt)
     print(f"render: {len(frames)} frames -> {out/'frames'}")

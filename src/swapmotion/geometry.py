@@ -213,6 +213,45 @@ def boundary_distance_many(pts: np.ndarray, w: Workspace) -> np.ndarray:
     return np.minimum(d, _edge_distances(pts, w))
 
 
+def nearest_boundary(
+    pts: np.ndarray, w: Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point: distance to the obstacle edges (inf if none), distance to the
+    free-space boundary, and the boundary point at that distance.
+
+    Distances equal `_edge_distances` and `boundary_distance_many`. Ties go to
+    the first of the sides xmin, xmax, ymin, ymax, then the first nearest edge."""
+    n = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    edge_d = np.full(n, np.inf)
+    edge_p = np.zeros((n, 2))
+    if len(w._edges_a):
+        ax, ay = w._edges_a[:, 0], w._edges_a[:, 1]
+        dx, dy = w._edges_b[:, 0] - ax, w._edges_b[:, 1] - ay
+        seg2 = dx * dx + dy * dy
+        seg2 = np.where(seg2 == 0.0, 1.0, seg2)
+        step = max(1, (1 << 16) // len(ax))  # bounds the per-edge temporaries
+        for lo in range(0, n, step):
+            px, py = x[lo : lo + step, None], y[lo : lo + step, None]
+            t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg2, 0.0, 1.0)
+            qx, qy = ax + t * dx, ay + t * dy
+            ex, ey = px - qx, py - qy
+            d = np.sqrt(ex * ex + ey * ey)
+            rows, k = np.arange(len(d)), d.argmin(axis=1)
+            edge_d[lo : lo + step] = d[rows, k]
+            edge_p[lo : lo + step, 0] = qx[rows, k]
+            edge_p[lo : lo + step, 1] = qy[rows, k]
+    b = w.bounds
+    cand = np.stack([x - b.xmin, b.xmax - x, y - b.ymin, b.ymax - y, edge_d])
+    k = cand.argmin(axis=0)
+    near = np.where((k == 4)[:, None], edge_p, pts)
+    near[k == 0, 0] = b.xmin
+    near[k == 1, 0] = b.xmax
+    near[k == 2, 1] = b.ymin
+    near[k == 3, 1] = b.ymax
+    return edge_d, cand[k, np.arange(n)], near
+
+
 def points_in_free_space(pts: np.ndarray, w: Workspace, edge_d=None) -> np.ndarray:
     """Vectorized free-space membership (boundary treated as not free).
 

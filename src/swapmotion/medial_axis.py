@@ -1,18 +1,25 @@
 """Grid-based medial axis of the free space with per-node clearance.
 
-A uniform grid of cell centers is classified free/occupied, each free cell
+A uniform grid of cell centers is classified free/occupied, and each cell
 gets its exact distance to the free-space boundary plus the boundary point
-realizing it, and medial cells are detected two ways: jumps in the nearest
-boundary point between neighboring cells (different walls) and local ridges
-of the clearance field. The union is thinned to one-cell-wide polylines and
-reconnected per free component, then exposed as a small geometric graph.
+realizing it, all from one pass over the obstacle edges
+(`geometry.nearest_boundary`). Medial cells are detected two ways: jumps in
+the nearest boundary point between neighboring cells (different walls) and
+local ridges of the clearance field. The union is thinned to one-cell-wide
+polylines, and the fragments of every free component are joined by
+widest-path bridges, searched over flat cell indices in plain lists. The
+result is a small geometric graph that also keeps its node positions and
+clearances as arrays, so `skeleton_path` checks all nodes of a query in one
+numpy pass before its Dijkstra over the skeleton.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -22,9 +29,9 @@ from .geometry import (
     Disk,
     Point2,
     Workspace,
-    boundary_distance_many,
     capsule_free,  # noqa: F401  (looked up here by bench/tracing.py)
     dist,
+    nearest_boundary,
     point_segment_distances,
     points_in_free_space,
 )
@@ -43,8 +50,13 @@ class SkeletonGraph:
     nodes: list[SkeletonNode]
     edges: list[tuple[int, int]]
     sample_interval: float
+    # node positions (n, 2) and clearances (n,) as arrays
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+    clearances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.xy = np.array([n.position for n in self.nodes], dtype=float).reshape(-1, 2)
+        self.clearances = np.array([n.clearance for n in self.nodes], dtype=float)
         self._adj: dict[int, list[tuple[int, float]]] = {
             i: [] for i in range(len(self.nodes))
         }
@@ -78,43 +90,6 @@ def _grid_points(w: Workspace, res: float):
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     return pts, nx, ny
-
-
-def _nearest_boundary_points(pts: np.ndarray, w: Workspace) -> np.ndarray:
-    """Closest point of the free-space boundary for each query point."""
-    b = w.bounds
-    n = len(pts)
-    best_d = np.full(n, np.inf)
-    best_p = np.zeros((n, 2))
-    sides = [
-        (pts[:, 0] - b.xmin, np.stack([np.full(n, b.xmin), pts[:, 1]], axis=1)),
-        (b.xmax - pts[:, 0], np.stack([np.full(n, b.xmax), pts[:, 1]], axis=1)),
-        (pts[:, 1] - b.ymin, np.stack([pts[:, 0], np.full(n, b.ymin)], axis=1)),
-        (b.ymax - pts[:, 1], np.stack([pts[:, 0], np.full(n, b.ymax)], axis=1)),
-    ]
-    for d, p in sides:
-        better = d < best_d
-        best_d = np.where(better, d, best_d)
-        best_p[better] = p[better]
-    if len(w._edges_a):
-        chunk = max(1, int(4e6 // max(1, len(w._edges_a))))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            p = pts[lo:hi, None, :]
-            a = w._edges_a[None, :, :]
-            ab = (w._edges_b - w._edges_a)[None, :, :]
-            seg2 = np.einsum("pez,pez->pe", ab, ab)
-            seg2 = np.where(seg2 == 0.0, 1.0, seg2)
-            t = np.clip(np.einsum("pez,pez->pe", p - a, ab) / seg2, 0.0, 1.0)
-            proj = a + t[:, :, None] * ab
-            d = np.linalg.norm(p - proj, axis=2)
-            idx = d.argmin(axis=1)
-            dmin = d[np.arange(hi - lo), idx]
-            better = dmin < best_d[lo:hi]
-            rows = np.nonzero(better)[0]
-            best_d[lo:hi][better] = dmin[better]
-            best_p[lo:hi][rows] = proj[rows, idx[rows]]
-    return best_p
 
 
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -160,41 +135,18 @@ def _thin(mask: np.ndarray, priority: np.ndarray | None = None) -> np.ndarray:
     return m
 
 
-def _components(mask: np.ndarray, diag: bool = True) -> np.ndarray:
-    """Label connected components; 0 = background."""
-    nx, ny = mask.shape
-    labels = np.zeros(mask.shape, dtype=int)
-    nbrs = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    if diag:
-        nbrs += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-    cur = 0
-    for i in range(nx):
-        for j in range(ny):
-            if mask[i, j] and labels[i, j] == 0:
-                cur += 1
-                stack = [(i, j)]
-                labels[i, j] = cur
-                while stack:
-                    x, y = stack.pop()
-                    for dx, dy in nbrs:
-                        u, v = x + dx, y + dy
-                        if 0 <= u < nx and 0 <= v < ny and mask[u, v] and labels[u, v] == 0:
-                            labels[u, v] = cur
-                            stack.append((u, v))
-    return labels
-
-
 def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
     """Medial-axis approximation of the free space at the given cell size."""
     if grid_resolution <= 0:
         raise ValueError("grid_resolution must be positive")
     pts, nx, ny = _grid_points(w, grid_resolution)
-    free = points_in_free_space(pts, w)
+    edge_d, bd, feat = nearest_boundary(pts, w)
+    free = points_in_free_space(pts, w, edge_d)
     if not free.any():
         raise EmptyFreeSpace("no free cells at this resolution")
-    D = np.where(free, boundary_distance_many(pts, w), 0.0).reshape(nx, ny)
+    D = np.where(free, bd, 0.0).reshape(nx, ny)
     free2 = free.reshape(nx, ny)
-    feat = _nearest_boundary_points(pts, w).reshape(nx, ny, 2)
+    feat = feat.reshape(nx, ny, 2)
 
     # nearest-boundary-point jumps between 4-neighbors mark medial cells;
     # of each straddling pair only the wider side is kept, and a dedupe pass
@@ -260,45 +212,121 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
     return SkeletonGraph(nodes=nodes, edges=edges, sample_interval=grid_resolution)
 
 
+def _steps8(row: int) -> tuple[int, ...]:
+    """Flat offsets of the 8 neighbors in a grid with rows of length `row`."""
+    return (-row - 1, -row, -row + 1, -1, 1, row - 1, row, row + 1)
+
+
+def _fragments(on: list[bool], row: int) -> list[int]:
+    """8-connected labels of the set cells of a flat grid with rows of length
+    `row` and an unset border; 0 = unset, fragments numbered in raster order."""
+    steps = _steps8(row)
+    label = [0] * len(on)
+    cur = 0
+    for c in compress(range(len(on)), on):
+        if label[c]:
+            continue
+        cur += 1
+        label[c] = cur
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            for s in steps:
+                u = x + s
+                if on[u] and not label[u]:
+                    label[u] = cur
+                    stack.append(u)
+    return label
+
+
+def _widest_bridge(
+    src: list[int], label: list[int], free: list[bool], D: list[float], row: int
+) -> tuple[int, list[int]] | None:
+    """Widest-path Dijkstra over 4-connected free cells from the cells `src`
+    of one fragment to the first cell of another one.
+
+    Returns that cell and the cells between it and the fragment, nearest the
+    hit first, or None when no other fragment is reachable. Heap entries are
+    (-width, cell); flat cells keep the raster tie order of (-width, i, j)."""
+    own = label[src[0]]
+    width = [-1.0] * len(D)
+    prev: dict[int, int] = {}
+    heap = []
+    for c in src:
+        width[c] = D[c]
+        heap.append((-D[c], c))
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    steps = (-row, row, -1, 1)
+    while heap:
+        negw, c = pop(heap)
+        wc = -negw
+        if wc < width[c]:
+            continue
+        if label[c] and label[c] != own:
+            path = []
+            cur = prev[c]
+            while cur in prev:
+                path.append(cur)
+                cur = prev[cur]
+            return c, path
+        for s in steps:
+            u = c + s
+            if free[u]:
+                cand = D[u] if D[u] < wc else wc
+                if cand > width[u]:
+                    width[u] = cand
+                    prev[u] = c
+                    push(heap, (-cand, u))
+    return None
+
+
+def _bridges(mask: np.ndarray, free: np.ndarray, D: np.ndarray):
+    """Yield the widest-path bridges between the skeleton fragments of each
+    free component, each as the cells it adds, the hit fragment's cell first.
+
+    The fragment holding the first cell in raster order is bridged to the
+    widest-reachable other fragment until it reaches none; then the next
+    fragment that still may is taken. Grids are padded by one unset cell and
+    flattened, so neighbors need no bounds checks."""
+    row = mask.shape[1] + 2
+    on = np.pad(mask, 1).ravel().tolist()
+    label = _fragments(on, row)
+    members: dict[int, list[int]] = {}
+    for c in compress(range(len(on)), on):
+        members.setdefault(label[c], []).append(c)
+    open_ = np.pad(free, 1).ravel().tolist()
+    depth = np.pad(D, 1).ravel().tolist()
+    steps = _steps8(row)
+    stuck: set[int] = set()
+    while len(members) > 1:
+        live = [k for k in members if k not in stuck]
+        if not live:
+            return
+        own = min(live)
+        found = _widest_bridge(members[own], label, open_, depth, row)
+        if found is None:
+            stuck.add(own)
+            continue
+        hit, path = found
+        for c in path:
+            label[c] = own
+        members[own].extend(path)
+        # the bridge joins the hit fragment and any fragment touching it
+        for k in sorted({label[hit]} | {label[c + s] for c in path for s in steps} - {0, own}):
+            cells = members.pop(k)
+            for c in cells:
+                label[c] = own
+            members[own].extend(cells)
+            stuck.discard(k)
+        yield [(c // row - 1, c % row - 1) for c in (hit, *path)]
+
+
 def _reconnect(mask: np.ndarray, free: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Bridge skeleton fragments of one free component along wide paths."""
+    """`mask` plus every cell of `_bridges`."""
     out = mask.copy()
-    while True:
-        labels = _components(out)
-        n = labels.max()
-        if n <= 1:
-            return out
-        # widest-path Dijkstra from fragment 1 over free cells to another fragment
-        nx, ny = out.shape
-        width = np.full(out.shape, -1.0)
-        heap = []
-        for i, j in zip(*np.nonzero(labels == 1)):
-            width[i, j] = D[i, j]
-            heapq.heappush(heap, (-D[i, j], int(i), int(j)))
-        prev = {}
-        hit = None
-        while heap:
-            negw, i, j = heapq.heappop(heap)
-            if -negw < width[i, j]:
-                continue
-            if labels[i, j] > 1:
-                hit = (i, j)
-                break
-            for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                u, v = i + dx, j + dy
-                if 0 <= u < nx and 0 <= v < ny and free[u, v]:
-                    cand = min(-negw, D[u, v])
-                    if cand > width[u, v]:
-                        width[u, v] = cand
-                        prev[(u, v)] = (i, j)
-                        heapq.heappush(heap, (-cand, u, v))
-        if hit is None:
-            # free component with no reachable second fragment: keep as is
-            return out
-        cur = hit
-        while cur in prev:
-            out[cur] = True
-            cur = prev[cur]
+    for cells in _bridges(mask, free, D):
+        out[tuple(zip(*cells))] = True
     return out
 
 
@@ -356,42 +384,43 @@ def skeleton_path(
     ia = _circle_index(all_circles, a)
     ib = _circle_index(all_circles, b)
     others = [c for k, c in enumerate(all_circles) if k not in (ia, ib)]
+    xs, ys = s.xy[:, 0], s.xy[:, 1]
 
-    def inside(c: Disk, p: Point2) -> bool:
-        return dist(c.center, p) <= c.radius
+    def inside(c: Disk) -> np.ndarray:
+        return _hypot_cmp(operator.le, c.center[0] - xs, c.center[1] - ys, c.radius)
 
-    def node_ok(i: int) -> bool:
-        nd = s.nodes[i]
-        if inside(a, nd.position) or inside(b, nd.position):
-            return True
-        if nd.clearance < r - w.tol:
-            return False
-        for c in others:
-            if dist(c.center, nd.position) < c.radius + r - w.tol:
-                return False
-        return True
-
-    sources = [i for i in range(len(s.nodes)) if inside(a, s.nodes[i].position)]
-    targets = {i for i in range(len(s.nodes)) if inside(b, s.nodes[i].position)}
-    if not sources or not targets:
+    in_a, in_b = inside(a), inside(b)
+    sources = np.flatnonzero(in_a).tolist()
+    if not sources or not in_b.any():
         return None
-    best = {i: 0.0 for i in sources}
+    # a node is admissible inside a or b, or with clearance r and clear of the others
+    ok = ~(s.clearances < r - w.tol)
+    if others:
+        cx = np.array([[c.center[0]] for c in others], dtype=float)
+        cy = np.array([[c.center[1]] for c in others], dtype=float)
+        reach = np.array([[c.radius + r - w.tol] for c in others], dtype=float)
+        ok &= ~_hypot_cmp(operator.lt, cx - xs, cy - ys, reach).any(axis=0)
+    node_ok = (ok | in_a | in_b).tolist()
+    targets = in_b.tolist()
+    best = [math.inf] * len(s.nodes)
+    for i in sources:
+        best[i] = 0.0
     prev: dict[int, int] = {}
     heap = [(0.0, i) for i in sources]
     heapq.heapify(heap)
     goal = None
     while heap:
         d, u = heapq.heappop(heap)
-        if d > best.get(u, np.inf):
+        if d > best[u]:
             continue
-        if u in targets:
+        if targets[u]:
             goal = u
             break
         for v, wgt in s.neighbors(u):
-            if not node_ok(v):
+            if not node_ok[v]:
                 continue
             nd = d + wgt
-            if nd < best.get(v, np.inf):
+            if nd < best[v]:
                 best[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
@@ -406,6 +435,22 @@ def skeleton_path(
     if not _path_clear(path, a, b, others, r, w, capsules):
         return None
     return path
+
+
+def _hypot_cmp(op, dx: np.ndarray, dy: np.ndarray, bound) -> np.ndarray:
+    """`op(math.hypot(dx, dy), bound)` elementwise over broadcast arrays.
+
+    np.hypot can differ from math.hypot in the last bit, so the entries within
+    a few ulps of `bound` are decided with math.hypot."""
+    dx, dy, bound = np.broadcast_arrays(dx, dy, bound)
+    h = np.hypot(dx, dy)
+    out = op(h, bound)
+    close = np.nonzero(np.abs(h - bound) <= 4 * np.finfo(float).eps * h)
+    for at, x, y, lim in zip(
+        zip(*close), dx[close].tolist(), dy[close].tolist(), bound[close].tolist()
+    ):
+        out[at] = op(math.hypot(x, y), lim)
+    return out
 
 
 def _circle_index(circles: list[Disk], c: Disk) -> int:

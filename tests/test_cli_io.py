@@ -232,3 +232,32 @@ class TestInvalidScenario:
             "epsilon -1.0 not positive",
             "grid_resolution 0.0 not positive",
         ]
+
+
+class TestUnreadableInput:
+    """A missing or malformed input file is an InvalidScenario: exit 2, one line."""
+
+    def _run(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error [InvalidScenario]: ")
+        return err[0]
+
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        missing = tmp_path / "nothere.json"
+        line = self._run(["exec", "--scenario", str(missing)], capsys)
+        assert str(missing) in line
+
+    def test_scenario_without_workspace(self, tmp_path, capsys):
+        d = load_json(SCENARIOS / "rect_12.json")
+        del d["workspace"]
+        path = tmp_path / "no_workspace.json"
+        dump_json(d, path)
+        for command in ("exec", "convert"):
+            line = self._run([command, "--scenario", str(path), "--out", str(tmp_path)], capsys)
+            assert "missing key 'workspace'" in line
+
+    def test_render_dir_without_scenario(self, tmp_path, capsys):
+        line = self._run(["render", "--out", str(tmp_path)], capsys)
+        assert "scenario.json" in line

@@ -10,6 +10,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,7 +24,7 @@ from .conversion import (
 from .geometry import Disk, Point2, Polygon, Rect, Workspace
 from .planner import LoopRotation, Plan, VacancySwap
 from .swap_graph import Occupancy, SwapGraph, edge_key
-from .trajectory import KIND_NAMES, Track, TrajectorySet
+from .trajectory import HOLD, KIND_NAMES, Track, TrajectorySet
 
 
 @dataclass
@@ -287,7 +288,12 @@ def trajectory_to_csv(ts: TrajectorySet, path) -> None:
 
 def trajectory_from_csv(path) -> TrajectorySet:
     """The `TrajectorySet` written by `trajectory_to_csv`; integer agent ids
-    come back as ints."""
+    come back as ints.
+
+    Raises ValueError unless the horizon is finite and non-negative and each
+    agent's records open with a hold, end no earlier than they start, and
+    follow one another in time without overlap.
+    """
     rows = Path(path).read_text().splitlines()
     if rows[1:2] != [TRAJECTORY_HEADER] or not rows[0].startswith("# horizon="):
         raise ValueError(f"{path}: not a trajectory segment table")
@@ -299,7 +305,15 @@ def trajectory_from_csv(path) -> TrajectorySet:
         records.setdefault(agent, []).append(
             (float(t0), float(t1), kinds[kind], *map(float, par))
         )
-    return TrajectorySet(
-        {a: Track.from_records(a, recs) for a, recs in records.items()},
-        float(rows[0].split("=", 1)[1]),
-    )
+    horizon = float(rows[0].split("=", 1)[1])
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"{path}: horizon {horizon!r} is not a finite time >= 0")
+    tracks = {a: Track.from_records(a, recs) for a, recs in records.items()}
+    for a, tr in tracks.items():
+        if tr.kind[0] != HOLD:
+            raise ValueError(f"{path}: agent {a!r} does not open with a hold")
+        if not (tr.t0 <= tr.t1).all():
+            raise ValueError(f"{path}: agent {a!r} has a record ending before it starts")
+        if not (tr.t1[:-1] <= tr.t0[1:]).all():
+            raise ValueError(f"{path}: records of agent {a!r} are not in time order")
+    return TrajectorySet(tracks, horizon)

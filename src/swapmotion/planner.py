@@ -61,13 +61,6 @@ class Plan:
     goal: Occupancy
 
 
-def apply_op(occ: Occupancy, g: SwapGraph, op: SwapOp) -> Occupancy:
-    """Apply one operation, returning the new occupancy."""
-    new = occ.copy()
-    _apply_inplace(new.mapping, g, op)
-    return new
-
-
 def _apply_inplace(mapping: dict, g: SwapGraph, op: SwapOp):
     if isinstance(op, LoopRotation):
         if not 0 <= op.loop < g.K:
@@ -91,6 +84,7 @@ def _apply_inplace(mapping: dict, g: SwapGraph, op: SwapOp):
 
 
 def apply_ops(occ: Occupancy, g: SwapGraph, ops) -> Occupancy:
+    """The occupancy after applying `ops` in order; `occ` is left as is."""
     cur = occ.copy()
     for op in ops:
         _apply_inplace(cur.mapping, g, op)

@@ -180,12 +180,6 @@ class Occupancy:
             raise ValueError(f"expected exactly one vacancy, found {len(vac)}")
         return vac[0]
 
-    def vertex_of(self, agent) -> int:
-        for v, a in self.mapping.items():
-            if a == agent:
-                return v
-        raise KeyError(agent)
-
     def agents(self) -> set:
         return {a for a in self.mapping.values() if a is not VACANT}
 

@@ -9,10 +9,10 @@ involved, send the mover through the corridor, and rotate back. Ops execute
 strictly one after another.
 
 A trajectory has one form: a `Track` per agent, the agent's motion records
-packed into parallel arrays `t0, t1, kind, par`. Each track opens with a
-zero-length hold at the agent's start; after that only lines and arcs are
-recorded. Holds are implicit: between records an agent stays where its
-previous record ended.
+`(t0, t1, kind, p0..p4)` packed into parallel arrays `t0, t1, kind, par`.
+Each track opens with a zero-length hold at the agent's start; after that
+only lines and arcs are recorded. Holds are implicit: between records an
+agent stays where its previous record ended.
 
 `verify_trajectories` is the independent oracle: it checks every agent on a
 fixed time grid and reports minimum pairwise distance, minimum boundary
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .conversion import (
 from .errors import UnrealizableOp
 from .geometry import Point2, Workspace, boundary_distance_many, dist
 from .planner import LoopRotation, Plan, VacancySwap, _apply_inplace
-from .swap_graph import VACANT, Occupancy, edge_key
+from .swap_graph import VACANT, edge_key
 
 SPEED = 1.0
 
@@ -48,68 +47,6 @@ SPEED = 1.0
 # hold (x, y), line (ax, ay, bx, by) or arc (cx, cy, radius, angle0, angle1)
 HOLD, LINE, ARC = 0, 1, 2
 KIND_NAMES = ("hold", "line", "arc")
-
-
-@dataclass(frozen=True)
-class Hold:
-    p: Point2
-
-
-@dataclass(frozen=True)
-class Line:
-    a: Point2
-    b: Point2
-
-    def length(self) -> float:
-        return dist(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class Arc:
-    center: Point2
-    radius: float
-    angle0: float
-    angle1: float
-
-    def length(self) -> float:
-        return abs(self.angle1 - self.angle0) * self.radius
-
-
-PathShape = Union[Hold, Line, Arc]
-
-
-@dataclass(frozen=True)
-class MotionSegment:
-    """One motion record of one agent, as a value."""
-
-    agent: object
-    t0: float
-    t1: float
-    path: PathShape
-
-    def position(self, t: float) -> Point2:
-        if self.t1 > self.t0:
-            s = min(1.0, max(0.0, (t - self.t0) / (self.t1 - self.t0)))
-        else:
-            s = 1.0
-        return _shape_position(self.path, s)
-
-    def end_position(self) -> Point2:
-        return _shape_position(self.path, 1.0)
-
-
-def _shape_position(path: PathShape, s: float) -> Point2:
-    if isinstance(path, Hold):
-        return path.p
-    if isinstance(path, Line):
-        return Point2(
-            path.a.x + s * (path.b.x - path.a.x), path.a.y + s * (path.b.y - path.a.y)
-        )
-    ang = path.angle0 + s * (path.angle1 - path.angle0)
-    return Point2(
-        path.center.x + path.radius * math.cos(ang),
-        path.center.y + path.radius * math.sin(ang),
-    )
 
 
 def hold_record(t: float, p: Point2) -> tuple:
@@ -120,25 +57,13 @@ def line_record(t0: float, t1: float, a: Point2, b: Point2) -> tuple:
     return (t0, t1, LINE, a.x, a.y, b.x, b.y, 0.0)
 
 
-def _record_of(s: MotionSegment) -> tuple:
-    p = s.path
-    if isinstance(p, Hold):
-        return (s.t0, s.t1, HOLD, p.p.x, p.p.y, 0.0, 0.0, 0.0)
-    if isinstance(p, Line):
-        return line_record(s.t0, s.t1, p.a, p.b)
-    return (s.t0, s.t1, ARC, p.center.x, p.center.y, p.radius, p.angle0, p.angle1)
-
-
-def _shape_of(kind: int, par) -> PathShape:
+def record_end(kind: int, par) -> Point2:
+    """Where a record of shape `kind` with parameters `par` ends."""
     if kind == HOLD:
-        return Hold(Point2(par[0], par[1]))
+        return Point2(par[0], par[1])
     if kind == LINE:
-        return Line(Point2(par[0], par[1]), Point2(par[2], par[3]))
-    return Arc(Point2(par[0], par[1]), par[2], par[3], par[4])
-
-
-def _segment_of(agent, rec: tuple) -> MotionSegment:
-    return MotionSegment(agent, rec[0], rec[1], _shape_of(rec[2], rec[3:]))
+        return Point2(par[2], par[3])
+    return Point2(par[0] + par[2] * math.cos(par[4]), par[1] + par[2] * math.sin(par[4]))
 
 
 class Track:
@@ -147,8 +72,7 @@ class Track:
     Record k runs over [t0[k], t1[k]] with shape kind[k] and parameters
     par[k] (see `HOLD`, `LINE`, `ARC`). Records are time-ordered and do not
     overlap. Between records the agent holds where the previous one ended;
-    before the first it stands at that record's start. Indexing yields
-    `MotionSegment` values.
+    before the first it stands at that record's start.
     """
 
     __slots__ = ("agent", "t0", "t1", "kind", "par")
@@ -184,11 +108,6 @@ class Track:
     def __len__(self) -> int:
         return len(self.t0)
 
-    def __getitem__(self, k: int) -> MotionSegment:
-        k = range(len(self))[k]  # negative k counts from the end; IndexError past it
-        rec = (float(self.t0[k]), float(self.t1[k]), int(self.kind[k]))
-        return _segment_of(self.agent, rec + tuple(self.par[k].tolist()))
-
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Positions at `times`, shape (len(times), 2)."""
         idx = np.clip(
@@ -216,20 +135,10 @@ class Track:
 
 @dataclass
 class TrajectorySet:
-    """One `Track` per agent over [0, horizon].
-
-    `segments` may also be given as lists of `MotionSegment`; they are packed
-    into tracks on construction.
-    """
+    """One `Track` per agent over [0, horizon]."""
 
     segments: dict[object, Track]
     horizon: float
-
-    def __post_init__(self):
-        self.segments = {
-            a: tr if isinstance(tr, Track) else Track.from_records(a, [_record_of(s) for s in tr])
-            for a, tr in self.segments.items()
-        }
 
     def position(self, agent, t: float) -> Point2:
         x, y = self.segments[agent].sample(np.array([float(t)]))[0]
@@ -264,28 +173,15 @@ def _arc_phase(res, li, t0, riders, emit) -> float:
     return dur
 
 
-def _ring_riders(res, occ_map, li, sweep, skip=()):
+def _ring_riders(res, occ_map, li, sweep):
     """Riders for every occupied slot of a loop, starting at slot angles."""
     circle, ring = res.loop_layer[li]
     out = []
     for x in res.graph.loops[li]:
-        if x in skip or occ_map[x] is VACANT:
+        if occ_map[x] is VACANT:
             continue
         out.append((occ_map[x], res.angle_in(x, circle, ring), sweep))
     return out
-
-
-def _one_op(res, occ: Occupancy, motion, op) -> list[MotionSegment]:
-    recs = []
-    dur = motion(res, op, occ.mapping, 0.0, lambda a, rec: recs.append(_segment_of(a, rec)))
-    return _with_holds(res, occ.mapping, recs, dur)
-
-
-def realize_type1(
-    res: ConversionResult, op: LoopRotation, occ: Occupancy
-) -> list[MotionSegment]:
-    """All loop agents sweep to their target slots simultaneously."""
-    return _one_op(res, occ, _type1_motion, op)
 
 
 def _slot_angles(res: ConversionResult) -> list[list[float]]:
@@ -296,7 +192,8 @@ def _slot_angles(res: ConversionResult) -> list[list[float]]:
     ]
 
 
-def _type1_motion(res, op: LoopRotation, occ_map, t0, emit, slot_angles=None) -> float:
+def _type1_motion(res, op: LoopRotation, occ_map, t0, emit, slot_angles) -> float:
+    """All loop agents sweep to their target slots simultaneously."""
     li = op.loop
     if li >= len(res.loop_layer):
         raise UnrealizableOp(f"loop {li} has no ring metadata")
@@ -307,7 +204,7 @@ def _type1_motion(res, op: LoopRotation, occ_map, t0, emit, slot_angles=None) ->
     if k == 0:
         return 0.0
     signed = k if k <= m - k else k - m
-    angles = (slot_angles or _slot_angles(res))[li]
+    angles = slot_angles[li]
     riders = []
     for p, v in enumerate(cyc):
         if occ_map[v] is VACANT:
@@ -321,14 +218,9 @@ def _type1_motion(res, op: LoopRotation, occ_map, t0, emit, slot_angles=None) ->
     return _arc_phase(res, li, t0, riders, emit)
 
 
-def realize_type2(
-    res: ConversionResult, op: VacancySwap, occ: Occupancy
-) -> list[MotionSegment]:
-    """Three-phase (align, traverse, restore) motion for a vacancy swap."""
-    return _one_op(res, occ, _type2_motion, op)
-
-
 def _type2_motion(res, op: VacancySwap, occ_map, t0, emit) -> float:
+    """The mover's motion into the vacant endpoint: a ring arc, a corridor
+    traverse, or a radial align / traverse / restore."""
     u, v = op.u, op.v
     if occ_map.get(u) is VACANT and occ_map.get(v) is VACANT:
         return 0.0
@@ -423,28 +315,6 @@ def _corridor_motion(res, u, v, mover, t0, emit) -> float:
     return t - t0
 
 
-def _with_holds(res, occ_map, segs, dur):
-    """Fill every agent's timeline with holds so [0, dur] is tiled."""
-    by_agent: dict[object, list[MotionSegment]] = {}
-    for s in segs:
-        by_agent.setdefault(s.agent, []).append(s)
-    out = []
-    pos = _positions_of(res, occ_map)
-    for agent, p in pos.items():
-        mine = sorted(by_agent.get(agent, []), key=lambda s: s.t0)
-        t = 0.0
-        cur = p
-        for s in mine:
-            if s.t0 > t:
-                out.append(MotionSegment(agent, t, s.t0, Hold(cur)))
-            out.append(s)
-            t = s.t1
-            cur = s.end_position()
-        if t < dur or not mine:
-            out.append(MotionSegment(agent, t, max(dur, t), Hold(cur)))
-    return out
-
-
 def _positions_of(res, occ_map) -> dict[object, Point2]:
     return {
         a: res.graph.positions[v] for v, a in occ_map.items() if a is not VACANT
@@ -470,7 +340,7 @@ def realize_plan(res: ConversionResult, plan: Plan) -> TrajectorySet:
     # exact endpoint check against the final occupancy
     for a, tgt in _positions_of(res, occ.mapping).items():
         last = records[a][-1]
-        end = _segment_of(a, last).end_position()
+        end = record_end(last[2], last[3:])
         if dist(end, tgt) > 1e-6 * res.r:
             raise UnrealizableOp(
                 f"agent {a!r} ends {dist(end, tgt):.2e} away from its vertex"

@@ -29,7 +29,7 @@ from swapmotion.geometry import (
     rectangle_workspace,
 )
 from swapmotion.swap_graph import Occupancy
-from swapmotion.trajectory import verify_trajectories
+from swapmotion.trajectory import record_end, verify_trajectories
 
 
 def brute_force_cost(starts, slots):
@@ -129,7 +129,8 @@ class TestNavigate:
         rep = verify_trajectories(out.trajectory, w, 1.0, 0.05)
         assert rep.ok, rep.violations[:3]
         for i, j in asg.agent_to_slot.items():
-            end = out.trajectory.segments[i][-1].end_position()
+            tr = out.trajectory.segments[i]
+            end = record_end(tr.kind[-1], tr.par[-1])
             assert dist(end, res.graph.positions[vids[j]]) < 1e-9
 
 

@@ -65,8 +65,10 @@ class TestRoundTrips:
         assert sorted(loaded.agents()) == [a.id for a in s.agents]
         assert loaded.horizon == art.trajectory.horizon
         for a in loaded.agents():
-            assert list(loaded.segments[a]) == list(art.trajectory.segments[a])
-            assert loaded.segments[a][0].t0 == 0.0
+            x, y = loaded.segments[a], art.trajectory.segments[a]
+            for f in ("t0", "t1", "kind", "par"):
+                assert np.array_equal(getattr(x, f), getattr(y, f))
+            assert x.t0[0] == 0.0
 
 
 class TestExactTrajectoryExport:
@@ -261,3 +263,55 @@ class TestUnreadableInput:
     def test_render_dir_without_scenario(self, tmp_path, capsys):
         line = self._run(["render", "--out", str(tmp_path)], capsys)
         assert "scenario.json" in line
+
+
+def _bad_horizon(rows, value):
+    rows[0] = f"# horizon={value}"
+
+
+def _no_opening_hold(rows):
+    del rows[2]  # agent 0's opening hold
+
+
+def _ends_before_start(rows):
+    f = rows[3].split(",")  # agent 0's first move
+    f[1], f[2] = f[2], f[1]
+    rows[3] = ",".join(f)
+
+
+def _out_of_order(rows):
+    rows[3], rows[4] = rows[4], rows[3]
+
+
+class TestMalformedTrajectory:
+    """`render` reads trajectory.csv from outside the program: a table that
+    breaks the record invariants is an InvalidScenario (exit 2), and no frame
+    is drawn."""
+
+    @pytest.fixture(scope="class")
+    def exec_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("exec")
+        assert main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"),
+                     "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rows: _bad_horizon(rows, "nan"), "horizon nan"),
+        (lambda rows: _bad_horizon(rows, "inf"), "horizon inf"),
+        (lambda rows: _bad_horizon(rows, "-1.0"), "horizon -1.0"),
+        (_no_opening_hold, "agent 0 does not open with a hold"),
+        (_ends_before_start, "agent 0 has a record ending before it starts"),
+        (_out_of_order, "records of agent 0 are not in time order"),
+    ], ids=["horizon_nan", "horizon_inf", "horizon_negative", "no_opening_hold",
+            "ends_before_start", "out_of_order"])
+    def test_render_rejects(self, edit, message, exec_dir, tmp_path, capsys):
+        for name in ("scenario.json", "trajectory.csv"):
+            (tmp_path / name).write_bytes((exec_dir / name).read_bytes())
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        edit(rows)
+        (tmp_path / "trajectory.csv").write_text("\n".join(rows) + "\n")
+        assert main(["render", "--out", str(tmp_path), "--dt", "500"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error [InvalidScenario]: ")
+        assert "trajectory.csv" in err[0] and message in err[0]
+        assert not (tmp_path / "frames").exists()

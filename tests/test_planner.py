@@ -16,7 +16,6 @@ from swapmotion.errors import AssignmentMismatch, IllegalOp, PlannerError
 from swapmotion.planner import (
     LoopRotation,
     VacancySwap,
-    apply_op,
     apply_ops,
     exchange,
     execute,
@@ -35,26 +34,26 @@ class TestApplyOp:
     def test_full_rotation_is_identity(self):
         g = four_loop_example()
         occ = occupancy_with_hole(g, 1)
-        out = apply_op(occ, g, LoopRotation(0, 4))
+        out = apply_ops(occ, g, [LoopRotation(0, 4)])
         assert out.mapping == occ.mapping
 
     def test_swap_with_vacancy(self):
         g = four_loop_example()
         occ = occupancy_with_hole(g, 1)
-        out = apply_op(occ, g, VacancySwap(1, 2))
+        out = apply_ops(occ, g, [VacancySwap(1, 2)])
         assert out.mapping[1] == 102 and out.mapping[2] is None
 
     def test_swap_two_occupied_is_illegal(self):
         g = four_loop_example()
         occ = occupancy_with_hole(g, 1)
         with pytest.raises(IllegalOp):
-            apply_op(occ, g, VacancySwap(2, 3))
+            apply_ops(occ, g, [VacancySwap(2, 3)])
 
     def test_swap_missing_edge_is_illegal(self):
         g = four_loop_example()
         occ = occupancy_with_hole(g, 1)
         with pytest.raises(IllegalOp):
-            apply_op(occ, g, VacancySwap(1, 17))
+            apply_ops(occ, g, [VacancySwap(1, 17)])
 
 
 class TestMoveVacancy:

@@ -1,30 +1,38 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swapmotion.conversion import convert_single_circle, convert_two_circles
 from swapmotion.errors import UnrealizableOp
+from swapmotion.fileio import load_json, scenario_from_dict, trajectory_from_csv, trajectory_to_csv
 from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
+from swapmotion.pipeline import run_pipeline
 from swapmotion.planner import (
     LoopRotation,
     Plan,
     VacancySwap,
-    apply_op,
+    apply_ops,
     plan_permutation,
 )
 from swapmotion.swap_graph import Occupancy
 from swapmotion.trajectory import (
-    Hold,
-    Line,
-    MotionSegment,
+    ARC,
+    HOLD,
+    LINE,
+    SPEED,
+    Track,
     TrajectorySet,
+    hold_record,
+    line_record,
     realize_plan,
-    realize_type1,
-    realize_type2,
+    record_end,
     verify_trajectories,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def single_circle_setup(radius=5.0, hole_index=0):
@@ -35,42 +43,49 @@ def single_circle_setup(radius=5.0, hole_index=0):
     return res, occ
 
 
-def _tile(segs, occ, res):
-    """Wrap one op's moving segments into a full TrajectorySet with holds."""
-    from swapmotion.trajectory import _with_holds
+def realize_one(res, occ, op):
+    """`op` alone, realized from `occ` by `realize_plan` (which reads only the
+    plan's start and ops)."""
+    return realize_plan(res, Plan([op], occ, occ))
 
-    dur = max((s.t1 for s in segs), default=0.0)
-    full = _with_holds(res, occ.mapping, segs, dur)
-    by_agent = {}
-    for s in sorted(full, key=lambda s: (repr(s.agent), s.t0)):
-        by_agent.setdefault(s.agent, []).append(s)
-    return TrajectorySet(by_agent, dur)
+
+def moving_records(ts):
+    """(agent, record index) of every line and arc."""
+    return [
+        (a, k) for a in ts.agents() for k in np.nonzero(ts.segments[a].kind != HOLD)[0]
+    ]
+
+
+def end_of(track):
+    return record_end(track.kind[-1], track.par[-1])
 
 
 class TestRealizeType1:
     def test_zero_steps_all_hold(self):
         res, occ = single_circle_setup()
-        segs = realize_type1(res, LoopRotation(0, 0), occ)
-        assert segs
-        assert all(isinstance(s.path, Hold) for s in segs)
+        ts = realize_one(res, occ, LoopRotation(0, 0))
+        assert ts.segments
+        assert all((tr.kind == HOLD).all() for tr in ts.segments.values())
 
     def test_six_agent_ring_one_step(self):
         res, occ = single_circle_setup(hole_index=10)
         li = next(k for k, (c, ring) in enumerate(res.loop_layer) if ring == 1)
-        segs = realize_type1(res, LoopRotation(li, 1), occ)
-        arcs = [s for s in segs if not isinstance(s.path, Hold)]
+        ts = realize_one(res, occ, LoopRotation(li, 1))
+        arcs = moving_records(ts)
         assert len(arcs) == 6
-        for s in arcs:
-            assert abs(s.path.angle1 - s.path.angle0) == pytest.approx(math.pi / 3)
+        for a, k in arcs:
+            tr = ts.segments[a]
+            assert tr.kind[k] == ARC
+            assert abs(tr.par[k, 4] - tr.par[k, 3]) == pytest.approx(math.pi / 3)
 
     def test_spacing_preserved_during_rotation(self):
         res, occ = single_circle_setup(hole_index=0)
         li = next(k for k, (c, ring) in enumerate(res.loop_layer) if ring == 2)
-        segs = realize_type1(res, LoopRotation(li, 2), occ)
-        movers = [s for s in segs if not isinstance(s.path, Hold)]
-        t1 = max(s.t1 for s in movers)
+        ts = realize_one(res, occ, LoopRotation(li, 2))
+        movers = sorted({a for a, _ in moving_records(ts)})
+        t1 = max(ts.segments[a].t1[-1] for a in movers)
         for f in [k / 20 for k in range(21)]:
-            pts = [s.position(f * t1) for s in movers]
+            pts = [ts.position(a, f * t1) for a in movers]
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert dist(pts[i], pts[j]) >= 2.0 - 1e-9
@@ -78,9 +93,9 @@ class TestRealizeType1:
     def test_endpoints_exact(self):
         res, occ = single_circle_setup(hole_index=3)
         op = LoopRotation(1, 3)
-        segs = realize_type1(res, op, occ)
-        after = apply_op(occ, res.graph, op)
-        finals = {s.agent: s.end_position() for s in segs}
+        ts = realize_one(res, occ, op)
+        after = apply_ops(occ, res.graph, [op])
+        finals = {a: end_of(tr) for a, tr in ts.segments.items()}
         for v, agent in after.mapping.items():
             if agent is None or agent not in finals:
                 continue
@@ -93,10 +108,12 @@ class TestRealizeType2:
         hole = occ.vacant_vertex()
         cyc = next(c for c in res.graph.loops if hole in c)
         nxt = cyc[(cyc.index(hole) + 1) % len(cyc)]
-        segs = realize_type2(res, VacancySwap(hole, nxt), occ)
-        moving = [s for s in segs if not isinstance(s.path, Hold)]
+        ts = realize_one(res, occ, VacancySwap(hole, nxt))
+        moving = moving_records(ts)
         assert len(moving) == 1
-        assert moving[0].agent == occ.mapping[nxt]
+        a, k = moving[0]
+        assert a == occ.mapping[nxt]
+        assert ts.segments[a].kind[k] == ARC
 
     def test_radial_swap_three_phases(self):
         res, occ = single_circle_setup(radius=7.0, hole_index=0)
@@ -107,11 +124,10 @@ class TestRealizeType2:
         # rebuild occupancy with the hole at v
         verts = res.graph.vertex_ids()
         occ = Occupancy({x: (None if x == v else 100 + x) for x in verts})
-        segs = realize_type2(res, VacancySwap(u, v), occ)
-        mover_segs = [s for s in segs if s.agent == 100 + u]
-        assert any(isinstance(s.path, Line) for s in mover_segs)
-        end = mover_segs[-1].end_position()
-        assert dist(end, res.graph.positions[v]) < 1e-9
+        ts = realize_one(res, occ, VacancySwap(u, v))
+        mover = ts.segments[100 + u]
+        assert (mover.kind == LINE).any()
+        assert dist(end_of(mover), res.graph.positions[v]) < 1e-9
 
     def test_gap_corridor_swap_verifies(self):
         from swapmotion.conversion import GapCorridor
@@ -125,13 +141,11 @@ class TestRealizeType2:
         u, v = edge
         verts = res.graph.vertex_ids()
         occ = Occupancy({x: (None if x == v else 100 + x) for x in verts})
-        segs = realize_type2(res, VacancySwap(u, v), occ)
-        ts = _tile(segs, occ, res)
+        ts = realize_one(res, occ, VacancySwap(u, v))
         w = rectangle_workspace(30.0, 20.0)
         rep = verify_trajectories(ts, w, 1.0, 0.02)
         assert rep.ok, rep.violations[:3]
-        mover = [s for s in segs if s.agent == 100 + u]
-        assert dist(mover[-1].end_position(), res.graph.positions[v]) < 1e-9
+        assert dist(end_of(ts.segments[100 + u]), res.graph.positions[v]) < 1e-9
 
     def test_path_corridor_swap_verifies(self):
         from swapmotion.conversion import PathCorridor, convert_circles
@@ -147,8 +161,7 @@ class TestRealizeType2:
         u, v = edge
         verts = res.graph.vertex_ids()
         occ = Occupancy({x: (None if x == v else 100 + x) for x in verts})
-        segs = realize_type2(res, VacancySwap(u, v), occ)
-        ts = _tile(segs, occ, res)
+        ts = realize_one(res, occ, VacancySwap(u, v))
         rep = verify_trajectories(ts, w, 1.0, 0.02)
         assert rep.ok, rep.violations[:3]
 
@@ -162,18 +175,16 @@ class TestRealizeType2:
         if b == hole:
             b = cyc[(cyc.index(a) - 1) % len(cyc)]
         with pytest.raises(UnrealizableOp):
-            realize_type2(res, VacancySwap(a, b), occ)
+            realize_one(res, occ, VacancySwap(a, b))
 
 
 class TestRealizePlan:
     def test_empty_plan_holds(self):
         res, occ = single_circle_setup()
-        from swapmotion.planner import Plan
-
         ts = realize_plan(res, Plan([], occ, occ.copy()))
         assert ts.horizon == 0.0
         for a in ts.agents():
-            assert all(isinstance(s.path, Hold) for s in ts.segments[a])
+            assert (ts.segments[a].kind == HOLD).all()
 
     def test_full_shuffle_verifies(self):
         res, occ = single_circle_setup(radius=6.0)
@@ -192,12 +203,12 @@ class TestRealizePlan:
         # time order (holds between them are implicit); the horizon equals
         # the sum of op durations, so the last record of the run ends on it
         for a in ts.agents():
-            segs = list(ts.segments[a])
-            assert segs[0].t0 == 0.0 and isinstance(segs[0].path, Hold)
-            assert segs[-1].t1 <= ts.horizon
-            for s1, s2 in zip(segs, segs[1:]):
-                assert s1.t1 <= s2.t0 or s1.t1 == pytest.approx(s2.t0)
-        assert max(ts.segments[a][-1].t1 for a in ts.agents()) == pytest.approx(ts.horizon)
+            tr = ts.segments[a]
+            assert tr.t0[0] == 0.0 and tr.kind[0] == HOLD
+            assert tr.t1[-1] <= ts.horizon
+            for t1, t0 in zip(tr.t1[:-1], tr.t0[1:]):
+                assert t1 <= t0 or t1 == pytest.approx(t0)
+        assert max(ts.segments[a].t1[-1] for a in ts.agents()) == pytest.approx(ts.horizon)
 
     def test_two_circle_plan_verifies(self):
         a = Disk(Point2(10.0, 10.0), 5.0)
@@ -216,24 +227,25 @@ class TestRealizePlan:
         assert rep.ok, rep.violations[:3]
 
 
+def trajectory_set(horizon, **records):
+    """A `TrajectorySet` with one track per keyword, packed from its records."""
+    return TrajectorySet({a: Track.from_records(a, recs) for a, recs in records.items()}, horizon)
+
+
 class TestVerifyTrajectories:
     def test_single_stationary_agent(self):
         w = rectangle_workspace(10, 10)
-        ts = TrajectorySet(
-            {"a": [MotionSegment("a", 0.0, 1.0, Hold(Point2(5, 5)))]}, 1.0
-        )
+        ts = trajectory_set(1.0, a=[hold_record(0.0, Point2(5, 5))])
         rep = verify_trajectories(ts, w, 1.0, 0.1)
         assert rep.ok
         assert rep.min_clearance == pytest.approx(5.0)
 
     def test_crossing_agents_flagged(self):
         w = rectangle_workspace(10, 10)
-        ts = TrajectorySet(
-            {
-                "a": [MotionSegment("a", 0, 10, Line(Point2(2, 5), Point2(8, 5)))],
-                "b": [MotionSegment("b", 0, 10, Line(Point2(8, 5), Point2(2, 5)))],
-            },
+        ts = trajectory_set(
             10.0,
+            a=[line_record(0, 10, Point2(2, 5), Point2(8, 5))],
+            b=[line_record(0, 10, Point2(8, 5), Point2(2, 5))],
         )
         rep = verify_trajectories(ts, w, 1.0, 0.05)
         assert not rep.ok
@@ -241,26 +253,32 @@ class TestVerifyTrajectories:
 
     def test_boundary_excursion_flagged(self):
         w = rectangle_workspace(10, 10)
-        ts = TrajectorySet(
-            {"a": [MotionSegment("a", 0, 5, Line(Point2(5, 5), Point2(9.9, 5)))]},
-            5.0,
-        )
+        ts = trajectory_set(5.0, a=[line_record(0, 5, Point2(5, 5), Point2(9.9, 5))])
         rep = verify_trajectories(ts, w, 1.0, 0.05)
         assert any(v.kind == "boundary" for v in rep.violations)
 
     def test_violation_interval_merging(self):
         w = rectangle_workspace(10, 10)
-        ts = TrajectorySet(
-            {
-                "a": [MotionSegment("a", 0, 10, Line(Point2(2, 5), Point2(8, 5)))],
-                "b": [MotionSegment("b", 0, 10, Hold(Point2(5, 5)))],
-            },
+        ts = trajectory_set(
             10.0,
+            a=[line_record(0, 10, Point2(2, 5), Point2(8, 5))],
+            b=[hold_record(0, Point2(5, 5))],
         )
         rep = verify_trajectories(ts, w, 1.0, 0.05)
         pair = [v for v in rep.violations if v.kind == "pair"]
         assert len(pair) == 1
         assert pair[0].t_end > pair[0].t_start
+
+
+def record_position(t0, t1, kind, par, t):
+    """Scalar position on one record at time t, clamped to its span."""
+    s = min(1.0, max(0.0, (t - t0) / (t1 - t0))) if t1 > t0 else 1.0
+    if kind == HOLD:
+        return Point2(par[0], par[1])
+    if kind == LINE:
+        return Point2(par[0] + s * (par[2] - par[0]), par[1] + s * (par[3] - par[1]))
+    ang = par[3] + s * (par[4] - par[3])
+    return Point2(par[0] + par[2] * math.cos(ang), par[1] + par[2] * math.sin(ang))
 
 
 class TestTrack:
@@ -275,31 +293,106 @@ class TestTrack:
         times = np.array(sorted(rng.uniform(0.0, ts.horizon) for _ in range(200)))
         for a in ts.agents():
             track = ts.segments[a]
-            segs = list(track)
             pts = track.sample(times)
             for t, (x, y) in zip(times, pts):
                 # the record in force is the last one starting at or before t;
                 # before and between records the agent holds
-                seg = [s for s in segs if s.t0 <= t][-1]
-                p = seg.position(t)
+                k = np.nonzero(track.t0 <= t)[0][-1]
+                p = record_position(track.t0[k], track.t1[k], track.kind[k], track.par[k], t)
                 assert math.hypot(x - p.x, y - p.y) < 1e-9
 
     def test_holds_are_implicit(self):
         res, occ = single_circle_setup(radius=6.0)
         li = next(k for k, (c, ring) in enumerate(res.loop_layer) if ring == 1)
-        plan = Plan([LoopRotation(li, 1), LoopRotation(li, 1)], occ,
-                    apply_op(apply_op(occ, res.graph, LoopRotation(li, 1)),
-                             res.graph, LoopRotation(li, 1)))
+        ops = [LoopRotation(li, 1), LoopRotation(li, 1)]
+        plan = Plan(ops, occ, apply_ops(occ, res.graph, ops))
         ts = realize_plan(res, plan)
         for a in ts.agents():
-            kinds = [type(s.path) for s in ts.segments[a]]
-            assert kinds[0] is Hold and Hold not in kinds[1:]
+            kinds = ts.segments[a].kind.tolist()
+            assert kinds[0] == HOLD and HOLD not in kinds[1:]
 
     def test_segment_lists_are_packed(self):
-        ts = TrajectorySet(
-            {"a": [MotionSegment("a", 0.0, 2.0, Line(Point2(1, 1), Point2(3, 1)))]}, 4.0
-        )
+        ts = trajectory_set(4.0, a=[line_record(0.0, 2.0, Point2(1, 1), Point2(3, 1))])
         assert len(ts.segments["a"]) == 1
         assert ts.position("a", 1.0) == Point2(2.0, 1.0)
         assert ts.position("a", 3.0) == Point2(3.0, 1.0)
-        assert ts.segments["a"][-1].end_position() == Point2(3.0, 1.0)
+        assert end_of(ts.segments["a"]) == Point2(3.0, 1.0)
+
+    def test_record_end_of_each_kind(self):
+        ts = trajectory_set(10.0, a=[
+            hold_record(0.0, Point2(5, 5)),
+            line_record(1.0, 3.0, Point2(5, 5), Point2(7, 5)),
+            (3.0, 3.0 + math.pi, ARC, 7.0, 7.0, 2.0, -math.pi / 2, math.pi / 2),
+        ])
+        tr = ts.segments["a"]
+        ends = [record_end(k, p) for k, p in zip(tr.kind, tr.par)]
+        assert ends[:2] == [Point2(5.0, 5.0), Point2(7.0, 5.0)]
+        assert dist(ends[2], Point2(7.0, 9.0)) < 1e-12
+        assert dist(ends[2], ts.position("a", 10.0)) < 1e-12
+
+
+def record_ends(tr):
+    """Start points, end points and path lengths of a track's records."""
+    p, arc, line = tr.par, tr.kind == ARC, tr.kind == LINE
+
+    def on_arc(col):
+        ang = p[arc, col]
+        return p[arc, :2] + p[arc, 2:3] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+    start, end = p[:, :2].copy(), p[:, :2].copy()
+    start[arc], end[arc] = on_arc(3), on_arc(4)
+    end[line] = p[line, 2:4]
+    length = np.zeros(len(tr))
+    length[line] = np.hypot(p[line, 2] - p[line, 0], p[line, 3] - p[line, 1])
+    length[arc] = np.abs(p[arc, 4] - p[arc, 3]) * p[arc, 2]
+    return start, end, length
+
+
+PIPELINE_SCENARIOS = ["rect_12", "obstacles_30", "maple_approx_24", "grid_20"]
+
+
+@pytest.fixture(scope="module", params=PIPELINE_SCENARIOS)
+def pipeline_run(request):
+    s = scenario_from_dict(load_json(SCENARIOS / f"{request.param}.json"))
+    return s, run_pipeline(s)[1].trajectory
+
+
+class TestPipelineTracks:
+    """What the sampling verifier cannot see: a jump or a speed change
+    between two samples. Checked on the records alone."""
+
+    def test_continuous_and_at_unit_speed(self, pipeline_run):
+        s, ts = pipeline_run
+        phases = []  # (t0, t1, speed) of every arc
+        for a in ts.agents():
+            tr = ts.segments[a]
+            start, end, length = record_ends(tr)
+            gap = np.hypot(*(start[1:] - end[:-1]).T)
+            assert gap.max(initial=0.0) <= 1e-9 * s.r, (a, int(gap.argmax()))
+            assert (tr.t0 <= tr.t1).all()
+            assert (tr.t1[:-1] <= tr.t0[1:]).all(), a
+            # a line runs at unit speed; riders of one arc phase share its
+            # span, so an arc runs at unit speed or, with a shorter sweep
+            # than the phase's longest, slower
+            dur = tr.t1 - tr.t0
+            line, arc = tr.kind == LINE, tr.kind == ARC
+            want = length[line] / SPEED
+            assert (np.abs(dur[line] - want) <= 1e-9 * want).all(), a
+            assert (length[arc] / SPEED <= dur[arc] * (1 + 1e-9)).all(), a
+            phases.append(np.stack([tr.t0[arc], tr.t1[arc], length[arc] / dur[arc]], axis=1))
+        # the longest sweep of each arc phase runs at unit speed
+        phases = np.concatenate(phases)
+        _, which = np.unique(phases[:, :2], axis=0, return_inverse=True)
+        lead = np.zeros(which.max() + 1)
+        np.maximum.at(lead, which.ravel(), phases[:, 2])
+        assert (np.abs(lead - SPEED) <= 1e-9 * SPEED).all()
+
+    def test_segment_table_reads_back(self, pipeline_run, tmp_path):
+        _, ts = pipeline_run
+        trajectory_to_csv(ts, tmp_path / "trajectory.csv")
+        back = trajectory_from_csv(tmp_path / "trajectory.csv")
+        assert back.horizon == ts.horizon and back.agents() == ts.agents()
+        for a in ts.agents():
+            x, y = back.segments[a], ts.segments[a]
+            for f in ("t0", "t1", "kind", "par"):
+                assert np.array_equal(getattr(x, f), getattr(y, f)), (a, f)

@@ -17,12 +17,12 @@ from swapmotion.fileio import load_json, scenario_from_dict
 from swapmotion.geometry import Point2, boundary_distance_many, rectangle_workspace
 from swapmotion.pipeline import run_pipeline
 from swapmotion.trajectory import (
-    Hold,
-    Line,
-    MotionSegment,
+    Track,
     TrajectorySet,
     VerificationReport,
     Violation,
+    hold_record,
+    line_record,
     verify_trajectories,
 )
 
@@ -80,49 +80,46 @@ def all_agents_verify(ts, w, r, dt):
     return VerificationReport(min_pair, min_clear, violations, len(times), dt)
 
 
-def seg(agent, t0, t1, a, b=None):
-    shape = Hold(Point2(*a)) if b is None else Line(Point2(*a), Point2(*b))
-    return MotionSegment(agent, t0, t1, shape)
+def hold(t, p):
+    return hold_record(t, Point2(*p))
+
+
+def line(t0, t1, a, b):
+    return line_record(t0, t1, Point2(*a), Point2(*b))
+
+
+def trajectory_set(horizon, **records):
+    return TrajectorySet({a: Track.from_records(a, recs) for a, recs in records.items()}, horizon)
 
 
 def head_on():
     """Two agents meet head-on mid-way through a run that spans several
     chunks; a third stands far off the whole time."""
-    return TrajectorySet(
-        {
-            "a": [seg("a", 0, 0, (2, 5)), seg("a", 13, 33, (2, 5), (18, 5))],
-            "b": [seg("b", 0, 0, (18, 5)), seg("b", 13, 33, (18, 5), (2, 5))],
-            "c": [seg("c", 0, 0, (10, 8.5))],
-        },
+    return trajectory_set(
         40.0,
+        a=[hold(0, (2, 5)), line(13, 33, (2, 5), (18, 5))],
+        b=[hold(0, (18, 5)), line(13, 33, (18, 5), (2, 5))],
+        c=[hold(0, (10, 8.5))],
     )
 
 
 def near_wall():
     """One agent grazes the wall and comes back; another hops to the wall
     between two samples and stays there."""
-    return TrajectorySet(
-        {
-            "a": [
-                seg("a", 0, 0, (5, 5)),
-                seg("a", 2, 6, (5, 5), (5, 9.5)),
-                seg("a", 6, 10, (5, 9.5), (5, 5)),
-            ],
-            "b": [seg("b", 0, 0, (15, 5)), seg("b", 9.55, 9.9, (15, 5), (19.4, 5))],
-        },
+    return trajectory_set(
         25.0,
+        a=[hold(0, (5, 5)), line(2, 6, (5, 5), (5, 9.5)), line(6, 10, (5, 9.5), (5, 5))],
+        b=[hold(0, (15, 5)), line(9.55, 9.9, (15, 5), (19.4, 5))],
     )
 
 
 def three_disks():
     """A mover passes between two still agents, under 2r from both at once."""
-    return TrajectorySet(
-        {
-            "a": [seg("a", 0, 0, (1, 5)), seg("a", 20, 38, (1, 5), (19, 5))],
-            "b": [seg("b", 0, 0, (10, 3.5))],
-            "c": [seg("c", 0, 0, (10, 6.5))],
-        },
+    return trajectory_set(
         40.0,
+        a=[hold(0, (1, 5)), line(20, 38, (1, 5), (19, 5))],
+        b=[hold(0, (10, 3.5))],
+        c=[hold(0, (10, 6.5))],
     )
 
 

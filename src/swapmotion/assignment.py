@@ -82,23 +82,25 @@ def navigate(
     targets: dict[object, Point2],
     w: Workspace,
     r: float,
-    order_cost: Optional[dict[object, float]] = None,
     via_hints: Optional[dict[object, list[Point2]]] = None,
     phases: Optional[dict[object, int]] = None,
 ) -> NavigationResult:
     """Move each agent from its current point to its target, one at a time.
 
-    Agents are grouped into phases (e.g. inner rings first); a phase must
-    finish before the next starts, so earlier arrivals never seal off later
-    targets. Within a phase agents are retried over multiple passes; on a
-    stall, a waiting agent crowding a blocked route is sidestepped to a free
-    spot. `via_hints` supplies agent-specific staging points.
+    Both navigation legs of the pipeline run here in one mode, from scenario
+    points (starts, or goals for the goal leg, which is played backwards)
+    onto slots. Agents are grouped into phases (e.g. inner rings first); a
+    phase must finish before the next starts, so earlier arrivals never seal
+    off later targets. Within a phase agents go nearest first and are retried
+    over multiple passes; on a stall, an agent crowding a blocked route is
+    sidestepped to a free spot, and a state that repeats after a sidestep
+    ends the leg with the phase's agents stuck. `via_hints` supplies
+    agent-specific staging points.
     """
     pos = dict(current)
-    if order_cost is None:
-        order_cost = {a: dist(pos[a], targets[a]) for a in targets}
     if phases is None:
         phases = {a: 0 for a in targets}
+    rank = {a: (phases[a], dist(pos[a], targets[a]), repr(a)) for a in targets}
     via_hints = via_hints or {}
     vias = None
     t = 0.0
@@ -137,8 +139,8 @@ def navigate(
         emit(a, route)
         return True
 
-    order = sorted(targets, key=lambda a: (phases[a], order_cost[a], repr(a)))
-    remaining_all = [a for a in order if dist(pos[a], targets[a]) > 1e-12]
+    remaining_all = [a for a in sorted(targets, key=rank.get) if rank[a][1] > 1e-12]
+    seen = set()  # (positions, queue) after each nudge
     while remaining_all:
         min_phase = min(phases[a] for a in remaining_all)
         active = [a for a in remaining_all if phases[a] == min_phase]
@@ -152,12 +154,15 @@ def navigate(
         if budget > 0:
             nudged = _clear_crowd(active, pos, targets, w, r, vias or [], emit)
             budget -= 1
-        if nudged is None:
+        if nudged is not None and nudged not in remaining_all:
+            remaining_all.append(nudged)
+            remaining_all.sort(key=rank.get)
+        # routes depend only on the positions, so a repeated state is a livelock
+        state = (tuple(pos.values()), tuple(remaining_all))
+        if nudged is None or state in seen:
             stuck = active
             break
-        if nudged not in remaining_all:
-            remaining_all.append(nudged)
-            remaining_all.sort(key=lambda a: (phases[a], order_cost[a], repr(a)))
+        seen.add(state)
     tracks = {a: Track.from_records(a, recs) for a, recs in records.items()}
     return NavigationResult(TrajectorySet(tracks, t), stuck)
 

@@ -159,14 +159,18 @@ def run_pipeline(
     t0 = time.perf_counter()
     # navigate both endpoints before planning; a stuck agent is retried on a
     # spare slot (the graph always has at least one more vertex than agents)
-    prologue, asg_start = _navigate_with_retries(
-        s, res, vids, asg_start, outbound=False
-    )
+    prologue, asg_start = _navigate_with_retries(s, res, vids, asg_start, s.starts())
     if not prologue.ok:
-        raise NavigationFailure(prologue.stuck_agents, "realize: start navigation stuck")
-    epilogue, asg_goal = _navigate_with_retries(s, res, vids, asg_goal, outbound=True)
-    if not epilogue.ok:
-        raise NavigationFailure(epilogue.stuck_agents, "realize: goal navigation stuck")
+        raise NavigationFailure(
+            prologue.stuck_agents,
+            f"navigate: start leg stuck for agents {prologue.stuck_agents}",
+        )
+    inbound, asg_goal = _navigate_with_retries(s, res, vids, asg_goal, s.goals())
+    if not inbound.ok:
+        raise NavigationFailure(
+            inbound.stuck_agents,
+            f"navigate: goal leg stuck for agents {inbound.stuck_agents}",
+        )
     start_occ = _occupancy_from_assignment(vids, asg_start, n)
     goal_occ = _occupancy_from_assignment(vids, asg_goal, n)
     timings["navigate"] = time.perf_counter() - t0
@@ -177,7 +181,13 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     main = realize_plan(res, plan)
-    full = concat_trajectories([prologue.trajectory, main, epilogue.trajectory])
+    # the goal leg ran from the goals onto the slots; time reversal keeps it
+    # collision-free and makes it run from the slots to the goals
+    h = inbound.trajectory.horizon
+    epilogue = TrajectorySet(
+        {a: tr.reversed(h) for a, tr in inbound.trajectory.segments.items()}, h
+    )
+    full = concat_trajectories([prologue.trajectory, main, epilogue])
     timings["realize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -210,16 +220,17 @@ def _occupancy_from_assignment(vids, asg: Assignment, n: int) -> Occupancy:
     return Occupancy(mapping)
 
 
-def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, outbound: bool):
+def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
     """Run one navigation leg, moving stuck agents onto spare slots.
 
-    Inbound legs move agents from scenario starts to their assigned slots;
-    outbound legs move them from slots to goals. On a stall the stuck agent's
-    slot is swapped for the nearest free spare and the leg is retried.
+    A leg moves the agents from `leg_points` (the scenario's starts or goals,
+    in agent order) onto their assigned slots, inner rings first. The goal leg
+    is this same motion played backwards. On a stall the stuck agent's slot
+    is swapped for the nearest free spare and the leg is retried.
     """
     g = res.graph
     asg = Assignment(dict(asg.agent_to_slot), asg.total_cost)
-    points = {a.id: (a.goal if outbound else a.start) for a in s.agents}
+    points = {a.id: p for a, p in zip(s.agents, leg_points)}
     for _ in range(4):
         def slot_pos(agent):
             return g.positions[vids[asg.agent_to_slot[agent]]]
@@ -232,50 +243,24 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, outbound: bo
             a.id: radial_hints(res, vids[asg.agent_to_slot[a.id]], s.r)
             for a in s.agents
         }
-        if outbound:
-            # draining only opens space, so no phase barrier; outer rings are
-            # merely tried first via the cost ordering
-            result = navigate(
-                {i: slot_pos(i) for i in points},
-                points,
-                s.workspace,
-                s.r,
-                order_cost={
-                    i: -1000.0 * slot_ring(i)
-                    + dist(slot_pos(i), points[i])
-                    for i in points
-                },
-                via_hints=hints,
-            )
-        else:
-            result = navigate(
-                points,
-                {i: slot_pos(i) for i in points},
-                s.workspace,
-                s.r,
-                via_hints=hints,
-                phases={i: slot_ring(i) for i in points},
-            )
+        result = navigate(
+            points,
+            {i: slot_pos(i) for i in points},
+            s.workspace,
+            s.r,
+            via_hints=hints,
+            phases={i: slot_ring(i) for i in points},
+        )
         if result.ok:
             return result, asg
         used = set(asg.agent_to_slot.values())
         spares = [j for j in range(len(vids)) if j not in used]
         if not spares:
             return result, asg
-        changed = False
-        for agent in result.stuck_agents:
+        for agent in result.stuck_agents[: len(spares)]:
             p = points[agent]
             spares.sort(key=lambda j: dist(p, g.positions[vids[j]]))
-            for j in spares:
-                if j not in used:
-                    used.discard(asg.agent_to_slot[agent])
-                    asg.agent_to_slot[agent] = j
-                    used.add(j)
-                    spares.remove(j)
-                    changed = True
-                    break
-        if not changed:
-            return result, asg
+            asg.agent_to_slot[agent] = spares.pop(0)
     return result, asg
 
 

@@ -105,6 +105,22 @@ class Track:
             np.concatenate([tr.par[k] for (tr, _), k in zip(parts, keep)]),
         )
 
+    def reversed(self, horizon: float) -> "Track":
+        """This motion played backwards over [0, horizon]: the position at t
+        is this track's at horizon - t. Opens with a hold where it ends."""
+        keep = np.flatnonzero(self.kind != HOLD)[::-1]
+        kind, par = self.kind[keep], self.par[keep]
+        par[kind == LINE, :4] = par[kind == LINE][:, [2, 3, 0, 1]]
+        par[kind == ARC, 3:] = par[kind == ARC][:, [4, 3]]
+        end = record_end(self.kind[-1], self.par[-1])
+        return Track(
+            self.agent,
+            np.r_[0.0, horizon - self.t1[keep]],
+            np.r_[0.0, horizon - self.t0[keep]],
+            np.r_[HOLD, kind],
+            np.vstack([(end.x, end.y, 0.0, 0.0, 0.0), par]),
+        )
+
     def __len__(self) -> int:
         return len(self.t0)
 

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capsule_reference import capsule_free_reference
+from swapmotion import assignment, pipeline
 from swapmotion.assignment import (
     Assignment,
     _detour_route,
@@ -19,6 +21,7 @@ from swapmotion.assignment import (
 )
 from swapmotion.conversion import convert_single_circle
 from swapmotion.errors import TooFewSlots
+from swapmotion.fileio import load_json, scenario_from_dict
 from swapmotion.geometry import (
     Capsule,
     Disk,
@@ -30,6 +33,8 @@ from swapmotion.geometry import (
 )
 from swapmotion.swap_graph import Occupancy
 from swapmotion.trajectory import record_end, verify_trajectories
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def brute_force_cost(starts, slots):
@@ -122,9 +127,8 @@ class TestNavigate:
             i: min(k for _, k, _ in res.vertex_rings[vids[j]])
             for i, j in asg.agent_to_slot.items()
         }
-        costs = {i: dist(current[i], targets[i]) for i in current}
         hints = {i: radial_hints(res, vids[j], 1.0) for i, j in asg.agent_to_slot.items()}
-        out = navigate(current, targets, w, 1.0, costs, via_hints=hints, phases=phases)
+        out = navigate(current, targets, w, 1.0, via_hints=hints, phases=phases)
         assert out.ok, out.stuck_agents
         rep = verify_trajectories(out.trajectory, w, 1.0, 0.05)
         assert rep.ok, rep.violations[:3]
@@ -238,3 +242,28 @@ def test_batched_via_loops_return_the_scalar_routes():
             assert got == scalar_string_pull(line, w, r, others)
             found["pull"] += got is not None
     assert min(found.values()) >= 10, found
+
+
+def test_a_repeated_sidestep_ends_the_stall(monkeypatch):
+    """obstacles_30's goal leg, as the pipeline first runs it, leaves agent 17
+    stuck. Each sidestep of the parked agent 19 was undone by 19 moving
+    straight back, 192 times until the budget ran out; a state that repeats
+    after a sidestep now ends the stall at once, with the same stuck agents."""
+    s = scenario_from_dict(load_json(SCENARIOS / "obstacles_30.json"))
+    res = pipeline.convert_scenario(s)
+    vids = res.graph.vertex_ids()
+    asg = optimal_assignment(s.goals(), [res.graph.positions[v] for v in vids])
+    legs = []
+    monkeypatch.setattr(
+        pipeline, "navigate", lambda *a, **k: legs.append((a, k)) or navigate(*a, **k)
+    )
+    leg, _ = pipeline._navigate_with_retries(s, res, vids, asg, s.goals())
+    assert leg.ok and len(legs) == 2  # the spare-slot retry succeeds
+    sidesteps = []
+    clear_crowd = assignment._clear_crowd
+    monkeypatch.setattr(
+        assignment, "_clear_crowd", lambda *a: sidesteps.append(a) or clear_crowd(*a)
+    )
+    args, kwargs = legs[0]
+    assert navigate(*args, **kwargs).stuck_agents == [17]
+    assert len(sidesteps) <= 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from swapmotion.cli import main
-from swapmotion.errors import InvalidScenario
+from swapmotion.errors import InvalidScenario, NavigationFailure
 from swapmotion.conversion import greedy_convert
 from swapmotion.fileio import (
     AgentSpec,
@@ -30,6 +30,7 @@ from swapmotion.pipeline import run_pipeline, sample_free_positions
 from swapmotion.trajectory import sample_times, verify_trajectories
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def small_scenario():
@@ -189,6 +190,39 @@ class TestCli:
         monkeypatch.setattr(pipeline, "greedy_convert", fail)
         assert main(["render", "--out", str(tmp_path), "--dt", "5"]) == 0
         assert list((tmp_path / "frames").glob("frame_*.svg"))
+
+
+class TestNavigationFailure:
+    """A stuck navigation leg names its stage, its leg and its agents.
+
+    `start_leg_stuck.json` is a random box scene whose start leg leaves
+    agent 1 stuck on every spare slot it is retried on."""
+
+    @pytest.fixture
+    def scene(self):
+        return scenario_from_dict(load_json(DATA / "start_leg_stuck.json"))
+
+    def test_start_leg(self, scene):
+        with pytest.raises(NavigationFailure) as e:
+            run_pipeline(scene)
+        assert e.value.stuck_agents == [1]
+        assert str(e.value) == "navigate: start leg stuck for agents [1]"
+
+    def test_goal_leg(self, scene):
+        # with starts and goals swapped, the goal leg is the stuck leg above
+        agents = [AgentSpec(a.id, a.goal, a.start) for a in scene.agents]
+        back = Scenario(scene.name, scene.workspace, scene.r, agents, scene.params)
+        with pytest.raises(NavigationFailure) as e:
+            run_pipeline(back)
+        assert e.value.stuck_agents == [1]
+        assert str(e.value) == "navigate: goal leg stuck for agents [1]"
+
+    def test_exit_code(self, tmp_path, capsys):
+        code = main(["exec", "--scenario", str(DATA / "start_leg_stuck.json"),
+                     "--out", str(tmp_path)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error [NavigationFailure]: navigate: start leg stuck for agents [1]" in err
 
 
 class TestInvalidScenario:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swapmotion.assignment import navigate
 from swapmotion.conversion import convert_single_circle, convert_two_circles
 from swapmotion.errors import UnrealizableOp
 from swapmotion.fileio import load_json, scenario_from_dict, trajectory_from_csv, trajectory_to_csv
@@ -211,20 +212,24 @@ class TestRealizePlan:
         assert max(ts.segments[a].t1[-1] for a in ts.agents()) == pytest.approx(ts.horizon)
 
     def test_two_circle_plan_verifies(self):
-        a = Disk(Point2(10.0, 10.0), 5.0)
-        b = Disk(Point2(17.5, 10.0), 5.0)
-        res = convert_two_circles(a, b, 1.0)
-        verts = res.graph.vertex_ids()
-        occ = Occupancy({v: (None if v == verts[0] else v) for v in verts})
-        rng = random.Random(5)
-        contents = [occ.mapping[v] for v in verts]
-        rng.shuffle(contents)
-        goal = Occupancy(dict(zip(verts, contents)))
-        plan = plan_permutation(res.graph, occ, goal)
-        ts = realize_plan(res, plan)
-        w = rectangle_workspace(28.0, 20.0)
+        ts, w = two_circle_run()
         rep = verify_trajectories(ts, w, 1.0, 0.05)
         assert rep.ok, rep.violations[:3]
+
+
+def two_circle_run():
+    """A shuffle of a two-circle graph, realized, and its workspace."""
+    a = Disk(Point2(10.0, 10.0), 5.0)
+    b = Disk(Point2(17.5, 10.0), 5.0)
+    res = convert_two_circles(a, b, 1.0)
+    verts = res.graph.vertex_ids()
+    occ = Occupancy({v: (None if v == verts[0] else v) for v in verts})
+    rng = random.Random(5)
+    contents = [occ.mapping[v] for v in verts]
+    rng.shuffle(contents)
+    goal = Occupancy(dict(zip(verts, contents)))
+    plan = plan_permutation(res.graph, occ, goal)
+    return realize_plan(res, plan), rectangle_workspace(28.0, 20.0)
 
 
 def trajectory_set(horizon, **records):
@@ -348,6 +353,84 @@ def record_ends(tr):
     return start, end, length
 
 
+def check_records(ts, r):
+    """Continuity, time order and speed of every track, from its records."""
+    phases = []  # (t0, t1, speed) of every arc
+    for a in ts.agents():
+        tr = ts.segments[a]
+        start, end, length = record_ends(tr)
+        gap = np.hypot(*(start[1:] - end[:-1]).T)
+        assert gap.max(initial=0.0) <= 1e-9 * r, (a, int(gap.argmax()))
+        assert (tr.t0 <= tr.t1).all()
+        assert (tr.t1[:-1] <= tr.t0[1:]).all(), a
+        # a line runs at unit speed; riders of one arc phase share its
+        # span, so an arc runs at unit speed or, with a shorter sweep
+        # than the phase's longest, slower
+        dur = tr.t1 - tr.t0
+        line, arc = tr.kind == LINE, tr.kind == ARC
+        want = length[line] / SPEED
+        assert (np.abs(dur[line] - want) <= 1e-9 * want).all(), a
+        assert (length[arc] / SPEED <= dur[arc] * (1 + 1e-9)).all(), a
+        phases.append(np.stack([tr.t0[arc], tr.t1[arc], length[arc] / dur[arc]], axis=1))
+    # the longest sweep of each arc phase runs at unit speed
+    phases = np.concatenate(phases)
+    _, which = np.unique(phases[:, :2], axis=0, return_inverse=True)
+    lead = np.zeros(which.max() + 1)
+    np.maximum.at(lead, which.ravel(), phases[:, 2])
+    assert (np.abs(lead - SPEED) <= 1e-9 * SPEED).all()
+
+
+def reversed_set(ts):
+    return TrajectorySet({a: tr.reversed(ts.horizon) for a, tr in ts.segments.items()}, ts.horizon)
+
+
+def check_mirrored(ts, tol=1e-9):
+    """Each reversed track at t is the track at T - t, on a grid, and
+    reversing twice gives the records back."""
+    T = ts.horizon
+    times = np.linspace(0.0, T, 4001)
+    for a in ts.agents():
+        tr = ts.segments[a]
+        back = tr.reversed(T)
+        assert back.kind[0] == HOLD and back.t1[0] == 0.0
+        assert np.abs(back.sample(times) - tr.sample(T - times)).max() <= tol, a
+        twice = back.reversed(T)
+        assert np.array_equal(twice.kind, tr.kind), a
+        for f in ("t0", "t1", "par"):
+            assert np.abs(getattr(twice, f) - getattr(tr, f)).max() <= tol, (a, f)
+
+
+class TestReversed:
+    """`Track.reversed` plays a motion backwards: arcs, lines and holds."""
+
+    def test_realized_plan(self):
+        ts, w = two_circle_run()
+        kinds = np.concatenate([tr.kind for tr in ts.segments.values()])
+        assert (kinds == ARC).any() and (kinds == LINE).any()
+        check_mirrored(ts)
+        rep = verify_trajectories(reversed_set(ts), w, 1.0, 0.05)
+        assert rep.ok, rep.violations[:3]
+
+    def test_navigation_leg(self):
+        w = rectangle_workspace(16.0, 12.0)
+        cur = {0: Point2(2, 6), 1: Point2(14, 6), 2: Point2(8, 2), 3: Point2(8, 10)}
+        tgt = {0: Point2(14, 6), 1: Point2(2, 6), 2: Point2(8, 10), 3: Point2(8, 2)}
+        out = navigate(cur, tgt, w, 1.0)
+        assert out.ok
+        ts = out.trajectory
+        check_mirrored(ts)
+        back = reversed_set(ts)
+        for a in ts.agents():
+            assert end_of(back.segments[a]) == cur[a]
+            assert back.position(a, 0.0) == tgt[a]
+        assert verify_trajectories(back, w, 1.0, 0.05).ok
+
+    def test_a_still_track_is_one_hold(self):
+        tr = Track.from_records("a", [hold_record(0.0, Point2(3, 4))])
+        back = tr.reversed(7.0)
+        assert back.kind.tolist() == [HOLD] and back.par[0, :2].tolist() == [3.0, 4.0]
+
+
 PIPELINE_SCENARIOS = ["rect_12", "obstacles_30", "maple_approx_24", "grid_20"]
 
 
@@ -363,29 +446,17 @@ class TestPipelineTracks:
 
     def test_continuous_and_at_unit_speed(self, pipeline_run):
         s, ts = pipeline_run
-        phases = []  # (t0, t1, speed) of every arc
-        for a in ts.agents():
-            tr = ts.segments[a]
-            start, end, length = record_ends(tr)
-            gap = np.hypot(*(start[1:] - end[:-1]).T)
-            assert gap.max(initial=0.0) <= 1e-9 * s.r, (a, int(gap.argmax()))
-            assert (tr.t0 <= tr.t1).all()
-            assert (tr.t1[:-1] <= tr.t0[1:]).all(), a
-            # a line runs at unit speed; riders of one arc phase share its
-            # span, so an arc runs at unit speed or, with a shorter sweep
-            # than the phase's longest, slower
-            dur = tr.t1 - tr.t0
-            line, arc = tr.kind == LINE, tr.kind == ARC
-            want = length[line] / SPEED
-            assert (np.abs(dur[line] - want) <= 1e-9 * want).all(), a
-            assert (length[arc] / SPEED <= dur[arc] * (1 + 1e-9)).all(), a
-            phases.append(np.stack([tr.t0[arc], tr.t1[arc], length[arc] / dur[arc]], axis=1))
-        # the longest sweep of each arc phase runs at unit speed
-        phases = np.concatenate(phases)
-        _, which = np.unique(phases[:, :2], axis=0, return_inverse=True)
-        lead = np.zeros(which.max() + 1)
-        np.maximum.at(lead, which.ravel(), phases[:, 2])
-        assert (np.abs(lead - SPEED) <= 1e-9 * SPEED).all()
+        check_records(ts, s.r)
+
+    def test_reversed_tracks_keep_the_record_checks(self, pipeline_run):
+        s, ts = pipeline_run
+        check_records(reversed_set(ts), s.r)
+        check_mirrored(ts)
+
+    def test_last_record_ends_exactly_at_the_goal(self, pipeline_run):
+        s, ts = pipeline_run
+        for a in s.agents:
+            assert end_of(ts.segments[a.id]) == a.goal, a.id
 
     def test_segment_table_reads_back(self, pipeline_run, tmp_path):
         _, ts = pipeline_run

@@ -5,15 +5,17 @@ center (ring 0 is the degenerate center point). Capacities count agent slots
 that keep every pair of agent centers at least ``2r`` apart, with the radial
 corridor between consecutive rings kept passable for vacancy swaps.
 
-The closed-form counts are capped at the angular-packing maximum so that every
-claimed slot is actually placeable on the centerline; see the packing oracle
-in the test suite.
+``loop_capacity`` counts the slots of an unobstructed ring, capped at the
+angular-packing maximum. Against neighbor circles, ``free_intervals`` gives
+the arcs of a ring that no neighbor ring reaches, ``widen_gaps`` keeps the
+slots flanking each excluded gap 2r apart and ``pack_arc`` counts what an arc
+holds; ``conversion`` places its slots with exactly these. ``classify_pair``
+tells which rings of two circles cross (shared slots) or leave a gap corridor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CenterContained
@@ -27,24 +29,6 @@ class PairClass(Enum):
     CASE_II = "II"  # disjoint rings with a traversable gap between them
     CASE_III = "III"  # rings cross shallowly: two shared slots, shared edge
     CASE_IV = "IV"  # rings cross deeply: two shared slots, no shared edge
-    NESTED = "NESTED"
-
-
-@dataclass(frozen=True)
-class LayerRef:
-    circle: Disk
-    layer_index: int
-
-    def __post_init__(self):
-        if self.layer_index < 0:
-            raise ValueError("layer index must be non-negative")
-
-
-def max_layer_index(circle_radius: float, r: float) -> int:
-    """Upper bound on the ring index hosted by a circle of the given radius."""
-    if circle_radius <= 0 or r <= 0:
-        raise ValueError("radii must be positive")
-    return int(math.floor((circle_radius + r) / (2.0 * r) + _EPS))
 
 
 def safe_layer_count(circle_radius: float, r: float) -> int:
@@ -97,16 +81,15 @@ def loop_capacity(i: int) -> int:
     return min(formula, ring_packing_max(i))
 
 
-def classify_pair(a: LayerRef, b: LayerRef, D: float, r: float) -> PairClass:
+def classify_pair(a: Disk, i: int, b: Disk, j: int, D: float, r: float) -> PairClass:
     """Classify the interaction between ring i of circle a and ring j of b.
 
     Thresholds are evaluated in order I -> II -> III -> IV; the first that
     holds wins. Requires both circle centers outside the other circle.
     """
-    i, j = a.layer_index, b.layer_index
     if i < 1 or j < 1:
         raise ValueError("classification defined for ring indices >= 1")
-    max_radius = max(a.circle.radius, b.circle.radius)
+    max_radius = max(a.radius, b.radius)
     if D < max_radius - _EPS * max(1.0, max_radius):
         raise CenterContained(
             f"center distance {D} smaller than max circle radius {max_radius}"
@@ -126,60 +109,6 @@ def classify_pair(a: LayerRef, b: LayerRef, D: float, r: float) -> PairClass:
     if D > (2.0 * i + 2.0 * j - 2.0) * r:
         return PairClass.CASE_III
     return PairClass.CASE_IV
-
-
-def intersection_capacity(cls: PairClass) -> int:
-    """Shared slots hosted by the ring-ring crossing for each class."""
-    if cls in (PairClass.CASE_I, PairClass.CASE_II):
-        return 0
-    if cls in (PairClass.CASE_III, PairClass.CASE_IV):
-        return 2
-    return 0
-
-
-def _clamped_acos(x: float) -> float:
-    return math.acos(min(1.0, max(-1.0, x)))
-
-
-def exclusion_half_angle(i: int, D: float, r: float, reach: float) -> float:
-    """Half-angle of ring i blotted out by a neighbor of influence `reach`.
-
-    Computed by the triangle relation between the two centers and a ring
-    point at distance `reach` from the neighbor center; the argument is
-    clamped so boundary geometry stays finite.
-    """
-    if D <= 0:
-        return math.pi
-    denom = 2.0 * (2.0 * i * r) * D
-    arg = (D * D + (2.0 * i * r) ** 2 - reach * reach) / denom
-    return _clamped_acos(arg)
-
-
-def reduced_capacity(a: LayerRef, b: LayerRef, D: float, r: float, cls: PairClass) -> int:
-    """Slots left on ring i of circle a outside the influence of ring j of b.
-
-    Cases I-III share one arc formula; case IV adds the arc that dips inside
-    the neighbor ring structure. Results are capped at what the free arc can
-    actually pack with 2r spacing.
-    """
-    i, j = a.layer_index, b.layer_index
-    pitch = slot_pitch(i)
-    phi = exclusion_half_angle(i, D, r, (2.0 * j + 2.0) * r)
-    if phi <= _EPS:
-        # no exclusion wedge: the whole ring is free
-        return loop_capacity(i)
-    free_arc = 2.0 * math.pi - 2.0 * phi
-    outer_formula = int(math.floor(free_arc / pitch + _EPS)) + 2
-    outer_feasible = int(math.floor(free_arc / pitch + _EPS)) + 1 if free_arc > _EPS else 0
-    outer = min(outer_formula, outer_feasible, loop_capacity(i))
-    if cls is not PairClass.CASE_IV:
-        return outer
-    phi_in = exclusion_half_angle(i, D, r, (2.0 * j - 2.0) * r)
-    if phi_in <= _EPS:
-        inner = 0
-    else:
-        inner = int(math.floor(2.0 * phi_in / pitch + _EPS)) + 1
-    return inner + outer
 
 
 def neighbor_reach(neighbor_radius: float, r: float) -> float:
@@ -280,25 +209,3 @@ def widen_gaps(intervals: list[tuple[float, float]], pitch: float):
             ivs[k][1] -= need
             ivs[nxt][0] += need
     return [(lo, hi) for lo, hi in ivs if hi - lo >= -_EPS]
-
-
-def residual_capacity(a: LayerRef, neighbors: list[Disk], r: float) -> int:
-    """Slots left on ring i of circle a against all neighbor circles.
-
-    Tangent positions against each neighbor bound the free gaps; each gap of
-    angle theta packs ``floor(theta / pitch) + 1`` slots. With no neighbors
-    this equals ``loop_capacity``.
-    """
-    i = a.layer_index
-    if i < 1:
-        return 0
-    if not neighbors:
-        return loop_capacity(i)
-    intervals = free_intervals(a.circle.center, 2.0 * r * i, neighbors, r)
-    if not intervals:
-        return 0
-    if len(intervals) == 1 and intervals[0][1] - intervals[0][0] >= 2.0 * math.pi - _EPS:
-        return loop_capacity(i)
-    pitch = slot_pitch(i)
-    intervals = widen_gaps(intervals, pitch)
-    return sum(pack_arc(hi - lo, pitch) for lo, hi in intervals)

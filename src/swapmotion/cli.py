@@ -64,8 +64,6 @@ def _load_scenario(args) -> Scenario:
         p.threshold = args.threshold
     if args.dt is not None:
         p.dt = args.dt
-    if args.seed is not None:
-        p.seed = args.seed
     if args.max_agents is not None and len(s.agents) > args.max_agents:
         s.agents = s.agents[: args.max_agents]
     return s
@@ -138,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=int, default=None)
         p.add_argument("--threshold", type=int, default=None)
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--max-agents", type=int, default=None, dest="max_agents")
         p.set_defaults(func=fn)
     p = sub.add_parser("render")

@@ -22,7 +22,6 @@ from .capacity import (
     PairClass,
     classify_pair,
     free_intervals,
-    LayerRef,
     loop_capacity,
     neighbor_reach,
     pack_arc,
@@ -235,9 +234,7 @@ def _build(
             D = dist(circles[a].center, circles[b].center)
             for i in range(1, layer_count[a] + 1):
                 for j in range(1, layer_count[b] + 1):
-                    cls = classify_pair(
-                        LayerRef(circles[a], i), LayerRef(circles[b], j), D, r
-                    )
+                    cls = classify_pair(circles[a], i, circles[b], j, D, r)
                     if cls not in (PairClass.CASE_III, PairClass.CASE_IV):
                         continue
                     pts = circle_circle_intersections(
@@ -261,10 +258,7 @@ def _build(
                 continue
             D = dist(circles[a].center, circles[b].center)
             cls = classify_pair(
-                LayerRef(circles[a], layer_count[a]),
-                LayerRef(circles[b], layer_count[b]),
-                D,
-                r,
+                circles[a], layer_count[a], circles[b], layer_count[b], D, r
             )
             if cls is PairClass.CASE_II:
                 gap_pairs.append((a, b))
@@ -606,11 +600,6 @@ def convert_single_circle(c: Disk, r: float) -> Optional[ConversionResult]:
     if safe_layer_count(c.radius, r) < 2:
         return None
     return _build([c], r)
-
-
-def convert_two_circles(a: Disk, b: Disk, r: float) -> Optional[ConversionResult]:
-    """Swap graph hosted by two circles whose centers lie outside each other."""
-    return _build([a, b], r)
 
 
 def convert_circles(

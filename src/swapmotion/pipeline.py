@@ -225,12 +225,14 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
 
     A leg moves the agents from `leg_points` (the scenario's starts or goals,
     in agent order) onto their assigned slots, inner rings first. The goal leg
-    is this same motion played backwards. On a stall the stuck agent's slot
-    is swapped for the nearest free spare and the leg is retried.
+    is this same motion played backwards. On a stall each stuck agent's slot
+    is swapped for the nearest free spare that agent has not tried in this
+    leg, and the leg is retried; it stops when no stuck agent can move.
     """
     g = res.graph
     asg = Assignment(dict(asg.agent_to_slot), asg.total_cost)
     points = {a.id: p for a, p in zip(s.agents, leg_points)}
+    tried = {a: {j} for a, j in asg.agent_to_slot.items()}
     for _ in range(4):
         def slot_pos(agent):
             return g.positions[vids[asg.agent_to_slot[agent]]]
@@ -255,12 +257,18 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
             return result, asg
         used = set(asg.agent_to_slot.values())
         spares = [j for j in range(len(vids)) if j not in used]
-        if not spares:
-            return result, asg
-        for agent in result.stuck_agents[: len(spares)]:
+        moved = False
+        for agent in result.stuck_agents:
             p = points[agent]
             spares.sort(key=lambda j: dist(p, g.positions[vids[j]]))
-            asg.agent_to_slot[agent] = spares.pop(0)
+            slot = next((j for j in spares if j not in tried[agent]), None)
+            if slot is not None:
+                spares.remove(slot)
+                asg.agent_to_slot[agent] = slot
+                tried[agent].add(slot)
+                moved = True
+        if not moved:
+            return result, asg
     return result, asg
 
 

@@ -369,13 +369,7 @@ def _ring_pair_exchange(m: _Machine, li: int, u: int, v: int):
     cu, cv = m.state[u], m.state[v]
     pu, pw, park = m.park_hole(li, near=u)
     cyc = m.g.loops[li]
-    pa, pb = cyc.index(m.pos[cu]), cyc.index(m.pos[cv])
-    if (pb - pa) % len(cyc) == 1:
-        m.core_consecutive(li, pu, pw, pa)
-    elif (pa - pb) % len(cyc) == 1:
-        m.core_consecutive(li, pu, pw, pb)
-    else:
-        m.bubble(li, pu, pw, pa, pb)
+    m.bubble(li, pu, pw, cyc.index(m.pos[cu]), cyc.index(m.pos[cv]))
     m.emit_reverse(park)
 
 
@@ -517,19 +511,6 @@ def _shortest_path(g: SwapGraph, u: int, v: int) -> Optional[list[int]]:
     return None
 
 
-def _run_exchange(
-    g: SwapGraph, occ: Occupancy, v: int, v2: int, edge_cost=None
-) -> list[SwapOp]:
-    occ.check(g)
-    if occ.mapping[v] is VACANT or occ.mapping[v2] is VACANT:
-        raise PlannerError("exchange endpoints must be occupied")
-    m = _Machine(g, occ, edge_cost)
-    before = dict(m.state)
-    _exchange_vertices(m, v, v2)
-    _check_exchange_contract(before, m.state, v, v2)
-    return simplify_ops(m.ops, g)
-
-
 def _check_exchange_contract(before: dict, after: dict, v: int, v2: int):
     for x, c in after.items():
         want = before[x]
@@ -547,20 +528,14 @@ def exchange(
     """Ops exchanging the agents at v and v2; all other vertices restored."""
     if v == v2:
         return []
-    return _run_exchange(g, occ, v, v2, edge_cost)
-
-
-def move_vacancy(g: SwapGraph, occ: Occupancy, target: int) -> list[SwapOp]:
-    """Swap chain moving the designated vacancy to `target`."""
     occ.check(g)
-    m = _Machine(g, occ)
-    if m.hole == target:
-        return []
-    path = _shortest_path(g, m.hole, target)
-    if path is None:
-        raise PlannerError("graph not connected")
-    m.walk(path)
-    return m.ops
+    if occ.mapping[v] is VACANT or occ.mapping[v2] is VACANT:
+        raise PlannerError("exchange endpoints must be occupied")
+    m = _Machine(g, occ, edge_cost)
+    before = dict(m.state)
+    _exchange_vertices(m, v, v2)
+    _check_exchange_contract(before, m.state, v, v2)
+    return simplify_ops(m.ops, g)
 
 
 def simplify_ops(ops, g: SwapGraph) -> list[SwapOp]:

@@ -8,7 +8,6 @@ Agents occupy vertices; one vertex stays vacant so positions can be permuted.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -258,46 +257,3 @@ def vertex_loop_distance(g: SwapGraph, v: int, loop: int) -> int:
         raise InvalidGraph(["connectivity: no path from vertex to loop"])
     return int(best)
 
-
-def path_complexity(g: SwapGraph, v: int, v2: int) -> int:
-    """Sum of loop sizes along a cheapest path, minimized among such paths.
-
-    At each assignment change the size of the loop being left is added; the
-    final assignment's loop size is added once at the end. Among paths with
-    the minimal number of changes, the smallest such sum is returned.
-    """
-    sizes = [len(c) for c in g.loops]
-    # Dijkstra over (changes, complexity) lexicographic cost
-    INF = (float("inf"), float("inf"))
-    best: dict[tuple[int, int], tuple[float, float]] = {}
-    heap = []
-    for s in _hop_states(g, v):
-        best[s] = (0, 0)
-        heapq.heappush(heap, (0, 0, s))
-    while heap:
-        ch, cx, s = heapq.heappop(heap)
-        if best.get(s, INF) < (ch, cx):
-            continue
-        u, li = s
-        for w in g.neighbors(u):
-            for lj in g.loops_of(w):
-                if lj == li:
-                    nd = (ch, cx)
-                else:
-                    nd = (ch + 1, cx + sizes[li])
-                t = (w, lj)
-                if nd < best.get(t, INF):
-                    best[t] = nd
-                    heapq.heappush(heap, (nd[0], nd[1], t))
-    if v == v2:
-        ends = [(0, 0, li) for li in g.loops_of(v)]
-    else:
-        ends = [
-            (*best[(v2, lj)], lj) for lj in g.loops_of(v2) if (v2, lj) in best
-        ]
-    if not ends:
-        raise InvalidGraph(["connectivity: no path between query vertices"])
-    min_changes = min(e[0] for e in ends)
-    return int(
-        min(cx + sizes[lj] for ch, cx, lj in ends if ch == min_changes)
-    )

@@ -288,6 +288,8 @@ def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) ->
     ang_u = res.angle_in(u, circle, ring_u)
     ang_v = res.angle_in(v, circle, ring_v)
     delta = _signed_angle(ang_u - ang_v)
+    if abs(delta) < 1e-12:
+        delta = 0.0  # rings already aligned: no align or restore arcs
     t = t0
     riders = _ring_riders(res, occ_map, li_v, delta)
     t += _arc_phase(res, li_v, t, riders, emit)

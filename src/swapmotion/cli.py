@@ -98,10 +98,11 @@ def cmd_exec(args) -> int:
     for stage, secs in run.timings.items():
         print(f"  {stage:>8}: {secs:.3f}s")
     rep = art.verification
+    at = f" at t={rep.worst_pair[-1]:.2f}" if rep.worst_pair else ""
     print(
-        f"verify: min pairwise {rep.min_pairwise:.6f} (2r = {2*s.r}), "
+        f"verify: min pairwise {rep.min_pairwise:.6f} (2r = {2*s.r}){at}, "
         f"min clearance {rep.min_clearance:.6f} (r = {s.r}), "
-        f"{len(rep.violations)} violations over {rep.samples} samples"
+        f"{len(rep.violations)} violations over {rep.samples} intervals"
     )
     for v in rep.violations[:20]:
         print(f"  {v.kind} {v.agents} t=[{v.t_start:.2f},{v.t_end:.2f}] worst={v.worst:.6f}")

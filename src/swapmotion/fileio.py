@@ -24,7 +24,7 @@ from .conversion import (
 from .geometry import Disk, Point2, Polygon, Rect, Workspace
 from .planner import LoopRotation, Plan, VacancySwap
 from .swap_graph import Occupancy, SwapGraph, edge_key
-from .trajectory import HOLD, KIND_NAMES, Track, TrajectorySet
+from .trajectory import HOLD, KIND_NAMES, Track, TrajectorySet, track_jumps
 
 
 @dataclass
@@ -274,16 +274,16 @@ TRAJECTORY_HEADER = "agent,t0,t1,kind,p0,p1,p2,p3,p4"
 def trajectory_to_csv(ts: TrajectorySet, path) -> None:
     """Exact segment table: a `# horizon=` line, the header, then one row per
     motion record (see `trajectory.Track`), agents in `ts.agents()` order."""
-    lines = [f"# horizon={ts.horizon!r}", TRAJECTORY_HEADER]
-    for a in ts.agents():
-        tr = ts.segments[a]
-        for t0, t1, k, (p0, p1, p2, p3, p4) in zip(
-            tr.t0.tolist(), tr.t1.tolist(), tr.kind.tolist(), tr.par.tolist()
-        ):
-            lines.append(
-                f"{a},{t0!r},{t1!r},{KIND_NAMES[k]},{p0!r},{p1!r},{p2!r},{p3!r},{p4!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:  # one agent at a time, to keep memory flat
+        f.write(f"# horizon={ts.horizon!r}\n{TRAJECTORY_HEADER}\n")
+        for a in ts.agents():
+            tr = ts.segments[a]
+            f.write("".join([
+                f"{a},{t0!r},{t1!r},{KIND_NAMES[k]},{p0!r},{p1!r},{p2!r},{p3!r},{p4!r}\n"
+                for t0, t1, k, (p0, p1, p2, p3, p4) in zip(
+                    tr.t0.tolist(), tr.t1.tolist(), tr.kind.tolist(), tr.par.tolist()
+                )
+            ]))
 
 
 def trajectory_from_csv(path) -> TrajectorySet:
@@ -291,8 +291,8 @@ def trajectory_from_csv(path) -> TrajectorySet:
     come back as ints.
 
     Raises ValueError unless the horizon is finite and non-negative and each
-    agent's records open with a hold, end no earlier than they start, and
-    follow one another in time without overlap.
+    agent's records open with a hold, end no earlier than they start, follow
+    one another in time without overlap, and never jump (`track_jumps`).
     """
     rows = Path(path).read_text().splitlines()
     if rows[1:2] != [TRAJECTORY_HEADER] or not rows[0].startswith("# horizon="):
@@ -316,4 +316,8 @@ def trajectory_from_csv(path) -> TrajectorySet:
             raise ValueError(f"{path}: agent {a!r} has a record ending before it starts")
         if not (tr.t1[:-1] <= tr.t0[1:]).all():
             raise ValueError(f"{path}: records of agent {a!r} are not in time order")
+        jumps = track_jumps(tr)
+        if jumps:
+            t, d = jumps[0]
+            raise ValueError(f"{path}: agent {a!r} jumps by {d!r} at t = {t!r}")
     return TrajectorySet(tracks, horizon)

@@ -1,4 +1,4 @@
-"""2D primitives: points, disks, polygons, capsules, and clearance queries.
+"""2D primitives: points, disks, polygons, capsules, arcs, and distance queries.
 
 All comparisons use an absolute tolerance scaled by the workspace diameter.
 Boundary semantics: the free-space boundary itself is not free, while
@@ -155,8 +155,9 @@ def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     return math.hypot(p[0] - ax - t * dx, p[1] - ay - t * dy)
 
 
-def point_segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise `point_segment_distance` over broadcast (..., 2) arrays."""
+def point_segment_projections(p: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Elementwise `point_segment_distance` over broadcast (..., 2) arrays,
+    and the fraction along ab of the closest point."""
     px, py = p[..., 0], p[..., 1]
     ax, ay = a[..., 0], a[..., 1]
     dx, dy = b[..., 0] - ax, b[..., 1] - ay
@@ -164,7 +165,88 @@ def point_segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     t = ((px - ax) * dx + (py - ay) * dy) / np.where(seg2 == 0.0, 1.0, seg2)
     t = np.clip(t, 0.0, 1.0)
     ex, ey = px - (ax + t * dx), py - (ay + t * dy)
-    return np.sqrt(ex * ex + ey * ey)
+    return np.sqrt(ex * ex + ey * ey), t
+
+
+def point_segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise `point_segment_distance` over broadcast (..., 2) arrays."""
+    return point_segment_projections(p, a, b)[0]
+
+
+def closest_of(*candidates):
+    """Elementwise the (distance, fraction) candidate with the least distance."""
+    both = np.broadcast_arrays(*(x for c in candidates for x in c))
+    d, f = np.stack(both[::2]), np.stack(both[1::2])
+    k = d.argmin(axis=0)
+    return np.choose(k, d), np.choose(k, f)
+
+
+def _orient(p, q, s):
+    return (q[..., 0] - p[..., 0]) * (s[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (
+        s[..., 0] - p[..., 0]
+    )
+
+
+def segment_distances(a, b, c, d):
+    """Elementwise distance between segments ab and cd over broadcast (..., 2)
+    arrays, 0 where they cross properly, and the fraction along ab of a
+    closest point."""
+    dist_, frac = closest_of(
+        (point_segment_distances(a, c, d), 0.0),
+        (point_segment_distances(b, c, d), 1.0),
+        point_segment_projections(c, a, b),
+        point_segment_projections(d, a, b),
+    )
+    # proper crossing: each segment's ends lie strictly on both sides of the other
+    oa, ob = _orient(c, d, a), _orient(c, d, b)
+    crossing = ((oa > 0) != (ob > 0)) & ((_orient(a, b, c) > 0) != (_orient(a, b, d) > 0))
+    at = np.divide(oa, oa - ob, out=np.zeros_like(frac), where=crossing)
+    return np.where(crossing, 0.0, dist_), np.where(crossing, at, frac)
+
+
+def sweep_fractions(phi, a0, a1):
+    """Elementwise the fraction of the sweep from angle a0 to a1 at which the
+    direction phi is first reached; nan where it is not."""
+    s = np.abs(a1 - a0)
+    u = np.mod((phi - a0) * np.where(a1 < a0, -1.0, 1.0), 2 * math.pi)
+    return np.divide(u, s, out=np.full(np.shape(u), np.nan), where=(u <= s) & (s > 0))
+
+
+def arc_points(c, radius, angle):
+    """Elementwise the point at `angle` on the circle of `radius` about c."""
+    return np.stack([c[..., 0] + radius * np.cos(angle), c[..., 1] + radius * np.sin(angle)], -1)
+
+
+def point_arc_distances(p, c, radius, a0, a1):
+    """Elementwise distance from p to the arc of `radius` about c swept from
+    angle a0 to a1, over broadcast arrays, and the fraction of the sweep at a
+    closest point."""
+    v, ends = p - c, [arc_points(c, radius, a) - p for a in (a0, a1)]
+    f = sweep_fractions(np.arctan2(v[..., 1], v[..., 0]), a0, a1)
+    return closest_of(
+        (np.where(np.isnan(f), np.inf, np.abs(np.hypot(v[..., 0], v[..., 1]) - radius)), f),
+        (np.hypot(ends[0][..., 0], ends[0][..., 1]), 0.0),
+        (np.hypot(ends[1][..., 0], ends[1][..., 1]), 1.0),
+    )
+
+
+def arc_segment_distances(c, radius, a0, a1, e0, e1):
+    """Elementwise distance from the arc of `radius` about c swept from a0 to
+    a1 to the segment e0e1, over broadcast arrays, and the fraction of the
+    sweep at a closest point.
+
+    Past the ends of either curve, two curves come closest where the segment
+    meets the circle, or on the ray from c square onto the segment's line."""
+    e = e1 - e0
+    e2 = np.maximum((e * e).sum(-1), 1e-300)
+    t = ((c - e0) * e).sum(-1) / e2  # the foot of c on the line
+    h = np.sqrt(np.maximum(radius**2 - ((e0 + t[..., None] * e - c) ** 2).sum(-1), 0.0) / e2)
+    inner = [e0 + np.clip(s, 0.0, 1.0)[..., None] * e for s in (t, t - h, t + h)]
+    return closest_of(
+        (point_segment_distances(arc_points(c, radius, a0), e0, e1), 0.0),
+        (point_segment_distances(arc_points(c, radius, a1), e0, e1), 1.0),
+        *(point_arc_distances(q, c, radius, a0, a1) for q in [e0, e1] + inner),
+    )
 
 
 def _ring_depths(pts: np.ndarray, w: Workspace) -> np.ndarray:
@@ -206,11 +288,14 @@ def boundary_distance_many(pts: np.ndarray, w: Workspace) -> np.ndarray:
         return np.concatenate(
             [boundary_distance_many(pts[k : k + step], w) for k in range(0, len(pts), step)]
         )
+    return np.minimum(bounds_distances(pts, w), _edge_distances(pts, w))
+
+
+def bounds_distances(pts: np.ndarray, w: Workspace) -> np.ndarray:
+    """Signed distance from each point (..., 2) to the sides of the bounds."""
     b = w.bounds
-    d = np.minimum.reduce(
-        [pts[:, 0] - b.xmin, b.xmax - pts[:, 0], pts[:, 1] - b.ymin, b.ymax - pts[:, 1]]
-    )
-    return np.minimum(d, _edge_distances(pts, w))
+    x, y = pts[..., 0], pts[..., 1]
+    return np.minimum(np.minimum(x - b.xmin, b.xmax - x), np.minimum(y - b.ymin, b.ymax - y))
 
 
 def nearest_boundary(
@@ -223,24 +308,14 @@ def nearest_boundary(
     the first of the sides xmin, xmax, ymin, ymax, then the first nearest edge."""
     n = len(pts)
     x, y = pts[:, 0], pts[:, 1]
-    edge_d = np.full(n, np.inf)
-    edge_p = np.zeros((n, 2))
-    if len(w._edges_a):
-        ax, ay = w._edges_a[:, 0], w._edges_a[:, 1]
-        dx, dy = w._edges_b[:, 0] - ax, w._edges_b[:, 1] - ay
-        seg2 = dx * dx + dy * dy
-        seg2 = np.where(seg2 == 0.0, 1.0, seg2)
-        step = max(1, (1 << 16) // len(ax))  # bounds the per-edge temporaries
-        for lo in range(0, n, step):
-            px, py = x[lo : lo + step, None], y[lo : lo + step, None]
-            t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg2, 0.0, 1.0)
-            qx, qy = ax + t * dx, ay + t * dy
-            ex, ey = px - qx, py - qy
-            d = np.sqrt(ex * ex + ey * ey)
-            rows, k = np.arange(len(d)), d.argmin(axis=1)
-            edge_d[lo : lo + step] = d[rows, k]
-            edge_p[lo : lo + step, 0] = qx[rows, k]
-            edge_p[lo : lo + step, 1] = qy[rows, k]
+    edge_d, edge_p = np.full(n, np.inf), np.zeros((n, 2))
+    ea, eb = w._edges_a, w._edges_b
+    step = max(1, (1 << 16) // max(1, len(ea)))  # bounds the per-edge temporaries
+    for lo in range(0, n if len(ea) else 0, step):
+        d, t = point_segment_projections(pts[lo : lo + step, None], ea, eb)
+        rows, k = np.arange(len(d)), d.argmin(axis=1)
+        edge_d[lo : lo + step] = d[rows, k]
+        edge_p[lo : lo + step] = ea[k] + t[rows, k, None] * (eb - ea)[k]
     b = w.bounds
     cand = np.stack([x - b.xmin, b.xmax - x, y - b.ymin, b.ymax - y, edge_d])
     k = cand.argmin(axis=0)
@@ -284,29 +359,13 @@ def disk_in_free_space(d: Disk, w: Workspace) -> bool:
 def _spines_clear_of_edges(a: np.ndarray, b: np.ndarray, r: float, w: Workspace) -> np.ndarray:
     """Per spine ab: no obstacle edge within r, and neither end buried in material."""
     tol = w.tol
-    A, B = a[:, None, :], b[:, None, :]
-    ea, eb = w._edges_a, w._edges_b
-    da = point_segment_distances(A, ea, eb)
-    db = point_segment_distances(B, ea, eb)
-    near = np.minimum(
-        np.minimum(da, db),
-        np.minimum(point_segment_distances(ea, A, B), point_segment_distances(eb, A, B)),
-    )
-
-    def orient(p, q, s):
-        return (q[..., 0] - p[..., 0]) * (s[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (
-            s[..., 0] - p[..., 0]
-        )
-
-    # proper crossing: each segment's ends lie strictly on both sides of the other
-    crossing = ((orient(ea, eb, A) > 0) != (orient(ea, eb, B) > 0)) & (
-        (orient(A, B, ea) > 0) != (orient(A, B, eb) > 0)
-    )
-    ok = ~(np.where(crossing, 0.0, near) < r - tol).any(axis=1)
-    # an end inside material far from every edge means the capsule is buried
-    for ends, d in ((a, da), (b, db)):
-        edge_d = d.min(axis=1)
-        ok &= points_in_free_space(ends, w, edge_d) | (edge_d < r - tol)
+    near = segment_distances(a[:, None, :], b[:, None, :], w._edges_a, w._edges_b)[0]
+    ok = ~(near < r - tol).any(axis=1)
+    # an end inside material far from every edge means the capsule is buried;
+    # a spine kept so far has every edge at least r - tol from both ends
+    edge_d = near.min(axis=1)
+    for ends in (a, b):
+        ok &= points_in_free_space(ends, w, edge_d)
     return ok
 
 

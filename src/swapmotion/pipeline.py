@@ -57,6 +57,7 @@ class RunReport:
     min_clearance: float
     violations: int
     success: bool
+    verification: dict  # what the certificate checked, and where the minima are
 
     def to_dict(self) -> dict:
         return {
@@ -71,6 +72,7 @@ class RunReport:
             "min_clearance": self.min_clearance,
             "violations": self.violations,
             "success": self.success,
+            "verification": self.verification,
         }
 
 
@@ -191,7 +193,7 @@ def run_pipeline(
     timings["realize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = verify_trajectories(full, w, s.r, s.params.dt)
+    report = verify_trajectories(full, w, s.r)
     timings["verify"] = time.perf_counter() - t0
 
     run = RunReport(
@@ -206,11 +208,22 @@ def run_pipeline(
         min_clearance=report.min_clearance,
         violations=len(report.violations),
         success=report.ok,
+        verification=_verification_block(report),
     )
     artifacts = RunArtifacts(res, start_occ, goal_occ, plan, full, report)
     if out_dir is not None:
         _write_artifacts(out_dir, s, run, artifacts)
     return run, artifacts
+
+
+def _verification_block(rep: VerificationReport) -> dict:
+    (a, b, t), (c, tc) = rep.worst_pair or (None, None, None), rep.worst_clearance or (None, None)
+    return {
+        "intervals": rep.samples,
+        "checks": rep.checks,
+        "worst_pair": {"agents": [a, b], "t": t, "distance": rep.min_pairwise},
+        "worst_clearance": {"agent": c, "t": tc, "clearance": rep.min_clearance},
+    }
 
 
 def _occupancy_from_assignment(vids, asg: Assignment, n: int) -> Occupancy:

@@ -14,11 +14,11 @@ Each track opens with a zero-length hold at the agent's start; after that
 only lines and arcs are recorded. Holds are implicit: between records an
 agent stays where its previous record ended.
 
-`verify_trajectories` is the independent oracle: it checks every agent on a
-fixed time grid and reports minimum pairwise distance, minimum boundary
-clearance, and all violation intervals. Because ops are sequential, it cuts
-the grid into chunks, samples only the agents whose records overlap a chunk,
-and checks every other agent once at its fixed position.
+`verify_trajectories` certifies a trajectory from its records alone, in
+closed form: it cuts time at every record boundary and checks each
+interval's movers against everyone else and the boundary, so its minima are
+exact and no time step is involved. `track_jumps` is the continuity check it
+shares with the segment-table reader.
 """
 
 from __future__ import annotations
@@ -37,7 +37,20 @@ from .conversion import (
     corridor_polyline,
 )
 from .errors import UnrealizableOp
-from .geometry import Point2, Workspace, boundary_distance_many, dist
+from .geometry import (
+    Point2,
+    Workspace,
+    arc_points,
+    arc_segment_distances,
+    boundary_distance_many,
+    bounds_distances,
+    closest_of,
+    dist,
+    point_arc_distances,
+    point_segment_projections,
+    segment_distances,
+    sweep_fractions,
+)
 from .planner import LoopRotation, Plan, VacancySwap, _apply_inplace
 from .swap_graph import VACANT, edge_key
 
@@ -132,21 +145,18 @@ class Track:
         t0 = self.t0[idx]
         dur = self.t1[idx] - t0
         frac = np.where(dur > 0, np.clip((times - t0) / np.where(dur > 0, dur, 1.0), 0.0, 1.0), 1.0)
-        par = self.par[idx]
-        code = self.kind[idx]
-        out = np.empty((len(times), 2))
-        m = code == HOLD
-        out[m] = par[m, :2]
-        m = code == LINE
-        if m.any():
-            out[m, 0] = par[m, 0] + frac[m] * (par[m, 2] - par[m, 0])
-            out[m, 1] = par[m, 1] + frac[m] * (par[m, 3] - par[m, 1])
-        m = code == ARC
-        if m.any():
-            ang = par[m, 3] + frac[m] * (par[m, 4] - par[m, 3])
-            out[m, 0] = par[m, 0] + par[m, 2] * np.cos(ang)
-            out[m, 1] = par[m, 1] + par[m, 2] * np.sin(ang)
-        return out
+        return _points(self.kind[idx], self.par[idx], frac)
+
+
+def _points(kind: np.ndarray, par: np.ndarray, frac) -> np.ndarray:
+    """Positions on records of shapes `kind` and parameters `par` at fractions
+    `frac` of their spans, shape (len(kind), 2)."""
+    f = np.where(kind == HOLD, 0.0, frac)
+    ang = par[:, 3] + f * (par[:, 4] - par[:, 3])
+    arc = kind == ARC
+    x = np.where(arc, par[:, 0] + par[:, 2] * np.cos(ang), par[:, 0] + f * (par[:, 2] - par[:, 0]))
+    y = np.where(arc, par[:, 1] + par[:, 2] * np.sin(ang), par[:, 1] + f * (par[:, 3] - par[:, 1]))
+    return np.stack([x, y], axis=1)
 
 
 @dataclass
@@ -379,11 +389,11 @@ def _snap(rec: tuple, tgt: Point2) -> tuple:
 
 @dataclass
 class Violation:
-    kind: str  # "pair" or "boundary"
+    kind: str  # "pair", "boundary" or "jump"
     agents: tuple
     t_start: float
     t_end: float
-    worst: float
+    worst: float  # the least distance found, or the length of a jump
 
 
 @dataclass
@@ -391,192 +401,305 @@ class VerificationReport:
     min_pairwise: float
     min_clearance: float
     violations: list[Violation]
-    samples: int
-    dt: float
+    samples: int  # time intervals certified
+    checks: int = 0  # exact motion-to-agent and motion-to-edge distances taken
+    worst_pair: tuple = ()  # (agent, agent, t) where min_pairwise is reached
+    worst_clearance: tuple = ()  # (agent, t) where min_clearance is reached
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def sample_times(horizon: float, dt: float) -> np.ndarray:
-    """The verification grid: every `dt` from 0, plus the horizon itself."""
-    times = np.arange(0.0, horizon + 0.5 * dt, dt)
-    if len(times) == 0 or times[-1] < horizon:
-        times = np.append(times, horizon)
-    return times
+def track_jumps(tr: Track) -> list[tuple[float, float]]:
+    """(time, length) of every jump in a track: a record that starts away from
+    where the previous one ended, or a record of zero duration that moves.
+    Away means farther than 1e-9 of the track's coordinate scale."""
+    start, end = _points(tr.kind, tr.par, 0.0), _points(tr.kind, tr.par, 1.0)
+    jump = np.r_[0.0, np.hypot(*(start[1:] - end[:-1]).T)]
+    jump = np.maximum(jump, np.where(tr.t1 > tr.t0, 0.0, np.hypot(*(end - start).T)))
+    tol = 1e-9 * max(1.0, float(np.abs(start).max()))
+    return [(float(tr.t0[k]), float(jump[k])) for k in np.flatnonzero(jump > tol)]
 
 
-def _moving_mask(tracks: list[Track], first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """(chunks, agents) mask of the agents with a record overlapping each
-    chunk's closed time span [first, last]. Outside it, an agent's sampled
-    position is constant over the chunk."""
-    cover = np.zeros((len(first) + 1, len(tracks)), dtype=np.int32)
-    for i, tr in enumerate(tracks):
-        lo = np.searchsorted(last, tr.t0, side="left")
-        hi = np.searchsorted(first, tr.t1, side="right")
-        keep = lo < hi
-        np.add.at(cover[:, i], lo[keep], 1)
-        np.add.at(cover[:, i], hi[keep], -1)
-    return np.cumsum(cover, axis=0)[:-1] > 0
+class _Certificate:
+    """What one certification found: the least pair and boundary distances,
+    where they are reached, and every distance under its limit."""
 
-
-class _Check:
-    """One verification: its grid and chunks, its limits, and what it found."""
-
-    def __init__(self, agents: list, w: Workspace, r: float, dt: float, horizon: float):
-        self.agents = agents
-        self.w = w
+    def __init__(self, agents: list, r: float):
         tol = 1e-6 * r
-        self.pair_lim2 = (2 * r - tol) ** 2
-        self.clear_lim = r - tol
-        self.times = sample_times(horizon, dt)
-        self.chunk = max(16, int(round(10.0 / dt)))
-        self.first = np.arange(0, len(self.times), self.chunk)  # first sample of each chunk
-        self.stop = np.minimum(self.first + self.chunk, len(self.times))
-        self.min_pair = math.inf
-        self.min_clear = math.inf
-        self.pair_bad: dict[tuple, list[int]] = {}
-        self.pair_worst: dict[tuple, float] = {}
-        self.bound_bad: dict[object, list[int]] = {}
-        self.bound_worst: dict[object, float] = {}
+        self.agents = agents
+        self.limit = {"pair": 2 * r - tol, "boundary": r - tol}
+        self.least = {"pair": (math.inf, ()), "boundary": (math.inf, ())}
+        self.found: list[tuple] = []
+        self.checks = 0
 
-    def pair(self, i: int, j: int, samples, d2: float):
-        key = tuple(sorted((self.agents[i], self.agents[j]), key=repr))
-        self.pair_bad.setdefault(key, []).extend(samples)
-        self.pair_worst[key] = min(self.pair_worst.get(key, math.inf), math.sqrt(d2))
+    def bound(self, kind: str) -> float:
+        """A check whose lower bound is at least this cannot change the report."""
+        return max(self.limit[kind], self.least[kind][0])
 
-    def boundary(self, i: int, samples, d: float):
-        a = self.agents[i]
-        self.bound_bad.setdefault(a, []).extend(samples)
-        self.bound_worst[a] = min(self.bound_worst.get(a, math.inf), d)
+    def record(self, kind: str, d, f, t0, t1, *who):
+        """Distances `d`, reached at fractions `f` of [t0, t1], between the
+        agents at indices `who` (one array per agent)."""
+        if not len(d):
+            return
+        k = int(d.argmin())
+        if d[k] < self.least[kind][0]:
+            at = float(t0[k] + f[k] * (t1[k] - t0[k]))
+            self.least[kind] = (float(d[k]), self._key(who, k) + (at,))
+        for k in np.flatnonzero(d < self.limit[kind]):
+            self.found.append((kind, self._key(who, k), float(t0[k]), float(t1[k]), float(d[k])))
+
+    def _key(self, who, k) -> tuple:
+        return tuple(sorted((self.agents[i[k]] for i in who), key=repr))
 
     def violations(self) -> list[Violation]:
-        out = []
-        for key, idxs in sorted(self.pair_bad.items(), key=lambda kv: repr(kv[0])):
-            for t0, t1 in _merge_runs(sorted(set(idxs)), self.times):
-                out.append(Violation("pair", key, t0, t1, self.pair_worst[key]))
-        for a, idxs in sorted(self.bound_bad.items(), key=lambda kv: repr(kv[0])):
-            for t0, t1 in _merge_runs(sorted(set(idxs)), self.times):
-                out.append(Violation("boundary", (a,), t0, t1, self.bound_worst[a]))
+        """Everything found, one violation per run of touching intervals."""
+        order = {"pair": 0, "boundary": 1, "jump": 2}
+        out: list[Violation] = []
+        for kind, key, t0, t1, d in sorted(
+            self.found, key=lambda v: (order[v[0]], repr(v[1]), v[2])
+        ):
+            if out and (out[-1].kind, out[-1].agents) == (kind, key) and t0 <= out[-1].t_end:
+                out[-1].t_end, out[-1].worst = max(out[-1].t_end, t1), min(out[-1].worst, d)
+            else:
+                out.append(Violation(kind, key, t0, t1, d))
         return out
 
 
-def verify_trajectories(
-    ts: TrajectorySet, w: Workspace, r: float, dt: float
-) -> VerificationReport:
-    """Independent sampling oracle for agent-agent and boundary safety.
+def verify_trajectories(ts: TrajectorySet, w: Workspace, r: float) -> VerificationReport:
+    """Exact safety certificate of `ts`, from its motion records alone.
 
-    Positions are checked every `dt`; a pair violates when center distance
-    drops below 2r - 1e-6 r, an agent violates the boundary when its disk
-    leaves the free space by more than the same tolerance. Every pair under
-    the limit is reported. The grid is cut into chunks of about 10 time
-    units. In each chunk only the agents whose records overlap it are
-    sampled, at every grid time, and checked against all agents; every other
-    agent stands still over the chunk and is checked once, at the chunk's
-    first sample, against the other still agents and the boundary.
+    Time is cut at every record boundary into intervals. The configuration
+    at t = 0 is checked once, every pair and every boundary distance; after
+    that only each interval's movers are checked, against everyone else and
+    the boundary, since two still agents keep their distance. Every check is
+    a closed form: a line or an arc against a still agent is a point-segment
+    or point-arc distance, two lines at once are one line in relative
+    motion, and two arcs about one centre have a linear angular gap, so they
+    come closest at an interval end unless the gap crosses a multiple of
+    2 pi. Other simultaneous motion raises UnrealizableOp. A pair violates
+    under 2r - 1e-6 r, an agent the boundary under r - 1e-6 r, and every
+    jump of a track (`track_jumps`) is a violation. The minima are exact: the
+    prefilters drop only checks that could neither lower them nor violate.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     agents = ts.agents()
-    chk = _Check(agents, w, r, dt, ts.horizon)
     tracks = [ts.segments[a] for a in agents]
-    first_t = chk.times[chk.first]
-    moving = _moving_mask(tracks, first_t, chk.times[chk.stop - 1])
-    fixed = np.stack([tr.sample(first_t) for tr in tracks], axis=1)
-    _check_still(chk, fixed, ~moving)
-    per_block = max(1, (1 << 18) // (chk.chunk * max(len(agents), 1)))
-    for c0 in range(0, len(chk.first), per_block):
-        _check_movers(chk, tracks, fixed, moving, c0, min(c0 + per_block, len(chk.first)))
+    n = len(agents)
+    cert = _Certificate(agents, r)
+    for a, tr in zip(agents, tracks):
+        cert.found += [("jump", (a,), t, t, d) for t, d in track_jumps(tr)]
+    rest = np.array([tr.sample(np.zeros(1))[0] for tr in tracks]).reshape(-1, 2)
+    iu, ju = np.triu_indices(n, 1)
+    z = np.zeros(max(n, len(iu)))
+    cert.record("pair", np.hypot(*(rest[iu] - rest[ju]).T), z, z, z, iu, ju)
+    cert.record("boundary", boundary_distance_many(rest, w), z, z, z, np.arange(n))
+    rec = _Records(tracks)
+    p0 = 0
+    while p0 < len(rec.k):
+        # a block is whole intervals, about 2^12 pieces or at most 2^17 / n
+        # intervals, which bounds its arrays and so the peak memory of a run
+        k0 = rec.k[p0]
+        k1 = min(rec.k[min(p0 + (1 << 12), len(rec.k)) - 1] + 1, k0 + max(1, (1 << 17) // n))
+        p1 = int(np.searchsorted(rec.k, k1))
+        pc = rec.pieces(p0, p1)
+        # where each agent stands at the start of intervals k0 .. k1 - 1, as
+        # an index into `ends`: the end of a piece, or where it stood before
+        ends = np.concatenate([pc.end, rest])
+        at = np.full((k1 - k0 + 1, n), -1, dtype=np.int32)
+        at[0] = len(pc.k) + np.arange(n)
+        at[pc.k - k0 + 1, pc.agent] = np.arange(len(pc.k))
+        fill = np.where(at >= 0, np.arange(k1 - k0 + 1, dtype=np.int32)[:, None], 0)
+        at = np.take_along_axis(at, np.maximum.accumulate(fill, axis=0), 0)
+        rest = ends[at[-1]]
+        _certify_boundary(cert, w, pc)
+        _certify_against_still(cert, pc, ends, at, k0)
+        _certify_movers(cert, pc)
+        p0 = p1
     return VerificationReport(
-        min_pairwise=chk.min_pair,
-        min_clearance=chk.min_clear,
-        violations=chk.violations(),
-        samples=len(chk.times),
-        dt=dt,
+        min_pairwise=cert.least["pair"][0],
+        min_clearance=cert.least["boundary"][0],
+        violations=cert.violations(),
+        samples=len(np.unique(rec.k)),
+        checks=cert.checks,
+        worst_pair=cert.least["pair"][1],
+        worst_clearance=cert.least["boundary"][1],
     )
 
 
-def _check_still(chk: _Check, fixed: np.ndarray, still: np.ndarray):
-    """Pairs of still agents and their boundary clearance, once per chunk."""
-    n_chunks, n = still.shape
-    cl = boundary_distance_many(fixed.reshape(-1, 2), chk.w).reshape(n_chunks, n)
-    cl = np.where(still, cl, np.inf)
-    if cl.size:
-        chk.min_clear = min(chk.min_clear, float(cl.min()))
-    for c, i in zip(*np.nonzero(cl < chk.clear_lim)):
-        chk.boundary(i, range(chk.first[c], chk.stop[c]), float(cl[c, i]))
-    if n < 2:
-        return
-    iu, ju = np.triu_indices(n, 1)
-    per_block = max(1, (1 << 16) // len(iu))
-    for c0 in range(0, n_chunks, per_block):
-        F = fixed[c0 : c0 + per_block]
-        dx = F[:, iu, 0] - F[:, ju, 0]
-        dy = F[:, iu, 1] - F[:, ju, 1]
-        S = still[c0 : c0 + per_block]
-        d2 = np.where(S[:, iu] & S[:, ju], dx * dx + dy * dy, np.inf)
-        chk.min_pair = min(chk.min_pair, math.sqrt(float(d2.min())))
-        for c, k in zip(*np.nonzero(d2 < chk.pair_lim2)):
-            span = range(chk.first[c0 + c], chk.stop[c0 + c])
-            chk.pair(iu[k], ju[k], span, float(d2[c, k]))
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs starts[i], ..., starts[i] + counts[i] - 1, one after another."""
+    runs = np.arange(counts.sum(), dtype=counts.dtype)
+    return runs + np.repeat(starts - (np.cumsum(counts, dtype=counts.dtype) - counts), counts)
 
 
-def _check_movers(chk: _Check, tracks: list[Track], fixed, moving, c0: int, c1: int):
-    """Chunks c0..c1-1: every moving agent at every sample, against the
-    boundary and against all agents (still ones sit at `fixed`)."""
-    first, stop, n = chk.first, chk.stop, len(tracks)
-    lo = first[c0]
-    P = np.repeat(fixed[c0:c1], stop[c0:c1] - first[c0:c1], axis=0)
-    idx_of, pts_of = [], []
-    for i in np.nonzero(moving[c0:c1].any(axis=0))[0]:
-        cs = np.nonzero(moving[c0:c1, i])[0] + c0
-        idx = (first[cs][:, None] + np.arange(chk.chunk)).ravel()
-        idx = idx[idx < stop[cs[-1]]]
-        pts = tracks[i].sample(chk.times[idx])
-        P[idx - lo, i] = pts
-        idx_of.append((i, idx))
-        pts_of.append(pts)
-    if not idx_of:
-        return
-    cl = boundary_distance_many(np.concatenate(pts_of), chk.w)
-    chk.min_clear = min(chk.min_clear, float(cl.min()))
-    k = 0
-    for i, idx in idx_of:
-        mine = cl[k : k + len(idx)]
-        k += len(idx)
-        bad = mine < chk.clear_lim
-        if bad.any():
-            chk.boundary(i, idx[bad].tolist(), float(mine[bad].min()))
-    if n < 2:
-        return
-    for c in range(c0, c1):
-        movers = np.nonzero(moving[c])[0]
-        if not len(movers):
-            continue
-        Pc = P[first[c] - lo : stop[c] - lo]
-        Q = Pc[:, movers]
-        dx = Q[:, :, None, 0] - Pc[:, None, :, 0]
-        dy = Q[:, :, None, 1] - Pc[:, None, :, 1]
-        d2 = dx * dx + dy * dy
-        d2[:, np.arange(len(movers)), movers] = np.inf
-        low = float(d2.min())
-        chk.min_pair = min(chk.min_pair, math.sqrt(low))
-        if low < chk.pair_lim2:
-            for t_, m_, j in zip(*np.nonzero(d2 < chk.pair_lim2)):
-                chk.pair(movers[m_], j, [first[c] + int(t_)], float(d2[t_, m_, j]))
+class _Records:
+    """The records of all tracks end to end, one row (t0, t1, kind, agent,
+    p0..p4) each, and their moving pieces: every line and arc of positive
+    duration, cut at every record boundary of every track. Piece p runs over
+    interval k[p], from cuts[k[p]] to cuts[k[p] + 1], along record row[p];
+    pieces are in interval order."""
+
+    def __init__(self, tracks: list[Track]):
+        self.rec = np.empty((sum(len(tr) for tr in tracks), 9))
+        o = 0
+        for i, tr in enumerate(tracks):
+            self.rec[o : o + len(tr)] = np.c_[tr.t0, tr.t1, tr.kind, np.full(len(tr), i), tr.par]
+            o += len(tr)
+        t0, t1, kind = self.rec[:, 0], self.rec[:, 1], self.rec[:, 2]
+        moving = np.flatnonzero((kind != HOLD) & (t1 > t0)).astype(np.int32)
+        self.cuts = np.union1d(np.unique(t0[moving]), np.unique(t1[moving]))
+        lo = np.searchsorted(self.cuts, t0[moving]).astype(np.int32)
+        parts = np.searchsorted(self.cuts, t1[moving]).astype(np.int32) - lo
+        k = _ranges(lo, parts)
+        order = np.argsort(k, kind="stable")  # records are in agent order
+        self.k, self.row = k[order], np.repeat(moving, parts)[order]
+
+    def pieces(self, p0: int, p1: int) -> "_Pieces":
+        """Pieces p0 .. p1 - 1: their records, cut at the interval ends."""
+        rec, k = self.rec[self.row[p0:p1]], self.k[p0:p1]
+        t0, kind, par = rec[:, 0], rec[:, 2].astype(np.int8), rec[:, 4:]
+        dur = (rec[:, 1] - t0)[:, None]
+        f0, f1 = (self.cuts[k] - t0)[:, None] / dur, (self.cuts[k + 1] - t0)[:, None] / dur
+        # a line's end points, or an arc's end angles, at the interval ends
+        line = (kind == LINE)[:, None]
+        a = np.where(line, par[:, [0, 1]], par[:, [3, 3]])
+        b = np.where(line, par[:, [2, 3]], par[:, [4, 4]])
+        a, b = a * (1 - f0) + b * f0, a * (1 - f1) + b * f1
+        arcs = np.hstack([par[:, :3], a[:, :1], b[:, :1]])
+        par = np.where(line, np.hstack([a, b, par[:, 4:]]), arcs)
+        return _Pieces(self.cuts, k, rec[:, 3].astype(np.int32), kind, par)
 
 
-def _merge_runs(idxs: list[int], times: np.ndarray):
-    out = []
-    if not idxs:
-        return out
-    start = prev = idxs[0]
-    for i in idxs[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        out.append((float(times[start]), float(times[prev])))
-        start = prev = i
-    out.append((float(times[start]), float(times[prev])))
-    return out
+class _Pieces:
+    """A run of pieces (see `_Records`) with their shapes, parameters, and
+    start and end points."""
+
+    def __init__(self, cuts, k, agent, kind, par):
+        self.cuts, self.k, self.agent, self.kind, self.par = cuts, k, agent, kind, par
+        self.start, self.end = _points(kind, par, 0.0), _points(kind, par, 1.0)
+        # riders of one ring in one interval share a group; any other piece is alone
+        same = (np.diff(k) == 0) & (kind[1:] == ARC) & (kind[:-1] == ARC)
+        same &= (par[1:, :3] == par[:-1, :3]).all(axis=1)
+        self.group = np.cumsum(np.concatenate([[0], ~same]))
+
+    def span(self, p):
+        return self.cuts[self.k[p]], self.cuts[self.k[p] + 1]
+
+
+def _certify_boundary(cert: _Certificate, w: Workspace, pc: _Pieces):
+    """Every piece against the bounds, and against every obstacle edge that
+    its bounding box does not rule out."""
+    arc, par, start, end = pc.kind == ARC, pc.par, pc.start, pc.end
+    d, f = closest_of((bounds_distances(start, w), 0.0), (bounds_distances(end, w), 1.0))
+    # an arc whose whole circle keeps off the bounds is least off them at an end
+    a = np.flatnonzero(arc & (bounds_distances(par[:, :2], w) - par[:, 2] < cert.bound("boundary")))
+    for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
+        fa = sweep_fractions(phi, par[a, 3], par[a, 4])
+        da = bounds_distances(arc_points(par[a, :2], par[a, 2], phi), w)
+        da[np.isnan(fa)] = np.inf
+        d[a], f[a] = np.minimum(d[a], da), np.where(da < d[a], fa, f[a])
+    cert.record("boundary", d, f, *pc.span(np.arange(len(d))), pc.agent)
+    ea, eb = w._edges_a, w._edges_b
+    lo = np.where(arc[:, None], par[:, :2] - par[:, 2:3], np.minimum(start, end))
+    hi = np.where(arc[:, None], par[:, :2] + par[:, 2:3], np.maximum(start, end))
+    elo, ehi = np.minimum(ea, eb), np.maximum(ea, eb)
+    step = max(1, (1 << 15) // max(1, len(ea)))  # bounds the piece x edge temporaries
+    for s in range(0, len(pc.k) if len(ea) else 0, step):
+        gap = np.maximum(elo - hi[s : s + step, None], lo[s : s + step, None] - ehi)
+        gap = np.maximum(gap, 0.0)
+        p, e = np.nonzero(np.hypot(gap[..., 0], gap[..., 1]) < cert.bound("boundary"))
+        p += s
+        d, f = np.empty(len(p)), np.empty(len(p))
+        a = arc[p]
+        q, ql = p[a], p[~a]
+        d[~a], f[~a] = segment_distances(start[ql], end[ql], ea[e[~a]], eb[e[~a]])
+        d[a], f[a] = arc_segment_distances(
+            par[q, :2], par[q, 2], par[q, 3], par[q, 4], ea[e[a]], eb[e[a]]
+        )
+        cert.checks += len(d)
+        cert.record("boundary", d, f, *pc.span(p), pc.agent[p])
+
+
+def _certify_against_still(cert, pc: _Pieces, ends, at, k0: int):
+    """Every piece against every agent that stands still over its interval;
+    `at[k - k0, j]` indexes where agent j stands in `ends` at the start of
+    interval k, so j stands still over it when `at` does not change. The
+    riders of one ring share one ring-distance bound per agent."""
+    b = cert.bound("pair")
+    still = at[1:] == at[:-1]
+    size = np.bincount(pc.group)
+    heads = np.cumsum(size) - size
+    for shape in (LINE, ARC):
+        mine = pc.kind[heads] == shape
+        h, rows = heads[mine], pc.k[heads[mine]] - k0
+        idx = at[rows]
+        X, Y = ends[idx, 0], ends[idx, 1]
+        if shape == LINE:
+            lo, hi = np.minimum(pc.start[h], pc.end[h]), np.maximum(pc.start[h], pc.end[h])
+            gx = np.maximum(np.maximum(lo[:, :1] - X, X - hi[:, :1]), 0.0)
+            gy = np.maximum(np.maximum(lo[:, 1:] - Y, Y - hi[:, 1:]), 0.0)
+            near = gx * gx + gy * gy < b * b
+        else:
+            c, R = pc.par[h, :2], pc.par[h, 2:3]
+            rho2 = (X - c[:, :1]) ** 2 + (Y - c[:, 1:]) ** 2
+            near = (rho2 < (R + b) ** 2) & (rho2 >= np.maximum(R - b, 0.0) ** 2)
+        g, j = np.nonzero(near & still[rows])
+        sz = size[mine][g]
+        P = np.repeat(np.stack([X[g, j], Y[g, j]], axis=1), sz, axis=0)
+        p, j = _ranges(h[g], sz), np.repeat(j, sz)
+        if shape == LINE:
+            d, f = point_segment_projections(P, pc.start[p], pc.end[p])
+        else:
+            d, f = point_arc_distances(P, pc.par[p, :2], pc.par[p, 2], pc.par[p, 3], pc.par[p, 4])
+        cert.checks += len(d)
+        cert.record("pair", d, f, *pc.span(p), pc.agent[p], j)
+
+
+def _certify_movers(cert: _Certificate, pc: _Pieces):
+    """The pieces of each interval against each other.
+
+    Riders of one ring keep their cyclic order until two neighbours in it
+    meet, and the closest two riders are always neighbours, so among them
+    only neighbours are checked (and named in a violation)."""
+    k, kind, par, start, end, group = pc.k, pc.kind, pc.par, pc.start, pc.end, pc.group
+    # every two pieces of different groups in one interval
+    idx = np.flatnonzero(np.isin(k, k[1:][(np.diff(k) == 0) & (np.diff(group) != 0)]))
+    after = np.searchsorted(k[idx], k[idx], side="right") - np.arange(len(idx)) - 1
+    p, q = idx[np.repeat(np.arange(len(idx)), after)], idx[_ranges(np.arange(len(idx)) + 1, after)]
+    p, q = p[group[p] != group[q]], q[group[p] != group[q]]
+    # neighbours by start angle within a group, the last and first too
+    order = np.lexsort((np.mod(par[:, 3], 2 * math.pi), group))
+    g = group[order]
+    size = np.bincount(g)
+    first = np.cumsum(size) - size
+    wrap, twin = first[size >= 3], g[1:] == g[:-1]
+    p = np.concatenate([p, order[:-1][twin], order[wrap + size[size >= 3] - 1]])
+    q = np.concatenate([q, order[1:][twin], order[wrap]])
+    lines = (kind[p] == LINE) & (kind[q] == LINE)
+    rings = (kind[p] == ARC) & (kind[q] == ARC) & (par[p, :2] == par[q, :2]).all(axis=1)
+    odd = np.flatnonzero(~(lines | rings))
+    if len(odd):
+        i, j = p[odd[0]], q[odd[0]]
+        raise UnrealizableOp(
+            f"agents {cert.agents[pc.agent[i]]!r} and {cert.agents[pc.agent[j]]!r} move at "
+            f"once at t = {float(pc.cuts[k[i]])!r}: {KIND_NAMES[kind[i]]} against "
+            f"{KIND_NAMES[kind[j]]}{' about another centre' if kind[i] == kind[j] else ''}"
+            " has no closed form"
+        )
+    i, j = p[lines], q[lines]
+    d, f = point_segment_projections(np.zeros(2), start[i] - start[j], end[i] - end[j])
+    cert.checks += len(d)
+    cert.record("pair", d, f, *pc.span(i), pc.agent[i], pc.agent[j])
+    # the angular gap between two riders about one centre is linear in time,
+    # and at the interval's start they stand where an earlier check saw them
+    i, j = p[rings], q[rings]
+    g0, g1 = par[i, 3] - par[j, 3], par[i, 4] - par[j, 4]
+    turn = 2 * math.pi * np.ceil(np.minimum(g0, g1) / (2 * math.pi))
+    cross = np.divide(turn - g0, g1 - g0, out=np.zeros_like(g0), where=g1 != g0)
+    d, f = closest_of(
+        (np.hypot(*(end[i] - end[j]).T), 1.0),
+        (np.where(turn <= np.maximum(g0, g1), np.abs(par[i, 2] - par[j, 2]), np.inf), cross),
+    )
+    cert.checks += len(d)
+    cert.record("pair", d, f, *pc.span(i), pc.agent[i], pc.agent[j])

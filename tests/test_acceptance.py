@@ -37,7 +37,8 @@ from swapmotion.swap_graph import (
     vertex_distance,
     vertex_loop_distance,
 )
-from swapmotion.trajectory import verify_trajectories
+
+from sampling_oracle import sampled_verify
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -205,7 +206,7 @@ def test_criterion_6_continuous_safety():
     t0 = time.perf_counter()
     lines = []
     for name, (s, run, art, wall) in bench_runs().items():
-        rep = verify_trajectories(art.trajectory, s.workspace, s.r, 0.05 * s.r)
+        rep = sampled_verify(art.trajectory, s.workspace, s.r, 0.05 * s.r)
         assert rep.ok, (name, rep.violations[:3])
         assert rep.min_pairwise >= 2 * s.r - VERIFY_TOL * s.r
         assert rep.min_clearance >= s.r - VERIFY_TOL * s.r

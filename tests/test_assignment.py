@@ -106,7 +106,7 @@ class TestNavigate:
         tgt = {0: Point2(10, 6), 1: Point2(2, 6)}
         out = navigate(cur, tgt, w, 1.0)
         assert out.ok
-        rep = verify_trajectories(out.trajectory, w, 1.0, 0.05)
+        rep = verify_trajectories(out.trajectory, w, 1.0)
         assert rep.ok, rep.violations[:3]
 
     def test_navigate_to_vertices_roundtrip(self):
@@ -130,7 +130,7 @@ class TestNavigate:
         hints = {i: radial_hints(res, vids[j], 1.0) for i, j in asg.agent_to_slot.items()}
         out = navigate(current, targets, w, 1.0, via_hints=hints, phases=phases)
         assert out.ok, out.stuck_agents
-        rep = verify_trajectories(out.trajectory, w, 1.0, 0.05)
+        rep = verify_trajectories(out.trajectory, w, 1.0)
         assert rep.ok, rep.violations[:3]
         for i, j in asg.agent_to_slot.items():
             tr = out.trajectory.segments[i]

@@ -27,7 +27,9 @@ from swapmotion.fileio import (
 from swapmotion.geometry import Point2, rectangle_workspace
 from swapmotion import pipeline
 from swapmotion.pipeline import run_pipeline, sample_free_positions
-from swapmotion.trajectory import sample_times, verify_trajectories
+from swapmotion.trajectory import verify_trajectories
+
+from sampling_oracle import sample_times
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
@@ -100,7 +102,7 @@ class TestExactTrajectoryExport:
     def test_reverify_gives_identical_report(self, runs):
         s, art, outs = runs
         loaded = trajectory_from_csv(outs[0] / "trajectory.csv")
-        rep = verify_trajectories(loaded, s.workspace, s.r, s.params.dt)
+        rep = verify_trajectories(loaded, s.workspace, s.r)
         assert rep == art.verification
         assert rep.ok
 
@@ -166,8 +168,8 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         s = small_scenario()
-        samples = len(sample_times(run_pipeline(s)[0].horizon, 0.5))
-        assert f"0 violations over {samples} samples" in out
+        intervals = run_pipeline(s)[1].verification.samples
+        assert f"0 violations over {intervals} intervals" in out
         assert list(tmp_path.iterdir()) == []
 
     def test_render(self, tmp_path):

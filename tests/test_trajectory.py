@@ -144,7 +144,7 @@ class TestRealizeType2:
         occ = Occupancy({x: (None if x == v else 100 + x) for x in verts})
         ts = realize_one(res, occ, VacancySwap(u, v))
         w = rectangle_workspace(30.0, 20.0)
-        rep = verify_trajectories(ts, w, 1.0, 0.02)
+        rep = verify_trajectories(ts, w, 1.0)
         assert rep.ok, rep.violations[:3]
         assert dist(end_of(ts.segments[100 + u]), res.graph.positions[v]) < 1e-9
 
@@ -163,7 +163,7 @@ class TestRealizeType2:
         verts = res.graph.vertex_ids()
         occ = Occupancy({x: (None if x == v else 100 + x) for x in verts})
         ts = realize_one(res, occ, VacancySwap(u, v))
-        rep = verify_trajectories(ts, w, 1.0, 0.02)
+        rep = verify_trajectories(ts, w, 1.0)
         assert rep.ok, rep.violations[:3]
 
     def test_swap_without_vacancy_unrealizable(self):
@@ -197,7 +197,7 @@ class TestRealizePlan:
         plan = plan_permutation(res.graph, occ, goal)
         ts = realize_plan(res, plan)
         w = rectangle_workspace(20.0, 20.0)
-        rep = verify_trajectories(ts, w, 1.0, 0.05)
+        rep = verify_trajectories(ts, w, 1.0)
         assert rep.ok, rep.violations[:3]
         assert rep.min_pairwise >= 2.0 - 1e-6
         # each track opens with a hold at t = 0 and its records follow in
@@ -213,7 +213,7 @@ class TestRealizePlan:
 
     def test_two_circle_plan_verifies(self):
         ts, w = two_circle_run()
-        rep = verify_trajectories(ts, w, 1.0, 0.05)
+        rep = verify_trajectories(ts, w, 1.0)
         assert rep.ok, rep.violations[:3]
 
     def test_aligned_radial_swap_has_no_zero_length_arcs(self):
@@ -247,7 +247,7 @@ class TestVerifyTrajectories:
     def test_single_stationary_agent(self):
         w = rectangle_workspace(10, 10)
         ts = trajectory_set(1.0, a=[hold_record(0.0, Point2(5, 5))])
-        rep = verify_trajectories(ts, w, 1.0, 0.1)
+        rep = verify_trajectories(ts, w, 1.0)
         assert rep.ok
         assert rep.min_clearance == pytest.approx(5.0)
 
@@ -258,14 +258,14 @@ class TestVerifyTrajectories:
             a=[line_record(0, 10, Point2(2, 5), Point2(8, 5))],
             b=[line_record(0, 10, Point2(8, 5), Point2(2, 5))],
         )
-        rep = verify_trajectories(ts, w, 1.0, 0.05)
+        rep = verify_trajectories(ts, w, 1.0)
         assert not rep.ok
         assert any(v.kind == "pair" for v in rep.violations)
 
     def test_boundary_excursion_flagged(self):
         w = rectangle_workspace(10, 10)
         ts = trajectory_set(5.0, a=[line_record(0, 5, Point2(5, 5), Point2(9.9, 5))])
-        rep = verify_trajectories(ts, w, 1.0, 0.05)
+        rep = verify_trajectories(ts, w, 1.0)
         assert any(v.kind == "boundary" for v in rep.violations)
 
     def test_violation_interval_merging(self):
@@ -275,7 +275,7 @@ class TestVerifyTrajectories:
             a=[line_record(0, 10, Point2(2, 5), Point2(8, 5))],
             b=[hold_record(0, Point2(5, 5))],
         )
-        rep = verify_trajectories(ts, w, 1.0, 0.05)
+        rep = verify_trajectories(ts, w, 1.0)
         pair = [v for v in rep.violations if v.kind == "pair"]
         assert len(pair) == 1
         assert pair[0].t_end > pair[0].t_start
@@ -414,7 +414,7 @@ class TestReversed:
         kinds = np.concatenate([tr.kind for tr in ts.segments.values()])
         assert (kinds == ARC).any() and (kinds == LINE).any()
         check_mirrored(ts)
-        rep = verify_trajectories(reversed_set(ts), w, 1.0, 0.05)
+        rep = verify_trajectories(reversed_set(ts), w, 1.0)
         assert rep.ok, rep.violations[:3]
 
     def test_navigation_leg(self):
@@ -429,7 +429,7 @@ class TestReversed:
         for a in ts.agents():
             assert end_of(back.segments[a]) == cur[a]
             assert back.position(a, 0.0) == tgt[a]
-        assert verify_trajectories(back, w, 1.0, 0.05).ok
+        assert verify_trajectories(back, w, 1.0).ok
 
     def test_a_still_track_is_one_hold(self):
         tr = Track.from_records("a", [hold_record(0.0, Point2(3, 4))])

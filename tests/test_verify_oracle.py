@@ -1,10 +1,10 @@
-"""The verifier against a plain all-agents sampler.
+"""The chunked sampling oracle against a plain all-agents sampler.
 
-`all_agents_verify` is the independent oracle: it samples every agent at
-every grid time and checks every pair and every boundary distance, with no
-notion of movers or chunks. `verify_trajectories` samples only the agents
-whose records overlap each chunk and checks the others once, so both must
-give the same report, field for field.
+`all_agents_verify` samples every agent at every grid time and checks every
+pair and every boundary distance, with no notion of movers or chunks.
+`sampled_verify` samples only the agents whose records overlap each chunk
+and checks the others once, so both must give the same report, field for
+field.
 """
 
 import math
@@ -23,8 +23,9 @@ from swapmotion.trajectory import (
     Violation,
     hold_record,
     line_record,
-    verify_trajectories,
 )
+
+from sampling_oracle import sampled_verify
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -77,7 +78,7 @@ def all_agents_verify(ts, w, r, dt):
         for a in sorted(bound_bad, key=repr)
         for t0, t1 in runs(bound_bad[a])
     ]
-    return VerificationReport(min_pair, min_clear, violations, len(times), dt)
+    return VerificationReport(min_pair, min_clear, violations, len(times))
 
 
 def hold(t, p):
@@ -128,14 +129,14 @@ def three_disks():
 def test_crafted_cases_match_oracle(make, dt):
     w = rectangle_workspace(20.0, 10.0)
     ts = make()
-    rep = verify_trajectories(ts, w, 1.0, dt)
+    rep = sampled_verify(ts, w, 1.0, dt)
     assert not rep.ok
     assert rep == all_agents_verify(ts, w, 1.0, dt)
 
 
 def test_three_disks_reports_both_pairs():
     w = rectangle_workspace(20.0, 10.0)
-    rep = verify_trajectories(three_disks(), w, 1.0, 0.05)
+    rep = sampled_verify(three_disks(), w, 1.0, 0.05)
     pairs = {v.agents: v for v in rep.violations if v.kind == "pair"}
     assert set(pairs) == {("a", "b"), ("a", "c")}
     # the mover is under 2r from both over the same stretch
@@ -146,7 +147,7 @@ def test_three_disks_reports_both_pairs():
 
 def test_near_wall_reports_hop_between_samples():
     w = rectangle_workspace(20.0, 10.0)
-    rep = verify_trajectories(near_wall(), w, 1.0, 0.5)
+    rep = sampled_verify(near_wall(), w, 1.0, 0.5)
     bound = {v.agents: v for v in rep.violations if v.kind == "boundary"}
     assert bound["b",].t_start == 10.0 and bound["b",].t_end == 25.0
     assert rep.min_clearance == pytest.approx(0.5)
@@ -158,4 +159,4 @@ def test_pipeline_runs_match_oracle(name):
     run, art = run_pipeline(s)
     assert art.verification.ok
     oracle = all_agents_verify(art.trajectory, s.workspace, s.r, s.params.dt)
-    assert art.verification == oracle
+    assert sampled_verify(art.trajectory, s.workspace, s.r, s.params.dt) == oracle

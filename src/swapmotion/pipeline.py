@@ -58,6 +58,7 @@ class RunReport:
     violations: int
     success: bool
     verification: dict  # what the certificate checked, and where the minima are
+    plan: dict  # the planner's counters (Plan.counters)
 
     def to_dict(self) -> dict:
         return {
@@ -73,6 +74,7 @@ class RunReport:
             "violations": self.violations,
             "success": self.success,
             "verification": self.verification,
+            "plan": self.plan,
         }
 
 
@@ -209,6 +211,7 @@ def run_pipeline(
         violations=len(report.violations),
         success=report.ok,
         verification=_verification_block(report),
+        plan=plan.counters,
     )
     artifacts = RunArtifacts(res, start_occ, goal_occ, plan, full, report)
     if out_dir is not None:

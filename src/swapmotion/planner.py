@@ -2,8 +2,9 @@
 
 Two operation kinds rearrange agents on a swap graph: rotating every agent
 of one loop along its cycle, and swapping an agent with the adjacent vacant
-vertex. Pairwise exchanges that restore every other vertex (including the
-vacancy) are built from small verified op patterns:
+vertex. Vacancies carry no label, so any vacant vertex may be the vacant
+endpoint of a swap. Pairwise exchanges that restore every other vertex
+(including the vacancy) are built from small verified op patterns:
 
 * parked core: with the vacancy parked just outside a loop, two consecutive
   slots of that loop are swapped in 6 ops (rotate, 3 vacancy swaps through
@@ -13,15 +14,17 @@ vacancy) are built from small verified op patterns:
 * bubble chains of parked cores handle arbitrary same-loop pairs, and
 * a conjugation chain along a shortest path handles arbitrary pairs.
 
-A full permutation plan moves the vacancy to the one vertex nobody targets,
-then realizes each permutation cycle as a chain of exchanges, giving the
-quadratic worst-case op bound.
+A full permutation plan moves one vacancy (the hole) to a vertex the goal
+leaves vacant, closes every chain of misplaced agents that ends on another
+vacancy into a cycle, and realizes each cycle as a chain of exchanges,
+giving the quadratic worst-case op bound. An exchange of an agent with an
+adjacent vacancy is a single swap.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf as math_inf
 from typing import Optional, Union
 
@@ -59,6 +62,8 @@ class Plan:
     ops: list[SwapOp]
     start: Occupancy
     goal: Occupancy
+    # what plan_permutation did: cycles, exchanges, vacancy_swaps, ops_raw, ops
+    counters: dict = field(default_factory=dict, compare=False)
 
 
 def _apply_inplace(mapping: dict, g: SwapGraph, op: SwapOp):
@@ -104,7 +109,8 @@ def reverse_ops(ops) -> list[SwapOp]:
 
 @dataclass(frozen=True)
 class _Phantom:
-    """Internal stand-in for a surplus vacancy treated as an inert agent."""
+    """Internal label of a surplus vacancy: routing moves it like an inert
+    agent, and a swap may use it as the vacant endpoint."""
 
     k: int
 
@@ -113,8 +119,10 @@ class _Machine:
     """Builds op sequences against a live occupancy with legality checks.
 
     Internally every vacancy except one designated hole is relabeled as a
-    phantom agent, so all routines can assume a unique hole. Emitted ops stay
-    legal on the real occupancy because phantom vertices really are vacant.
+    phantom agent, so the routing routines can assume a unique hole. A swap
+    may use a phantom as its vacant endpoint as well as the hole: emitted ops
+    stay legal on the real occupancy because phantom vertices really are
+    vacant.
     """
 
     def __init__(self, g: SwapGraph, occ: Occupancy, edge_cost=None):
@@ -162,8 +170,8 @@ class _Machine:
     def swap(self, u: int, v: int):
         if not self.g.has_edge(u, v):
             raise PlannerError(f"machine swap on non-edge ({u},{v})")
-        if self.hole not in (u, v):
-            raise PlannerError(f"machine swap ({u},{v}) without the hole")
+        if not (self.vacant(u) or self.vacant(v)):
+            raise PlannerError(f"machine swap ({u},{v}) without a vacancy")
         cu, cv = self.state[u], self.state[v]
         self.state[u], self.state[v] = cv, cu
         for c, tgt in ((cu, v), (cv, u)):
@@ -172,6 +180,9 @@ class _Machine:
             else:
                 self.pos[c] = tgt
         self.ops.append(VacancySwap(u, v))
+
+    def vacant(self, v: int) -> bool:
+        return self.state[v] is None or isinstance(self.state[v], _Phantom)
 
     def walk(self, path: list[int]):
         for a, b in zip(path, path[1:]):
@@ -348,10 +359,10 @@ def _exchange_vertices(m: _Machine, u: int, v: int, depth: int = 0):
     if u == v:
         return
     g = m.g
+    if g.has_edge(u, v) and (m.vacant(u) or m.vacant(v)):
+        m.swap(u, v)
+        return
     if m.hole in (u, v):
-        if g.has_edge(u, v):
-            m.swap(u, v)
-            return
         raise PlannerError("non-adjacent exchange with the vacancy")
     common = g.common_loops(u, v)
     consec = [li for li in g.loops_containing_edge(u, v) if li in common]
@@ -579,9 +590,11 @@ def plan_permutation(
 ) -> Plan:
     """Plan reaching `goal` from `start` via exchanges along permutation cycles.
 
-    The vacancy is first routed to the vertex left vacant by the goal, after
-    which the remaining rearrangement is a permutation of occupied vertices,
-    realized cycle by cycle with pairwise exchanges.
+    Vacancies are interchangeable: only agents have targets. The hole is
+    first routed to a vertex the goal leaves vacant, so no agent targets it.
+    A chain of misplaced agents that ends on another vacancy is closed into a
+    cycle back to its first vertex. Each cycle is realized with pairwise
+    exchanges of consecutive vertices and skips its longest pair.
     """
     g.require_valid()
     start.check(g)
@@ -595,40 +608,49 @@ def plan_permutation(
         raise AssignmentMismatch("occupancy leaves no vertex vacant")
 
     m = _Machine(g, start, edge_cost)
-    goal_vacants = goal.vacant_vertices()
-    goal_hole = goal_vacants[0]
-    target_of: dict[object, int] = {}
-    for k, vtx in enumerate(goal_vacants[1:]):
-        target_of[_Phantom(k)] = vtx
-    for vtx, a in goal.mapping.items():
-        if a is not VACANT:
-            target_of[a] = vtx
-
+    goal_hole = goal.vacant_vertices()[0]
     if m.hole != goal_hole:
         path = _shortest_path(g, m.hole, goal_hole)
         if path is None:
             raise PlannerError("graph not connected")
         m.walk(path)
 
-    perm = {}
-    for c, tgt in target_of.items():
-        cur = m.pos[c]
-        if cur != tgt:
-            perm[cur] = tgt
-    cycles = _permutation_cycles(perm)
-    cycles.sort(key=lambda c: (-len(c), c[0]))
+    target_of = {a: vtx for vtx, a in goal.mapping.items() if a is not VACANT}
+    perm = {m.pos[a]: tgt for a, tgt in target_of.items() if m.pos[a] != tgt}
+    for head in sorted(set(perm) - set(perm.values())):
+        end = perm[head]
+        while end in perm:
+            end = perm[end]
+        perm[end] = head  # `end` holds a phantom: the chain closes on it
+    cycles = []
+    for cyc in _permutation_cycles(perm):
+        pairs = zip(cyc, cyc[1:] + cyc[:1])
+        hops = [len(_shortest_path(g, a, b)) for a, b in pairs]
+        k = hops.index(max(hops)) + 1
+        cycles.append(cyc[k:] + cyc[:k])
+    cycles.sort(key=lambda c: (-len(c), min(c)))
+    vacancy_swaps = 0
     for cyc in cycles:
         for k in range(len(cyc) - 1, 0, -1):
+            mark = len(m.ops)
             _exchange_vertices(m, cyc[k], cyc[k - 1])
+            vacancy_swaps += len(m.ops) == mark + 1
 
-    for c, tgt in target_of.items():
-        if m.pos[c] != tgt:
+    for a, tgt in target_of.items():
+        if m.pos[a] != tgt:
             raise PlannerError("plan failed to reach the goal occupancy")
     ops = simplify_ops(m.ops, g)
     final = apply_ops(start, g, ops)
     if final.mapping != goal.mapping:
         raise PlannerError("simplified plan does not reach the goal")
-    return Plan(ops=ops, start=start.copy(), goal=goal.copy())
+    counters = {
+        "cycles": len(cycles),
+        "exchanges": sum(len(c) - 1 for c in cycles),
+        "vacancy_swaps": vacancy_swaps,
+        "ops_raw": len(m.ops),
+        "ops": len(ops),
+    }
+    return Plan(ops=ops, start=start.copy(), goal=goal.copy(), counters=counters)
 
 
 def _permutation_cycles(perm: dict[int, int]) -> list[list[int]]:

@@ -138,6 +138,10 @@ class TestCli:
         report = load_json(tmp_path / "report.json")
         assert report["success"] is True
         assert report["timings"]["artifacts"] > 0.0
+        block = report["plan"]
+        assert set(block) == {"cycles", "exchanges", "vacancy_swaps", "ops_raw", "ops"}
+        assert block["ops"] == report["op_count"] <= block["ops_raw"]
+        assert block["vacancy_swaps"] <= block["exchanges"]
 
     def test_convert_only(self, tmp_path):
         code = main(

@@ -144,6 +144,22 @@ class TestExchanges:
                 expect[v], expect[v2] = expect[v2], expect[v]
                 assert out.mapping == expect, (hole, v, v2)
 
+    def test_multi_vacancy_locality(self):
+        # the criterion-5 contract with several vacancies: a phantom swap
+        # inside the exchange must leave every vacancy where it was
+        rng = random.Random(77)
+        for _ in range(1000):
+            g = random_graph(rng, max_vertices=rng.randint(8, 40))
+            occ = random_occupancy(rng, g, n_vacant=rng.randint(2, 5))
+            occupied = [v for v in g.vertex_ids() if occ.mapping[v] is not None]
+            if len(occupied) < 2:
+                continue
+            v, v2 = rng.sample(occupied, 2)
+            out = apply_ops(occ, g, exchange(g, occ, v, v2))
+            diff = [x for x in g.vertex_ids() if out.mapping[x] != occ.mapping[x]]
+            assert sorted(diff) == sorted([v, v2])
+            assert out.vacant_vertices() == occ.vacant_vertices()
+
     def test_vacant_endpoint_rejected(self):
         g = two_triangles()
         occ = occupancy_with_hole(g, 4)
@@ -193,6 +209,20 @@ class TestPlanPermutation:
             goal = shuffled_goal(rng, g, start)
             plan = plan_permutation(g, start, goal)
             assert execute(plan, g).mapping == goal.mapping
+            assert plan_permutation(g, start, goal).ops == plan.ops
+
+    def test_move_into_adjacent_vacancy_is_one_swap(self):
+        # vacancies are interchangeable: moving an agent onto a neighboring
+        # vacant vertex needs no other vacancy to move
+        g = loop_chain(6)
+        start = Occupancy({v: (v if v % 2 else None) for v in g.vertex_ids()})
+        goal = start.copy()
+        goal.mapping[16], goal.mapping[17] = 17, None
+        plan = plan_permutation(g, start, goal)
+        assert plan.ops == [VacancySwap(16, 17)]
+        assert plan.counters == {
+            "cycles": 1, "exchanges": 1, "vacancy_swaps": 1, "ops_raw": 1, "ops": 1
+        }
 
 
 def loopwise_reversal_instance(q):

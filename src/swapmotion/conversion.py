@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +42,14 @@ from .geometry import (
     dist,
     point_segment_distances,
 )
-from .medial_axis import SkeletonGraph, SkeletonPath, sample_circles, skeleton_path
-from .medial_axis import extract_medial_axis
+from .medial_axis import (
+    SkeletonGraph,
+    SkeletonPath,
+    _path_clear,
+    extract_medial_axis,
+    sample_circles,
+    skeleton_path,
+)
 from .swap_graph import SwapGraph, edge_key
 
 
@@ -204,20 +210,17 @@ def assumptions_ok(circles: list[Disk], tol: float = 1e-9) -> bool:
     )
 
 
-TauProvider = Callable[[int, int], Optional[SkeletonPath]]
-
-
 def _build(
     circles: list[Disk],
     r: float,
     workspace: Optional[Workspace] = None,
-    tau_provider: Optional[TauProvider] = None,
-    capsules: Optional[CapsuleCache] = None,
+    cache: Optional[_TauCache] = None,
 ) -> Optional[ConversionResult]:
     """Assemble the swap graph for a fixed circle set; None when invalid.
 
-    `capsules` memoizes the workspace checks of connector routes; it must
-    belong to `workspace`."""
+    With `cache` (which must belong to `workspace`), far circle pairs get
+    skeleton-path connectors, and the workspace checks of connector routes
+    are memoized across calls."""
     tol = 1e-9 * max([c.radius for c in circles] + [r])
     if not _pairwise_center_check(circles, tol):
         raise PreconditionViolated("a circle center lies inside another circle")
@@ -226,9 +229,11 @@ def _build(
 
     layer_count = [safe_layer_count(c.radius, r) for c in circles]
 
-    # shared slots where rings of two circles cross (classes III and IV)
+    # per circle pair: shared slots where rings cross (classes III and IV),
+    # and a gap corridor when the outermost rings are in the gap class
     shared: dict[tuple[int, int], list[tuple[int, int, Point2]]] = {}
     linked: set[tuple[int, int]] = set()
+    gap_pairs: list[tuple[int, int]] = []
     for a in range(len(circles)):
         for b in range(a + 1, len(circles)):
             D = dist(circles[a].center, circles[b].center)
@@ -249,32 +254,25 @@ def _build(
                         (a, i, p) for p in sorted(pts)
                     )
                     linked.add((a, b))
-
-    # which circle pairs get a gap corridor (outermost rings in the gap class)
-    gap_pairs: list[tuple[int, int]] = []
-    for a in range(len(circles)):
-        for b in range(a + 1, len(circles)):
-            if layer_count[a] < 1 or layer_count[b] < 1:
-                continue
-            D = dist(circles[a].center, circles[b].center)
-            cls = classify_pair(
+            if layer_count[a] >= 1 and layer_count[b] >= 1 and classify_pair(
                 circles[a], layer_count[a], circles[b], layer_count[b], D, r
-            )
-            if cls is PairClass.CASE_II:
+            ) is PairClass.CASE_II:
                 gap_pairs.append((a, b))
                 linked.add((a, b))
 
-    # skeleton paths for pairs with no direct link; their exits become ports
+    # skeleton paths for pairs with no direct link; their exits become ports.
+    # This pass runs only once the set passed the one above, since `cache`
+    # remembers every path it is asked for
     taus: dict[tuple[int, int], PathCorridor] = {}
     corridor_ports: dict[tuple[int, int], list[float]] = {}
-    if tau_provider is not None:
+    if cache is not None:
         for a in range(len(circles)):
             for b in range(a + 1, len(circles)):
                 if (a, b) in linked:
                     continue
                 if layer_count[a] < 1 or layer_count[b] < 1:
                     continue
-                tau = tau_provider(a, b)
+                tau = cache.path(circles, a, b)
                 if tau is None:
                     continue
                 kind = PathCorridor(
@@ -390,8 +388,7 @@ def _build(
         edge_kind[e] = kind
         return True
 
-    if workspace is not None and capsules is None:
-        capsules = CapsuleCache(workspace)
+    capsules = cache.capsules if cache else CapsuleCache(workspace) if workspace else None
 
     def route_ok(kind: EdgeKind, u: int, v: int) -> bool:
         route = _route_points(circles, kind, positions[u], positions[v])
@@ -476,41 +473,23 @@ def _ring_layout(
     g = port_gap(i)
     two_pi = 2.0 * math.pi
     full = len(intervals) == 1 and intervals[0][1] - intervals[0][0] >= two_pi - 1e-12
-    if i == 1 and full and not corridor_angles:
-        n = loop_capacity(1)
-        return [two_pi * k / n for k in range(n)], None, {}
-    if full and i >= 2 and not corridor_angles:
-        angles = [0.0] + _pack_interval(g, two_pi - g, pitch)
-        return angles, 0.0, {}
-
     ports: list[float] = []
     placed: dict[float, float] = {}
 
-    def fits(base, lo, hi, wrap):
+    def fits(base):
+        """A port at `base` keeps off the other ports and, unless the ring
+        is free all round, off the ends of its interval."""
         if any(abs(_signed_angle(base - q)) < 2 * g for q in ports):
             return False
-        if wrap:
-            return True
-        return lo + g <= base <= hi - g
+        return full or any(lo + g <= base <= hi - g for lo, hi in intervals)
 
     # corridor ports first: their angles are dictated by the route exits
     for ca in sorted(set(corridor_angles)):
         a_ = ca % two_pi
-        if full:
-            if fits(a_, 0.0, two_pi, True):
-                ports.append(a_)
-                placed[a_] = ca
-            continue
-        done = False
-        for lo, hi in intervals:
-            for base in (a_, a_ + two_pi, a_ - two_pi):
-                if lo + g <= base <= hi - g and fits(base, lo, hi, False):
-                    ports.append(base)
-                    placed[base] = ca
-                    done = True
-                    break
-            if done:
-                break
+        base = next((x for x in (a_, a_ + two_pi, a_ - two_pi) if fits(x)), None)
+        if base is not None:
+            ports.append(base)
+            placed[base] = ca
 
     # radial port in the largest remaining gap
     radial_port = None
@@ -536,23 +515,16 @@ def _ring_layout(
                 (abs(_signed_angle(x - q)) for q in ports), default=two_pi
             ),
         ):
-            if full:
-                if fits(cand, 0.0, two_pi, True):
-                    radial_port = cand
-                    ports.append(cand)
-                    break
-            else:
-                ok = any(lo + g <= cand <= hi - g for lo, hi in intervals)
-                if ok and fits(cand, 0.0, 0.0, True):
-                    radial_port = cand
-                    ports.append(cand)
-                    break
+            if fits(cand):
+                radial_port = cand
+                ports.append(cand)
+                break
 
     angles: list[float] = []
     if full:
         ps = sorted(p % two_pi for p in ports)
         if not ps:
-            n = loop_capacity(i) if i >= 2 else loop_capacity(1)
+            n = loop_capacity(i)
             return [two_pi * k / n for k in range(n)], None, {}
         angles.extend(ps)
         for k, p in enumerate(ps):
@@ -609,12 +581,8 @@ def convert_circles(
     w: Optional[Workspace],
 ) -> Optional[ConversionResult]:
     """Swap graph for a circle set, with skeleton-path connectors when given."""
-    provider = None
-    if skeleton is not None and w is not None:
-        def provider(ai: int, bi: int) -> Optional[SkeletonPath]:
-            return skeleton_path(skeleton, circles[ai], circles[bi], circles, r, w)
-
-    return _build(circles, r, workspace=w, tau_provider=provider)
+    cache = _TauCache(skeleton, r, w) if skeleton is not None and w is not None else None
+    return _build(circles, r, workspace=w, cache=cache)
 
 
 @dataclass
@@ -631,24 +599,20 @@ class _TauCache:
     def __post_init__(self):
         self.capsules = CapsuleCache(self.w)
 
-    def provider(self, circles: list[Disk]) -> TauProvider:
-        from .medial_axis import _path_clear
-
-        def get(ai: int, bi: int) -> Optional[SkeletonPath]:
-            a, b = circles[ai], circles[bi]
-            key = (a.center, a.radius, b.center, b.radius)
-            others = [c for k, c in enumerate(circles) if k not in (ai, bi)]
-            if key in self.store:
-                tau = self.store[key]
-                if tau is not None and _path_clear(
-                    tau, a, b, others, self.r, self.w, self.capsules
-                ):
-                    return SkeletonPath(tau.waypoints, ai, bi)
-            tau = skeleton_path(self.skeleton, a, b, circles, self.r, self.w, self.capsules)
-            self.store[key] = tau
-            return tau
-
-        return get
+    def path(self, circles: list[Disk], ai: int, bi: int) -> Optional[SkeletonPath]:
+        """The skeleton path between circles ai and bi of the set `circles`."""
+        a, b = circles[ai], circles[bi]
+        key = (a.center, a.radius, b.center, b.radius)
+        others = [c for k, c in enumerate(circles) if k not in (ai, bi)]
+        if key in self.store:
+            tau = self.store[key]
+            if tau is not None and _path_clear(
+                tau, a, b, others, self.r, self.w, self.capsules
+            ):
+                return SkeletonPath(tau.waypoints, ai, bi)
+        tau = skeleton_path(self.skeleton, a, b, circles, self.r, self.w, self.capsules)
+        self.store[key] = tau
+        return tau
 
 
 def greedy_convert(
@@ -704,13 +668,7 @@ def greedy_convert(
             tentative = chosen + [c]
             if not assumptions_ok(tentative):
                 continue
-            res = _build(
-                tentative,
-                r,
-                workspace=w,
-                tau_provider=cache.provider(tentative),
-                capsules=cache.capsules,
-            )
+            res = _build(tentative, r, workspace=w, cache=cache)
             if res is None or res.graph.num_vertices() <= best.graph.num_vertices():
                 continue
             chosen = tentative

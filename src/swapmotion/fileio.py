@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -113,14 +113,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             {"id": a.id, "start": [a.start.x, a.start.y], "goal": [a.goal.x, a.goal.y]}
             for a in s.agents
         ],
-        "params": {
-            "epsilon": s.params.epsilon,
-            "grid_resolution": s.params.grid_resolution,
-            "k_max": s.params.k_max,
-            "threshold": s.params.threshold,
-            "dt": s.params.dt,
-            "seed": s.params.seed,
-        },
+        "params": asdict(s.params),
     }
 
 
@@ -134,38 +127,23 @@ def scenario_from_dict(d: dict) -> Scenario:
             AgentSpec(int(a["id"]), Point2(*a["start"]), Point2(*a["goal"]))
             for a in d["agents"]
         ],
-        params=ScenarioParams(
-            epsilon=p.get("epsilon"),
-            grid_resolution=p.get("grid_resolution"),
-            k_max=p.get("k_max", 64),
-            threshold=p.get("threshold"),
-            dt=p.get("dt", 0.1),
-            seed=p.get("seed", 0),
-        ),
+        params=ScenarioParams(**{f.name: p[f.name] for f in fields(ScenarioParams) if f.name in p}),
     )
+
+
+# JSON names of the corridor kinds and plan ops; each is written as its
+# dataclass fields plus its name
+CORRIDOR_KINDS = {"radial": RadialCorridor, "gap": GapCorridor, "path": PathCorridor}
+OP_KINDS = {"rot": LoopRotation, "swap": VacancySwap}
+_NAME = {cls: name for table in (CORRIDOR_KINDS, OP_KINDS) for name, cls in table.items()}
+
+
+def _from_fields(cls, d: dict):
+    return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def graph_to_dict(res: ConversionResult) -> dict:
     g = res.graph
-    kinds = []
-    for e in sorted(res.inter_edge_kind):
-        k = res.inter_edge_kind[e]
-        if isinstance(k, RadialCorridor):
-            kinds.append(
-                {"edge": list(e), "kind": "radial", "circle": k.circle,
-                 "outer_ring": k.outer_ring, "inner_ring": k.inner_ring}
-            )
-        elif isinstance(k, GapCorridor):
-            kinds.append(
-                {"edge": list(e), "kind": "gap", "circle_a": k.circle_a,
-                 "ring_a": k.ring_a, "circle_b": k.circle_b, "ring_b": k.ring_b}
-            )
-        else:
-            kinds.append(
-                {"edge": list(e), "kind": "path", "circle_a": k.circle_a,
-                 "ring_a": k.ring_a, "circle_b": k.circle_b, "ring_b": k.ring_b,
-                 "waypoints": [[p.x, p.y] for p in k.waypoints]}
-            )
     return {
         "r": res.r,
         "circles": [
@@ -183,7 +161,10 @@ def graph_to_dict(res: ConversionResult) -> dict:
             str(v): [[c, k, ang] for c, k, ang in res.vertex_rings[v]]
             for v in g.vertex_ids()
         },
-        "edge_kinds": kinds,
+        "edge_kinds": [
+            {"edge": list(e), "kind": _NAME[type(k)], **asdict(k)}
+            for e, k in sorted(res.inter_edge_kind.items())
+        ],
     }
 
 
@@ -196,21 +177,10 @@ def graph_from_dict(d: dict) -> ConversionResult:
     )
     kinds = {}
     for item in d["edge_kinds"]:
-        e = edge_key(*item["edge"])
-        if item["kind"] == "radial":
-            kinds[e] = RadialCorridor(item["circle"], item["outer_ring"], item["inner_ring"])
-        elif item["kind"] == "gap":
-            kinds[e] = GapCorridor(
-                item["circle_a"], item["ring_a"], item["circle_b"], item["ring_b"]
-            )
-        else:
-            kinds[e] = PathCorridor(
-                item["circle_a"],
-                item["ring_a"],
-                item["circle_b"],
-                item["ring_b"],
-                tuple(Point2(*p) for p in item["waypoints"]),
-            )
+        kind = _from_fields(CORRIDOR_KINDS[item["kind"]], item)
+        if isinstance(kind, PathCorridor):
+            kind = replace(kind, waypoints=tuple(Point2(*p) for p in kind.waypoints))
+        kinds[edge_key(*item["edge"])] = kind
     return ConversionResult(
         graph=g,
         circles=[Disk(Point2(*c["center"]), c["radius"]) for c in d["circles"]],
@@ -233,28 +203,16 @@ def occupancy_from_dict(d: dict) -> Occupancy:
 
 
 def plan_to_dict(plan: Plan) -> dict:
-    ops = []
-    for op in plan.ops:
-        if isinstance(op, LoopRotation):
-            ops.append({"op": "rot", "loop": op.loop, "steps": op.steps})
-        else:
-            ops.append({"op": "swap", "u": op.u, "v": op.v})
     return {
-        "ops": ops,
+        "ops": [{"op": _NAME[type(op)], **vars(op)} for op in plan.ops],
         "start": occupancy_to_dict(plan.start),
         "goal": occupancy_to_dict(plan.goal),
     }
 
 
 def plan_from_dict(d: dict) -> Plan:
-    ops = []
-    for item in d["ops"]:
-        if item["op"] == "rot":
-            ops.append(LoopRotation(item["loop"], item["steps"]))
-        else:
-            ops.append(VacancySwap(item["u"], item["v"]))
     return Plan(
-        ops=ops,
+        ops=[_from_fields(OP_KINDS[item["op"]], item) for item in d["ops"]],
         start=occupancy_from_dict(d["start"]),
         goal=occupancy_from_dict(d["goal"]),
     )

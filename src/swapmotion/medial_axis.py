@@ -95,20 +95,16 @@ def _grid_points(w: Workspace, res: float):
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 
-def _thin(mask: np.ndarray, priority: np.ndarray | None = None) -> np.ndarray:
+def _thin(mask: np.ndarray) -> np.ndarray:
     """Sequential simple-point thinning to one-cell-wide 8-connected curves.
 
-    Cells are peeled one at a time (lowest priority first) whenever removal
+    Cells are peeled one at a time (in raster order) whenever removal
     keeps the local neighborhood connected, so the result can never split a
     component; branch endpoints are preserved.
     """
     m = mask.copy()
     nx, ny = m.shape
-    cells = list(zip(*np.nonzero(m)))
-    if priority is not None:
-        cells.sort(key=lambda c: (priority[c], c))
-    else:
-        cells.sort()
+    cells = sorted(zip(*np.nonzero(m)))
 
     def ring(i, j):
         out = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -59,23 +59,6 @@ class RunReport:
     success: bool
     verification: dict  # what the certificate checked, and where the minima are
     plan: dict  # the planner's counters (Plan.counters)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n_agents": self.n_agents,
-            "num_vertices": self.num_vertices,
-            "op_count": self.op_count,
-            "horizon": self.horizon,
-            "density": self.density,
-            "timings": self.timings,
-            "min_pairwise": self.min_pairwise,
-            "min_clearance": self.min_clearance,
-            "violations": self.violations,
-            "success": self.success,
-            "verification": self.verification,
-            "plan": self.plan,
-        }
 
 
 @dataclass
@@ -307,7 +290,7 @@ def _write_artifacts(out_dir, s: Scenario, run: RunReport, art: RunArtifacts):
     )
     (out / "scene.svg").write_text(svg)
     run.timings["artifacts"] = round(time.perf_counter() - t0, 4)
-    dump_json(run.to_dict(), out / "report.json")
+    dump_json(asdict(run), out / "report.json")
 
 
 def sample_free_positions(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -67,12 +66,6 @@ class _Svg:
             f'stroke-width="{width}"/>'
         )
 
-    def text(self, p, s, size=10):
-        self.add(
-            f'<text x="{self.x(p[0])}" y="{self.y(p[1])}" font-size="{size}" '
-            f'text-anchor="middle">{s}</text>'
-        )
-
     def render(self) -> str:
         wpx = _fmt((self.b.xmax - self.b.xmin + 2 * self.pad) * self.scale)
         hpx = _fmt((self.b.ymax - self.b.ymin + 2 * self.pad) * self.scale)
@@ -98,53 +91,47 @@ def _draw_workspace(svg: _Svg, w: Workspace):
 
 def render_scene(
     w: Workspace,
-    res: Optional[ConversionResult] = None,
-    trajectories: Optional[TrajectorySet] = None,
-    agents: Optional[dict] = None,
-    goals: Optional[dict] = None,
-    r: Optional[float] = None,
+    res: ConversionResult,
+    trajectories: TrajectorySet,
+    agents: dict,
+    goals: dict,
+    r: float,
 ) -> str:
-    """Workspace with optional circles, swap graph, paths, and agent marks."""
+    """Workspace with circles, swap graph, paths, and start and goal marks."""
     svg = _Svg(w)
     _draw_workspace(svg, w)
-    if res is not None and res.circles:
-        for c in res.circles:
-            svg.circle(tuple(c.center), c.radius, "#bbddff", width=1)
-        for li, (ci, ring) in enumerate(res.loop_layer):
-            c = res.circles[ci]
-            svg.circle(tuple(c.center), 2 * res.r * ring, "#dddddd", width=0.5)
-        g = res.graph
-        for li, cyc in enumerate(g.loops):
-            color = _PALETTE[li % len(_PALETTE)]
-            for k in range(len(cyc)):
-                a = g.positions[cyc[k]]
-                b = g.positions[cyc[(k + 1) % len(cyc)]]
-                svg.line(tuple(a), tuple(b), color, width=1.2)
-        for u, v in sorted(g.inter_edges):
-            svg.line(
-                tuple(g.positions[u]), tuple(g.positions[v]), "#444444", width=1.0,
-                dash="4,3",
-            )
-        for v in g.vertex_ids():
-            shared = len(res.vertex_rings.get(v, [])) > 1
-            svg.circle(
-                tuple(g.positions[v]), 0.12 * (res.r or 1.0),
-                "#aa0000" if shared else "#000000",
-                fill="#aa0000" if shared else "#000000",
-            )
-    if trajectories is not None:
-        times = np.linspace(0.0, trajectories.horizon, 160)
-        for k, a in enumerate(trajectories.agents()):
-            pts = trajectories.segments[a].sample(times)
-            svg.polyline(
-                [tuple(p) for p in pts], _PALETTE[k % len(_PALETTE)], width=0.8
-            )
-    if agents:
-        for k, (a, p) in enumerate(sorted(agents.items(), key=lambda kv: repr(kv[0]))):
-            svg.circle(tuple(p), r or 0.3, "#cc0000", fill="#ffbbbb")
-    if goals:
-        for k, (a, p) in enumerate(sorted(goals.items(), key=lambda kv: repr(kv[0]))):
-            svg.circle(tuple(p), r or 0.3, "#0000cc", fill="none")
+    for c in res.circles:
+        svg.circle(tuple(c.center), c.radius, "#bbddff", width=1)
+    for ci, ring in res.loop_layer:
+        c = res.circles[ci]
+        svg.circle(tuple(c.center), 2 * res.r * ring, "#dddddd", width=0.5)
+    g = res.graph
+    for li, cyc in enumerate(g.loops):
+        color = _PALETTE[li % len(_PALETTE)]
+        for k in range(len(cyc)):
+            a = g.positions[cyc[k]]
+            b = g.positions[cyc[(k + 1) % len(cyc)]]
+            svg.line(tuple(a), tuple(b), color, width=1.2)
+    for u, v in sorted(g.inter_edges):
+        svg.line(
+            tuple(g.positions[u]), tuple(g.positions[v]), "#444444", width=1.0,
+            dash="4,3",
+        )
+    for v in g.vertex_ids():
+        shared = len(res.vertex_rings.get(v, [])) > 1
+        svg.circle(
+            tuple(g.positions[v]), 0.12 * res.r,
+            "#aa0000" if shared else "#000000",
+            fill="#aa0000" if shared else "#000000",
+        )
+    times = np.linspace(0.0, trajectories.horizon, 160)
+    for k, a in enumerate(trajectories.agents()):
+        pts = trajectories.segments[a].sample(times)
+        svg.polyline([tuple(p) for p in pts], _PALETTE[k % len(_PALETTE)], width=0.8)
+    for _, p in sorted(agents.items(), key=lambda kv: repr(kv[0])):
+        svg.circle(tuple(p), r, "#cc0000", fill="#ffbbbb")
+    for _, p in sorted(goals.items(), key=lambda kv: repr(kv[0])):
+        svg.circle(tuple(p), r, "#0000cc", fill="none")
     return svg.render()
 
 

@@ -220,33 +220,39 @@ def _slot_angles(res: ConversionResult) -> list[list[float]]:
 
 def _type1_motion(res, op: LoopRotation, occ_map, t0, emit, slot_angles) -> float:
     """All loop agents sweep to their target slots simultaneously."""
-    li = op.loop
-    if li >= len(res.loop_layer):
-        raise UnrealizableOp(f"loop {li} has no ring metadata")
-    circle, ring = res.loop_layer[li]
+    if op.loop >= len(res.loop_layer):
+        raise UnrealizableOp(f"loop {op.loop} has no ring metadata")
+    cyc = res.graph.loops[op.loop]
+    return _ring_step(res, op.loop, op.steps, range(len(cyc)), occ_map, t0, emit, slot_angles)
+
+
+def _ring_step(res, li, steps, positions, occ_map, t0, emit, slot_angles) -> float:
+    """The agents at `positions` of loop li sweep `steps` slots along it,
+    all the short way round, simultaneously."""
     cyc = res.graph.loops[li]
     m = len(cyc)
-    k = op.steps % m
+    k = steps % m
     if k == 0:
         return 0.0
     signed = k if k <= m - k else k - m
     angles = slot_angles[li]
     riders = []
-    for p, v in enumerate(cyc):
-        if occ_map[v] is VACANT:
+    for p in positions:
+        agent = occ_map[cyc[p]]
+        if agent is VACANT:
             continue
         tgt = angles[(p + k) % m]
         if signed > 0:
             dlt = (tgt - angles[p]) % (2 * math.pi)
         else:
             dlt = -((angles[p] - tgt) % (2 * math.pi))
-        riders.append((occ_map[v], angles[p], dlt))
+        riders.append((agent, angles[p], dlt))
     return _arc_phase(res, li, t0, riders, emit)
 
 
-def _type2_motion(res, op: VacancySwap, occ_map, t0, emit) -> float:
-    """The mover's motion into the vacant endpoint: a ring arc, a corridor
-    traverse, or a radial align / traverse / restore."""
+def _type2_motion(res, op: VacancySwap, occ_map, t0, emit, slot_angles) -> float:
+    """The mover's motion into the vacant endpoint: a one-slot ring step, a
+    corridor traverse, or a radial align / traverse / restore."""
     u, v = op.u, op.v
     if occ_map.get(u) is VACANT and occ_map.get(v) is VACANT:
         return 0.0
@@ -258,35 +264,18 @@ def _type2_motion(res, op: VacancySwap, occ_map, t0, emit) -> float:
     e = edge_key(op.u, op.v)
     kind = res.inter_edge_kind.get(e)
     if kind is None:
-        return _ring_edge_motion(res, u, v, mover, t0, emit)
+        lis = res.graph.loops_containing_edge(u, v)
+        if not lis:
+            raise UnrealizableOp(f"edge ({u},{v}) not on any loop")
+        cyc = res.graph.loops[lis[0]]
+        pu = cyc.index(u)
+        step = 1 if cyc[(pu + 1) % len(cyc)] == v else -1
+        return _ring_step(res, lis[0], step, [pu], occ_map, t0, emit, slot_angles)
     if isinstance(kind, RadialCorridor):
         return _radial_motion(res, occ_map, kind, u, v, mover, t0, emit)
     if isinstance(kind, (GapCorridor, PathCorridor)):
         return _corridor_motion(res, u, v, mover, t0, emit)
     raise UnrealizableOp(f"edge ({u},{v}) has unknown kind {kind!r}")
-
-
-def _ring_edge_motion(res, u, v, mover, t0, emit) -> float:
-    """Slide one agent along the ring arc into the adjacent vacant slot."""
-    lis = res.graph.loops_containing_edge(u, v)
-    if not lis:
-        raise UnrealizableOp(f"edge ({u},{v}) not on any loop")
-    li = lis[0]
-    circle, ring = res.loop_layer[li]
-    cyc = res.graph.loops[li]
-    m = len(cyc)
-    pu, pv = cyc.index(u), cyc.index(v)
-    au = res.angle_in(u, circle, ring)
-    av = res.angle_in(v, circle, ring)
-    if (pu + 1) % m == pv:
-        dlt = (av - au) % (2 * math.pi)
-    else:
-        dlt = -((au - av) % (2 * math.pi))
-    rad = 2.0 * res.r * ring
-    dur = abs(dlt) * rad / SPEED
-    c = res.circles[circle].center
-    emit(mover, (t0, t0 + dur, ARC, c.x, c.y, rad, au, au + dlt))
-    return dur
 
 
 def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) -> float:
@@ -363,7 +352,7 @@ def realize_plan(res: ConversionResult, plan: Plan) -> TrajectorySet:
         if isinstance(op, LoopRotation):
             t += _type1_motion(res, op, occ.mapping, t, emit, slot_angles)
         else:
-            t += _type2_motion(res, op, occ.mapping, t, emit)
+            t += _type2_motion(res, op, occ.mapping, t, emit, slot_angles)
         _apply_inplace(occ.mapping, res.graph, op)
     # exact endpoint check against the final occupancy
     for a, tgt in _positions_of(res, occ.mapping).items():

@@ -62,7 +62,8 @@ class Plan:
     ops: list[SwapOp]
     start: Occupancy
     goal: Occupancy
-    # what plan_permutation did: cycles, exchanges, vacancy_swaps, ops_raw, ops
+    # what plan_permutation did: cycles, exchanges, vacancy_swaps, idle_swaps,
+    # ops_raw, ops
     counters: dict = field(default_factory=dict, compare=False)
 
 
@@ -639,7 +640,16 @@ def plan_permutation(
     for a, tgt in target_of.items():
         if m.pos[a] != tgt:
             raise PlannerError("plan failed to reach the goal occupancy")
-    ops = simplify_ops(m.ops, g)
+    # a swap between two really vacant vertices (the hole stepping over a
+    # phantom) moves no agent: replay on the real occupancy and drop it
+    occ = dict(start.mapping)
+    moving = []
+    for op in m.ops:
+        if isinstance(op, VacancySwap) and occ[op.u] is VACANT and occ[op.v] is VACANT:
+            continue
+        _apply_inplace(occ, g, op)
+        moving.append(op)
+    ops = simplify_ops(moving, g)
     final = apply_ops(start, g, ops)
     if final.mapping != goal.mapping:
         raise PlannerError("simplified plan does not reach the goal")
@@ -647,6 +657,7 @@ def plan_permutation(
         "cycles": len(cycles),
         "exchanges": sum(len(c) - 1 for c in cycles),
         "vacancy_swaps": vacancy_swaps,
+        "idle_swaps": len(m.ops) - len(moving),
         "ops_raw": len(m.ops),
         "ops": len(ops),
     }

@@ -139,7 +139,9 @@ class TestCli:
         assert report["success"] is True
         assert report["timings"]["artifacts"] > 0.0
         block = report["plan"]
-        assert set(block) == {"cycles", "exchanges", "vacancy_swaps", "ops_raw", "ops"}
+        assert set(block) == {
+            "cycles", "exchanges", "vacancy_swaps", "idle_swaps", "ops_raw", "ops"
+        }
         assert block["ops"] == report["op_count"] <= block["ops_raw"]
         assert block["vacancy_swaps"] <= block["exchanges"]
 

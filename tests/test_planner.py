@@ -211,6 +211,23 @@ class TestPlanPermutation:
             assert execute(plan, g).mapping == goal.mapping
             assert plan_permutation(g, start, goal).ops == plan.ops
 
+    def test_no_swap_between_two_vacancies(self):
+        # the hole walking over another vacancy moves no agent, so no plan
+        # op may swap two vacant vertices
+        rng = random.Random(29)
+        for _ in range(25):
+            g = random_graph(rng, max_vertices=20)
+            start = random_occupancy(rng, g, n_vacant=rng.randint(2, 4))
+            goal = shuffled_goal(rng, g, start)
+            plan = plan_permutation(g, start, goal)
+            occ = start.copy()
+            for k, op in enumerate(plan.ops):
+                if isinstance(op, VacancySwap):
+                    ends = (occ.mapping[op.u], occ.mapping[op.v])
+                    assert ends != (None, None), f"op {k} {op} swaps two vacancies"
+                occ = apply_ops(occ, g, [op])
+            assert occ.mapping == goal.mapping
+
     def test_move_into_adjacent_vacancy_is_one_swap(self):
         # vacancies are interchangeable: moving an agent onto a neighboring
         # vacant vertex needs no other vacancy to move
@@ -221,7 +238,8 @@ class TestPlanPermutation:
         plan = plan_permutation(g, start, goal)
         assert plan.ops == [VacancySwap(16, 17)]
         assert plan.counters == {
-            "cycles": 1, "exchanges": 1, "vacancy_swaps": 1, "ops_raw": 1, "ops": 1
+            "cycles": 1, "exchanges": 1, "vacancy_swaps": 1, "idle_swaps": 0,
+            "ops_raw": 1, "ops": 1,
         }
 
 

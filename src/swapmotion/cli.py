@@ -62,8 +62,6 @@ def _load_scenario(args) -> Scenario:
         p.k_max = args.kmax
     if args.threshold is not None:
         p.threshold = args.threshold
-    if args.dt is not None:
-        p.dt = args.dt
     if args.max_agents is not None and len(s.agents) > args.max_agents:
         s.agents = s.agents[: args.max_agents]
     return s
@@ -136,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=float, default=None)
         p.add_argument("--kmax", type=int, default=None)
         p.add_argument("--threshold", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
         p.add_argument("--max-agents", type=int, default=None, dest="max_agents")
         p.set_defaults(func=fn)
     p = sub.add_parser("render")

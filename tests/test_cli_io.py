@@ -8,7 +8,6 @@ import pytest
 
 from swapmotion.cli import main
 from swapmotion.errors import InvalidScenario, NavigationFailure
-from swapmotion.conversion import greedy_convert
 from swapmotion.fileio import (
     AgentSpec,
     Scenario,
@@ -47,14 +46,17 @@ class TestRoundTrips:
         assert scenario_to_dict(s2) == d
 
     def test_graph(self):
-        s = small_scenario()
-        res = greedy_convert(
-            s.workspace, s.r, threshold=30, epsilon=s.params.epsilon,
-            grid_resolution=s.params.grid_resolution,
-        )
-        d = graph_to_dict(res)
-        res2 = graph_from_dict(json.loads(json.dumps(d)))
-        assert graph_to_dict(res2) == d
+        # rect_12 has radial and gap corridors, grid_20 path and radial ones
+        seen = set()
+        for name in ("rect_12", "grid_20"):
+            s = scenario_from_dict(load_json(SCENARIOS / f"{name}.json"))
+            res = pipeline.convert_scenario(s)
+            d = graph_to_dict(res)
+            res2 = graph_from_dict(json.loads(json.dumps(d)))
+            assert graph_to_dict(res2) == d
+            assert res2.inter_edge_kind == res.inter_edge_kind
+            seen |= {k["kind"] for k in d["edge_kinds"]}
+        assert seen == {"radial", "gap", "path"}
 
     def test_plan_and_trajectory(self, tmp_path):
         s = small_scenario()
@@ -170,7 +172,7 @@ class TestCli:
 
     def test_verify_prints_pipeline_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code = main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"), "--dt", "0.5"])
+        code = main(["exec", "--scenario", str(SCENARIOS / "rect_12.json")])
         assert code == 0
         out = capsys.readouterr().out
         s = small_scenario()
@@ -284,8 +286,7 @@ class TestInvalidScenario:
         with pytest.raises(InvalidScenario, match="starts of agents 0,1"):
             run_pipeline(s)
 
-    @pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-1"),
-                                            ("--epsilon", "0"), ("--grid", "-0.5")])
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--grid", "-0.5")])
     def test_nonpositive_step_fails_before_convert(self, flag, value, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("greedy_convert must not run")

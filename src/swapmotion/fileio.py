@@ -127,15 +127,17 @@ def scenario_from_dict(d: dict) -> Scenario:
             AgentSpec(int(a["id"]), Point2(*a["start"]), Point2(*a["goal"]))
             for a in d["agents"]
         ],
-        params=ScenarioParams(**{f.name: p[f.name] for f in fields(ScenarioParams) if f.name in p}),
+        params=ScenarioParams(
+            **{f.name: p[f.name] for f in fields(ScenarioParams) if f.name in p}
+        ),
     )
 
 
 # JSON names of the corridor kinds and plan ops; each is written as its
 # dataclass fields plus its name
-CORRIDOR_KINDS = {"radial": RadialCorridor, "gap": GapCorridor, "path": PathCorridor}
-OP_KINDS = {"rot": LoopRotation, "swap": VacancySwap}
-_NAME = {cls: name for table in (CORRIDOR_KINDS, OP_KINDS) for name, cls in table.items()}
+_CORRIDOR_KINDS = {"radial": RadialCorridor, "gap": GapCorridor, "path": PathCorridor}
+_OP_KINDS = {"rot": LoopRotation, "swap": VacancySwap}
+_NAME = {cls: name for table in (_CORRIDOR_KINDS, _OP_KINDS) for name, cls in table.items()}
 
 
 def _from_fields(cls, d: dict):
@@ -177,7 +179,7 @@ def graph_from_dict(d: dict) -> ConversionResult:
     )
     kinds = {}
     for item in d["edge_kinds"]:
-        kind = _from_fields(CORRIDOR_KINDS[item["kind"]], item)
+        kind = _from_fields(_CORRIDOR_KINDS[item["kind"]], item)
         if isinstance(kind, PathCorridor):
             kind = replace(kind, waypoints=tuple(Point2(*p) for p in kind.waypoints))
         kinds[edge_key(*item["edge"])] = kind
@@ -212,7 +214,7 @@ def plan_to_dict(plan: Plan) -> dict:
 
 def plan_from_dict(d: dict) -> Plan:
     return Plan(
-        ops=[_from_fields(OP_KINDS[item["op"]], item) for item in d["ops"]],
+        ops=[_from_fields(_OP_KINDS[item["op"]], item) for item in d["ops"]],
         start=occupancy_from_dict(d["start"]),
         goal=occupancy_from_dict(d["goal"]),
     )

@@ -3,8 +3,9 @@
 Assignment solves the min-total-distance matching exactly (the LP relaxation
 of the matching program is integral, so a combinatorial solver returns the
 optimum). Navigation moves agents one at a time, in assignment-cost order,
-along straight free segments with a single via-point detour fallback; making
-it sequential keeps verification trivial and failures honest.
+along straight free segments, falling back to via-point detours and last to
+a grid router; making it sequential keeps verification trivial and failures
+honest.
 """
 
 from __future__ import annotations
@@ -54,10 +55,17 @@ def optimal_assignment(starts: Sequence[Point2], slots: Sequence[Point2]) -> Ass
     return Assignment(mapping, float(cost[rows, cols].sum()))
 
 
+# navigation counters: routes by tier, grid routes tried, crowd sidesteps
+NAV_COUNTERS = (
+    "direct", "hint_detour", "via_detour", "two_leg", "grid", "grid_tried", "sidesteps"
+)
+
+
 @dataclass
 class NavigationResult:
     trajectory: TrajectorySet
     stuck_agents: list
+    counters: dict  # NAV_COUNTERS by name
 
     @property
     def ok(self) -> bool:
@@ -102,7 +110,8 @@ def navigate(
         phases = {a: 0 for a in targets}
     rank = {a: (phases[a], dist(pos[a], targets[a]), repr(a)) for a in targets}
     via_hints = via_hints or {}
-    vias = None
+    vias = grid = None
+    counters = dict.fromkeys(NAV_COUNTERS, 0)
     t = 0.0
     records = {a: [hold_record(0.0, p)] for a, p in current.items()}
     stuck: list = []
@@ -120,22 +129,31 @@ def navigate(
     thorough_budget = {a: 8 for a in targets}
 
     def try_move(a, thorough=False) -> bool:
-        nonlocal vias
+        nonlocal vias, grid
         others = [Disk(p, r) for x, p in pos.items() if x != a]
+        tier = "direct"
         route = _find_route(pos[a], targets[a], w, r, others)
         if route is None and a in via_hints:
+            tier = "hint_detour"
             route = _detour_route(pos[a], targets[a], w, r, others, via_hints[a])
         if route is None:
+            tier = "via_detour"
             if vias is None:
                 vias = _via_candidates(w, r, max(2.5 * r, w.bounds.diameter() / 24))
             route = _detour_route(pos[a], targets[a], w, r, others, vias)
         if route is None and a in via_hints:
+            tier = "two_leg"
             route = _two_leg_route(pos[a], targets[a], w, r, others, via_hints[a], vias)
         if route is None and thorough and thorough_budget[a] > 0:
+            tier = "grid"
             thorough_budget[a] -= 1
-            route = _grid_route(pos[a], targets[a], w, r, others)
+            counters["grid_tried"] += 1
+            if grid is None:
+                grid = _nav_grid(w, r)
+            route = _grid_route(pos[a], targets[a], w, r, others, grid)
         if route is None:
             return False
+        counters[tier] += 1
         emit(a, route)
         return True
 
@@ -154,6 +172,7 @@ def navigate(
         if budget > 0:
             nudged = _clear_crowd(active, pos, targets, w, r, vias or [], emit)
             budget -= 1
+            counters["sidesteps"] += nudged is not None
         if nudged is not None and nudged not in remaining_all:
             remaining_all.append(nudged)
             remaining_all.sort(key=rank.get)
@@ -164,7 +183,7 @@ def navigate(
             break
         seen.add(state)
     tracks = {a: Track.from_records(a, recs) for a, recs in records.items()}
-    return NavigationResult(TrajectorySet(tracks, t), stuck)
+    return NavigationResult(TrajectorySet(tracks, t), stuck, counters)
 
 
 def _find_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
@@ -175,11 +194,17 @@ def _find_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
     return None
 
 
-def _grid_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
-    """Complete single-agent router: BFS over a grid that treats the other
-    agents as obstacles, then string-pulled into a short polyline."""
-    from collections import deque
+@dataclass
+class NavGrid:
+    """Cell centres of the router's grid and its static free mask: the cells
+    whose disk of radius r lies in the free space, ignoring the agents."""
 
+    xs: np.ndarray
+    ys: np.ndarray
+    free: np.ndarray  # bool[len(xs), len(ys)]
+
+
+def _nav_grid(w: Workspace, r: float) -> NavGrid:
     cell = 0.5 * r
     bx = w.bounds
     nx = max(2, int(bx.width / cell))
@@ -190,12 +215,43 @@ def _grid_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     ok = boundary_distance_many(pts, w) >= r - 1e-9
     ok &= points_in_free_space(pts, w)
-    if others:
-        oc = np.array([o.center for o in others])
-        orad = np.array([o.radius for o in others])
-        d = np.linalg.norm(pts[:, None, :] - oc[None, :, :], axis=2)
-        ok &= (d >= (orad[None, :] + r) * (1 - 1e-9)).all(axis=1)
-    free = ok.reshape(nx, ny)
+    return NavGrid(xs, ys, ok.reshape(nx, ny))
+
+
+def _stamp_disks(grid: NavGrid, others: Sequence[Disk], r: float) -> np.ndarray:
+    """Copy of the static mask with every cell closer than o.radius + r to
+    another disk o cleared; only the window that reach can touch is tested."""
+    free = grid.free.copy()
+    xs, ys = grid.xs, grid.ys
+    nx, ny = free.shape
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    for o in others:
+        cx, cy = o.center
+        reach = (o.radius + r) * (1 - 1e-9)
+        # cells outside the window lie a full cell beyond the reach
+        i0 = max(0, int((cx - reach - xs[0]) / hx))
+        i1 = min(nx, int((cx + reach - xs[0]) / hx) + 2)
+        j0 = max(0, int((cy - reach - ys[0]) / hy))
+        j1 = min(ny, int((cy + reach - ys[0]) / hy) + 2)
+        dx = xs[i0:i1, None] - cx
+        dy = ys[None, j0:j1] - cy
+        free[i0:i1, j0:j1] &= np.sqrt(dx * dx + dy * dy) >= reach
+    return free
+
+
+# the BFS's neighbour order, as (di, dj); it fixes the BFS tree, so the route
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _grid_route(a: Point2, b: Point2, w, r, others, grid: NavGrid) -> Optional[list[Point2]]:
+    """Complete single-agent router: BFS over `grid` with the other agents
+    stamped in as obstacles, then string-pulled into a short polyline."""
+    from collections import deque
+
+    xs, ys = grid.xs, grid.ys
+    free = _stamp_disks(grid, others, r)
+    nx, ny = free.shape
+    bx = w.bounds
 
     def cell_of(p):
         i = int(np.clip((p[0] - bx.xmin) / (bx.width / nx), 0, nx - 1))
@@ -218,27 +274,35 @@ def _grid_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
     dst = near_free(b)
     if src is None or dst is None:
         return None
-    prev = {src: None}
+    # flat indices into the grid padded by one blocked cell on every side
+    stride = ny + 2
+    padded = np.zeros((nx + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = free
+    is_free = padded.ravel().tolist()
+    steps = [di * stride + dj for di, dj in _STEPS]
+    src = (src[0] + 1) * stride + src[1] + 1
+    dst = (dst[0] + 1) * stride + dst[1] + 1
+    prev = [-1] * len(is_free)
+    prev[src] = src
     q = deque([src])
-    found = False
     while q:
         cur = q.popleft()
         if cur == dst:
-            found = True
             break
-        ci, cj = cur
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            i, j = ci + di, cj + dj
-            if 0 <= i < nx and 0 <= j < ny and free[i, j] and (i, j) not in prev:
-                prev[(i, j)] = cur
-                q.append((i, j))
-    if not found:
+        for step in steps:
+            k = cur + step
+            if is_free[k] and prev[k] < 0:
+                prev[k] = cur
+                q.append(k)
+    if prev[dst] < 0:
         return None
     chain = [dst]
-    while prev[chain[-1]] is not None:
+    while chain[-1] != src:
         chain.append(prev[chain[-1]])
     chain.reverse()
-    waypoints = [a] + [Point2(float(xs[i]), float(ys[j])) for i, j in chain] + [b]
+    waypoints = [a] + [
+        Point2(float(xs[k // stride - 1]), float(ys[k % stride - 1])) for k in chain
+    ] + [b]
     return _string_pull(waypoints, w, r, others)
 
 

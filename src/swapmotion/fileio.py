@@ -73,6 +73,9 @@ class Scenario:
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             out.append("agent ids not distinct")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            out.append(f"r {self.r} not {'finite' if self.r > 0 else 'positive'}")
+            return out  # every check below places disks of radius r
         starts = self.starts()
         goals = self.goals()
         for k, p in enumerate(starts):

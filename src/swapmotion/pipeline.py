@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -59,6 +60,7 @@ class RunReport:
     success: bool
     verification: dict  # what the certificate checked, and where the minima are
     plan: dict  # the planner's counters (Plan.counters)
+    navigate: dict  # per leg: assignment.NAV_COUNTERS summed over retries, and the retries
 
 
 @dataclass
@@ -195,6 +197,7 @@ def run_pipeline(
         success=report.ok,
         verification=_verification_block(report),
         plan=plan.counters,
+        navigate={"start": prologue.counters, "goal": inbound.counters},
     )
     artifacts = RunArtifacts(res, start_occ, goal_occ, plan, full, report)
     if out_dir is not None:
@@ -226,13 +229,15 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
     in agent order) onto their assigned slots, inner rings first. The goal leg
     is this same motion played backwards. On a stall each stuck agent's slot
     is swapped for the nearest free spare that agent has not tried in this
-    leg, and the leg is retried; it stops when no stuck agent can move.
+    leg, and the leg is retried; it stops when no stuck agent can move. The
+    result's counters are summed over the attempts, plus the `retries`.
     """
     g = res.graph
     asg = Assignment(dict(asg.agent_to_slot), asg.total_cost)
     points = {a.id: p for a, p in zip(s.agents, leg_points)}
     tried = {a: {j} for a, j in asg.agent_to_slot.items()}
-    for _ in range(4):
+    counters = Counter()
+    for attempt in range(4):
         def slot_pos(agent):
             return g.positions[vids[asg.agent_to_slot[agent]]]
 
@@ -252,8 +257,9 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
             via_hints=hints,
             phases={i: slot_ring(i) for i in points},
         )
+        counters.update(result.counters)
         if result.ok:
-            return result, asg
+            break
         used = set(asg.agent_to_slot.values())
         spares = [j for j in range(len(vids)) if j not in used]
         moved = False
@@ -267,7 +273,8 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
                 tried[agent].add(slot)
                 moved = True
         if not moved:
-            return result, asg
+            break
+    result.counters = dict(counters, retries=attempt)
     return result, asg
 
 

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from capsule_reference import capsule_free_reference
+from navigation_reference import free_mask_reference
 from swapmotion import assignment, pipeline
 from swapmotion.assignment import (
     Assignment,
     _detour_route,
     _free_sidestep,
+    _grid_route,
+    _nav_grid,
+    _stamp_disks,
     _string_pull,
     _two_leg_route,
     _via_candidates,
@@ -264,6 +268,91 @@ def test_a_repeated_sidestep_ends_the_stall(monkeypatch):
     monkeypatch.setattr(
         assignment, "_clear_crowd", lambda *a: sidesteps.append(a) or clear_crowd(*a)
     )
+    assert leg.counters["retries"] == 1
     args, kwargs = legs[0]
-    assert navigate(*args, **kwargs).stuck_agents == [17]
+    first = navigate(*args, **kwargs)
+    assert first.stuck_agents == [17]
     assert len(sidesteps) <= 3
+    assert first.counters["sidesteps"] <= len(sidesteps)
+    # the sums over both attempts
+    second = navigate(*legs[1][0], **legs[1][1])
+    for key, n in first.counters.items():
+        assert leg.counters[key] == n + second.counters[key]
+
+
+def _stamp_scene(rng, grid, r, n):
+    """n disks: inside the grid, on and across its bounds, with radii other
+    than r, and some centred on a cell with a reach that ends on a cell."""
+    x0, x1, y0, y1 = grid.xs[0], grid.xs[-1], grid.ys[0], grid.ys[-1]
+    hx = grid.xs[1] - grid.xs[0]
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        radius = rng.choice([r, 0.5 * r, 1.7 * r, rng.uniform(0.2 * r, 3 * r)])
+        if kind == 0:
+            c = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        elif kind == 1:  # on the bounds, or partly outside the grid
+            edge = rng.choice([x0 - hx / 2, x1 + hx / 2, x0 - 2 * r, x1 + 1.3 * r])
+            c = Point2(edge, rng.uniform(y0 - 3 * r, y1 + 3 * r))
+        elif kind == 2:
+            edge = rng.choice([y0 - hx / 2, y1 + hx / 2, y0 - 2.5 * r, y1 + 0.7 * r])
+            c = Point2(rng.uniform(x0 - 3 * r, x1 + 3 * r), edge)
+        else:  # on a cell centre, reach ending on another cell centre
+            i, j = rng.randrange(len(grid.xs)), rng.randrange(len(grid.ys))
+            c = Point2(float(grid.xs[i]), float(grid.ys[j]))
+            radius = rng.randint(3, 9) * hx - r
+        out.append(Disk(c, radius))
+    return out
+
+
+@pytest.mark.parametrize("scene", ["rectangle", "obstacles_30"])
+def test_stamped_mask_matches_the_distance_array(scene):
+    if scene == "rectangle":
+        w, r = rectangle_workspace(23, 13), 0.9
+    else:
+        s = scenario_from_dict(load_json(SCENARIOS / "obstacles_30.json"))
+        w, r = s.workspace, s.r
+    grid = _nav_grid(w, r)
+    static = grid.free.copy()
+    rng = random.Random(12)
+    cleared = 0
+    for n in [0, 1, 2, 5, 20, 60] * 5:
+        others = _stamp_scene(rng, grid, r, n)
+        got = _stamp_disks(grid, others, r)
+        assert np.array_equal(got, free_mask_reference(grid, others, r))
+        cleared += int(static.sum() - got.sum())
+    assert np.array_equal(grid.free, static)  # the static mask is not touched
+    assert cleared > 1000
+
+
+class TestGridRoute:
+    """A wall of touching disks across a 20 x 12 room at x = 10, open only
+    where the disks at y = 5 and 7 are missing."""
+
+    R = 1.0
+    W = rectangle_workspace(20, 12)
+
+    def wall(self, gap):
+        return [Disk(Point2(10, y), self.R) for y in (1, 3, 5, 7, 9, 11) if y not in gap]
+
+    def test_routes_through_the_gap(self):
+        a, b = Point2(3, 2), Point2(17, 2)
+        others = self.wall(gap=(5, 7))
+        assert not capsule_free_reference(Capsule(a, b, self.R), self.W, others)
+        route = _grid_route(a, b, self.W, self.R, others, _nav_grid(self.W, self.R))
+        assert route is not None and route[0] == a and route[-1] == b
+        for p, q in zip(route, route[1:]):
+            assert capsule_free_reference(Capsule(p, q, self.R), self.W, others)
+        crossing = [
+            p.y + (q.y - p.y) * (10 - p.x) / (q.x - p.x)
+            for p, q in zip(route, route[1:])
+            if (p.x - 10) * (q.x - 10) < 0
+        ]
+        assert len(crossing) == 1 and 5 <= crossing[0] <= 7
+
+    def test_none_once_the_gap_is_sealed(self):
+        a, b = Point2(3, 2), Point2(17, 2)
+        grid = _nav_grid(self.W, self.R)
+        assert _grid_route(a, b, self.W, self.R, self.wall(gap=()), grid) is None
+        # the grid is reused as is: sealing one call leaves the next open
+        assert _grid_route(a, b, self.W, self.R, self.wall(gap=(5, 7)), grid) is not None

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,16 @@ class TestCli:
         }
         assert block["ops"] == report["op_count"] <= block["ops_raw"]
         assert block["vacancy_swaps"] <= block["exchanges"]
+        legs = report["navigate"]
+        assert set(legs) == {"start", "goal"}
+        for leg in legs.values():
+            assert set(leg) == {
+                "direct", "hint_detour", "via_detour", "two_leg", "grid",
+                "grid_tried", "sidesteps", "retries",
+            }
+            assert leg["grid"] <= leg["grid_tried"]
+            tiers = ("direct", "hint_detour", "via_detour", "two_leg", "grid")
+            assert sum(leg[k] for k in tiers) == report["n_agents"]  # one route each
 
     def test_convert_only(self, tmp_path):
         code = main(
@@ -294,6 +305,25 @@ class TestInvalidScenario:
         monkeypatch.setattr(pipeline, "greedy_convert", fail)
         code = main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"), flag, value])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "r,problem",
+        [(0.0, "r 0.0 not positive"), (-1.0, "r -1.0 not positive"), (math.inf, "r inf not finite")],
+    )
+    def test_validate_names_bad_r(self, r, problem):
+        s = small_scenario()
+        s.r = r
+        assert s.validate() == [problem]
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_r_exit_2(self, r, tmp_path, capsys):
+        d = load_json(SCENARIOS / "rect_12.json")
+        d["r"] = r
+        path = tmp_path / "bad_r.json"
+        dump_json(d, path)
+        assert main(["exec", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error [InvalidScenario]: scenario: r {r} not positive"]
 
     def test_validate_names_nonpositive_steps(self):
         s = small_scenario()

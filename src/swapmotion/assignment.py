@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import TooFewSlots
 from .geometry import (
@@ -50,9 +49,73 @@ def optimal_assignment(starts: Sequence[Point2], slots: Sequence[Point2]) -> Ass
     S = np.asarray(starts, dtype=float)
     T = np.asarray(slots, dtype=float)
     cost = np.linalg.norm(S[:, None, :] - T[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    mapping = {int(i): int(j) for i, j in zip(rows, cols)}
-    return Assignment(mapping, float(cost[rows, cols].sum()))
+    cols = _min_cost_columns(cost)
+    mapping = {i: int(j) for i, j in enumerate(cols)}
+    return Assignment(mapping, float(cost[np.arange(len(cols)), cols].sum()))
+
+
+def _min_cost_columns(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of an nr x nc matrix,
+    nr <= nc.
+
+    The shortest augmenting path algorithm of Crouse, "On implementing 2D
+    rectangular assignment algorithms" (IEEE TAES 2016), a variant of Jonker
+    and Volgenant, with the column order and tie-breaking of scipy's
+    `linear_sum_assignment`, so the two return the same columns. Rows join
+    in order, one augmenting path each; every search step is vectorised over
+    the columns the path has not reached.
+    """
+    cost = np.asarray(cost, dtype=float)
+    nr, nc = cost.shape
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix has a non-finite entry")
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+    path = np.full(nc, -1, dtype=np.intp)
+    for cur in range(nr):
+        spc = np.full(nc, np.inf)  # shortest path cost to each column
+        in_sr = np.zeros(nr, dtype=bool)
+        in_sc = np.zeros(nc, dtype=bool)
+        # reverse order, so a constant matrix gives the identity; a column
+        # leaves by moving the last remaining one into its index
+        remaining = np.arange(nc - 1, -1, -1)
+        n = nc
+        i = cur
+        min_val = 0.0
+        while True:
+            in_sr[i] = True
+            rem = remaining[:n]
+            reduced = min_val + cost[i, rem] - u[i] - v[rem]
+            shorter = reduced < spc[rem]
+            path[rem[shorter]] = i
+            spc[rem[shorter]] = reduced[shorter]
+            costs = spc[rem]
+            min_val = costs.min()
+            # the first minimum, unless a later tied column is unassigned
+            ties = np.flatnonzero(costs == min_val)
+            free = ties[row4col[rem[ties]] == -1]
+            index = free[-1] if len(free) else ties[0]
+            j = rem[index]
+            in_sc[j] = True
+            n -= 1
+            remaining[index] = remaining[n]
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        in_sr[cur] = False
+        rows = np.flatnonzero(in_sr)
+        u[rows] += min_val - spc[col4row[rows]]
+        v[in_sc] -= min_val - spc[in_sc]
+        while True:  # augment along the path back to `cur`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 # navigation counters: routes by tier, grid routes tried, crowd sidesteps

@@ -108,12 +108,18 @@ def reverse_ops(ops) -> list[SwapOp]:
     return out
 
 
-@dataclass(frozen=True)
 class _Phantom:
     """Internal label of a surplus vacancy: routing moves it like an inert
-    agent, and a swap may use it as the vacant endpoint."""
+    agent, and a swap may use it as the vacant endpoint. Each is made once
+    per machine, so it hashes and compares by identity."""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __repr__(self) -> str:
+        return f"_Phantom({self.k})"
 
 
 class _Machine:
@@ -128,6 +134,9 @@ class _Machine:
 
     def __init__(self, g: SwapGraph, occ: Occupancy, edge_cost=None):
         self.g = g
+        self.edges = g.edges()
+        # slot of each vertex within each loop's cycle
+        self.slot = [{v: p for p, v in enumerate(cyc)} for cyc in g.loops]
         self.edge_cost = edge_cost or {}
         occ.check(g)
         vacants = occ.vacant_vertices()
@@ -157,24 +166,26 @@ class _Machine:
             return
         if k > m - k:
             k -= m
-        old = [self.state[v] for v in cyc]
-        for p in range(m):
-            c = old[p]
-            tgt = cyc[(p + k) % m]
-            self.state[tgt] = c
+        state, pos = self.state, self.pos
+        old = [state[v] for v in cyc]
+        for c, tgt in zip(old, cyc[k:] + cyc[:k]):
+            state[tgt] = c
             if c is None:
                 self.hole = tgt
             else:
-                self.pos[c] = tgt
+                pos[c] = tgt
         self.ops.append(LoopRotation(li, k))
 
     def swap(self, u: int, v: int):
-        if not self.g.has_edge(u, v):
+        if ((u, v) if u <= v else (v, u)) not in self.edges:
             raise PlannerError(f"machine swap on non-edge ({u},{v})")
-        if not (self.vacant(u) or self.vacant(v)):
+        state = self.state
+        cu, cv = state[u], state[v]
+        if not (
+            cu is None or cv is None or type(cu) is _Phantom or type(cv) is _Phantom
+        ):
             raise PlannerError(f"machine swap ({u},{v}) without a vacancy")
-        cu, cv = self.state[u], self.state[v]
-        self.state[u], self.state[v] = cv, cu
+        state[u], state[v] = cv, cu
         for c, tgt in ((cu, v), (cv, u)):
             if c is None:
                 self.hole = tgt
@@ -237,11 +248,12 @@ class _Machine:
         g = self.g
         ring = set(g.loops[li])
         cyc = g.loops[li]
+        slot = self.slot[li]
         m = len(cyc)
         mark = len(self.ops)
 
         def ring_gap(u, v):
-            d = (cyc.index(u) - cyc.index(v)) % m
+            d = (slot[u] - slot[v]) % m
             return min(d, m - d)
 
         if self.hole in ring:
@@ -257,7 +269,7 @@ class _Machine:
                 return (ring_gap(portal[0], self.hole) + 4 * self.cost(*portal), portal)
 
             u, w = min(portals, key=rot_cost)
-            self.rot(li, cyc.index(u) - cyc.index(self.hole))
+            self.rot(li, slot[u] - slot[self.hole])
             self.swap(u, w)
         else:
             # walk through the complement of the ring to a seat bordering it
@@ -325,7 +337,7 @@ class _Machine:
         """Swap contents of cycle slots (p, p+1) with the hole parked at w."""
         cyc = self.g.loops[li]
         m = len(cyc)
-        a0 = cyc.index(u)
+        a0 = self.slot[li][u]
         d = (p - a0) % m
         self.rot(li, -d)
         nxt = cyc[(a0 + 1) % m]
@@ -380,8 +392,8 @@ def _exchange_vertices(m: _Machine, u: int, v: int, depth: int = 0):
 def _ring_pair_exchange(m: _Machine, li: int, u: int, v: int):
     cu, cv = m.state[u], m.state[v]
     pu, pw, park = m.park_hole(li, near=u)
-    cyc = m.g.loops[li]
-    m.bubble(li, pu, pw, cyc.index(m.pos[cu]), cyc.index(m.pos[cv]))
+    slot = m.slot[li]
+    m.bubble(li, pu, pw, slot[m.pos[cu]], slot[m.pos[cv]])
     m.emit_reverse(park)
 
 
@@ -393,7 +405,7 @@ def _cross_exchange(m: _Machine, u: int, v: int, depth: int):
     for anchor, other in ((u, v), (v, u)):
         for li in g.loops_of(anchor):
             cyc = g.loops[li]
-            k = cyc.index(anchor)
+            k = m.slot[li][anchor]
             for sigma in (1, -1):
                 n = cyc[(k + sigma) % len(cyc)]
                 if n not in (u, v):
@@ -413,7 +425,7 @@ def _cross_exchange(m: _Machine, u: int, v: int, depth: int):
                 continue
             li = g.loops_of(p)[0]
             cyc = g.loops[li]
-            pos = cyc.index(p)
+            pos = m.slot[li][p]
             on_path = set(path)
             for k in range(1, len(cyc)):
                 for signed in (k, -k):

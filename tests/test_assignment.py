@@ -1,10 +1,15 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from capsule_reference import capsule_free_reference
 from navigation_reference import free_mask_reference
@@ -14,6 +19,7 @@ from swapmotion.assignment import (
     _detour_route,
     _free_sidestep,
     _grid_route,
+    _min_cost_columns,
     _nav_grid,
     _stamp_disks,
     _string_pull,
@@ -71,6 +77,10 @@ class TestOptimalAssignment:
         with pytest.raises(TooFewSlots):
             optimal_assignment([Point2(0, 0), Point2(1, 1)], [Point2(0, 0)])
 
+    def test_nan_point_raises(self):
+        with pytest.raises(ValueError):
+            optimal_assignment([Point2(math.nan, 0.0)], [Point2(0, 0), Point2(1, 0)])
+
     def test_marginals(self):
         rng = random.Random(3)
         starts = [Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(6)]
@@ -88,6 +98,68 @@ class TestOptimalAssignment:
             slots = [Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(m)]
             asg = optimal_assignment(starts, slots)
             assert asg.total_cost == pytest.approx(brute_force_cost(starts, slots))
+
+
+def _random_costs(kind, seed):
+    rng = np.random.default_rng(seed)
+    nr = 1 if kind == "one_row" else int(rng.integers(2, 30))
+    nc = nr if kind == "square" else nr + int(rng.integers(0, 30))
+    if kind == "integer":
+        # few distinct values: many tied paths
+        return rng.integers(0, int(rng.integers(1, 5)), size=(nr, nc)).astype(float)
+    cost = rng.random((nr, nc))
+    if kind == "duplicate_rows":
+        cost[1::2] = cost[: nr // 2 * 2 : 2]
+    return cost
+
+
+class TestMinCostColumns:
+    """The in-package solver returns scipy's `linear_sum_assignment` columns."""
+
+    @pytest.mark.parametrize("kind", ["real", "integer", "square", "one_row", "duplicate_rows"])
+    def test_matches_scipy(self, kind):
+        for seed in range(100):
+            cost = _random_costs(kind, seed)
+            rows, cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, np.arange(len(cost)))
+            assert np.array_equal(_min_cost_columns(cost), cols), seed
+
+    def test_constant_matrix_gives_the_identity(self):
+        assert list(_min_cost_columns(np.ones((4, 7)))) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_raises(self, bad):
+        cost = np.ones((3, 4))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError):
+            _min_cost_columns(cost)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_scenarios_match_scipy(self, path):
+        s = scenario_from_dict(load_json(path))
+        g = pipeline.convert_scenario(s).graph
+        slots = np.asarray([g.positions[v] for v in g.vertex_ids()], dtype=float)
+        for points in (s.starts(), s.goals()):
+            pts = np.asarray(points, dtype=float)
+            if len(pts) > len(slots):
+                continue  # TooFewSlots; nothing to assign
+            cost = np.linalg.norm(pts[:, None, :] - slots[None, :, :], axis=2)
+            assert np.array_equal(_min_cost_columns(cost), linear_sum_assignment(cost)[1])
+
+
+def test_cli_and_pipeline_import_without_scipy():
+    import swapmotion
+
+    code = (
+        "import json, sys, swapmotion.cli, swapmotion.pipeline; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(swapmotion.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == []
 
 
 class TestNavigate:

@@ -17,13 +17,12 @@ from .errors import (
     TooFewSlots,
     UnrealizableOp,
 )
-from .geometry import Capsule, Disk, Point2, Polygon, Rect, Workspace
+from .geometry import Disk, Point2, Polygon, Rect, Workspace
 from .swap_graph import Occupancy, SwapGraph, VACANT
 
 __all__ = [
     "AssignmentFailure",
     "AssignmentMismatch",
-    "Capsule",
     "CenterContained",
     "Disk",
     "EmptyFreeSpace",

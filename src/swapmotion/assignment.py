@@ -18,15 +18,13 @@ import numpy as np
 
 from .errors import TooFewSlots
 from .geometry import (
-    Capsule,
-    Disk,
     Point2,
     Workspace,
     boundary_distance_many,
     capsule_free,
     capsules_free,
     dist,
-    point_segment_distance,
+    point_segment_distances,
     points_in_free_space,
 )
 from .trajectory import SPEED, Track, TrajectorySet, hold_record, line_record
@@ -168,10 +166,13 @@ def navigate(
     ends the leg with the phase's agents stuck. `via_hints` supplies
     agent-specific staging points.
     """
-    pos = dict(current)
+    # one row per agent, written only by emit; a's others are every row but a's
+    agents = list(current)
+    row = {a: k for k, a in enumerate(agents)}
+    centres = np.array(list(current.values()), dtype=float).reshape(-1, 2)
     if phases is None:
         phases = {a: 0 for a in targets}
-    rank = {a: (phases[a], dist(pos[a], targets[a]), repr(a)) for a in targets}
+    rank = {a: (phases[a], dist(current[a], targets[a]), repr(a)) for a in targets}
     via_hints = via_hints or {}
     vias = grid = None
     counters = dict.fromkeys(NAV_COUNTERS, 0)
@@ -187,33 +188,33 @@ def navigate(
             if d > 0:
                 records[a].append(line_record(t, t + d, p, q))
                 t += d
-        pos[a] = route[-1]
+        centres[row[a]] = route[-1]
 
     thorough_budget = {a: 8 for a in targets}
 
     def try_move(a, thorough=False) -> bool:
         nonlocal vias, grid
-        others = [Disk(p, r) for x, p in pos.items() if x != a]
+        here, others = Point2(*centres[row[a]].tolist()), np.delete(centres, row[a], axis=0)
         tier = "direct"
-        route = _find_route(pos[a], targets[a], w, r, others)
+        route = _find_route(here, targets[a], w, r, others)
         if route is None and a in via_hints:
             tier = "hint_detour"
-            route = _detour_route(pos[a], targets[a], w, r, others, via_hints[a])
+            route = _detour_route(here, targets[a], w, r, others, via_hints[a])
         if route is None:
             tier = "via_detour"
             if vias is None:
                 vias = _via_candidates(w, r, max(2.5 * r, w.bounds.diameter() / 24))
-            route = _detour_route(pos[a], targets[a], w, r, others, vias)
+            route = _detour_route(here, targets[a], w, r, others, vias)
         if route is None and a in via_hints:
             tier = "two_leg"
-            route = _two_leg_route(pos[a], targets[a], w, r, others, via_hints[a], vias)
+            route = _two_leg_route(here, targets[a], w, r, others, via_hints[a], vias)
         if route is None and thorough and thorough_budget[a] > 0:
             tier = "grid"
             thorough_budget[a] -= 1
             counters["grid_tried"] += 1
             if grid is None:
                 grid = _nav_grid(w, r)
-            route = _grid_route(pos[a], targets[a], w, r, others, grid)
+            route = _grid_route(here, targets[a], w, r, others, grid)
         if route is None:
             return False
         counters[tier] += 1
@@ -233,14 +234,14 @@ def navigate(
             continue
         nudged = None
         if budget > 0:
-            nudged = _clear_crowd(active, pos, targets, w, r, vias or [], emit)
+            nudged = _clear_crowd(active, agents, centres, targets, w, r, vias or [], emit)
             budget -= 1
             counters["sidesteps"] += nudged is not None
         if nudged is not None and nudged not in remaining_all:
             remaining_all.append(nudged)
             remaining_all.sort(key=rank.get)
         # routes depend only on the positions, so a repeated state is a livelock
-        state = (tuple(pos.values()), tuple(remaining_all))
+        state = (tuple(centres.ravel().tolist()), tuple(remaining_all))
         if nudged is None or state in seen:
             stuck = active
             break
@@ -250,9 +251,7 @@ def navigate(
 
 
 def _find_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
-    if dist(a, b) <= 1e-12:
-        return [a, b]
-    if capsule_free(Capsule(a, b, r), w, others):
+    if dist(a, b) <= 1e-12 or capsule_free(a, b, r, w, others):
         return [a, b]
     return None
 
@@ -281,16 +280,15 @@ def _nav_grid(w: Workspace, r: float) -> NavGrid:
     return NavGrid(xs, ys, ok.reshape(nx, ny))
 
 
-def _stamp_disks(grid: NavGrid, others: Sequence[Disk], r: float) -> np.ndarray:
-    """Copy of the static mask with every cell closer than o.radius + r to
-    another disk o cleared; only the window that reach can touch is tested."""
+def _stamp_disks(grid: NavGrid, others: np.ndarray, r: float) -> np.ndarray:
+    """Copy of the static mask with every cell closer than 2r to one of the
+    `others` centres cleared; only the window that reach can touch is tested."""
     free = grid.free.copy()
     xs, ys = grid.xs, grid.ys
     nx, ny = free.shape
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    for o in others:
-        cx, cy = o.center
-        reach = (o.radius + r) * (1 - 1e-9)
+    reach = 2 * r * (1 - 1e-9)
+    for cx, cy in others.tolist():
         # cells outside the window lie a full cell beyond the reach
         i0 = max(0, int((cx - reach - xs[0]) / hx))
         i1 = min(nx, int((cx + reach - xs[0]) / hx) + 2)
@@ -369,19 +367,14 @@ def _grid_route(a: Point2, b: Point2, w, r, others, grid: NavGrid) -> Optional[l
     return _string_pull(waypoints, w, r, others)
 
 
-def _disk_arrays(others: Sequence[Disk]) -> tuple[list, list]:
-    return [o.center for o in others], [o.radius for o in others]
-
-
 def _string_pull(waypoints, w, r, others) -> Optional[list[Point2]]:
     """Shortcut the polyline: from each kept point jump to the farthest
     waypoint it reaches by a free (or zero-length) segment."""
-    disks = _disk_arrays(others)
     out = [waypoints[0]]
     k = 0
     while k < len(waypoints) - 1:
         rest = waypoints[k + 1 :]
-        ok = capsules_free(out[-1], rest, r, w, *disks)
+        ok = capsules_free(out[-1], rest, r, w, others)
         ok |= np.array([dist(out[-1], q) <= 1e-12 for q in rest])
         hits = np.flatnonzero(ok)
         if not len(hits):
@@ -393,49 +386,44 @@ def _string_pull(waypoints, w, r, others) -> Optional[list[Point2]]:
 
 def _free_sidestep(p, away_from, w, r, others, vias) -> Optional[Point2]:
     """Nearest reachable via spot that steps clear of the given segment."""
+    a, b = np.array(away_from, dtype=float)
+    clear = point_segment_distances(np.asarray(vias, dtype=float).reshape(-1, 2), a, b)
     cands, scores = [], []
-    for v in vias:
+    for v, seg_clear in zip(vias, clear.tolist()):
         d = dist(p, v)
-        if d < 2 * r:
-            continue
-        seg_clear = point_segment_distance(v, away_from[0], away_from[1])
-        if seg_clear < 2.5 * r:
+        if d < 2 * r or seg_clear < 2.5 * r:
             continue
         cands.append(v)
         scores.append(d - 0.1 * seg_clear)
-    free = capsules_free(p, cands, r, w, *_disk_arrays(others))
+    free = capsules_free(p, cands, r, w, others)
     # stable order: the first candidate of minimum score wins ties
     for k in sorted(range(len(cands)), key=scores.__getitem__):
-        if free[k] and all(dist(cands[k], o.center) >= 2 * r for o in others):
+        if free[k] and all(dist(cands[k], o) >= 2 * r for o in others):
             return cands[k]
     return None
 
 
-def _clear_crowd(blocked, pos, targets, w, r, vias, emit):
+def _clear_crowd(blocked, agents, centres, targets, w, r, vias, emit):
     """Sidestep one agent crowding a blocked agent's direct route.
 
-    Prefers agents still waiting to move; a parked agent is nudged only as a
-    last resort (the caller re-queues it). Returns the nudged agent or None.
+    Row k of `centres` is where agents[k] is. Prefers agents still waiting
+    to move; a parked agent is nudged only as a last resort (the caller
+    re-queues it). Returns the nudged agent or None.
     """
     for parked_ok in (False, True):
         for a in blocked:
-            seg = (pos[a], targets[a])
-            crowd = sorted(
-                (
-                    x
-                    for x in pos
-                    if x != a and point_segment_distance(pos[x], *seg) < 2.2 * r
-                ),
-                key=lambda x: (point_segment_distance(pos[x], *seg), repr(x)),
-            )
-            for b in crowd:
-                parked = dist(pos[b], targets.get(b, pos[b])) <= 1e-12
-                if parked and not parked_ok:
+            i = agents.index(a)
+            seg = (Point2(*centres[i].tolist()), targets[a])
+            near = point_segment_distances(centres, *np.array(seg, dtype=float))
+            near[i] = np.inf
+            crowd = np.flatnonzero(near < 2.2 * r).tolist()
+            for k in sorted(crowd, key=lambda k: (near[k], repr(agents[k]))):
+                b, p = agents[k], Point2(*centres[k].tolist())
+                if dist(p, targets.get(b, p)) <= 1e-12 and not parked_ok:
                     continue
-                others = [Disk(p, r) for x, p in pos.items() if x != b]
-                spot = _free_sidestep(pos[b], seg, w, r, others, vias)
+                spot = _free_sidestep(p, seg, w, r, np.delete(centres, k, axis=0), vias)
                 if spot is not None:
-                    emit(b, [pos[b], spot])
+                    emit(b, [p, spot])
                     return b
     return None
 
@@ -444,7 +432,7 @@ def _detour_route(a, b, w, r, others, vias) -> Optional[list[Point2]]:
     """a -> v -> b through the free via v of least extra length (first on ties)."""
     cands = [v for v in vias if dist(a, v) >= 1e-12 and dist(v, b) >= 1e-12]
     n = len(cands)
-    ok = capsules_free([a] * n + cands, cands + [b] * n, r, w, *_disk_arrays(others))
+    ok = capsules_free([a] * n + cands, cands + [b] * n, r, w, others)
     best = None
     for v, free in zip(cands, ok[:n] & ok[n:]):
         extra = dist(a, v) + dist(v, b)
@@ -457,9 +445,8 @@ def _detour_route(a, b, w, r, others, vias) -> Optional[list[Point2]]:
 
 def _two_leg_route(a, b, w, r, others, hints, vias) -> Optional[list[Point2]]:
     """Route a -> grid via -> hint -> b for targets needing a staged approach."""
-    disks = _disk_arrays(others)
     n = len(hints)
-    ok = capsules_free(list(hints) + [a] * n, [b] * n + list(hints), r, w, *disks)
+    ok = capsules_free(list(hints) + [a] * n, [b] * n + list(hints), r, w, others)
     first_legs = None  # vias reachable from a, computed on first need
     for h, to_b, from_a in zip(hints, ok[:n], ok[n:]):
         if dist(h, b) < 1e-12 or not to_b:
@@ -468,9 +455,9 @@ def _two_leg_route(a, b, w, r, others, hints, vias) -> Optional[list[Point2]]:
             return [a, h, b]
         if first_legs is None:
             vs = [v for v in vias or [] if dist(a, v) >= 1e-12]
-            first_legs = [v for v, f in zip(vs, capsules_free(a, vs, r, w, *disks)) if f]
+            first_legs = [v for v, f in zip(vs, capsules_free(a, vs, r, w, others)) if f]
         cands = [v for v in first_legs if dist(v, h) >= 1e-12]
-        hits = np.flatnonzero(capsules_free(cands, h, r, w, *disks))
+        hits = np.flatnonzero(capsules_free(cands, h, r, w, others))
         if len(hits):
             return [a, cands[hits[0]], h, b]
     return None

@@ -62,7 +62,9 @@ def _load_scenario(args) -> Scenario:
         p.k_max = args.kmax
     if args.threshold is not None:
         p.threshold = args.threshold
-    if args.max_agents is not None and len(s.agents) > args.max_agents:
+    if args.max_agents is not None:
+        if args.max_agents < 1:
+            raise InvalidScenario(f"--max-agents {args.max_agents} below 1")
         s.agents = s.agents[: args.max_agents]
     return s
 

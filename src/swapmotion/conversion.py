@@ -202,14 +202,6 @@ def _triple_intersection_empty(circles: list[Disk], tol: float) -> bool:
     return True
 
 
-def assumptions_ok(circles: list[Disk], tol: float = 1e-9) -> bool:
-    """Center-outside and empty-triple-overlap assumptions for a circle set."""
-    scale = max((c.radius for c in circles), default=1.0)
-    return _pairwise_center_check(circles, tol * scale) and _triple_intersection_empty(
-        circles, tol * scale
-    )
-
-
 def _build(
     circles: list[Disk],
     r: float,
@@ -666,9 +658,10 @@ def greedy_convert(
             if c in chosen:
                 continue
             tentative = chosen + [c]
-            if not assumptions_ok(tentative):
+            try:
+                res = _build(tentative, r, workspace=w, cache=cache)
+            except PreconditionViolated:
                 continue
-            res = _build(tentative, r, workspace=w, cache=cache)
             if res is None or res.graph.num_vertices() <= best.graph.num_vertices():
                 continue
             chosen = tentative

@@ -70,6 +70,10 @@ class Scenario:
             value = getattr(p, name)
             if value is not None and not value > 0:
                 out.append(f"{name} {value} not positive")
+        if not (isinstance(p.k_max, (int, float)) and p.k_max >= 1 and p.k_max % 1 == 0):
+            out.append(f"k_max {p.k_max} not an integer >= 1")
+        if p.threshold is not None and not p.threshold >= 1:
+            out.append(f"threshold {p.threshold} below 1")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
             out.append("agent ids not distinct")

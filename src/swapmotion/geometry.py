@@ -35,19 +35,6 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class Capsule:
-    """Minkowski sum of segment ab with a disk of the given radius."""
-
-    a: Point2
-    b: Point2
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"capsule radius must be positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class Polygon:
     """Simple polygon ring; counter-clockwise = solid, clockwise = hole."""
 
@@ -144,20 +131,9 @@ def dist(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    """Distance from point p to segment ab."""
-    ax, ay = a
-    dx, dy = b[0] - ax, b[1] - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = min(1.0, max(0.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / seg2))
-    return math.hypot(p[0] - ax - t * dx, p[1] - ay - t * dy)
-
-
 def point_segment_projections(p: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Elementwise `point_segment_distance` over broadcast (..., 2) arrays,
-    and the fraction along ab of the closest point."""
+    """Elementwise distance from p to segment ab over broadcast (..., 2)
+    arrays, and the fraction along ab of the closest point."""
     px, py = p[..., 0], p[..., 1]
     ax, ay = a[..., 0], a[..., 1]
     dx, dy = b[..., 0] - ax, b[..., 1] - ay
@@ -169,7 +145,7 @@ def point_segment_projections(p: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def point_segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise `point_segment_distance` over broadcast (..., 2) arrays."""
+    """Elementwise distance from p to segment ab over broadcast (..., 2) arrays."""
     return point_segment_projections(p, a, b)[0]
 
 
@@ -370,26 +346,21 @@ def _spines_clear_of_edges(a: np.ndarray, b: np.ndarray, r: float, w: Workspace)
 
 
 def capsules_free(
-    a: np.ndarray,
-    b: np.ndarray,
-    r: float,
-    w: Workspace,
-    centers: np.ndarray = (),
-    radii: np.ndarray = (),
+    a: np.ndarray, b: np.ndarray, r: float, w: Workspace, others: np.ndarray = ()
 ) -> np.ndarray:
     """Batched `capsule_free`: bool[K] for the K spines a[k]-b[k] of radius r.
 
     `a` and `b` are (K, 2) arrays or single points, which broadcast. Each
-    capsule is checked against the bounds, every obstacle edge and every
-    excluded disk (`centers` (D, 2), `radii` (D,)).
+    capsule is checked against the bounds, every obstacle edge and the disks
+    of radius r about the (D, 2) centres `others`.
     """
     a, b = np.broadcast_arrays(
         np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2)
     )
-    step = (1 << 14) // max(1, len(w._edges_a), len(radii))  # bounds the K x E temporaries
+    step = (1 << 14) // max(1, len(w._edges_a), len(others))  # bounds the K x E temporaries
     if len(a) > step:
         return np.concatenate(
-            [capsules_free(a[k : k + step], b[k : k + step], r, w, centers, radii)
+            [capsules_free(a[k : k + step], b[k : k + step], r, w, others)
              for k in range(0, len(a), step)]
         )
     tol = w.tol
@@ -400,17 +371,16 @@ def capsules_free(
         ok &= (bd.ymin + r - tol <= p[:, 1]) & (p[:, 1] <= bd.ymax - r + tol)
     if len(w._edges_a):
         ok &= _spines_clear_of_edges(a, b, r, w)
-    if len(radii):
-        d = point_segment_distances(np.asarray(centers, dtype=float), a[:, None, :], b[:, None, :])
-        ok &= ~(d < r + np.asarray(radii, dtype=float) - tol).any(axis=1)
+    if len(others):
+        d = point_segment_distances(np.asarray(others, dtype=float), a[:, None, :], b[:, None, :])
+        ok &= ~(d < 2 * r - tol).any(axis=1)
     return ok
 
 
-def capsule_free(c: Capsule, w: Workspace, excluded: Sequence[Disk] = ()) -> bool:
-    """True iff the swept disk of segment ab stays inside the free space and
-    does not penetrate any of the `excluded` disks (tangency is allowed)."""
-    centers, radii = [d.center for d in excluded], [d.radius for d in excluded]
-    return bool(capsules_free(c.a, c.b, c.radius, w, centers, radii)[0])
+def capsule_free(a: Point2, b: Point2, r: float, w: Workspace, others: np.ndarray = ()) -> bool:
+    """True iff the disk of radius r swept along ab stays in the free space and
+    clear of the disks of radius r about the `others` (tangency is allowed)."""
+    return bool(capsules_free(a, b, r, w, others)[0])
 
 
 class CapsuleCache:

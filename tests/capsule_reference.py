@@ -1,5 +1,6 @@
 """Scalar reference for `geometry.capsules_free`: one capsule, one edge and
-one excluded disk at a time, in plain Python."""
+one other agent at a time, in plain Python, with the one scalar point-segment
+distance of the tests."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ import math
 
 import numpy as np
 
-from swapmotion.geometry import Capsule, Point2, _edge_distances, point_in_free_space
+from swapmotion.geometry import Point2, _edge_distances, point_in_free_space
 
 
-def _point_segment_distance(p, a, b) -> float:
+def point_segment_distance(p, a, b) -> float:
+    """Distance from point p to segment ab."""
     ax, ay = a
     bx, by = b
     px, py = p
@@ -39,37 +41,37 @@ def _segment_segment_distance(a, b, c, d) -> float:
     if _segments_intersect(a, b, c, d):
         return 0.0
     return min(
-        _point_segment_distance(a, c, d),
-        _point_segment_distance(b, c, d),
-        _point_segment_distance(c, a, b),
-        _point_segment_distance(d, a, b),
+        point_segment_distance(a, c, d),
+        point_segment_distance(b, c, d),
+        point_segment_distance(c, a, b),
+        point_segment_distance(d, a, b),
     )
 
 
-def capsule_free_reference(c: Capsule, w, excluded=()) -> bool:
-    """True iff the swept disk of segment ab stays inside the free space and
-    does not penetrate any of the `excluded` disks (tangency is allowed)."""
+def capsule_free_reference(a, b, r, w, others=()) -> bool:
+    """True iff the disk of radius r swept along segment ab stays inside the
+    free space and does not penetrate the disk of radius r about any of the
+    `others` centres (tangency is allowed)."""
     tol = w.tol
-    b = w.bounds
-    r = c.radius
-    for px, py in (c.a, c.b):
+    bd = w.bounds
+    for px, py in (a, b):
         if not (
-            b.xmin + r - tol <= px <= b.xmax - r + tol
-            and b.ymin + r - tol <= py <= b.ymax - r + tol
+            bd.xmin + r - tol <= px <= bd.xmax - r + tol
+            and bd.ymin + r - tol <= py <= bd.ymax - r + tol
         ):
             return False
     if w.obstacles:
         # spine endpoints inside obstacle material (covers capsule-in-obstacle);
         # spine crossing an edge is caught by the distance test below
-        for p in (c.a, c.b):
+        for p in (a, b):
             if not point_in_free_space(p, w) and _edge_distances(
                 np.array([p], dtype=float), w
             )[0] >= r - tol:
                 return False
         for pa, pb in zip(w._edges_a, w._edges_b):
-            if _segment_segment_distance(c.a, c.b, Point2(*pa), Point2(*pb)) < r - tol:
+            if _segment_segment_distance(a, b, Point2(*pa), Point2(*pb)) < r - tol:
                 return False
-    for d in excluded:
-        if _point_segment_distance(d.center, c.a, c.b) < r + d.radius - tol:
+    for o in others:
+        if point_segment_distance(o, a, b) < 2 * r - tol:
             return False
     return True

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capsule_reference import point_segment_distance
 from graph_fixtures import four_loop_example, random_graph, random_occupancy, shuffled_goal
 from test_planner import loopwise_reversal_instance
 
@@ -29,7 +30,7 @@ from swapmotion.fileio import (
     plan_to_dict,
     scenario_from_dict,
 )
-from swapmotion.geometry import Disk, Point2, dist, point_segment_distance, rectangle_workspace
+from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
 from swapmotion.pipeline import run_pipeline, sample_free_positions
 from swapmotion.planner import exchange, execute, plan_permutation, apply_ops
 from swapmotion.swap_graph import (

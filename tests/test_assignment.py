@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from capsule_reference import capsule_free_reference
+from capsule_reference import capsule_free_reference, point_segment_distance
 from navigation_reference import free_mask_reference
 from swapmotion import assignment, pipeline
 from swapmotion.assignment import (
     Assignment,
+    _clear_crowd,
     _detour_route,
     _free_sidestep,
     _grid_route,
@@ -32,15 +33,7 @@ from swapmotion.assignment import (
 from swapmotion.conversion import convert_single_circle
 from swapmotion.errors import TooFewSlots
 from swapmotion.fileio import load_json, scenario_from_dict
-from swapmotion.geometry import (
-    Capsule,
-    Disk,
-    Point2,
-    Polygon,
-    dist,
-    point_segment_distance,
-    rectangle_workspace,
-)
+from swapmotion.geometry import Disk, Point2, Polygon, dist, rectangle_workspace
 from swapmotion.swap_graph import Occupancy
 from swapmotion.trajectory import record_end, verify_trajectories
 
@@ -216,7 +209,7 @@ class TestNavigate:
 
 # Scalar versions of the via loops: one capsule per via, checked in order.
 def _free(a, b, w, r, others) -> bool:
-    return capsule_free_reference(Capsule(a, b, r), w, others)
+    return capsule_free_reference(a, b, r, w, others)
 
 
 def scalar_detour(a, b, w, r, others, vias):
@@ -258,7 +251,7 @@ def scalar_sidestep(p, away_from, w, r, others, vias):
         score = d - 0.1 * seg_clear
         if best is not None and score >= best[0]:
             continue
-        if all(dist(v, o.center) >= 2 * r for o in others) and _free(p, v, w, r, others):
+        if all(dist(v, o) >= 2 * r for o in others) and _free(p, v, w, r, others):
             best = (score, v)
     return None if best is None else best[1]
 
@@ -288,7 +281,7 @@ def _route_scene(rng):
     r = 1.0
     free = [Point2(*p) for p in _via_candidates(w, r, 1.3)]
     rng.shuffle(free)
-    others = [Disk(p, r) for p in free[: rng.randint(4, 12)]]
+    others = np.array(free[: rng.randint(4, 12)])
     return w, r, others, free
 
 
@@ -318,6 +311,77 @@ def test_batched_via_loops_return_the_scalar_routes():
             assert got == scalar_string_pull(line, w, r, others)
             found["pull"] += got is not None
     assert min(found.values()) >= 10, found
+
+
+def scalar_clear_crowd(blocked, pos, targets, w, r, vias, sidestep):
+    """`_clear_crowd` over a dict of positions, one scalar distance at a time:
+    the agents within 2.2r of a blocked agent's direct route, nearest first
+    and ties by `repr`, waiting agents before parked ones."""
+    for parked_ok in (False, True):
+        for a in blocked:
+            seg = (pos[a], targets[a])
+            near = {x: point_segment_distance(p, *seg) for x, p in pos.items() if x != a}
+            crowd = [x for x in near if near[x] < 2.2 * r]
+            for b in sorted(crowd, key=lambda x: (near[x], repr(x))):
+                if dist(pos[b], targets.get(b, pos[b])) <= 1e-12 and not parked_ok:
+                    continue
+                others = np.array([p for x, p in pos.items() if x != b])
+                spot = sidestep(pos[b], seg, w, r, others, vias)
+                if spot is not None:
+                    return b, spot
+    return None
+
+
+def test_clear_crowd_picks_the_scalar_crowd_in_order(monkeypatch):
+    rng = random.Random(31)
+    found = {"tried": 0, "parked_tried": 0, "ties": 0, "nudged": 0}
+    for _ in range(30):
+        w, r, _, free = _route_scene(rng)
+        vias = _via_candidates(w, r, 2.5 * r)
+        pts = []
+        for p in free:
+            if all(dist(p, q) >= 2 * r for q in pts):
+                pts.append(p)
+        pts = pts[: rng.randint(5, 14)]
+        agents = rng.sample(range(40), len(pts))  # repr order is not numeric order
+        pos = dict(zip(agents, pts))
+        targets = {}
+        for x, p in pos.items():
+            # targets in line with p, so that two crowding agents can tie on distance
+            in_line = [q for q in free if q != p and (q.x == p.x or q.y == p.y)]
+            kind = rng.random()
+            targets[x] = p if kind < 0.3 else rng.choice(in_line if kind < 0.65 else free)
+        moving = [x for x in agents if targets[x] != pos[x]]
+        blocked = moving[: rng.randint(1, 3)]
+        centres = np.array(pts)
+        # with every sidestep failing, each crowding agent is tried, in order
+        tried, expect = [], []
+        with monkeypatch.context() as m:
+            m.setattr(assignment, "_free_sidestep", lambda p, seg, *rest: tried.append((p, seg)))
+            assert _clear_crowd(blocked, agents, centres, targets, w, r, vias, None) is None
+        scalar_clear_crowd(
+            blocked, pos, targets, w, r, vias, lambda p, seg, *rest: expect.append((p, seg))
+        )
+        assert tried == expect
+        parked = {p for x, p in pos.items() if targets[x] == p}
+        found["tried"] += len(tried)
+        found["parked_tried"] += sum(p in parked for p, _ in tried)
+        for a in blocked:
+            near = [point_segment_distance(p, pos[a], targets[a]) for p in pos.values()]
+            near = [d for d in near if 0 < d < 2.2 * r]
+            found["ties"] += len(near) > len(set(near))  # repr breaks the tie
+        # the nudge itself
+        emitted = []
+        got = _clear_crowd(
+            blocked, agents, centres, targets, w, r, vias, lambda *e: emitted.append(e)
+        )
+        want = scalar_clear_crowd(blocked, pos, targets, w, r, vias, scalar_sidestep)
+        if want is None:
+            assert got is None and emitted == []
+        else:
+            assert got == want[0] and emitted == [(want[0], [pos[want[0]], want[1]])]
+            found["nudged"] += 1
+    assert min(found.values()) >= 3, found
 
 
 def test_a_repeated_sidestep_ends_the_stall(monkeypatch):
@@ -353,14 +417,14 @@ def test_a_repeated_sidestep_ends_the_stall(monkeypatch):
 
 
 def _stamp_scene(rng, grid, r, n):
-    """n disks: inside the grid, on and across its bounds, with radii other
-    than r, and some centred on a cell with a reach that ends on a cell."""
+    """n centres: inside the grid, on and across its bounds, and some on a
+    cell centre, whose reach of 2r ends on cell centres when 2r is a whole
+    number of cells."""
     x0, x1, y0, y1 = grid.xs[0], grid.xs[-1], grid.ys[0], grid.ys[-1]
     hx = grid.xs[1] - grid.xs[0]
     out = []
     for _ in range(n):
         kind = rng.randrange(4)
-        radius = rng.choice([r, 0.5 * r, 1.7 * r, rng.uniform(0.2 * r, 3 * r)])
         if kind == 0:
             c = Point2(rng.uniform(x0, x1), rng.uniform(y0, y1))
         elif kind == 1:  # on the bounds, or partly outside the grid
@@ -369,22 +433,25 @@ def _stamp_scene(rng, grid, r, n):
         elif kind == 2:
             edge = rng.choice([y0 - hx / 2, y1 + hx / 2, y0 - 2.5 * r, y1 + 0.7 * r])
             c = Point2(rng.uniform(x0 - 3 * r, x1 + 3 * r), edge)
-        else:  # on a cell centre, reach ending on another cell centre
+        else:  # on a cell centre
             i, j = rng.randrange(len(grid.xs)), rng.randrange(len(grid.ys))
             c = Point2(float(grid.xs[i]), float(grid.ys[j]))
-            radius = rng.randint(3, 9) * hx - r
-        out.append(Disk(c, radius))
-    return out
+        out.append(c)
+    return np.array(out, dtype=float).reshape(-1, 2)
 
 
-@pytest.mark.parametrize("scene", ["rectangle", "obstacles_30"])
+@pytest.mark.parametrize("scene", ["rectangle", "whole_cells", "obstacles_30"])
 def test_stamped_mask_matches_the_distance_array(scene):
     if scene == "rectangle":
         w, r = rectangle_workspace(23, 13), 0.9
+    elif scene == "whole_cells":  # cells of exactly r / 2, so 2r is four cells
+        w, r = rectangle_workspace(24, 13), 1.0
     else:
         s = scenario_from_dict(load_json(SCENARIOS / "obstacles_30.json"))
         w, r = s.workspace, s.r
     grid = _nav_grid(w, r)
+    if scene == "whole_cells":
+        assert grid.xs[1] - grid.xs[0] == grid.ys[1] - grid.ys[0] == r / 2
     static = grid.free.copy()
     rng = random.Random(12)
     cleared = 0
@@ -405,16 +472,16 @@ class TestGridRoute:
     W = rectangle_workspace(20, 12)
 
     def wall(self, gap):
-        return [Disk(Point2(10, y), self.R) for y in (1, 3, 5, 7, 9, 11) if y not in gap]
+        return np.array([(10.0, y) for y in (1, 3, 5, 7, 9, 11) if y not in gap]).reshape(-1, 2)
 
     def test_routes_through_the_gap(self):
         a, b = Point2(3, 2), Point2(17, 2)
         others = self.wall(gap=(5, 7))
-        assert not capsule_free_reference(Capsule(a, b, self.R), self.W, others)
+        assert not capsule_free_reference(a, b, self.R, self.W, others)
         route = _grid_route(a, b, self.W, self.R, others, _nav_grid(self.W, self.R))
         assert route is not None and route[0] == a and route[-1] == b
         for p, q in zip(route, route[1:]):
-            assert capsule_free_reference(Capsule(p, q, self.R), self.W, others)
+            assert capsule_free_reference(p, q, self.R, self.W, others)
         crossing = [
             p.y + (q.y - p.y) * (10 - p.x) / (q.x - p.x)
             for p, q in zip(route, route[1:])

@@ -7,9 +7,7 @@ import numpy as np
 
 from capsule_reference import capsule_free_reference
 from swapmotion.geometry import (
-    Capsule,
     CapsuleCache,
-    Disk,
     Point2,
     Polygon,
     capsule_free,
@@ -45,19 +43,14 @@ def random_batch(rng, k: int):
     return a, b
 
 
-def reference(a, b, r, w, disks):
-    return [
-        capsule_free_reference(Capsule(Point2(*p), Point2(*q), r), w, disks)
-        for p, q in zip(a, b)
-    ]
+def reference(a, b, r, w, others):
+    return [capsule_free_reference(Point2(*p), Point2(*q), r, w, others) for p, q in zip(a, b)]
 
 
-def check(a, b, r, w, disks=()):
-    centers = [d.center for d in disks]
-    radii = [d.radius for d in disks]
-    got = capsules_free(a, b, r, w, centers, radii)
+def check(a, b, r, w, others=()):
+    got = capsules_free(a, b, r, w, np.array(others, dtype=float).reshape(-1, 2))
     assert got.dtype == bool and got.shape == (len(a),)
-    assert got.tolist() == reference(a, b, r, w, disks)
+    assert got.tolist() == reference(a, b, r, w, others)
     return got
 
 
@@ -67,12 +60,11 @@ def test_matches_reference_on_random_scenes_with_solids_and_holes():
     for _ in range(150):
         w = random_workspace(rng)
         holes += sum(not p.is_ccw() for p in w.obstacles)
-        disks = [
-            Disk(Point2(rng.uniform(0, 10), rng.uniform(0, 10)), rng.uniform(0.2, 1.0))
-            for _ in range(rng.randint(0, 4))
+        others = [
+            Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(rng.randint(0, 4))
         ]
         a, b = random_batch(rng, 40)
-        got = check(a, b, rng.uniform(0.05, 1.2), w, disks)
+        got = check(a, b, rng.uniform(0.05, 1.2), w, others)
         free += int(got.sum())
         total += len(got)
     # both answers occur often, and holes are covered
@@ -83,18 +75,18 @@ def test_matches_reference_on_random_scenes_with_solids_and_holes():
 def test_tangent_and_overlapping_excluded_disks():
     w = rectangle_workspace(10, 10)
     a, b = np.array([[2.0, 5.0]] * 4), np.array([[8.0, 5.0]] * 4)
-    for disks, expect in (
-        ([Disk(Point2(5.0, 7.0), 1.0)], True),  # tangent to the side
-        ([Disk(Point2(10.0, 5.0), 1.0)], True),  # tangent to the end cap
-        ([Disk(Point2(5.0, 6.9), 1.0)], False),
-        ([Disk(Point2(5.0, 7.0), 1.0), Disk(Point2(8.5, 5.5), 0.3)], False),
+    for others, expect in (
+        ([Point2(5.0, 7.0)], True),  # tangent to the side
+        ([Point2(10.0, 5.0)], True),  # tangent to the end cap
+        ([Point2(5.0, 6.9)], False),
+        ([Point2(5.0, 7.0), Point2(8.5, 5.5)], False),
     ):
-        assert check(a, b, 1.0, w, disks).tolist() == [expect] * 4
+        assert check(a, b, 1.0, w, others).tolist() == [expect] * 4
     # tangent to a diagonal spine, where the computed distance rounds below 2
     s = math.sqrt(2)
     a, b = np.array([[2.0, 2.0]]), np.array([[8.0, 8.0]])
-    assert check(a, b, 1.0, w, [Disk(Point2(5 - s, 5 + s), 1.0)]).tolist() == [True]
-    assert check(a, b, 1.0, w, [Disk(Point2(5 - s, 5 + s), 1.01)]).tolist() == [False]
+    assert check(a, b, 1.0, w, [Point2(5 - s, 5 + s)]).tolist() == [True]
+    assert check(a, b, 1.01, w, [Point2(5 - s, 5 + s)]).tolist() == [False]
 
 
 def test_workspace_without_obstacles():
@@ -108,8 +100,7 @@ def test_workspace_without_obstacles():
 def test_empty_batch():
     rng = random.Random(13)
     w = random_workspace(rng)
-    disks = [Disk(Point2(5, 5), 1.0)]
-    assert check(np.empty((0, 2)), np.empty((0, 2)), 0.5, w, disks).shape == (0,)
+    assert check(np.empty((0, 2)), np.empty((0, 2)), 0.5, w, [Point2(5, 5)]).shape == (0,)
     assert capsules_free(Point2(1, 1), [], 0.5, w).shape == (0,)
 
 
@@ -119,10 +110,10 @@ def test_single_point_broadcasts_and_matches_the_one_capsule_call():
         w = random_workspace(rng)
         p = Point2(rng.uniform(1, 9), rng.uniform(1, 9))
         _, b = random_batch(rng, 30)
-        others = [Disk(Point2(rng.uniform(0, 10), rng.uniform(0, 10)), 0.5)]
-        got = capsules_free(p, b, 0.4, w, [o.center for o in others], [0.5])
-        back = capsules_free(b, p, 0.4, w, [o.center for o in others], [0.5])
-        one = [capsule_free(Capsule(p, Point2(*q), 0.4), w, others) for q in b]
+        others = np.array([[rng.uniform(0, 10), rng.uniform(0, 10)]])
+        got = capsules_free(p, b, 0.4, w, others)
+        back = capsules_free(b, p, 0.4, w, others)
+        one = [capsule_free(p, Point2(*q), 0.4, w, others) for q in b]
         assert got.tolist() == back.tolist() == one
 
 

@@ -181,6 +181,17 @@ class TestCli:
         report = load_json(tmp_path / "report.json")
         assert report["n_agents"] == 4
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_agents_below_one_exit_2(self, value, tmp_path, capsys):
+        code = main(
+            ["exec", "--scenario", str(SCENARIOS / "rect_12.json"),
+             "--out", str(tmp_path), "--max-agents", value]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error [InvalidScenario]: --max-agents {value} below 1"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_prints_pipeline_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["exec", "--scenario", str(SCENARIOS / "rect_12.json")])
@@ -297,7 +308,10 @@ class TestInvalidScenario:
         with pytest.raises(InvalidScenario, match="starts of agents 0,1"):
             run_pipeline(s)
 
-    @pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--grid", "-0.5")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--epsilon", "0"), ("--grid", "-0.5"), ("--kmax", "0"), ("--threshold", "0")],
+    )
     def test_nonpositive_step_fails_before_convert(self, flag, value, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("greedy_convert must not run")
@@ -330,10 +344,14 @@ class TestInvalidScenario:
         s.params.dt = 0.0
         s.params.epsilon = -1.0
         s.params.grid_resolution = 0.0
+        s.params.k_max = 0
+        s.params.threshold = 0
         assert s.validate() == [
             "dt 0.0 not positive",
             "epsilon -1.0 not positive",
             "grid_resolution 0.0 not positive",
+            "k_max 0 not an integer >= 1",
+            "threshold 0 below 1",
         ]
 
 

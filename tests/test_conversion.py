@@ -9,7 +9,6 @@ from swapmotion.conversion import (
     GapCorridor,
     PathCorridor,
     RadialCorridor,
-    assumptions_ok,
     convert_circles,
     convert_single_circle,
     corridor_polyline,
@@ -115,7 +114,6 @@ class TestConvertCircles:
             Disk(Point2(5.5, 0), 5.0),
             Disk(Point2(2.75, 4.5), 5.0),
         ]
-        assert not assumptions_ok(circles)
         with pytest.raises(PreconditionViolated):
             convert_circles(circles, None, 1.0, None)
 

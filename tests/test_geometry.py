@@ -6,7 +6,6 @@ import pytest
 
 from swapmotion.errors import NotInFreeSpace
 from swapmotion.geometry import (
-    Capsule,
     Disk,
     Point2,
     Polygon,
@@ -152,19 +151,19 @@ class TestDiskInFreeSpace:
 
 class TestCapsuleFree:
     def test_inside_large_square(self):
-        assert capsule_free(Capsule(Point2(3, 5), Point2(7, 5), 1.0), square10())
+        assert capsule_free(Point2(3, 5), Point2(7, 5), 1.0, square10())
 
     def test_crossing_obstacle(self):
         w, _ = triangle_scene()
-        assert not capsule_free(Capsule(Point2(2, 5), Point2(8, 5), 0.5), w)
+        assert not capsule_free(Point2(2, 5), Point2(8, 5), 0.5, w)
 
     def test_grazing_excluded_disk_is_legal(self):
         w = square10()
-        cap = Capsule(Point2(2, 5), Point2(8, 5), 1.0)
-        graze = Disk(Point2(5.0, 7.0), 1.0)  # distance to spine exactly 2.0
-        assert capsule_free(cap, w, [graze])
-        overlap = Disk(Point2(5.0, 6.9), 1.0)
-        assert not capsule_free(cap, w, [overlap])
+        a, b = Point2(2, 5), Point2(8, 5)
+        graze = [Point2(5.0, 7.0)]  # distance to spine exactly 2.0
+        assert capsule_free(a, b, 1.0, w, graze)
+        overlap = [Point2(5.0, 6.9)]
+        assert not capsule_free(a, b, 1.0, w, overlap)
 
     def test_zero_length_reduces_to_disk(self):
         w, _ = triangle_scene()
@@ -172,12 +171,12 @@ class TestCapsuleFree:
         for _ in range(100):
             p = Point2(rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5))
             r = rng.uniform(0.1, 1.5)
-            assert capsule_free(Capsule(p, p, r), w) == disk_in_free_space(Disk(p, r), w)
+            assert capsule_free(p, p, r, w) == disk_in_free_space(Disk(p, r), w)
 
     def test_capsule_wholly_inside_obstacle(self):
         big = Polygon((Point2(1, 1), Point2(9, 1), Point2(9, 9), Point2(1, 9)))
         w = rectangle_workspace(10, 10, [big])
-        assert not capsule_free(Capsule(Point2(4, 5), Point2(6, 5), 0.5), w)
+        assert not capsule_free(Point2(4, 5), Point2(6, 5), 0.5, w)
 
 
 def random_scene(rng):

@@ -43,6 +43,7 @@ from .geometry import (
     point_segment_distances,
 )
 from .medial_axis import (
+    BRIDGE_COUNTERS,
     SkeletonGraph,
     SkeletonPath,
     _path_clear,
@@ -51,6 +52,13 @@ from .medial_axis import (
     skeleton_path,
 )
 from .swap_graph import SwapGraph, edge_key
+
+
+# medial-axis fragments, bridges and bridge-search heap pops; sampled circles,
+# `_build` calls and circles kept; skeleton paths searched and reused
+CONVERT_COUNTERS = (
+    *BRIDGE_COUNTERS, "candidates", "builds", "circles_kept", "paths_searched", "paths_reused"
+)
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,8 @@ class ConversionResult:
     vertex_rings: dict[int, list[tuple[int, int, float]]]  # vid -> (circle, ring, angle)
     inter_edge_kind: dict[tuple[int, int], EdgeKind]
     ring_ports: dict[tuple[int, int], Optional[int]] = field(default_factory=dict)
+    # what `greedy_convert` did, under the keys of CONVERT_COUNTERS
+    counters: dict = field(default_factory=dict, compare=False)
     # (vid, circle, ring) -> slot angle, the first entry of vertex_rings
     _angle: dict[tuple[int, int, int], float] = field(init=False, repr=False, compare=False)
 
@@ -587,6 +597,8 @@ class _TauCache:
     w: Workspace
     store: dict = field(default_factory=dict)
     capsules: CapsuleCache = field(init=False)
+    searched: int = 0  # `skeleton_path` calls
+    reused: int = 0  # stored paths still clear in the set asked about
 
     def __post_init__(self):
         self.capsules = CapsuleCache(self.w)
@@ -601,7 +613,9 @@ class _TauCache:
             if tau is not None and _path_clear(
                 tau, a, b, others, self.r, self.w, self.capsules
             ):
+                self.reused += 1
                 return SkeletonPath(tau.waypoints, ai, bi)
+        self.searched += 1
         tau = skeleton_path(self.skeleton, a, b, circles, self.r, self.w, self.capsules)
         self.store[key] = tau
         return tau
@@ -627,6 +641,7 @@ def greedy_convert(
     eps = epsilon if epsilon is not None else 0.5 * r
     grid = grid_resolution if grid_resolution is not None else 0.5 * r
     limit = threshold if threshold is not None else math.inf
+    counters = dict.fromkeys(CONVERT_COUNTERS, 0)
     empty = ConversionResult(
         graph=SwapGraph(positions={}, loops=[], inter_edges=[]),
         circles=[],
@@ -634,12 +649,15 @@ def greedy_convert(
         loop_layer=[],
         vertex_rings={},
         inter_edge_kind={},
+        counters=counters,
     )
     try:
         skeleton = extract_medial_axis(w, grid)
     except EmptyFreeSpace:
         return empty
+    counters.update(skeleton.counters)
     candidates = sample_circles(skeleton, eps, k_max, r)
+    counters["candidates"] = len(candidates)
     if not candidates:
         return empty
 
@@ -658,6 +676,7 @@ def greedy_convert(
             if c in chosen:
                 continue
             tentative = chosen + [c]
+            counters["builds"] += 1
             try:
                 res = _build(tentative, r, workspace=w, cache=cache)
             except PreconditionViolated:
@@ -671,4 +690,8 @@ def greedy_convert(
                 break
         if not progressed:
             break
+    counters.update(
+        circles_kept=len(best.circles), paths_searched=cache.searched, paths_reused=cache.reused
+    )
+    best.counters = counters
     return best

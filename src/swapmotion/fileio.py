@@ -92,8 +92,8 @@ class Scenario:
             for j in range(i + 1, len(starts)):
                 if dist(starts[i], starts[j]) < 2 * self.r - self.workspace.tol:
                     out.append(f"starts of agents {ids[i]},{ids[j]} closer than 2r")
-                if goals[i] == goals[j]:
-                    out.append(f"goals of agents {ids[i]},{ids[j]} coincide")
+                if dist(goals[i], goals[j]) < 2 * self.r - self.workspace.tol:
+                    out.append(f"goals of agents {ids[i]},{ids[j]} closer than 2r")
         return out
 
 

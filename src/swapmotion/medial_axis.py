@@ -7,10 +7,11 @@ realizing it, all from one pass over the obstacle edges
 the nearest boundary point between neighboring cells (different walls) and
 local ridges of the clearance field. The union is thinned to one-cell-wide
 polylines, and the fragments of every free component are joined by
-widest-path bridges, searched over flat cell indices in plain lists. The
-result is a small geometric graph that also keeps its node positions and
-clearances as arrays, so `skeleton_path` checks all nodes of a query in one
-numpy pass before its Dijkstra over the skeleton.
+widest-path bridges: one resumed widest-path search per growing fragment,
+over flat cell indices in plain lists. The result is a small geometric graph
+that also keeps its node positions and clearances as arrays, so
+`skeleton_path` checks all nodes of a query in one numpy pass before its
+Dijkstra over the skeleton.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ class SkeletonGraph:
     nodes: list[SkeletonNode]
     edges: list[tuple[int, int]]
     sample_interval: float
+    # what the bridging did: fragments, bridges, bridge_pops
+    counters: dict = field(default_factory=dict, repr=False, compare=False)
     # node positions (n, 2) and clearances (n,) as arrays
     xy: np.ndarray = field(init=False, repr=False, compare=False)
     clearances: np.ndarray = field(init=False, repr=False, compare=False)
@@ -91,6 +94,8 @@ def _grid_points(w: Workspace, res: float):
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     return pts, nx, ny
 
+
+BRIDGE_COUNTERS = ("fragments", "bridges", "bridge_pops")
 
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
@@ -187,10 +192,12 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
     mask &= D > 0.75 * grid_resolution
 
     if not mask.any():
-        return SkeletonGraph(nodes=[], edges=[], sample_interval=grid_resolution)
+        return SkeletonGraph([], [], grid_resolution, dict.fromkeys(BRIDGE_COUNTERS, 0))
 
     mask = _thin(mask)
-    mask = _reconnect(mask, free2, D)
+    bridges, counters = _bridges(mask, free2, D)
+    for cells in bridges:
+        mask[tuple(zip(*cells))] = True
     mask = _thin(mask)
 
     idx = -np.ones((nx, ny), dtype=int)
@@ -205,7 +212,7 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
             u, v = i + dx, j + dy
             if 0 <= u < nx and 0 <= v < ny and mask[u, v]:
                 edges.append((int(idx[i, j]), int(idx[u, v])))
-    return SkeletonGraph(nodes=nodes, edges=edges, sample_interval=grid_resolution)
+    return SkeletonGraph(nodes, edges, grid_resolution, counters)
 
 
 def _steps8(row: int) -> tuple[int, ...]:
@@ -235,56 +242,25 @@ def _fragments(on: list[bool], row: int) -> list[int]:
     return label
 
 
-def _widest_bridge(
-    src: list[int], label: list[int], free: list[bool], D: list[float], row: int
-) -> tuple[int, list[int]] | None:
-    """Widest-path Dijkstra over 4-connected free cells from the cells `src`
-    of one fragment to the first cell of another one.
+def _bridges(
+    mask: np.ndarray, free: np.ndarray, D: np.ndarray
+) -> tuple[list[list[tuple[int, int]]], dict]:
+    """The widest-path bridges between the skeleton fragments of each free
+    component, each as the cells it adds, the hit fragment's cell first, and
+    the counters `fragments`, `bridges` and `bridge_pops`.
 
-    Returns that cell and the cells between it and the fragment, nearest the
-    hit first, or None when no other fragment is reachable. Heap entries are
-    (-width, cell); flat cells keep the raster tie order of (-width, i, j)."""
-    own = label[src[0]]
-    width = [-1.0] * len(D)
-    prev: dict[int, int] = {}
-    heap = []
-    for c in src:
-        width[c] = D[c]
-        heap.append((-D[c], c))
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    steps = (-row, row, -1, 1)
-    while heap:
-        negw, c = pop(heap)
-        wc = -negw
-        if wc < width[c]:
-            continue
-        if label[c] and label[c] != own:
-            path = []
-            cur = prev[c]
-            while cur in prev:
-                path.append(cur)
-                cur = prev[cur]
-            return c, path
-        for s in steps:
-            u = c + s
-            if free[u]:
-                cand = D[u] if D[u] < wc else wc
-                if cand > width[u]:
-                    width[u] = cand
-                    prev[u] = c
-                    push(heap, (-cand, u))
-    return None
-
-
-def _bridges(mask: np.ndarray, free: np.ndarray, D: np.ndarray):
-    """Yield the widest-path bridges between the skeleton fragments of each
-    free component, each as the cells it adds, the hit fragment's cell first.
-
-    The fragment holding the first cell in raster order is bridged to the
-    widest-reachable other fragment until it reaches none; then the next
-    fragment that still may is taken. Grids are padded by one unset cell and
-    flattened, so neighbors need no bounds checks."""
+    The fragment holding the first cell in raster order grows by a bridge to
+    the widest-reachable other fragment until it reaches none; then the next
+    fragment that still may is taken. Each growing fragment keeps one
+    widest-path Dijkstra over 4-connected free cells (Prim's one tree, one
+    queue): after a bridge, the cells it added and every fragment it merged
+    become sources at their own depth and the search resumes. Widths only
+    grow as sources are added, so each bridge is as wide as a search
+    restarted from the grown fragment would find; only the choice among
+    equally wide bridges can differ. Heap entries are
+    (-width, cell); grids are padded by one unset cell and flattened, so
+    neighbors need no bounds checks and flat cells keep the raster tie order
+    of (-width, i, j)."""
     row = mask.shape[1] + 2
     on = np.pad(mask, 1).ravel().tolist()
     label = _fragments(on, row)
@@ -293,37 +269,67 @@ def _bridges(mask: np.ndarray, free: np.ndarray, D: np.ndarray):
         members.setdefault(label[c], []).append(c)
     open_ = np.pad(free, 1).ravel().tolist()
     depth = np.pad(D, 1).ravel().tolist()
-    steps = _steps8(row)
+    steps4 = (-row, row, -1, 1)
+    steps8 = _steps8(row)
+    push, pop = heapq.heappush, heapq.heappop
+    fragments = len(members)
+    out: list[list[tuple[int, int]]] = []
     stuck: set[int] = set()
+    own = 0
+    pops = 0
     while len(members) > 1:
         live = [k for k in members if k not in stuck]
         if not live:
-            return
-        own = min(live)
-        found = _widest_bridge(members[own], label, open_, depth, row)
-        if found is None:
+            break
+        if min(live) != own:
+            own = min(live)
+            width = [-1.0] * len(depth)
+            prev: dict[int, int] = {}
+            heap: list[tuple[float, int]] = []
+            sources = members[own]
+        for c in sources:
+            width[c] = depth[c]
+            prev.pop(c, None)
+            push(heap, (-depth[c], c))
+        hit = None
+        while heap:
+            negw, c = pop(heap)
+            pops += 1
+            wc = -negw
+            if wc < width[c]:
+                continue
+            if label[c] and label[c] != own:
+                hit = c
+                break
+            for s in steps4:
+                u = c + s
+                if open_[u]:
+                    cand = depth[u] if depth[u] < wc else wc
+                    if cand > width[u]:
+                        width[u] = cand
+                        prev[u] = c
+                        push(heap, (-cand, u))
+        if hit is None:
             stuck.add(own)
             continue
-        hit, path = found
+        path = []
+        cur = prev[hit]
+        while cur in prev:
+            path.append(cur)
+            cur = prev[cur]
         for c in path:
             label[c] = own
-        members[own].extend(path)
+        sources = list(path)
         # the bridge joins the hit fragment and any fragment touching it
-        for k in sorted({label[hit]} | {label[c + s] for c in path for s in steps} - {0, own}):
+        for k in sorted({label[hit]} | {label[c + s] for c in path for s in steps8} - {0, own}):
             cells = members.pop(k)
             for c in cells:
                 label[c] = own
-            members[own].extend(cells)
             stuck.discard(k)
-        yield [(c // row - 1, c % row - 1) for c in (hit, *path)]
-
-
-def _reconnect(mask: np.ndarray, free: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """`mask` plus every cell of `_bridges`."""
-    out = mask.copy()
-    for cells in _bridges(mask, free, D):
-        out[tuple(zip(*cells))] = True
-    return out
+            sources.extend(cells)
+        members[own].extend(sources)
+        out.append([(c // row - 1, c % row - 1) for c in (hit, *path)])
+    return out, dict(zip(BRIDGE_COUNTERS, (fragments, len(out), pops)))
 
 
 def sample_circles(

@@ -61,6 +61,7 @@ class RunReport:
     verification: dict  # what the certificate checked, and where the minima are
     plan: dict  # the planner's counters (Plan.counters)
     navigate: dict  # per leg: assignment.NAV_COUNTERS summed over retries, and the retries
+    convert: dict  # conversion.CONVERT_COUNTERS
 
 
 @dataclass
@@ -198,6 +199,7 @@ def run_pipeline(
         verification=_verification_block(report),
         plan=plan.counters,
         navigate={"start": prologue.counters, "goal": inbound.counters},
+        convert=res.counters,
     )
     artifacts = RunArtifacts(res, start_occ, goal_occ, plan, full, report)
     if out_dir is not None:

@@ -1,7 +1,8 @@
 """Reference for the array code in `swapmotion.medial_axis`: the medial-axis
 extraction with three grid distance passes, the cell-by-cell component
-labeling and widest-path reconnect over numpy scalars, and the skeleton
-Dijkstra that checks each node with `dist` as it is reached."""
+labeling and resumed widest-path reconnect over numpy scalars, the widest
+bridge searched from scratch as a width oracle, and the skeleton Dijkstra
+that checks each node with `dist` as it is reached."""
 
 from __future__ import annotations
 
@@ -175,22 +176,25 @@ def reconnect_reference(
 ) -> np.ndarray:
     """Bridge skeleton fragments of one free component along wide paths.
 
-    Each bridge's added cells, hit cell first, are appended to `bridges`
-    when it is a list. Stops once fragment 1 reaches no other fragment."""
+    Fragment 1 grows with one widest-path Dijkstra over 4-connected free
+    cells: after each bridge, every cell that joined fragment 1 becomes a
+    source at its own depth and the search goes on. Each bridge's added
+    cells, hit cell first, are appended to `bridges` when it is a list.
+    Stops once fragment 1 reaches no other fragment."""
     out = mask.copy()
-    while True:
-        labels = components_reference(out)
-        n = labels.max()
-        if n <= 1:
-            return out
-        # widest-path Dijkstra from fragment 1 over free cells to another fragment
-        nx, ny = out.shape
-        width = np.full(out.shape, -1.0)
-        heap = []
-        for i, j in zip(*np.nonzero(labels == 1)):
+    nx, ny = out.shape
+    labels = components_reference(out)
+    grown = np.zeros(out.shape, dtype=bool)
+    width = np.full(out.shape, -1.0)
+    prev = {}
+    heap = []
+    while labels.max() > 1:
+        for i, j in zip(*np.nonzero((labels == 1) & ~grown)):
+            i, j = int(i), int(j)
             width[i, j] = D[i, j]
-            heapq.heappush(heap, (-D[i, j], int(i), int(j)))
-        prev = {}
+            prev.pop((i, j), None)
+            heapq.heappush(heap, (-D[i, j], i, j))
+        grown = labels == 1
         hit = None
         while heap:
             negw, i, j = heapq.heappop(heap)
@@ -218,7 +222,35 @@ def reconnect_reference(
             cur = prev[cur]
         if bridges is not None:
             bridges.append(added)
+        labels = components_reference(out)
     return out
+
+
+def widest_bridge_reference(
+    own: np.ndarray, other: np.ndarray, free: np.ndarray, D: np.ndarray
+) -> float | None:
+    """Width of the widest 4-connected path over free cells from a cell of
+    `own` to a cell of `other`, searched from scratch (None: none reaches).
+
+    The width of a path is the least depth of its cells."""
+    nx, ny = own.shape
+    width = np.where(own, D, -1.0)
+    heap = [(-D[i, j], int(i), int(j)) for i, j in zip(*np.nonzero(own))]
+    heapq.heapify(heap)
+    while heap:
+        negw, i, j = heapq.heappop(heap)
+        if -negw < width[i, j]:
+            continue
+        if other[i, j]:
+            return -negw
+        for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            u, v = i + dx, j + dy
+            if 0 <= u < nx and 0 <= v < ny and free[u, v]:
+                cand = min(-negw, D[u, v])
+                if cand > width[u, v]:
+                    width[u, v] = cand
+                    heapq.heappush(heap, (-cand, u, v))
+    return None
 
 
 def skeleton_path_reference(

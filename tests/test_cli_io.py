@@ -157,6 +157,14 @@ class TestCli:
             assert leg["grid"] <= leg["grid_tried"]
             tiers = ("direct", "hint_detour", "via_detour", "two_leg", "grid")
             assert sum(leg[k] for k in tiers) == report["n_agents"]  # one route each
+        block = report["convert"]
+        assert set(block) == {
+            "fragments", "bridges", "bridge_pops", "candidates", "builds",
+            "circles_kept", "paths_searched", "paths_reused",
+        }
+        assert block["circles_kept"] == len(load_json(tmp_path / "graph.json")["circles"])
+        assert block["circles_kept"] <= min(block["builds"], block["candidates"])
+        assert block["bridges"] < block["fragments"]
 
     def test_convert_only(self, tmp_path):
         code = main(
@@ -302,6 +310,36 @@ class TestInvalidScenario:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error [InvalidScenario]: scenario: starts of agents 0,1 closer than 2r"]
+
+    def test_near_goals_exit_2(self, tmp_path, capsys, monkeypatch):
+        """Goals 1r apart used to pass validation, run convert and the start
+        leg, and end as a goal-leg NavigationFailure (exit 5)."""
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        d = load_json(SCENARIOS / "rect_12.json")
+        x, y = d["agents"][0]["goal"]
+        d["agents"][1]["goal"] = [x - d["r"], y]
+        path = tmp_path / "near_goals.json"
+        dump_json(d, path)
+        assert main(["exec", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error [InvalidScenario]: scenario: goals of agents 0,1 closer than 2r"]
+
+    def test_validate_goal_spacing_matches_starts(self):
+        """Goals and starts are held to the same 2r spacing, with the same tolerance."""
+        s = small_scenario()
+        a, b = s.agents[0], s.agents[1]
+        tol = s.workspace.tol
+        for gap, problems in (
+            (2 * s.r - 2 * tol, ["goals of agents 0,1 closer than 2r"]),
+            (2 * s.r, []),
+        ):
+            b.goal = Point2(a.goal.x - gap, a.goal.y)
+            assert s.validate() == problems
+        b.goal = a.goal
+        assert s.validate() == ["goals of agents 0,1 closer than 2r"]
 
     def test_run_pipeline_raises_invalid_scenario(self, same_starts):
         s = scenario_from_dict(load_json(same_starts))

@@ -19,6 +19,7 @@ from medial_axis_reference import (
     nearest_boundary_points_reference,
     reconnect_reference,
     skeleton_path_reference,
+    widest_bridge_reference,
 )
 from swapmotion import conversion
 from swapmotion.fileio import graph_to_dict, scenario_from_dict
@@ -37,7 +38,6 @@ from swapmotion.medial_axis import (
     _fragments,
     _grid_points,
     _hypot_cmp,
-    _reconnect,
     extract_medial_axis,
     skeleton_path,
 )
@@ -58,6 +58,14 @@ def grids(draw):
     return mask, free, np.where(free, depth, 0.0)
 
 
+def _reconnect(mask, free, depth):
+    """`mask` plus every cell of `_bridges`, as `extract_medial_axis` adds them."""
+    out = mask.copy()
+    for cells in _bridges(mask, free, depth)[0]:
+        out[tuple(zip(*cells))] = True
+    return out
+
+
 class TestReconnect:
     @SEEDED
     @given(grids())
@@ -76,11 +84,56 @@ class TestReconnect:
         mask, free, depth = g
         ref: list = []
         ref_out = reconnect_reference(mask, free, depth, ref)
-        new = list(_bridges(mask, free, depth))
+        new, _ = _bridges(mask, free, depth)
         assert new[: len(ref)] == ref
         for cells in new[len(ref):]:
             ref_out[tuple(zip(*cells))] = True
         assert np.array_equal(_reconnect(mask, free, depth), ref_out)
+
+    @SEEDED
+    @given(grids())
+    def test_each_bridge_is_widest(self, g):
+        """Before each bridge, a search restarted from the growing fragment
+        finds a bridge exactly as wide as the one the resumed search took."""
+        mask, free, depth = g
+        bridges, counters = _bridges(mask, free, depth)
+        labels = components_reference(mask)
+        groups = {k: labels == k for k in range(1, labels.max() + 1)}
+        assert (counters["fragments"], counters["bridges"]) == (len(groups), len(bridges))
+        stuck: set = set()
+        for hit, *path in bridges:
+            while True:  # the least fragment that still reaches another one
+                own = min(k for k in groups if k not in stuck)
+                others = np.zeros_like(mask)
+                for k, m in groups.items():
+                    if k != own:
+                        others |= m
+                widest = widest_bridge_reference(groups[own], others, free, depth)
+                if widest is not None:
+                    break
+                stuck.add(own)
+            # the bridge: hit cell in another fragment, then free cells in no
+            # fragment, 4-connected, the last one next to the growing fragment
+            assert others[hit] and path
+            for a, b in zip([hit, *path], path):
+                assert free[b] and not (others | groups[own])[b]
+                assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+            (i, j), nx, ny = path[-1], *mask.shape
+            roots = [
+                depth[u, v]
+                for u, v in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                if 0 <= u < nx and 0 <= v < ny and groups[own][u, v]
+            ]
+            assert roots, "the bridge does not start next to the growing fragment"
+            assert min(min(depth[c] for c in (hit, *path)), max(roots)) == widest
+            # the bridge joins the hit fragment and any fragment touching it
+            near = np.zeros_like(mask)
+            for i, j in path:
+                near[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2] = True
+            for k in [k for k, m in groups.items() if k != own and (m[hit] or (m & near).any())]:
+                groups[own] |= groups.pop(k)
+                stuck.discard(k)
+            groups[own][tuple(zip(*path))] = True
 
     @SEEDED
     @given(grids())
@@ -180,6 +233,14 @@ def _load(path):
 
 def _grid(s):
     return s.params.grid_resolution if s.params.grid_resolution is not None else 0.5 * s.r
+
+
+@pytest.mark.parametrize("name,bridges,pops", [("grid_20", 31, 1777), ("maple_approx_24", 62, 5286)])
+def test_bridge_counters(name, bridges, pops):
+    """One resumed search per growing fragment: grid_20 took 24,031 heap pops
+    and maple_approx_24 102,004 when each bridge restarted its search."""
+    c = convert_scenario(_load(SCENARIOS[0].parent / f"{name}.json")).counters
+    assert (c["bridges"], c["bridge_pops"]) == (bridges, pops)
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])

@@ -211,6 +211,7 @@ def _verification_block(rep: VerificationReport) -> dict:
     (a, b, t), (c, tc) = rep.worst_pair or (None, None, None), rep.worst_clearance or (None, None)
     return {
         "intervals": rep.samples,
+        "records": rep.records,
         "checks": rep.checks,
         "worst_pair": {"agents": [a, b], "t": t, "distance": rep.min_pairwise},
         "worst_clearance": {"agent": c, "t": tc, "clearance": rep.min_clearance},

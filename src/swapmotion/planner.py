@@ -129,7 +129,8 @@ class _Machine:
     phantom agent, so the routing routines can assume a unique hole. A swap
     may use a phantom as its vacant endpoint as well as the hole: emitted ops
     stay legal on the real occupancy because phantom vertices really are
-    vacant.
+    vacant. A swap with both endpoints vacant (the hole stepping over a
+    phantom) moves no agent; `idle` lists the indices of those ops.
     """
 
     def __init__(self, g: SwapGraph, occ: Occupancy, edge_cost=None):
@@ -138,6 +139,10 @@ class _Machine:
         # slot of each vertex within each loop's cycle
         self.slot = [{v: p for p, v in enumerate(cyc)} for cyc in g.loops]
         self.edge_cost = edge_cost or {}
+        # (neighbour, edge cost) of each vertex, in `g.neighbors` order
+        self.neighbor_costs = {
+            u: [(v, self.cost(u, v)) for v in g.neighbors(u)] for u in g.vertex_ids()
+        }
         occ.check(g)
         vacants = occ.vacant_vertices()
         if not vacants:
@@ -155,6 +160,7 @@ class _Machine:
             if c is not None:
                 self.pos[c] = v
         self.ops: list[SwapOp] = []
+        self.idle: list[int] = []
 
     # --- primitive emission ----------------------------------------------
 
@@ -181,10 +187,12 @@ class _Machine:
             raise PlannerError(f"machine swap on non-edge ({u},{v})")
         state = self.state
         cu, cv = state[u], state[v]
-        if not (
-            cu is None or cv is None or type(cu) is _Phantom or type(cv) is _Phantom
-        ):
+        u_vacant = cu is None or type(cu) is _Phantom
+        v_vacant = cv is None or type(cv) is _Phantom
+        if not (u_vacant or v_vacant):
             raise PlannerError(f"machine swap ({u},{v}) without a vacancy")
+        if u_vacant and v_vacant:
+            self.idle.append(len(self.ops))
         state[u], state[v] = cv, cu
         for c, tgt in ((cu, v), (cv, u)):
             if c is None:
@@ -323,10 +331,10 @@ class _Machine:
                 continue
             if u in avoid and u != self.hole:
                 continue
-            for v in self.g.neighbors(u):
+            for v, c in self.neighbor_costs[u]:
                 if v in avoid and v not in targets:
                     continue
-                nd = d + self.cost(u, v)
+                nd = d + c
                 if nd < best.get(v, math_inf):
                     best[v] = nd
                     prev[v] = u
@@ -652,15 +660,9 @@ def plan_permutation(
     for a, tgt in target_of.items():
         if m.pos[a] != tgt:
             raise PlannerError("plan failed to reach the goal occupancy")
-    # a swap between two really vacant vertices (the hole stepping over a
-    # phantom) moves no agent: replay on the real occupancy and drop it
-    occ = dict(start.mapping)
-    moving = []
-    for op in m.ops:
-        if isinstance(op, VacancySwap) and occ[op.u] is VACANT and occ[op.v] is VACANT:
-            continue
-        _apply_inplace(occ, g, op)
-        moving.append(op)
+    # a swap between two vacant vertices moves no agent: drop it
+    idle = set(m.idle)
+    moving = [op for k, op in enumerate(m.ops) if k not in idle]
     ops = simplify_ops(moving, g)
     final = apply_ops(start, g, ops)
     if final.mapping != goal.mapping:

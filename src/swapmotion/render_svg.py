@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,10 @@ _PALETTE = [
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
+
+
+# what `_fmt` strips from a `.4f` number: trailing zeros, then a bare dot
+_TRAILING_ZEROS = re.compile(r"\.?0+(?=[ ,]|$)")
 
 
 class _Svg:
@@ -59,8 +64,13 @@ class _Svg:
             f'stroke-width="{width}"/>'
         )
 
-    def polyline(self, pts, stroke, width=1.0):
-        coords = " ".join(f"{self.x(p[0])},{self.y(p[1])}" for p in pts)
+    def polyline(self, pts: np.ndarray, stroke, width=1.0):
+        """Polyline through the (n, 2) points `pts`, every number formatted
+        as `_fmt` would, in one pass."""
+        x = (pts[:, 0] - self.b.xmin + self.pad) * self.scale
+        y = (self.b.ymax - pts[:, 1] + self.pad) * self.scale
+        xy = np.column_stack([x, y]).ravel().tolist()
+        coords = _TRAILING_ZEROS.sub("", " ".join(["%.4f,%.4f"] * len(pts)) % tuple(xy))
         self.add(
             f'<polyline points="{coords}" stroke="{stroke}" fill="none" '
             f'stroke-width="{width}"/>'
@@ -127,7 +137,7 @@ def render_scene(
     times = np.linspace(0.0, trajectories.horizon, 160)
     for k, a in enumerate(trajectories.agents()):
         pts = trajectories.segments[a].sample(times)
-        svg.polyline([tuple(p) for p in pts], _PALETTE[k % len(_PALETTE)], width=0.8)
+        svg.polyline(pts, _PALETTE[k % len(_PALETTE)], width=0.8)
     for _, p in sorted(agents.items(), key=lambda kv: repr(kv[0])):
         svg.circle(tuple(p), r, "#cc0000", fill="#ffbbbb")
     for _, p in sorted(goals.items(), key=lambda kv: repr(kv[0])):

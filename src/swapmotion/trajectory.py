@@ -24,6 +24,7 @@ shares with the segment-table reader.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,10 +342,13 @@ def _positions_of(res, occ_map) -> dict[object, Point2]:
 def realize_plan(res: ConversionResult, plan: Plan) -> TrajectorySet:
     """Realize all plan ops strictly in sequence from the start occupancy."""
     occ = plan.start.copy()
-    records = {a: [hold_record(0.0, p)] for a, p in _positions_of(res, occ.mapping).items()}
+    # each agent's record fields, flat, eight per record
+    fields = {
+        a: array("d", hold_record(0.0, p)) for a, p in _positions_of(res, occ.mapping).items()
+    }
 
     def emit(agent, rec):
-        records[agent].append(rec)
+        fields[agent].extend(rec)
 
     t = 0.0
     slot_angles = _slot_angles(res)
@@ -354,26 +358,29 @@ def realize_plan(res: ConversionResult, plan: Plan) -> TrajectorySet:
         else:
             t += _type2_motion(res, op, occ.mapping, t, emit, slot_angles)
         _apply_inplace(occ.mapping, res.graph, op)
+    tracks = {}
+    for a, flat in fields.items():
+        rows = np.frombuffer(flat, dtype=float).reshape(-1, 8)
+        tracks[a] = Track(a, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:])
     # exact endpoint check against the final occupancy
     for a, tgt in _positions_of(res, occ.mapping).items():
-        last = records[a][-1]
-        end = record_end(last[2], last[3:])
+        tr = tracks[a]
+        end = record_end(tr.kind[-1], tr.par[-1])
         if dist(end, tgt) > 1e-6 * res.r:
             raise UnrealizableOp(
                 f"agent {a!r} ends {dist(end, tgt):.2e} away from its vertex"
             )
-        records[a][-1] = _snap(last, tgt)
-    tracks = {a: Track.from_records(a, recs) for a, recs in records.items()}
+        _snap(tr, tgt)
     return TrajectorySet(tracks, t)
 
 
-def _snap(rec: tuple, tgt: Point2) -> tuple:
-    """The record with its end moved exactly onto `tgt` (arcs stay as is)."""
-    if rec[2] == HOLD:
-        return rec[:3] + (tgt.x, tgt.y, 0.0, 0.0, 0.0)
-    if rec[2] == LINE:
-        return rec[:5] + (tgt.x, tgt.y, 0.0)
-    return rec
+def _snap(tr: Track, tgt: Point2) -> None:
+    """Move the end of the track's last record exactly onto `tgt` (arcs stay
+    as is)."""
+    if tr.kind[-1] == HOLD:
+        tr.par[-1] = (tgt.x, tgt.y, 0.0, 0.0, 0.0)
+    elif tr.kind[-1] == LINE:
+        tr.par[-1, 2:] = (tgt.x, tgt.y, 0.0)
 
 
 @dataclass
@@ -391,6 +398,7 @@ class VerificationReport:
     min_clearance: float
     violations: list[Violation]
     samples: int  # time intervals certified
+    records: int = 0  # motion records certified, over all tracks
     checks: int = 0  # exact motion-to-agent and motion-to-edge distances taken
     worst_pair: tuple = ()  # (agent, agent, t) where min_pairwise is reached
     worst_clearance: tuple = ()  # (agent, t) where min_clearance is reached
@@ -510,6 +518,7 @@ def verify_trajectories(ts: TrajectorySet, w: Workspace, r: float) -> Verificati
         min_clearance=cert.least["boundary"][0],
         violations=cert.violations(),
         samples=len(np.unique(rec.k)),
+        records=len(rec.rec),
         checks=cert.checks,
         worst_pair=cert.least["pair"][1],
         worst_clearance=cert.least["boundary"][1],

@@ -255,6 +255,8 @@ def test_report_json_holds_the_verification_block(tmp_path):
     report = load_json(tmp_path / "report.json")
     block = report["verification"]
     assert block["intervals"] > 0 and block["checks"] > 0
+    records = trajectory_from_csv(tmp_path / "trajectory.csv").segments.values()
+    assert block["records"] == sum(len(tr) for tr in records)
     pair, clear = block["worst_pair"], block["worst_clearance"]
     assert len(pair["agents"]) == 2 and 0.0 <= pair["t"] <= report["horizon"]
     assert pair["distance"] == report["min_pairwise"] >= 2.0 - TOL

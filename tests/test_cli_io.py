@@ -27,9 +27,12 @@ from swapmotion.fileio import (
 from swapmotion.geometry import Point2, rectangle_workspace
 from swapmotion import pipeline
 from swapmotion.pipeline import run_pipeline, sample_free_positions
-from swapmotion.trajectory import verify_trajectories
+from swapmotion.render_svg import _Svg
+from swapmotion.trajectory import Track, TrajectorySet, verify_trajectories
 
+from fileio_reference import trajectory_to_csv_reference
 from sampling_oracle import sample_times
+from test_acceptance import bench_runs
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
@@ -115,6 +118,43 @@ class TestExactTrajectoryExport:
         assert first == (outs[1] / "trajectory.csv").read_bytes()
         header = first.decode().splitlines()[1]
         assert header == "agent,t0,t1,kind,p0,p1,p2,p3,p4"
+
+    @pytest.mark.parametrize("name", ["rect_12", "obstacles_30"])
+    def test_writer_matches_the_row_by_row_reference(self, name, tmp_path):
+        ts = bench_runs()[name][2].trajectory
+        trajectory_to_csv(ts, tmp_path / "table.csv")
+        trajectory_to_csv_reference(ts, tmp_path / "reference.csv")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_writer_keeps_every_bit_pattern(self, tmp_path):
+        # values shared across agents and blocks of agents, both zeros, the
+        # least subnormal, and int and str ids, whose repr order interleaves
+        values = np.array([0.0, -0.0, 1e16, 1e-05, 5e-324, -5e-324, 0.1 + 0.2, 1 / 3, -2.5])
+        rng = np.random.default_rng(3)
+        tracks = {}
+        for k, a in enumerate([*range(14), *"abcdefgh", -7, "10"]):
+            n = 1 + k % 4
+            cells = rng.choice(values, size=(n, 7))
+            tracks[a] = Track(a, cells[:, 0], cells[:, 1], rng.integers(0, 3, n), cells[:, 2:])
+        ts = TrajectorySet(tracks, 1e16)
+        trajectory_to_csv(ts, tmp_path / "table.csv")
+        trajectory_to_csv_reference(ts, tmp_path / "reference.csv")
+        table = (tmp_path / "table.csv").read_text()
+        assert table == (tmp_path / "reference.csv").read_text()
+        assert ",-0.0," in table and ",0.0," in table and "5e-324" in table
+
+
+def test_polyline_formats_each_number_like_fmt():
+    svg = _Svg(rectangle_workspace(30.0, 20.0))
+    rng = np.random.default_rng(5)
+    edge = [-1.0, -1.000001, 4.0, 0.0025, 1e-09, 1234.5, 21.0, 20.999999]
+    pts = np.concatenate([rng.uniform(-2.0, 32.0, (160, 2)), np.c_[edge, edge]])
+    svg.polyline(pts, "#000000")
+    coords = " ".join(f"{svg.x(x)},{svg.y(y)}" for x, y in pts.tolist())
+    assert svg.parts[-1] == (
+        f'<polyline points="{coords}" stroke="#000000" fill="none" stroke-width="1.0"/>'
+    )
+    assert " 0,440 -0,440 100,340 " in svg.parts[-1]
 
 
 class TestDeterminism:

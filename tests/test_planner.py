@@ -12,6 +12,9 @@ from graph_fixtures import (
     shuffled_goal,
     two_triangles,
 )
+from planner_reference import drop_idle_swaps_by_replay
+from swapmotion import planner
+from swapmotion.conversion import realization_edge_cost
 from swapmotion.errors import AssignmentMismatch, IllegalOp, PlannerError
 from swapmotion.planner import (
     LoopRotation,
@@ -21,6 +24,7 @@ from swapmotion.planner import (
     execute,
     plan_permutation,
     reverse_ops,
+    simplify_ops,
 )
 from swapmotion.swap_graph import Occupancy, vertex_distance
 
@@ -227,6 +231,44 @@ class TestPlanPermutation:
                     assert ends != (None, None), f"op {k} {op} swaps two vacancies"
                 occ = apply_ops(occ, g, [op])
             assert occ.mapping == goal.mapping
+
+    def test_idle_swaps_match_the_replay_filter(self, monkeypatch):
+        # the swaps the machine marks idle as it emits them are exactly those
+        # a replay of its raw ops on the real occupancy finds between two
+        # vacant vertices, on seeded multi-vacancy plans and shipped scenes
+        from test_acceptance import bench_runs
+
+        machines = []
+
+        class Recording(planner._Machine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                machines.append(self)
+
+        monkeypatch.setattr(planner, "_Machine", Recording)
+        rng = random.Random(31)
+        cases = []
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=24)
+            start = random_occupancy(rng, g, n_vacant=rng.randint(2, 5))
+            cases.append((g, start, shuffled_goal(rng, g, start), None))
+        for name in ("rect_12", "obstacles_30"):
+            art = bench_runs()[name][2]
+            cost = realization_edge_cost(art.conversion)
+            cases.append((art.conversion.graph, art.start_occ, art.goal_occ, cost))
+        idle_total = 0
+        for g, start, goal, cost in cases:
+            machines.clear()
+            plan = plan_permutation(g, start, goal, cost)
+            (m,) = machines
+            moving = drop_idle_swaps_by_replay(start, g, m.ops)
+            assert plan.ops == simplify_ops(moving, g)
+            counters = {
+                "idle_swaps": len(m.ops) - len(moving), "ops_raw": len(m.ops), "ops": len(plan.ops)
+            }
+            assert {k: plan.counters[k] for k in counters} == counters
+            idle_total += counters["idle_swaps"]
+        assert idle_total > 0
 
     def test_move_into_adjacent_vacancy_is_one_swap(self):
         # vacancies are interchangeable: moving an agent onto a neighboring

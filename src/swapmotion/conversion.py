@@ -8,13 +8,18 @@ corridors between consecutive rings of one circle, gap corridors between the
 outermost rings of two nearby circles, and skeleton-path corridors between
 far circles. A greedy driver admits sampled circles one at a time, keeping a
 tentative circle only when the resulting graph is valid and strictly larger.
+
+Conversion decides each gap or skeleton-path connector's route once, when it
+admits the edge: `ConversionResult.routes[e]` is the mover's polyline from
+slot `e[0]` to slot `e[1]`, the one checked clear of the workspace and of
+every other slot. Realization and the planner's edge costs read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +108,8 @@ class ConversionResult:
     vertex_rings: dict[int, list[tuple[int, int, float]]]  # vid -> (circle, ring, angle)
     inter_edge_kind: dict[tuple[int, int], EdgeKind]
     ring_ports: dict[tuple[int, int], Optional[int]] = field(default_factory=dict)
+    # gap or path connector -> mover polyline from slot e[0] to slot e[1]
+    routes: dict[tuple[int, int], tuple[Point2, ...]] = field(default_factory=dict)
     # what `greedy_convert` did, under the keys of CONVERT_COUNTERS
     counters: dict = field(default_factory=dict, compare=False)
     # (vid, circle, ring) -> slot angle, the first entry of vertex_rings
@@ -110,12 +117,6 @@ class ConversionResult:
 
     def __post_init__(self):
         self._angle = _angle_table(self.vertex_rings)
-
-    def loop_index_of(self, circle: int, ring: int) -> Optional[int]:
-        for li, key in enumerate(self.loop_layer):
-            if key == (circle, ring):
-                return li
-        return None
 
     def angle_in(self, vid: int, circle: int, ring: int) -> float:
         return self._angle[(vid, circle, ring)]
@@ -137,39 +138,6 @@ def _signed_angle(x: float) -> float:
     return (x + math.pi) % (2 * math.pi) - math.pi
 
 
-def _mid_waypoints(circles, kind: PathCorridor) -> list[Point2]:
-    a = circles[kind.circle_a]
-    b = circles[kind.circle_b]
-    return [
-        p
-        for p in kind.waypoints
-        if dist(p, a.center) > a.radius and dist(p, b.center) > b.radius
-    ]
-
-
-def _route_points(circles, kind: EdgeKind, pu: Point2, pv: Point2) -> list[Point2]:
-    """Mover polyline for a connector edge, from slot pu to slot pv."""
-    if isinstance(kind, GapCorridor):
-        return [pu, pv]
-    if isinstance(kind, PathCorridor):
-        return [pu] + _mid_waypoints(circles, kind) + [pv]
-    return [pu, pv]
-
-
-def corridor_polyline(res: "ConversionResult", e: tuple[int, int]):
-    """Mover route for a gap or skeleton-path connector edge."""
-    kind = res.inter_edge_kind.get(e)
-    if kind is None or isinstance(kind, RadialCorridor):
-        return None
-    u, v = e
-    ca = kind.circle_a
-    if not any(c == ca for c, _, _ in res.vertex_rings[u]):
-        u, v = v, u
-    return (u, v), _route_points(
-        res.circles, kind, res.graph.positions[u], res.graph.positions[v]
-    )
-
-
 def realization_edge_cost(res: "ConversionResult") -> dict[tuple[int, int], float]:
     """Relative cost of swapping along each connector, in ring-step units.
 
@@ -179,8 +147,8 @@ def realization_edge_cost(res: "ConversionResult") -> dict[tuple[int, int], floa
         if isinstance(kind, RadialCorridor):
             out[e] = max(1.0, float(kind.outer_ring - kind.inner_ring))
         else:
-            _, poly = corridor_polyline(res, e)
-            length = sum(dist(p, q) for p, q in zip(poly, poly[1:]))
+            route = res.routes[e]
+            length = sum(dist(p, q) for p, q in zip(route, route[1:]))
             out[e] = max(1.0, length / (2.0 * res.r))
     return out
 
@@ -262,10 +230,11 @@ def _build(
                 gap_pairs.append((a, b))
                 linked.add((a, b))
 
-    # skeleton paths for pairs with no direct link; their exits become ports.
-    # This pass runs only once the set passed the one above, since `cache`
-    # remembers every path it is asked for
-    taus: dict[tuple[int, int], PathCorridor] = {}
+    # skeleton paths for pairs with no direct link, with the waypoints outside
+    # both circles and the angles they leave them at; those exits become
+    # ports. This pass runs only once the set passed the one above, since
+    # `cache` remembers every path it is asked for
+    taus: dict[tuple[int, int], tuple[PathCorridor, list[Point2], float, float]] = {}
     corridor_ports: dict[tuple[int, int], list[float]] = {}
     if cache is not None:
         for a in range(len(circles)):
@@ -277,19 +246,20 @@ def _build(
                 tau = cache.path(circles, a, b)
                 if tau is None:
                     continue
-                kind = PathCorridor(
-                    a, layer_count[a], b, layer_count[b], tuple(tau.waypoints)
-                )
-                mid = _mid_waypoints(circles, kind)
+                ca, cb = circles[a], circles[b]
+                mid = [
+                    p
+                    for p in tau.waypoints
+                    if dist(p, ca.center) > ca.radius and dist(p, cb.center) > cb.radius
+                ]
                 if not mid:
                     continue
-                taus[(a, b)] = kind
-                corridor_ports.setdefault((a, layer_count[a]), []).append(
-                    _circle_angle(circles[a].center, mid[0])
-                )
-                corridor_ports.setdefault((b, layer_count[b]), []).append(
-                    _circle_angle(circles[b].center, mid[-1])
-                )
+                kind = PathCorridor(a, layer_count[a], b, layer_count[b], tuple(tau.waypoints))
+                ang_a = _circle_angle(ca.center, mid[0])
+                ang_b = _circle_angle(cb.center, mid[-1])
+                taus[(a, b)] = (kind, mid, ang_a, ang_b)
+                corridor_ports.setdefault((a, layer_count[a]), []).append(ang_a)
+                corridor_ports.setdefault((b, layer_count[b]), []).append(ang_b)
 
     # slot placement per ring
     positions: dict[int, Point2] = {}
@@ -381,19 +351,21 @@ def _build(
 
     inter_edges: list[tuple[int, int]] = []
     edge_kind: dict[tuple[int, int], EdgeKind] = {}
+    routes: dict[tuple[int, int], tuple[Point2, ...]] = {}
 
-    def add_inter(u: int, v: int, kind: EdgeKind) -> bool:
+    def add_inter(u: int, v: int, kind: EdgeKind, route: Sequence[Point2] = ()) -> None:
+        """Admit connector u-v with the mover's route from u to v, if any."""
         e = edge_key(u, v)
         if e in edge_kind or u == v:
-            return False
+            return
         inter_edges.append(e)
         edge_kind[e] = kind
-        return True
+        if route:
+            routes[e] = tuple(route if e[0] == u else reversed(route))
 
     capsules = cache.capsules if cache else CapsuleCache(workspace) if workspace else None
 
-    def route_ok(kind: EdgeKind, u: int, v: int) -> bool:
-        route = _route_points(circles, kind, positions[u], positions[v])
+    def route_ok(route: list[Point2], u: int, v: int) -> bool:
         spines = [(p, q) for p, q in zip(route, route[1:]) if p != q]
         if not spines:
             return True
@@ -428,22 +400,20 @@ def _build(
         jb = max((i for (x, i) in ring_members if x == b), default=0)
         if ia < 1 or jb < 1:
             continue
-        kind = GapCorridor(a, ia, b, jb)
         u, v = _nearest_pair(positions, ring_members[(a, ia)], ring_members[(b, jb)])
-        if route_ok(kind, u, v):
-            add_inter(u, v, kind)
+        route = [positions[u], positions[v]]
+        if route_ok(route, u, v):
+            add_inter(u, v, GapCorridor(a, ia, b, jb), route)
 
     # skeleton-path corridors attach at their reserved ports
-    for (a, b), kind in sorted(taus.items()):
-        mid = _mid_waypoints(circles, kind)
-        ang_a = _circle_angle(circles[a].center, mid[0])
-        ang_b = _circle_angle(circles[b].center, mid[-1])
+    for (a, b), (kind, mid, ang_a, ang_b) in sorted(taus.items()):
         u = port_of_angle.get((a, kind.ring_a, ang_a))
         v = port_of_angle.get((b, kind.ring_b, ang_b))
         if u is None or v is None:
             continue
-        if route_ok(kind, u, v):
-            add_inter(u, v, kind)
+        route = [positions[u], *mid, positions[v]]
+        if route_ok(route, u, v):
+            add_inter(u, v, kind, route)
 
     graph = SwapGraph(positions=positions, loops=loops, inter_edges=inter_edges)
     if graph.violations():
@@ -456,6 +426,7 @@ def _build(
         vertex_rings=vertex_rings,
         inter_edge_kind=edge_kind,
         ring_ports={k: v for k, v in ring_port.items() if k in ring_members},
+        routes=routes,
     )
 
 

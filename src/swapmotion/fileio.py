@@ -4,15 +4,16 @@ Structured text (JSON with sorted keys) for scenario, graph, and plan files
 so artifacts stay human-diffable and byte-deterministic. Trajectories are an
 exact CSV segment table: one row per motion record of each agent's track,
 floats written with `repr`, which the writer computes once per distinct
-64-bit pattern in each block of agents. Every writer has a reader that
-round-trips exactly.
+64-bit pattern in each block of agents. `scenario.json` and `trajectory.csv`
+have readers that round-trip exactly; `graph.json`, `plan.json` and
+`report.json` are write-only outputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -24,10 +25,18 @@ from .conversion import (
     PathCorridor,
     RadialCorridor,
 )
-from .geometry import Disk, Point2, Polygon, Rect, Workspace
+from .geometry import Disk, Point2, Polygon, Rect, Workspace, disk_in_free_space, dist
 from .planner import LoopRotation, Plan, VacancySwap
-from .swap_graph import Occupancy, SwapGraph, edge_key
 from .trajectory import HOLD, KIND_NAMES, Track, TrajectorySet, track_jumps
+
+
+# cells a scenario's distance-field grids may have: over 100x the largest
+# shipped grid (rect_100, 9,152 cells), and 8 MB per float64 array of them
+MAX_GRID_CELLS = 2**20
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -63,19 +72,21 @@ class Scenario:
 
     def validate(self) -> list[str]:
         """Broken scenario invariants, by name (empty list = valid)."""
-        from .geometry import Disk, disk_in_free_space, dist
-
         out = []
         p = self.params
-        if not p.dt > 0:
-            out.append(f"dt {p.dt} not positive")
-        for name in ("epsilon", "grid_resolution"):
+        for name in ("dt", "epsilon", "grid_resolution"):
             value = getattr(p, name)
-            if value is not None and not value > 0:
+            if value is None and name != "dt":
+                continue
+            if not _is_number(value):
+                out.append(f"{name} {value!r} not a number")
+            elif not value > 0:
                 out.append(f"{name} {value} not positive")
-        if not (isinstance(p.k_max, (int, float)) and p.k_max >= 1 and p.k_max % 1 == 0):
+        if not (_is_number(p.k_max) and p.k_max >= 1 and p.k_max % 1 == 0):
             out.append(f"k_max {p.k_max} not an integer >= 1")
-        if p.threshold is not None and not p.threshold >= 1:
+        if p.threshold is not None and not _is_number(p.threshold):
+            out.append(f"threshold {p.threshold!r} not a number")
+        elif p.threshold is not None and not p.threshold >= 1:
             out.append(f"threshold {p.threshold} below 1")
         ids = [a.id for a in self.agents]
         if len(set(ids)) != len(ids):
@@ -83,6 +94,14 @@ class Scenario:
         if not (self.r > 0 and math.isfinite(self.r)):
             out.append(f"r {self.r} not {'finite' if self.r > 0 else 'positive'}")
             return out  # every check below places disks of radius r
+        b = self.workspace.bounds
+        medial = p.grid_resolution if p.grid_resolution is not None else 0.5 * self.r
+        for name, cell in (("medial-axis", medial), ("navigation", 0.5 * self.r)):
+            if not (_is_number(cell) and cell > 0):
+                continue  # named above
+            cells = (b.width / cell) * (b.height / cell)
+            if cells > MAX_GRID_CELLS:
+                out.append(f"{name} grid of {cells:.0f} cells above {MAX_GRID_CELLS}")
         starts = self.starts()
         goals = self.goals()
         for k, p in enumerate(starts):
@@ -145,13 +164,13 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 # JSON names of the corridor kinds and plan ops; each is written as its
 # dataclass fields plus its name
-_CORRIDOR_KINDS = {"radial": RadialCorridor, "gap": GapCorridor, "path": PathCorridor}
-_OP_KINDS = {"rot": LoopRotation, "swap": VacancySwap}
-_NAME = {cls: name for table in (_CORRIDOR_KINDS, _OP_KINDS) for name, cls in table.items()}
-
-
-def _from_fields(cls, d: dict):
-    return cls(**{f.name: d[f.name] for f in fields(cls)})
+_NAME = {
+    RadialCorridor: "radial",
+    GapCorridor: "gap",
+    PathCorridor: "path",
+    LoopRotation: "rot",
+    VacancySwap: "swap",
+}
 
 
 def graph_to_dict(res: ConversionResult) -> dict:
@@ -180,54 +199,12 @@ def graph_to_dict(res: ConversionResult) -> dict:
     }
 
 
-def graph_from_dict(d: dict) -> ConversionResult:
-    positions = {int(v["id"]): Point2(*v["pos"]) for v in d["vertices"]}
-    g = SwapGraph(
-        positions=positions,
-        loops=[list(c) for c in d["loops"]],
-        inter_edges=[tuple(e) for e in d["inter_edges"]],
-    )
-    kinds = {}
-    for item in d["edge_kinds"]:
-        kind = _from_fields(_CORRIDOR_KINDS[item["kind"]], item)
-        if isinstance(kind, PathCorridor):
-            kind = replace(kind, waypoints=tuple(Point2(*p) for p in kind.waypoints))
-        kinds[edge_key(*item["edge"])] = kind
-    return ConversionResult(
-        graph=g,
-        circles=[Disk(Point2(*c["center"]), c["radius"]) for c in d["circles"]],
-        r=float(d["r"]),
-        loop_layer=[tuple(x) for x in d["loop_layer"]],
-        vertex_rings={
-            int(v): [(int(c), int(k), float(a)) for c, k, a in rings]
-            for v, rings in d["vertex_rings"].items()
-        },
-        inter_edge_kind=kinds,
-    )
-
-
-def occupancy_to_dict(occ: Occupancy) -> dict:
-    return {str(v): a for v, a in sorted(occ.mapping.items())}
-
-
-def occupancy_from_dict(d: dict) -> Occupancy:
-    return Occupancy({int(v): a for v, a in d.items()})
-
-
 def plan_to_dict(plan: Plan) -> dict:
     return {
         "ops": [{"op": _NAME[type(op)], **vars(op)} for op in plan.ops],
-        "start": occupancy_to_dict(plan.start),
-        "goal": occupancy_to_dict(plan.goal),
+        "start": {str(v): a for v, a in sorted(plan.start.mapping.items())},
+        "goal": {str(v): a for v, a in sorted(plan.goal.mapping.items())},
     }
-
-
-def plan_from_dict(d: dict) -> Plan:
-    return Plan(
-        ops=[_from_fields(_OP_KINDS[item["op"]], item) for item in d["ops"]],
-        start=occupancy_from_dict(d["start"]),
-        goal=occupancy_from_dict(d["goal"]),
-    )
 
 
 def dump_json(data: dict, path) -> None:

@@ -29,14 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import (
-    ConversionResult,
-    GapCorridor,
-    PathCorridor,
-    RadialCorridor,
-    _signed_angle,
-    corridor_polyline,
-)
+from .conversion import ConversionResult, RadialCorridor, _signed_angle
 from .errors import UnrealizableOp
 from .geometry import (
     Point2,
@@ -274,9 +267,7 @@ def _type2_motion(res, op: VacancySwap, occ_map, t0, emit, slot_angles) -> float
         return _ring_step(res, lis[0], step, [pu], occ_map, t0, emit, slot_angles)
     if isinstance(kind, RadialCorridor):
         return _radial_motion(res, occ_map, kind, u, v, mover, t0, emit)
-    if isinstance(kind, (GapCorridor, PathCorridor)):
-        return _corridor_motion(res, u, v, mover, t0, emit)
-    raise UnrealizableOp(f"edge ({u},{v}) has unknown kind {kind!r}")
+    return _corridor_motion(res, u, v, mover, t0, emit)
 
 
 def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) -> float:
@@ -284,7 +275,7 @@ def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) ->
     circle = kind.circle
     ring_u = _ring_on_circle(res, u, circle)
     ring_v = _ring_on_circle(res, v, circle)
-    li_v = res.loop_index_of(circle, ring_v)
+    li_v = res.loop_layer.index((circle, ring_v))
     ang_u = res.angle_in(u, circle, ring_u)
     ang_v = res.angle_in(v, circle, ring_v)
     delta = _signed_angle(ang_u - ang_v)
@@ -318,12 +309,9 @@ def _corridor_motion(res, u, v, mover, t0, emit) -> float:
     gap crossings), so the straight legs clear every parked agent; nobody
     else has to move.
     """
-    route = corridor_polyline(res, edge_key(u, v))
-    if route is None:
-        raise UnrealizableOp(f"edge ({u},{v}) has no corridor route")
-    (ru, rv), polyline = route
-    if ru != u:
-        polyline = list(reversed(polyline))
+    polyline = res.routes[edge_key(u, v)]
+    if u > v:
+        polyline = polyline[::-1]
     t = t0
     for a, b in zip(polyline, polyline[1:]):
         d = dist(a, b) / SPEED

@@ -1,0 +1,31 @@
+"""Reference for `ConversionResult.routes`: each connector's mover route
+rebuilt from its corridor kind, the way realization once derived it on every
+swap. The skeleton-path waypoints outside both circles sit between the two
+endpoint slots, and the route runs from the slot on `circle_a` to the other;
+it is returned here oriented from e[0] to e[1]."""
+
+from __future__ import annotations
+
+from swapmotion.conversion import ConversionResult, PathCorridor
+from swapmotion.geometry import Point2, dist
+
+
+def mid_waypoints_reference(circles, kind: PathCorridor) -> list[Point2]:
+    a = circles[kind.circle_a]
+    b = circles[kind.circle_b]
+    return [
+        p
+        for p in kind.waypoints
+        if dist(p, a.center) > a.radius and dist(p, b.center) > b.radius
+    ]
+
+
+def corridor_route_reference(res: ConversionResult, e: tuple[int, int]) -> list[Point2]:
+    """Mover polyline of gap or path connector e, from slot e[0] to slot e[1]."""
+    kind = res.inter_edge_kind[e]
+    u, v = e
+    if not any(c == kind.circle_a for c, _, _ in res.vertex_rings[u]):
+        u, v = v, u
+    mid = mid_waypoints_reference(res.circles, kind) if isinstance(kind, PathCorridor) else []
+    route = [res.graph.positions[u], *mid, res.graph.positions[v]]
+    return route if u == e[0] else route[::-1]

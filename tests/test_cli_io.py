@@ -10,14 +10,13 @@ import pytest
 from swapmotion.cli import main
 from swapmotion.errors import InvalidScenario, NavigationFailure
 from swapmotion.fileio import (
+    MAX_GRID_CELLS,
     AgentSpec,
     Scenario,
     ScenarioParams,
     dump_json,
-    graph_from_dict,
     graph_to_dict,
     load_json,
-    plan_from_dict,
     plan_to_dict,
     scenario_from_dict,
     scenario_to_dict,
@@ -50,23 +49,18 @@ class TestRoundTrips:
         assert scenario_to_dict(s2) == d
 
     def test_graph(self):
-        # rect_12 has radial and gap corridors, grid_20 path and radial ones
+        # graph.json is write-only; rect_12 has radial and gap corridors,
+        # grid_20 path and radial ones, and all three kinds are named
         seen = set()
         for name in ("rect_12", "grid_20"):
             s = scenario_from_dict(load_json(SCENARIOS / f"{name}.json"))
-            res = pipeline.convert_scenario(s)
-            d = graph_to_dict(res)
-            res2 = graph_from_dict(json.loads(json.dumps(d)))
-            assert graph_to_dict(res2) == d
-            assert res2.inter_edge_kind == res.inter_edge_kind
+            d = graph_to_dict(pipeline.convert_scenario(s))
             seen |= {k["kind"] for k in d["edge_kinds"]}
         assert seen == {"radial", "gap", "path"}
 
     def test_plan_and_trajectory(self, tmp_path):
         s = small_scenario()
         run, art = run_pipeline(s)
-        d = plan_to_dict(art.plan)
-        assert plan_to_dict(plan_from_dict(json.loads(json.dumps(d)))) == d
         csv_path = tmp_path / "traj.csv"
         trajectory_to_csv(art.trajectory, csv_path)
         loaded = trajectory_from_csv(csv_path)
@@ -388,7 +382,9 @@ class TestInvalidScenario:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--epsilon", "0"), ("--grid", "-0.5"), ("--kmax", "0"), ("--threshold", "0")],
+        # the last two make a medial-axis grid of more than MAX_GRID_CELLS
+        [("--epsilon", "0"), ("--grid", "-0.5"), ("--kmax", "0"), ("--threshold", "0"),
+         ("--grid", "0.001"), ("--grid", "1e-300")],
     )
     def test_nonpositive_step_fails_before_convert(self, flag, value, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -431,6 +427,54 @@ class TestInvalidScenario:
             "k_max 0 not an integer >= 1",
             "threshold 0 below 1",
         ]
+
+    def test_validate_names_non_numeric_steps(self):
+        """Non-numbers used to reach a comparison and end in a TypeError."""
+        s = small_scenario()
+        s.params.dt = None
+        s.params.epsilon = "a"
+        s.params.grid_resolution = "0.5"
+        s.params.threshold = "x"
+        assert s.validate() == [
+            "dt None not a number",
+            "epsilon 'a' not a number",
+            "grid_resolution '0.5' not a number",
+            "threshold 'x' not a number",
+        ]
+
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [("epsilon", "a", "'a'"), ("grid_resolution", "0.5", "'0.5'"),
+         ("threshold", "x", "'x'"), ("dt", None, "None")],
+    )
+    def test_non_numeric_param_exit_2(self, field, value, shown, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        d = load_json(SCENARIOS / "rect_12.json")
+        d.setdefault("params", {})[field] = value
+        path = tmp_path / "bad_param.json"
+        dump_json(d, path)
+        assert main(["exec", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error [InvalidScenario]: scenario: {field} {shown} not a number"]
+
+    def test_validate_bounds_grid_cells(self):
+        """A tiny r or grid step used to allocate a multi-GiB grid in convert.
+
+        Only `validate` runs here: such a scenario must never reach convert."""
+        s = small_scenario()  # 30 x 18
+        s.r = 1e-3
+        assert s.validate() == [
+            f"medial-axis grid of 2160000000 cells above {MAX_GRID_CELLS}",
+            f"navigation grid of 2160000000 cells above {MAX_GRID_CELLS}",
+        ]
+        s = small_scenario()
+        s.params.grid_resolution = 1e-3
+        assert s.validate() == [f"medial-axis grid of 540000000 cells above {MAX_GRID_CELLS}"]
+        s.params.grid_resolution = 0.5
+        assert s.validate() == []
 
 
 class TestUnreadableInput:

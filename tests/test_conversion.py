@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,18 @@ from swapmotion.conversion import (
     RadialCorridor,
     convert_circles,
     convert_single_circle,
-    corridor_polyline,
     greedy_convert,
 )
 from swapmotion.errors import PreconditionViolated
+from swapmotion.fileio import load_json, scenario_from_dict
 from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
 from swapmotion.medial_axis import extract_medial_axis, sample_circles
+from swapmotion.pipeline import convert_scenario
+
+from conversion_reference import corridor_route_reference
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def pairwise_min_distance(res):
@@ -92,12 +101,28 @@ class TestTwoCircles:
         gaps = [k for k in res.inter_edge_kind.values() if isinstance(k, GapCorridor)]
         assert gaps
         assert res.graph.violations() == []
+        assert assert_routes_match_reference(res) == {"GapCorridor"}
 
     def test_center_inside_violates_precondition(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(3.0, 0), 5.0)
         with pytest.raises(PreconditionViolated):
             convert_circles([a, b], None, 1.0, None)
+
+
+def assert_routes_match_reference(res) -> set[str]:
+    """Every gap and path connector has exactly the reference route, from
+    slot e[0] to slot e[1]; returns the connector kinds seen."""
+    connectors = {
+        e: k for e, k in res.inter_edge_kind.items() if not isinstance(k, RadialCorridor)
+    }
+    assert set(res.routes) == set(connectors)
+    for e in connectors:
+        route = res.routes[e]
+        assert route == tuple(corridor_route_reference(res, e))
+        assert route[0] == res.graph.positions[e[0]]
+        assert route[-1] == res.graph.positions[e[1]]
+    return {type(k).__name__ for k in connectors.values()}
 
 
 class TestConvertCircles:
@@ -127,11 +152,37 @@ class TestConvertCircles:
         kinds = list(res.inter_edge_kind.values())
         assert any(isinstance(k, PathCorridor) for k in kinds)
         assert res.graph.violations() == []
-        # corridor route stays clear of every other slot
+        # the route runs from slot e[0] through the skeleton waypoints to e[1]
+        assert assert_routes_match_reference(res) == {"PathCorridor"}
         e = next(e for e, k in res.inter_edge_kind.items() if isinstance(k, PathCorridor))
-        (u, v), poly = corridor_polyline(res, e)
-        assert poly[0] == res.graph.positions[u]
-        assert poly[-1] == res.graph.positions[v]
+        assert len(res.routes[e]) > 2
+
+
+class TestRouteTable:
+    """`ConversionResult.routes` equals the route rebuilt from each corridor
+    (the 64 x 12 two-circle case is `test_corridor_connects_far_circles`)."""
+
+    def test_shipped_scenarios(self):
+        kinds = set()
+        for path in sorted(SCENARIOS.glob("*.json")):
+            s = scenario_from_dict(load_json(path))
+            kinds |= assert_routes_match_reference(convert_scenario(s))
+        assert kinds == {"GapCorridor", "PathCorridor"}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fuzz_small(self, seed):
+        for scene in bench_workloads().build(ROOT, "fuzz_small", seed):
+            assert_routes_match_reference(convert_scenario(scene.scenario))
+
+
+def bench_workloads():
+    """`bench/workloads.py`, which builds the benchmark's scenes."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 class TestGreedy:

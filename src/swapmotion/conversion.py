@@ -8,6 +8,9 @@ corridors between consecutive rings of one circle, gap corridors between the
 outermost rings of two nearby circles, and skeleton-path corridors between
 far circles. A greedy driver admits sampled circles one at a time, keeping a
 tentative circle only when the resulting graph is valid and strictly larger.
+Every graph is built one way, by `_build` with the run's `_TauCache`: it adds
+skeleton-path connectors, keeps every slot r clear of the workspace boundary,
+and checks every gap or path route against the workspace's capsule cache.
 
 Conversion decides each gap or skeleton-path connector's route once, when it
 admits the edge: `ConversionResult.routes[e]` is the mover's polyline from
@@ -50,7 +53,6 @@ from .geometry import (
 from .medial_axis import (
     BRIDGE_COUNTERS,
     SkeletonGraph,
-    SkeletonPath,
     _path_clear,
     extract_medial_axis,
     sample_circles,
@@ -180,17 +182,13 @@ def _triple_intersection_empty(circles: list[Disk], tol: float) -> bool:
     return True
 
 
-def _build(
-    circles: list[Disk],
-    r: float,
-    workspace: Optional[Workspace] = None,
-    cache: Optional[_TauCache] = None,
-) -> Optional[ConversionResult]:
-    """Assemble the swap graph for a fixed circle set; None when invalid.
+def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[ConversionResult]:
+    """Assemble the swap graph for a fixed circle set in the workspace
+    `cache.w`; None when invalid.
 
-    With `cache` (which must belong to `workspace`), far circle pairs get
-    skeleton-path connectors, and the workspace checks of connector routes
-    are memoized across calls."""
+    Far circle pairs get connectors along `cache.skeleton`; every slot is
+    checked against the workspace boundary, and every gap or path route
+    against `cache.capsules` and the other slots."""
     tol = 1e-9 * max([c.radius for c in circles] + [r])
     if not _pairwise_center_check(circles, tol):
         raise PreconditionViolated("a circle center lies inside another circle")
@@ -236,30 +234,29 @@ def _build(
     # `cache` remembers every path it is asked for
     taus: dict[tuple[int, int], tuple[PathCorridor, list[Point2], float, float]] = {}
     corridor_ports: dict[tuple[int, int], list[float]] = {}
-    if cache is not None:
-        for a in range(len(circles)):
-            for b in range(a + 1, len(circles)):
-                if (a, b) in linked:
-                    continue
-                if layer_count[a] < 1 or layer_count[b] < 1:
-                    continue
-                tau = cache.path(circles, a, b)
-                if tau is None:
-                    continue
-                ca, cb = circles[a], circles[b]
-                mid = [
-                    p
-                    for p in tau.waypoints
-                    if dist(p, ca.center) > ca.radius and dist(p, cb.center) > cb.radius
-                ]
-                if not mid:
-                    continue
-                kind = PathCorridor(a, layer_count[a], b, layer_count[b], tuple(tau.waypoints))
-                ang_a = _circle_angle(ca.center, mid[0])
-                ang_b = _circle_angle(cb.center, mid[-1])
-                taus[(a, b)] = (kind, mid, ang_a, ang_b)
-                corridor_ports.setdefault((a, layer_count[a]), []).append(ang_a)
-                corridor_ports.setdefault((b, layer_count[b]), []).append(ang_b)
+    for a in range(len(circles)):
+        for b in range(a + 1, len(circles)):
+            if (a, b) in linked:
+                continue
+            if layer_count[a] < 1 or layer_count[b] < 1:
+                continue
+            tau = cache.path(circles, a, b)
+            if tau is None:
+                continue
+            ca, cb = circles[a], circles[b]
+            mid = [
+                p
+                for p in tau
+                if dist(p, ca.center) > ca.radius and dist(p, cb.center) > cb.radius
+            ]
+            if not mid:
+                continue
+            kind = PathCorridor(a, layer_count[a], b, layer_count[b], tau)
+            ang_a = _circle_angle(ca.center, mid[0])
+            ang_b = _circle_angle(cb.center, mid[-1])
+            taus[(a, b)] = (kind, mid, ang_a, ang_b)
+            corridor_ports.setdefault((a, layer_count[a]), []).append(ang_a)
+            corridor_ports.setdefault((b, layer_count[b]), []).append(ang_b)
 
     # slot placement per ring
     positions: dict[int, Point2] = {}
@@ -338,9 +335,8 @@ def _build(
                 continue
             if dist(positions[v], cx.center) < neighbor_reach(cx.radius, r) - 1e-7 * r:
                 return None
-    if workspace is not None and len(pts):
-        if (boundary_distance_many(pts, workspace) < r - workspace.tol).any():
-            return None
+    if (boundary_distance_many(pts, cache.w) < r - cache.w.tol).any():
+        return None
 
     # loops in angular order; connectors
     loops = []
@@ -363,13 +359,11 @@ def _build(
         if route:
             routes[e] = tuple(route if e[0] == u else reversed(route))
 
-    capsules = cache.capsules if cache else CapsuleCache(workspace) if workspace else None
-
     def route_ok(route: list[Point2], u: int, v: int) -> bool:
         spines = [(p, q) for p, q in zip(route, route[1:]) if p != q]
         if not spines:
             return True
-        if capsules is not None and not capsules.all_free(spines, r):
+        if not cache.capsules.all_free(spines, r):
             return False
         static = np.array(
             [positions[x] for x in sorted(positions) if x not in (u, v)], dtype=float
@@ -540,24 +534,6 @@ def _nearest_pair(positions, group_a: list[int], group_b: list[int]) -> tuple[in
     return best[1], best[2]
 
 
-def convert_single_circle(c: Disk, r: float) -> Optional[ConversionResult]:
-    """Swap graph hosted by one circle, or None if it cannot hold two rings."""
-    if safe_layer_count(c.radius, r) < 2:
-        return None
-    return _build([c], r)
-
-
-def convert_circles(
-    circles: list[Disk],
-    skeleton: Optional[SkeletonGraph],
-    r: float,
-    w: Optional[Workspace],
-) -> Optional[ConversionResult]:
-    """Swap graph for a circle set, with skeleton-path connectors when given."""
-    cache = _TauCache(skeleton, r, w) if skeleton is not None and w is not None else None
-    return _build(circles, r, workspace=w, cache=cache)
-
-
 @dataclass
 class _TauCache:
     """Per-conversion memo: skeleton paths per circle pair (revalidated
@@ -574,20 +550,19 @@ class _TauCache:
     def __post_init__(self):
         self.capsules = CapsuleCache(self.w)
 
-    def path(self, circles: list[Disk], ai: int, bi: int) -> Optional[SkeletonPath]:
-        """The skeleton path between circles ai and bi of the set `circles`."""
+    def path(self, circles: list[Disk], ai: int, bi: int) -> Optional[tuple[Point2, ...]]:
+        """Waypoints of the skeleton path between circles ai and bi of the set
+        `circles`."""
         a, b = circles[ai], circles[bi]
         key = (a.center, a.radius, b.center, b.radius)
         others = [c for k, c in enumerate(circles) if k not in (ai, bi)]
         if key in self.store:
             tau = self.store[key]
-            if tau is not None and _path_clear(
-                tau, a, b, others, self.r, self.w, self.capsules
-            ):
+            if tau is not None and _path_clear(tau, a, b, others, self.r, self.capsules):
                 self.reused += 1
-                return SkeletonPath(tau.waypoints, ai, bi)
+                return tau
         self.searched += 1
-        tau = skeleton_path(self.skeleton, a, b, circles, self.r, self.w, self.capsules)
+        tau = skeleton_path(self.skeleton, circles, ai, bi, self.r, self.capsules)
         self.store[key] = tau
         return tau
 
@@ -649,7 +624,7 @@ def greedy_convert(
             tentative = chosen + [c]
             counters["builds"] += 1
             try:
-                res = _build(tentative, r, workspace=w, cache=cache)
+                res = _build(tentative, r, cache)
             except PreconditionViolated:
                 continue
             if res is None or res.graph.num_vertices() <= best.graph.num_vertices():

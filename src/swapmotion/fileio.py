@@ -146,16 +146,22 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _agent_from_dict(a: dict) -> AgentSpec:
+    aid = int(a["id"])
+    for key in ("start", "goal"):
+        xy = a[key]
+        if not (isinstance(xy, (list, tuple)) and len(xy) == 2 and all(map(_is_number, xy))):
+            raise ValueError(f"agent {aid} {key} {xy!r} not two numbers")
+    return AgentSpec(aid, Point2(*a["start"]), Point2(*a["goal"]))
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     p = d.get("params", {})
     return Scenario(
         name=d.get("name", "scenario"),
         workspace=workspace_from_dict(d["workspace"]),
         r=float(d["r"]),
-        agents=[
-            AgentSpec(int(a["id"]), Point2(*a["start"]), Point2(*a["goal"]))
-            for a in d["agents"]
-        ],
+        agents=[_agent_from_dict(a) for a in d["agents"]],
         params=ScenarioParams(
             **{f.name: p[f.name] for f in fields(ScenarioParams) if f.name in p}
         ),

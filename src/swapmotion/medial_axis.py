@@ -11,7 +11,8 @@ widest-path bridges: one resumed widest-path search per growing fragment,
 over flat cell indices in plain lists. The result is a small geometric graph
 that also keeps its node positions and clearances as arrays, so
 `skeleton_path` checks all nodes of a query in one numpy pass before its
-Dijkstra over the skeleton.
+Dijkstra over the skeleton. A query names its two circles by their indices in
+the circle set, and a skeleton path is the plain tuple of its waypoints.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ class SkeletonGraph:
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         return self._adj[i]
-
-
-@dataclass
-class SkeletonPath:
-    waypoints: list[Point2]
-    start_circle: int
-    end_circle: int
-
-    def length(self) -> float:
-        return sum(dist(a, b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
 def _grid_points(w: Workspace, res: float):
@@ -371,21 +362,16 @@ def sample_circles(
 
 
 def skeleton_path(
-    s: SkeletonGraph,
-    a: Disk,
-    b: Disk,
-    all_circles: list[Disk],
-    r: float,
-    w: Workspace,
-    capsules: CapsuleCache | None = None,
-) -> SkeletonPath | None:
-    """Shortest skeleton polyline from circle a to circle b whose r-inflation,
-    outside the two endpoint circles, avoids every obstacle and circle.
+    s: SkeletonGraph, circles: list[Disk], ia: int, ib: int, r: float, capsules: CapsuleCache
+) -> tuple[Point2, ...] | None:
+    """Waypoints of the shortest skeleton polyline from circle `circles[ia]`
+    to `circles[ib]` whose r-inflation, outside those two circles, avoids
+    every obstacle and every other circle of the set.
 
-    `capsules` memoizes the workspace checks; it must belong to `w`."""
-    ia = _circle_index(all_circles, a)
-    ib = _circle_index(all_circles, b)
-    others = [c for k, c in enumerate(all_circles) if k not in (ia, ib)]
+    The workspace is `capsules.w`, whose capsule checks `capsules` memoizes."""
+    w = capsules.w
+    a, b = circles[ia], circles[ib]
+    others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
     xs, ys = s.xy[:, 0], s.xy[:, 1]
 
     def inside(c: Disk) -> np.ndarray:
@@ -432,11 +418,10 @@ def skeleton_path(
     while chain[-1] in prev:
         chain.append(prev[chain[-1]])
     chain.reverse()
-    waypoints = [s.nodes[i].position for i in chain]
-    path = SkeletonPath(waypoints, ia, ib)
-    if not _path_clear(path, a, b, others, r, w, capsules):
+    waypoints = tuple(s.nodes[i].position for i in chain)
+    if not _path_clear(waypoints, a, b, others, r, capsules):
         return None
-    return path
+    return waypoints
 
 
 def _hypot_cmp(op, dx: np.ndarray, dy: np.ndarray, bound) -> np.ndarray:
@@ -455,36 +440,30 @@ def _hypot_cmp(op, dx: np.ndarray, dy: np.ndarray, bound) -> np.ndarray:
     return out
 
 
-def _circle_index(circles: list[Disk], c: Disk) -> int:
-    for k, d in enumerate(circles):
-        if d == c:
-            return k
-    return -1
-
-
 def _path_clear(
-    path: SkeletonPath,
+    waypoints: tuple[Point2, ...],
     a: Disk,
     b: Disk,
     others: list[Disk],
     r: float,
-    w: Workspace,
-    capsules: CapsuleCache | None = None,
+    capsules: CapsuleCache,
 ) -> bool:
-    """Inflated-path condition for every segment not well inside a or b."""
+    """Inflated-path condition for every segment not well inside a or b, in
+    the workspace `capsules.w`."""
+    w = capsules.w
 
     def well_inside(c: Disk, p: Point2) -> bool:
         return dist(c.center, p) + r <= c.radius + w.tol
 
     spines = [
         (p, q)
-        for p, q in zip(path.waypoints, path.waypoints[1:])
+        for p, q in zip(waypoints, waypoints[1:])
         if not (well_inside(a, p) and well_inside(a, q))
         and not (well_inside(b, p) and well_inside(b, q))
     ]
     if not spines:
         return True
-    if not (capsules or CapsuleCache(w)).all_free(spines, r):
+    if not capsules.all_free(spines, r):
         return False
     if not others:
         return True

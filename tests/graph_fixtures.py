@@ -1,10 +1,30 @@
-"""Shared graph fixtures: a hand-transcribed 4-loop example and random graphs."""
+"""Shared graph fixtures: a hand-transcribed 4-loop example, random graphs,
+and swap graphs converted from hand-picked circles."""
 
 import math
 import random
 
-from swapmotion.geometry import Point2
+from swapmotion.conversion import _build, _TauCache
+from swapmotion.geometry import Point2, Rect, Workspace
+from swapmotion.medial_axis import SkeletonGraph
 from swapmotion.swap_graph import Occupancy, SwapGraph
+
+
+def circle_graph(circles, r=1.0, w=None, skeleton=None):
+    """`conversion._build` of a hand-picked circle set, called the way
+    `greedy_convert` calls it: in workspace `w` (default: the circles'
+    bounding box, with no obstacle) and with path connectors along
+    `skeleton` (default: an empty skeleton, so none)."""
+    if w is None:
+        w = Workspace(Rect(
+            min(c.center.x - c.radius for c in circles),
+            min(c.center.y - c.radius for c in circles),
+            max(c.center.x + c.radius for c in circles),
+            max(c.center.y + c.radius for c in circles),
+        ))
+    if skeleton is None:
+        skeleton = SkeletonGraph([], [], 0.5 * r)
+    return _build(list(circles), r, _TauCache(skeleton, r, w))
 
 
 def four_loop_example() -> SwapGraph:

@@ -23,8 +23,6 @@ from swapmotion.geometry import (
 from swapmotion.medial_axis import (
     SkeletonGraph,
     SkeletonNode,
-    SkeletonPath,
-    _circle_index,
     _grid_points,
     _path_clear,
     _thin,
@@ -254,18 +252,12 @@ def widest_bridge_reference(
 
 
 def skeleton_path_reference(
-    s: SkeletonGraph,
-    a: Disk,
-    b: Disk,
-    all_circles: list[Disk],
-    r: float,
-    w: Workspace,
-    capsules: CapsuleCache | None = None,
-) -> SkeletonPath | None:
+    s: SkeletonGraph, circles: list[Disk], ia: int, ib: int, r: float, capsules: CapsuleCache
+) -> tuple[Point2, ...] | None:
     """`medial_axis.skeleton_path` with a per-node `node_ok` and `dist` calls."""
-    ia = _circle_index(all_circles, a)
-    ib = _circle_index(all_circles, b)
-    others = [c for k, c in enumerate(all_circles) if k not in (ia, ib)]
+    w = capsules.w
+    a, b = circles[ia], circles[ib]
+    others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
 
     def inside(c: Disk, p: Point2) -> bool:
         return dist(c.center, p) <= c.radius
@@ -311,8 +303,7 @@ def skeleton_path_reference(
     while chain[-1] in prev:
         chain.append(prev[chain[-1]])
     chain.reverse()
-    waypoints = [s.nodes[i].position for i in chain]
-    path = SkeletonPath(waypoints, ia, ib)
-    if not _path_clear(path, a, b, others, r, w, capsules):
+    waypoints = tuple(s.nodes[i].position for i in chain)
+    if not _path_clear(waypoints, a, b, others, r, capsules):
         return None
-    return path
+    return waypoints

@@ -14,12 +14,18 @@ import numpy as np
 import pytest
 
 from capsule_reference import point_segment_distance
-from graph_fixtures import four_loop_example, random_graph, random_occupancy, shuffled_goal
+from graph_fixtures import (
+    circle_graph,
+    four_loop_example,
+    random_graph,
+    random_occupancy,
+    shuffled_goal,
+)
 from test_planner import loopwise_reversal_instance
 
 from swapmotion.assignment import optimal_assignment
 from swapmotion.capacity import loop_capacity, port_gap, slot_pitch
-from swapmotion.conversion import RadialCorridor, convert_single_circle
+from swapmotion.conversion import RadialCorridor
 from swapmotion.errors import SwapMotionError
 from swapmotion.fileio import (
     AgentSpec,
@@ -108,7 +114,7 @@ def test_criterion_2_capacity_anchors():
     t0 = time.perf_counter()
     assert loop_capacity(0) == 0
     assert loop_capacity(1) == 6
-    res = convert_single_circle(Disk(Point2(0.0, 0.0), 21.0), 1.0)
+    res = circle_graph([Disk(Point2(0.0, 0.0), 21.0)])
     rings = {ring: li for li, (_, ring) in enumerate(res.loop_layer)}
     assert max(rings) == 10
     g = res.graph

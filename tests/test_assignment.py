@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from capsule_reference import capsule_free_reference, point_segment_distance
+from graph_fixtures import circle_graph
 from navigation_reference import free_mask_reference
 from swapmotion import assignment, pipeline
 from swapmotion.assignment import (
@@ -30,7 +31,6 @@ from swapmotion.assignment import (
     optimal_assignment,
     radial_hints,
 )
-from swapmotion.conversion import convert_single_circle
 from swapmotion.errors import TooFewSlots
 from swapmotion.fileio import load_json, scenario_from_dict
 from swapmotion.geometry import Disk, Point2, Polygon, dist, rectangle_workspace
@@ -179,8 +179,8 @@ class TestNavigate:
         assert rep.ok, rep.violations[:3]
 
     def test_navigate_to_vertices_roundtrip(self):
-        res = convert_single_circle(Disk(Point2(10, 10), 6.0), 1.0)
         w = rectangle_workspace(20.0, 20.0)
+        res = circle_graph([Disk(Point2(10, 10), 6.0)], w=w)
         rng = np.random.default_rng(5)
         starts = []
         while len(starts) < 6:

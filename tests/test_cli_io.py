@@ -501,6 +501,34 @@ class TestUnreadableInput:
             line = self._run([command, "--scenario", str(path), "--out", str(tmp_path)], capsys)
             assert "missing key 'workspace'" in line
 
+    @pytest.mark.parametrize("field", ["start", "goal"])
+    @pytest.mark.parametrize(
+        "xy", [["a", 3.0], [None, 3.0], [True, 3.0], [1.0]], ids=["str", "null", "bool", "short"]
+    )
+    def test_agent_coordinate_not_two_numbers(self, field, xy, tmp_path, capsys, monkeypatch):
+        """`["a", 3.0]` used to end in an untyped ValueError and `[null, 3.0]`
+        in a TypeError, both with exit 1."""
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        d = load_json(SCENARIOS / "rect_12.json")
+        d["agents"][1][field] = xy
+        path = tmp_path / "bad_agent.json"
+        dump_json(d, path)
+        line = self._run(["exec", "--scenario", str(path)], capsys)
+        assert line.endswith(f"(ValueError: agent 1 {field} {xy!r} not two numbers)")
+
+    def test_committed_bad_coordinate_scenario(self, capsys):
+        """The scenario CI runs `exec` on to check for exit code 2: valid
+        apart from agent 1's start, so with that start fixed it converts."""
+        path = DATA / "non_numeric_start.json"
+        line = self._run(["exec", "--scenario", str(path)], capsys)
+        assert line.endswith("(ValueError: agent 1 start ['a', 3.0] not two numbers)")
+        d = load_json(path)
+        d["agents"][1]["start"] = [3.0, 9.0]
+        assert scenario_from_dict(d).validate() == []
+
     def test_render_dir_without_scenario(self, tmp_path, capsys):
         line = self._run(["render", "--out", str(tmp_path)], capsys)
         assert "scenario.json" in line

@@ -12,17 +12,25 @@ from swapmotion.conversion import (
     GapCorridor,
     PathCorridor,
     RadialCorridor,
-    convert_circles,
-    convert_single_circle,
     greedy_convert,
 )
 from swapmotion.errors import PreconditionViolated
 from swapmotion.fileio import load_json, scenario_from_dict
-from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
+from swapmotion.geometry import (
+    Disk,
+    Point2,
+    Polygon,
+    Rect,
+    Workspace,
+    boundary_distance_many,
+    dist,
+    rectangle_workspace,
+)
 from swapmotion.medial_axis import extract_medial_axis, sample_circles
 from swapmotion.pipeline import convert_scenario
 
 from conversion_reference import corridor_route_reference
+from graph_fixtures import circle_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -38,11 +46,11 @@ def pairwise_min_distance(res):
 
 class TestSingleCircle:
     def test_too_small_returns_none(self):
-        assert convert_single_circle(Disk(Point2(0, 0), 1.9), 1.0) is None
-        assert convert_single_circle(Disk(Point2(0, 0), 4.5), 1.0) is None
+        assert circle_graph([Disk(Point2(0, 0), 1.9)]) is None
+        assert circle_graph([Disk(Point2(0, 0), 4.5)]) is None
 
     def test_two_ring_circle(self):
-        res = convert_single_circle(Disk(Point2(3, 4), 5.0), 1.0)
+        res = circle_graph([Disk(Point2(3, 4), 5.0)])
         assert res is not None
         assert res.graph.K == 2
         assert res.graph.num_vertices() == loop_capacity(1) + loop_capacity(2)
@@ -51,19 +59,19 @@ class TestSingleCircle:
         assert pairwise_min_distance(res) >= 2.0 - 1e-9
 
     def test_layer_counts_match_capacity(self):
-        res = convert_single_circle(Disk(Point2(0, 0), 9.0), 1.0)
+        res = circle_graph([Disk(Point2(0, 0), 9.0)])
         assert res is not None
         for li, (circle, ring) in enumerate(res.loop_layer):
             assert len(res.graph.loops[li]) == loop_capacity(ring)
 
     def test_vertices_inside_circle(self):
         c = Disk(Point2(0, 0), 7.0)
-        res = convert_single_circle(c, 1.0)
+        res = circle_graph([c])
         for v in res.graph.vertex_ids():
             assert dist(res.graph.positions[v], c.center) <= c.radius - 1.0 + 1e-9
 
     def test_radial_ports_anchor_connectors(self):
-        res = convert_single_circle(Disk(Point2(0, 0), 9.0), 1.0)
+        res = circle_graph([Disk(Point2(0, 0), 9.0)])
         radials = [
             k for k in res.inter_edge_kind.values() if isinstance(k, RadialCorridor)
         ]
@@ -81,12 +89,12 @@ class TestTwoCircles:
     def test_far_apart_disconnected(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(40, 0), 5.0)
-        assert convert_circles([a, b], None, 1.0, None) is None
+        assert circle_graph([a, b]) is None
 
     def test_sharing_pair(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(7.5, 0), 5.0)
-        res = convert_circles([a, b], None, 1.0, None)
+        res = circle_graph([a, b])
         assert res is not None
         shared = [v for v in res.graph.vertex_ids() if len(res.vertex_rings[v]) > 1]
         assert len(shared) == 2
@@ -96,7 +104,7 @@ class TestTwoCircles:
     def test_gap_corridor_pair(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(8.6, 0), 5.0)
-        res = convert_circles([a, b], None, 1.0, None)
+        res = circle_graph([a, b])
         assert res is not None
         gaps = [k for k in res.inter_edge_kind.values() if isinstance(k, GapCorridor)]
         assert gaps
@@ -107,7 +115,7 @@ class TestTwoCircles:
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(3.0, 0), 5.0)
         with pytest.raises(PreconditionViolated):
-            convert_circles([a, b], None, 1.0, None)
+            circle_graph([a, b])
 
 
 def assert_routes_match_reference(res) -> set[str]:
@@ -127,11 +135,15 @@ def assert_routes_match_reference(res) -> set[str]:
 
 class TestConvertCircles:
     def test_single_circle_reduction(self):
-        c = Disk(Point2(0, 0), 6.0)
-        multi = convert_circles([c], None, 1.0, None)
-        single = convert_single_circle(c, 1.0)
-        assert multi.graph.num_vertices() == single.graph.num_vertices()
-        assert multi.graph.loops == single.graph.loops
+        """A lone circle's graph depends on neither the room around it nor
+        the skeleton of that room."""
+        c = Disk(Point2(12, 8), 6.0)
+        w = rectangle_workspace(30.0, 16.0)
+        roomy = circle_graph([c], w=w, skeleton=extract_medial_axis(w, 0.5))
+        tight = circle_graph([c])
+        assert roomy.graph.num_vertices() == tight.graph.num_vertices()
+        assert roomy.graph.positions == tight.graph.positions
+        assert roomy.graph.loops == tight.graph.loops
 
     def test_triple_intersection_rejected(self):
         circles = [
@@ -140,14 +152,14 @@ class TestConvertCircles:
             Disk(Point2(2.75, 4.5), 5.0),
         ]
         with pytest.raises(PreconditionViolated):
-            convert_circles(circles, None, 1.0, None)
+            circle_graph(circles)
 
     def test_corridor_connects_far_circles(self):
         w = rectangle_workspace(64.0, 12.0)
         skeleton = extract_medial_axis(w, 0.5)
         circles = sample_circles(skeleton, 20.0, 2, 1.0)
         assert len(circles) == 2
-        res = convert_circles(circles, skeleton, 1.0, w)
+        res = circle_graph(circles, w=w, skeleton=skeleton)
         assert res is not None
         kinds = list(res.inter_edge_kind.values())
         assert any(isinstance(k, PathCorridor) for k in kinds)
@@ -156,6 +168,47 @@ class TestConvertCircles:
         assert assert_routes_match_reference(res) == {"PathCorridor"}
         e = next(e for e, k in res.inter_edge_kind.items() if isinstance(k, PathCorridor))
         assert len(res.routes[e]) > 2
+
+
+class TestWorkspaceChecks:
+    """`_build` rejects slots near the boundary and routes through obstacles."""
+
+    def test_slot_within_r_of_a_wall_rejects_the_set(self):
+        c = Disk(Point2(0, 0), 5.0)
+        assert circle_graph([c]) is not None  # its bounding box clears every slot
+        # the top wall cuts to 0.7 above ring 2 (radius 4)
+        assert circle_graph([c], w=Workspace(Rect(-5, -5, 5, 4.7))) is None
+
+    def test_slot_within_r_of_an_obstacle_edge_rejects_the_set(self):
+        c = Disk(Point2(0, 0), 5.0)
+        res = circle_graph([c])
+        assert Point2(4.0, 0.0) in res.graph.positions.values()  # ring 2's port
+        pin = Polygon((Point2(4.5, -0.2), Point2(4.9, -0.2), Point2(4.9, 0.2), Point2(4.5, 0.2)))
+        assert circle_graph([c], w=Workspace(Rect(-5, -5, 5, 5), (pin,))) is None
+
+    def test_gap_connector_through_a_wall_is_dropped(self):
+        """Three circles joined pairwise by gap connectors; a thin wall across
+        the 0-2 connector's capsule, at least r from every slot, removes that
+        connector alone."""
+        h = 8.8 * math.sqrt(3) / 2
+        circles = [Disk(Point2(0, 0), 5.0), Disk(Point2(4.4, h), 5.0), Disk(Point2(8.8, 0), 5.0)]
+        open_ = circle_graph(circles)
+        gaps = {
+            (k.circle_a, k.circle_b): e
+            for e, k in open_.inter_edge_kind.items()
+            if isinstance(k, GapCorridor)
+        }
+        assert set(gaps) == {(0, 1), (0, 2), (1, 2)}
+        wall = Polygon((Point2(4.35, -3.0), Point2(4.45, -3.0), Point2(4.45, -1.6),
+                        Point2(4.35, -1.6)))
+        w = Workspace(Rect(-5, -5, 13.8, h + 5), (wall,))
+        slots = np.array(list(open_.graph.positions.values()))
+        assert (boundary_distance_many(slots, w) >= 1.0 - w.tol).all()
+        walled = circle_graph(circles, w=w)
+        assert walled.graph.positions == open_.graph.positions
+        assert walled.graph.loops == open_.graph.loops
+        assert set(walled.graph.inter_edges) == set(open_.graph.inter_edges) - {gaps[(0, 2)]}
+        assert gaps[(0, 2)] not in walled.routes
 
 
 class TestRouteTable:

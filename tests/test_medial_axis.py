@@ -5,6 +5,7 @@ import pytest
 
 from swapmotion.errors import EmptyFreeSpace
 from swapmotion.geometry import (
+    CapsuleCache,
     Point2,
     Polygon,
     Rect,
@@ -125,7 +126,7 @@ class TestSkeletonPath:
         w = rectangle_workspace(40.0, 8.0)
         s = extract_medial_axis(w, 0.5)
         picks = sample_circles(s, 1.0, 2, 1.0)
-        tau = skeleton_path(s, picks[0], picks[1], picks, 1.0, w)
+        tau = skeleton_path(s, picks, 0, 1, 1.0, CapsuleCache(w))
         assert tau is not None
 
     def test_far_circles_joined_by_corridor(self):
@@ -133,9 +134,9 @@ class TestSkeletonPath:
         s = extract_medial_axis(w, 0.5)
         picks = sample_circles(s, 20.0, 3, 1.0)
         two = picks[:2]
-        tau = skeleton_path(s, two[0], two[1], two, 1.0, w)
+        tau = skeleton_path(s, two, 0, 1, 1.0, CapsuleCache(w))
         assert tau is not None
-        assert tau.length() > 10.0
+        assert sum(dist(p, q) for p, q in zip(tau, tau[1:])) > 10.0
 
     def test_narrow_gap_blocks_path(self):
         lower = Polygon((Point2(14, 0.0), Point2(15.8, 0.0), Point2(15.8, 4.2),
@@ -148,7 +149,7 @@ class TestSkeletonPath:
         left = [c for c in picks if c.center.x < 14]
         right = [c for c in picks if c.center.x > 16]
         assert left and right
-        assert skeleton_path(s, left[0], right[0], [left[0], right[0]], 1.0, w) is None
+        assert skeleton_path(s, [left[0], right[0]], 0, 1, 1.0, CapsuleCache(w)) is None
 
     def test_other_circle_blocks_path(self):
         w = rectangle_workspace(60.0, 8.0)
@@ -156,5 +157,5 @@ class TestSkeletonPath:
         picks = sample_circles(s, 20.0, 3, 1.0)
         # middle circle occupies the only corridor between the outer two
         ends = sorted(picks, key=lambda c: c.center.x)
-        tau = skeleton_path(s, ends[0], ends[2], ends, 1.0, w)
+        tau = skeleton_path(s, ends, 0, 2, 1.0, CapsuleCache(w))
         assert tau is None

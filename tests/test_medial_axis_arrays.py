@@ -24,6 +24,7 @@ from medial_axis_reference import (
 from swapmotion import conversion
 from swapmotion.fileio import graph_to_dict, scenario_from_dict
 from swapmotion.geometry import (
+    CapsuleCache,
     Disk,
     Point2,
     _edge_distances,
@@ -208,17 +209,17 @@ def skeleton_queries(draw):
     ia = draw(st.integers(0, len(circles) - 1))
     ib = draw(st.sampled_from([k for k, c in enumerate(circles) if c != circles[ia]] or [ia]))
     r = draw(st.sampled_from([0.5, 1.0]))
-    return SkeletonGraph(nodes, edges, 1.0), circles[ia], circles[ib], circles, r
+    return SkeletonGraph(nodes, edges, 1.0), circles, ia, ib, r
 
 
 class TestSkeletonPath:
     @SEEDED
     @given(skeleton_queries())
     def test_equals_reference(self, q):
-        s, a, b, circles, r = q
+        s, circles, ia, ib, r = q
         w = rectangle_workspace(16.0, 16.0)
-        assert skeleton_path(s, a, b, circles, r, w) == skeleton_path_reference(
-            s, a, b, circles, r, w
+        assert skeleton_path(s, circles, ia, ib, r, CapsuleCache(w)) == skeleton_path_reference(
+            s, circles, ia, ib, r, CapsuleCache(w)
         )
 
     def test_node_arrays(self):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from swapmotion.assignment import navigate
-from swapmotion.conversion import convert_circles, convert_single_circle
 from swapmotion.errors import UnrealizableOp
 from swapmotion.fileio import load_json, scenario_from_dict, trajectory_from_csv, trajectory_to_csv
 from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
@@ -33,11 +32,13 @@ from swapmotion.trajectory import (
     verify_trajectories,
 )
 
+from graph_fixtures import circle_graph
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def single_circle_setup(radius=5.0, hole_index=0):
-    res = convert_single_circle(Disk(Point2(10.0, 10.0), radius), 1.0)
+    res = circle_graph([Disk(Point2(10.0, 10.0), radius)])
     verts = res.graph.vertex_ids()
     hole = verts[hole_index]
     occ = Occupancy({v: (None if v == hole else 100 + v) for v in verts})
@@ -135,7 +136,8 @@ class TestRealizeType2:
 
         a = Disk(Point2(10.0, 10.0), 5.0)
         b = Disk(Point2(18.6, 10.0), 5.0)
-        res = convert_circles([a, b], None, 1.0, None)
+        w = rectangle_workspace(30.0, 20.0)
+        res = circle_graph([a, b], w=w)
         edge = next(
             e for e, k in res.inter_edge_kind.items() if isinstance(k, GapCorridor)
         )
@@ -143,19 +145,18 @@ class TestRealizeType2:
         verts = res.graph.vertex_ids()
         occ = Occupancy({x: (None if x == v else 100 + x) for x in verts})
         ts = realize_one(res, occ, VacancySwap(u, v))
-        w = rectangle_workspace(30.0, 20.0)
         rep = verify_trajectories(ts, w, 1.0)
         assert rep.ok, rep.violations[:3]
         assert dist(end_of(ts.segments[100 + u]), res.graph.positions[v]) < 1e-9
 
     def test_path_corridor_swap_verifies(self):
-        from swapmotion.conversion import PathCorridor, convert_circles
+        from swapmotion.conversion import PathCorridor
         from swapmotion.medial_axis import extract_medial_axis, sample_circles
 
         w = rectangle_workspace(64.0, 12.0)
         skeleton = extract_medial_axis(w, 0.5)
         circles = sample_circles(skeleton, 20.0, 2, 1.0)
-        res = convert_circles(circles, skeleton, 1.0, w)
+        res = circle_graph(circles, w=w, skeleton=skeleton)
         edge = next(
             e for e, k in res.inter_edge_kind.items() if isinstance(k, PathCorridor)
         )
@@ -227,7 +228,8 @@ def two_circle_run():
     """A shuffle of a two-circle graph, realized, and its workspace."""
     a = Disk(Point2(10.0, 10.0), 5.0)
     b = Disk(Point2(17.5, 10.0), 5.0)
-    res = convert_circles([a, b], None, 1.0, None)
+    w = rectangle_workspace(28.0, 20.0)
+    res = circle_graph([a, b], w=w)
     verts = res.graph.vertex_ids()
     occ = Occupancy({v: (None if v == verts[0] else v) for v in verts})
     rng = random.Random(5)
@@ -235,7 +237,7 @@ def two_circle_run():
     rng.shuffle(contents)
     goal = Occupancy(dict(zip(verts, contents)))
     plan = plan_permutation(res.graph, occ, goal)
-    return realize_plan(res, plan), rectangle_workspace(28.0, 20.0)
+    return realize_plan(res, plan), w
 
 
 def trajectory_set(horizon, **records):

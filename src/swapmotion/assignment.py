@@ -20,13 +20,13 @@ from .errors import TooFewSlots
 from .geometry import (
     Point2,
     Workspace,
-    boundary_distance_many,
     capsule_free,
     capsules_free,
+    disks_free,
     dist,
     point_segment_distances,
-    points_in_free_space,
 )
+from .medial_axis import _fragments
 from .trajectory import SPEED, Track, TrajectorySet, hold_record, line_record
 
 
@@ -141,9 +141,7 @@ def _via_candidates(w: Workspace, r: float, spacing: float) -> list[Point2]:
         return []
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    ok = points_in_free_space(pts, w)
-    ok &= boundary_distance_many(pts, w) >= r
-    return [Point2(float(x), float(y)) for x, y in pts[ok]]
+    return [Point2(float(x), float(y)) for x, y in pts[disks_free(pts, w, r)]]
 
 
 def navigate(
@@ -275,9 +273,7 @@ def _nav_grid(w: Workspace, r: float) -> NavGrid:
     ys = bx.ymin + (np.arange(ny) + 0.5) * (bx.height / ny)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    ok = boundary_distance_many(pts, w) >= r - 1e-9
-    ok &= points_in_free_space(pts, w)
-    return NavGrid(xs, ys, ok.reshape(nx, ny))
+    return NavGrid(xs, ys, disks_free(pts, w, r - 1e-9).reshape(nx, ny))
 
 
 def _stamp_disks(grid: NavGrid, others: np.ndarray, r: float) -> np.ndarray:
@@ -300,6 +296,40 @@ def _stamp_disks(grid: NavGrid, others: np.ndarray, r: float) -> np.ndarray:
     return free
 
 
+def _near_free(grid: NavGrid, free: np.ndarray, w: Workspace, p) -> Optional[tuple[int, int]]:
+    """The cell set in `free` nearest p among the 7 x 7 cells about p's
+    cell, or None."""
+    nx, ny = free.shape
+    bx = w.bounds
+    i0 = int(np.clip((p[0] - bx.xmin) / (bx.width / nx), 0, nx - 1))
+    j0 = int(np.clip((p[1] - bx.ymin) / (bx.height / ny), 0, ny - 1))
+    best = None
+    for di in range(-3, 4):
+        for dj in range(-3, 4):
+            i, j = i0 + di, j0 + dj
+            if 0 <= i < nx and 0 <= j < ny and free[i, j]:
+                d = (grid.xs[i] - p[0]) ** 2 + (grid.ys[j] - p[1]) ** 2
+                if best is None or d < best[0]:
+                    best = (d, (i, j))
+    return None if best is None else best[1]
+
+
+def grid_unreachable(points: dict, slots: Sequence[Point2], w: Workspace, r: float) -> list:
+    """The agents whose point has no path to any slot on the static mask of
+    the navigation grid (`NavGrid.free`, no agents stamped), in the order of
+    `points`: their point lies in a free component that no slot is in."""
+    grid = _nav_grid(w, r)
+    row = grid.free.shape[1] + 2
+    label = _fragments(np.pad(grid.free, 1).ravel().tolist(), row)
+
+    def component(p) -> int:
+        cell = _near_free(grid, grid.free, w, p)
+        return 0 if cell is None else label[(cell[0] + 1) * row + cell[1] + 1]
+
+    reached = {component(q) for q in slots} - {0}
+    return [a for a, p in points.items() if component(p) not in reached]
+
+
 # the BFS's neighbour order, as (di, dj); it fixes the BFS tree, so the route
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -312,27 +342,8 @@ def _grid_route(a: Point2, b: Point2, w, r, others, grid: NavGrid) -> Optional[l
     xs, ys = grid.xs, grid.ys
     free = _stamp_disks(grid, others, r)
     nx, ny = free.shape
-    bx = w.bounds
-
-    def cell_of(p):
-        i = int(np.clip((p[0] - bx.xmin) / (bx.width / nx), 0, nx - 1))
-        j = int(np.clip((p[1] - bx.ymin) / (bx.height / ny), 0, ny - 1))
-        return i, j
-
-    def near_free(p):
-        i0, j0 = cell_of(p)
-        best = None
-        for di in range(-3, 4):
-            for dj in range(-3, 4):
-                i, j = i0 + di, j0 + dj
-                if 0 <= i < nx and 0 <= j < ny and free[i, j]:
-                    d = (xs[i] - p[0]) ** 2 + (ys[j] - p[1]) ** 2
-                    if best is None or d < best[0]:
-                        best = (d, (i, j))
-        return None if best is None else best[1]
-
-    src = near_free(a)
-    dst = near_free(b)
+    src = _near_free(grid, free, w, a)
+    dst = _near_free(grid, free, w, b)
     if src is None or dst is None:
         return None
     # flat indices into the grid padded by one blocked cell on every side

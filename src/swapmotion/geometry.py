@@ -326,22 +326,54 @@ def clearance(p: Point2, w: Workspace) -> float:
 
 def disk_in_free_space(d: Disk, w: Workspace) -> bool:
     """True iff the disk lies in free space; boundary tangency is allowed."""
-    if not point_in_free_space(d.center, w):
-        return False
-    c = boundary_distance_many(np.array([d.center], dtype=float), w)[0]
-    return bool(c >= d.radius - w.tol)
+    return bool(disks_free(np.array([d.center], dtype=float), w, d.radius - w.tol)[0])
+
+
+def disks_free(pts: np.ndarray, w: Workspace, reach: float) -> np.ndarray:
+    """Per point: in free space, with the free-space boundary at least `reach`
+    away; equal to `points_in_free_space(pts, w) & (boundary_distance_many(pts,
+    w) >= reach)`. Each stage measures only the points still in play."""
+    step = (1 << 16) // max(1, len(w._edges_a))  # bounds the per-edge temporaries
+    if len(pts) > step:
+        return np.concatenate(
+            [disks_free(pts[k : k + step], w, reach) for k in range(0, len(pts), step)]
+        )
+    ok = bounds_distances(pts, w) >= reach
+    k = np.flatnonzero(ok)
+    edge_d = _edge_distances(pts[k], w)
+    clear = edge_d >= reach
+    ok[k] = clear
+    k = k[clear]
+    ok[k] = points_in_free_space(pts[k], w, edge_d[clear])
+    return ok
 
 
 def _spines_clear_of_edges(a: np.ndarray, b: np.ndarray, r: float, w: Workspace) -> np.ndarray:
-    """Per spine ab: no obstacle edge within r, and neither end buried in material."""
+    """Per spine ab: no obstacle edge within r, and neither end buried in material.
+
+    Only the spine-edge pairs whose bounding boxes come within `reach` of each
+    other on both axes are measured: boxes `reach` apart on one axis hold
+    segments at least that far apart, and an edge that far away changes no
+    answer. A spine kept by the distance test lies more than tol from every
+    edge, so it crosses none and both its ends lie at the same ring depth:
+    one end is tested. When r <= 2 tol the bounds test can pass an end on or
+    just past the bounds, so both are.
+    """
     tol = w.tol
-    near = segment_distances(a[:, None, :], b[:, None, :], w._edges_a, w._edges_b)[0]
-    ok = ~(near < r - tol).any(axis=1)
-    # an end inside material far from every edge means the capsule is buried;
-    # a spine kept so far has every edge at least r - tol from both ends
-    edge_d = near.min(axis=1)
-    for ends in (a, b):
-        ok &= points_in_free_space(ends, w, edge_d)
+    ea, eb = w._edges_a, w._edges_b
+    # a spine is rejected by an edge nearer than r - tol, an end by one at most tol away
+    reach = max(r, 2 * tol)
+    lo, hi = np.minimum(a, b)[:, None, :], np.maximum(a, b)[:, None, :]
+    gap = np.maximum(np.minimum(ea, eb) - hi, lo - np.maximum(ea, eb)).max(axis=2)
+    k, e = np.nonzero(gap < reach)
+    near = np.full(len(a), np.inf)
+    if len(k):
+        np.minimum.at(near, k, segment_distances(a[k], b[k], ea[e], eb[e])[0])
+    ok = ~(near < r - tol)
+    k = np.flatnonzero(ok)
+    # every edge is at least near[k] from the spine, so from either end
+    for ends in (a,) if r > 2 * tol else (a, b):
+        ok[k] &= points_in_free_space(ends[k], w, near[k])
     return ok
 
 
@@ -351,8 +383,9 @@ def capsules_free(
     """Batched `capsule_free`: bool[K] for the K spines a[k]-b[k] of radius r.
 
     `a` and `b` are (K, 2) arrays or single points, which broadcast. Each
-    capsule is checked against the bounds, every obstacle edge and the disks
-    of radius r about the (D, 2) centres `others`.
+    capsule is checked against the bounds, then the disks of radius r about
+    the (D, 2) centres `others`, then every obstacle edge; each stage sees
+    only the spines that passed the ones before.
     """
     a, b = np.broadcast_arrays(
         np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2)
@@ -369,11 +402,13 @@ def capsules_free(
     for p in (a, b):
         ok &= (bd.xmin + r - tol <= p[:, 0]) & (p[:, 0] <= bd.xmax - r + tol)
         ok &= (bd.ymin + r - tol <= p[:, 1]) & (p[:, 1] <= bd.ymax - r + tol)
-    if len(w._edges_a):
-        ok &= _spines_clear_of_edges(a, b, r, w)
-    if len(others):
-        d = point_segment_distances(np.asarray(others, dtype=float), a[:, None, :], b[:, None, :])
-        ok &= ~(d < 2 * r - tol).any(axis=1)
+    if len(others) and ok.any():
+        k = np.flatnonzero(ok)
+        d = point_segment_distances(np.asarray(others, dtype=float), a[k, None], b[k, None])
+        ok[k] = ~(d < 2 * r - tol).any(axis=1)
+    if len(w._edges_a) and ok.any():
+        k = np.flatnonzero(ok)
+        ok[k] = _spines_clear_of_edges(a[k], b[k], r, w)
     return ok
 
 

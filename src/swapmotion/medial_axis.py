@@ -10,9 +10,10 @@ polylines, and the fragments of every free component are joined by
 widest-path bridges: one resumed widest-path search per growing fragment,
 over flat cell indices in plain lists. The result is a small geometric graph
 that also keeps its node positions and clearances as arrays, so
-`skeleton_path` checks all nodes of a query in one numpy pass before its
-Dijkstra over the skeleton. A query names its two circles by their indices in
-the circle set, and a skeleton path is the plain tuple of its waypoints.
+`skeleton_path` checks all nodes of a query with numpy masks before its
+Dijkstra over the skeleton; the graph computes each circle's masks once. A
+query names its two circles by their indices in the circle set, and a
+skeleton path is the plain tuple of its waypoints.
 """
 
 from __future__ import annotations
@@ -70,9 +71,20 @@ class SkeletonGraph:
             self._adj[j].append((i, w))
         for i in self._adj:
             self._adj[i].sort()
+        self._within: dict[tuple, np.ndarray] = {}
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         return self._adj[i]
+
+    def within(self, center: Point2, bound: float, strict: bool) -> np.ndarray:
+        """Which nodes lie within `bound` of `center`, strictly if `strict`;
+        memoized per graph, so one conversion computes each circle's mask once."""
+        key = (tuple(center), bound, strict)
+        if key not in self._within:
+            op = operator.lt if strict else operator.le
+            dx, dy = center[0] - self.xy[:, 0], center[1] - self.xy[:, 1]
+            self._within[key] = _hypot_cmp(op, dx, dy, bound)
+        return self._within[key]
 
 
 def _grid_points(w: Workspace, res: float):
@@ -372,22 +384,14 @@ def skeleton_path(
     w = capsules.w
     a, b = circles[ia], circles[ib]
     others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
-    xs, ys = s.xy[:, 0], s.xy[:, 1]
-
-    def inside(c: Disk) -> np.ndarray:
-        return _hypot_cmp(operator.le, c.center[0] - xs, c.center[1] - ys, c.radius)
-
-    in_a, in_b = inside(a), inside(b)
+    in_a, in_b = (s.within(c.center, c.radius, False) for c in (a, b))
     sources = np.flatnonzero(in_a).tolist()
     if not sources or not in_b.any():
         return None
     # a node is admissible inside a or b, or with clearance r and clear of the others
     ok = ~(s.clearances < r - w.tol)
-    if others:
-        cx = np.array([[c.center[0]] for c in others], dtype=float)
-        cy = np.array([[c.center[1]] for c in others], dtype=float)
-        reach = np.array([[c.radius + r - w.tol] for c in others], dtype=float)
-        ok &= ~_hypot_cmp(operator.lt, cx - xs, cy - ys, reach).any(axis=0)
+    for c in others:
+        ok &= ~s.within(c.center, c.radius + r - w.tol, True)
     node_ok = (ok | in_a | in_b).tolist()
     targets = in_b.tolist()
     best = [math.inf] * len(s.nodes)

@@ -16,7 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .assignment import Assignment, navigate, optimal_assignment, radial_hints
+from .assignment import (
+    Assignment,
+    grid_unreachable,
+    navigate,
+    optimal_assignment,
+    radial_hints,
+)
 from .conversion import ConversionResult, greedy_convert, realization_edge_cost
 from .errors import (
     AssignmentFailure,
@@ -151,16 +157,10 @@ def run_pipeline(
     # spare slot (the graph always has at least one more vertex than agents)
     prologue, asg_start = _navigate_with_retries(s, res, vids, asg_start, s.starts())
     if not prologue.ok:
-        raise NavigationFailure(
-            prologue.stuck_agents,
-            f"navigate: start leg stuck for agents {prologue.stuck_agents}",
-        )
+        raise _stuck(s, "start", prologue.stuck_agents, s.starts(), slots)
     inbound, asg_goal = _navigate_with_retries(s, res, vids, asg_goal, s.goals())
     if not inbound.ok:
-        raise NavigationFailure(
-            inbound.stuck_agents,
-            f"navigate: goal leg stuck for agents {inbound.stuck_agents}",
-        )
+        raise _stuck(s, "goal", inbound.stuck_agents, s.goals(), slots)
     start_occ = _occupancy_from_assignment(vids, asg_start, n)
     goal_occ = _occupancy_from_assignment(vids, asg_goal, n)
     timings["navigate"] = time.perf_counter() - t0
@@ -279,6 +279,18 @@ def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
             break
     result.counters = dict(counters, retries=attempt)
     return result, asg
+
+
+def _stuck(s: Scenario, leg: str, stuck: list, leg_points, slots) -> NavigationFailure:
+    """The failure of a leg whose `stuck` agents could not move from their
+    `leg_points` (in agent order), naming those with no path to any slot on
+    the navigation grid."""
+    message = f"navigate: {leg} leg stuck for agents {stuck}"
+    at = {a.id: p for a, p in zip(s.agents, leg_points)}
+    cut = grid_unreachable({a: at[a] for a in stuck}, slots, s.workspace, s.r)
+    if cut:
+        message += f"; no grid path to any slot for agents {cut}"
+    return NavigationFailure(stuck, message)
 
 
 def _write_artifacts(out_dir, s: Scenario, run: RunReport, art: RunArtifacts):

@@ -27,6 +27,7 @@ from swapmotion.assignment import (
     _string_pull,
     _two_leg_route,
     _via_candidates,
+    grid_unreachable,
     navigate,
     optimal_assignment,
     radial_hints,
@@ -495,3 +496,15 @@ class TestGridRoute:
         assert _grid_route(a, b, self.W, self.R, self.wall(gap=()), grid) is None
         # the grid is reused as is: sealing one call leaves the next open
         assert _grid_route(a, b, self.W, self.R, self.wall(gap=(5, 7)), grid) is not None
+
+
+def test_grid_unreachable_names_the_sealed_agents_in_order():
+    """The agents of `walled_pocket.json`: only a point in the sealed pocket
+    has no grid path to a slot outside it."""
+    s = scenario_from_dict(load_json(Path(__file__).parent / "data" / "walled_pocket.json"))
+    w, r = s.workspace, s.r
+    slots = [Point2(15.0, 15.0), Point2(25.0, 5.0)]
+    pocket, outside = Point2(6.5, 6.5), Point2(2.0, 2.0)
+    assert grid_unreachable({3: outside, 1: pocket, 0: pocket}, slots, w, r) == [1, 0]
+    assert grid_unreachable({a.id: a.start for a in s.agents[1:]}, slots, w, r) == []
+    assert grid_unreachable({0: outside}, [pocket], w, r) == [0]

@@ -1,4 +1,5 @@
-"""The batched capsule kernel against the scalar reference in capsule_reference.py."""
+"""The batched capsule kernel, and the batched disk check, against the scalar
+reference in capsule_reference.py and the point predicates."""
 
 import math
 import random
@@ -6,12 +7,16 @@ import random
 import numpy as np
 
 from capsule_reference import capsule_free_reference
+from swapmotion import geometry
 from swapmotion.geometry import (
     CapsuleCache,
     Point2,
     Polygon,
+    boundary_distance_many,
     capsule_free,
     capsules_free,
+    disks_free,
+    points_in_free_space,
     rectangle_workspace,
 )
 
@@ -135,3 +140,110 @@ def test_capsule_cache_is_scoped_to_its_workspace():
     cache = CapsuleCache(walled)
     assert cache.all_free([], 0.5)
     assert not cache.all_free(spine * 3, 0.5) and len(cache.known) == 1
+
+
+def box(x0, y0, x1, y1, ccw=True) -> Polygon:
+    ring = (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
+    return Polygon(ring if ccw else ring[::-1])
+
+
+def test_boxes_exactly_r_apart():
+    """A pair whose bounding boxes are exactly r apart on one axis is not
+    measured; its distance is at least r, which is tangency and free."""
+    w = rectangle_workspace(10, 10, [box(5.0, 2.0, 6.0, 8.0)])
+    r = 0.5
+    a = np.array([[2.0, 5.0], [2.0, 1.0], [2.0, 5.0], [2.0, 5.0]])
+    b = np.array([[4.5, 5.0], [4.5, 1.5], [4.5 + 2 * w.tol, 5.0], [4.5, 6.0]])
+    assert check(a, b, r, w).tolist() == [True, True, False, True]
+
+
+def test_long_spines_across_a_field_of_small_boxes(monkeypatch):
+    """grid_20-like: long spines over a lattice of small boxes far apart, so
+    almost every spine-edge pair is dropped by its bounding box."""
+    boxes = [box(4 + 8 * i, 4 + 8 * j, 5 + 8 * i, 5 + 8 * j) for i in range(5) for j in range(5)]
+    w = rectangle_workspace(40, 40, boxes)
+    rng = random.Random(16)
+    a = np.array([[rng.uniform(1, 39), rng.uniform(1, 39)] for _ in range(150)])
+    b = a + np.array([[rng.uniform(-8, 8), rng.uniform(-1, 1)] for _ in range(150)])
+    b[:50, 0] = a[:50, 0]  # vertical spines too
+    b[:50, 1] = a[:50, 1] + np.array([rng.uniform(-12, 12) for _ in range(50)])
+    measured = []
+    seg = geometry.segment_distances
+
+    def counted(p, q, c, d):
+        measured.append(len(p))
+        return seg(p, q, c, d)
+
+    monkeypatch.setattr(geometry, "segment_distances", counted)
+    got = check(a, b, 0.5, w)
+    assert got.any() and not got.all()
+    assert sum(measured) < 0.1 * len(a) * len(w._edges_a)
+
+
+def test_spine_buried_in_a_large_solid():
+    """No edge within r of the spine, yet it lies in material."""
+    w = rectangle_workspace(10, 10, [box(1, 1, 9, 9)])
+    a, b = np.array([[4.0, 5.0], [5.0, 5.0]]), np.array([[6.0, 5.0], [5.0, 5.0]])
+    assert check(a, b, 0.5, w).tolist() == [False, False]
+
+
+def test_spine_inside_a_cw_hole():
+    """A hole carved from a solid is free space; the solid around it is not."""
+    w = rectangle_workspace(10, 10, [box(1, 1, 9, 9), box(3, 3, 7, 7, ccw=False)])
+    a = np.array([[4.0, 5.0], [3.2, 5.0], [2.0, 2.0], [4.0, 4.0]])
+    b = np.array([[6.0, 5.0], [6.0, 5.0], [2.0, 8.0], [4.0, 4.0]])
+    assert check(a, b, 0.5, w).tolist() == [True, False, False, True]
+
+
+def test_spine_crossing_an_edge_far_from_both_ends():
+    """Both ends lie in free space far from the thin wall the spine crosses."""
+    w = rectangle_workspace(20, 10, [box(9.9, 1, 10.1, 9), box(15, 4, 16, 6, ccw=False)])
+    a, b = np.array([[2.0, 5.0], [2.0, 5.0]]), np.array([[18.0, 5.0], [8.0, 5.0]])
+    assert check(a, b, 0.5, w).tolist() == [False, True]
+
+
+def test_radius_at_most_two_tolerances():
+    """With r <= 2 tol an edge beyond the spine's reach can still make an end
+    not free, and the bounds test admits ends on or just past the bounds."""
+    w = rectangle_workspace(10, 10, [box(4, 4, 6, 6)])
+    tol = w.tol
+    rng = random.Random(17)
+    for r in (0.25 * tol, 0.5 * tol, tol, 1.5 * tol, 2 * tol, 2.5 * tol):
+        ends = []
+        for _ in range(200):
+            # on, just inside or just outside an edge of the box or the bounds
+            x = rng.choice([0.0, 4.0, 6.0, 10.0, rng.uniform(0, 10)])
+            y = rng.choice([0.0, 4.0, 6.0, 10.0, rng.uniform(0, 10)])
+            ends.append([x + rng.choice([-3, -1, 0, 1, 3]) * tol / 2,
+                         y + rng.choice([-3, -1, 0, 1, 3]) * tol / 2])
+        a = np.array(ends)
+        b = a + np.array([[rng.choice([0.0, rng.uniform(-1, 1)]), 0.0] for _ in range(200)])
+        check(a, b, r, w)
+        check(b, a, r, w)
+        check(a, a, r, w)
+
+
+def test_batches_larger_than_step_match_the_reference():
+    rng = random.Random(18)
+    w = rectangle_workspace(10, 10, [random_ring(rng, rng.random() < 0.5) for _ in range(4)])
+    others = [Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(3)]
+    step = (1 << 14) // len(w._edges_a)
+    a, b = random_batch(rng, step + 150)
+    got = check(a, b, 0.4, w, others)
+    assert got.any() and not got.all()
+
+
+def test_disks_free_equals_the_point_predicates():
+    """On grids larger than one chunk, with reaches about 0, tol and r."""
+    rng = random.Random(19)
+    for _ in range(4):
+        w = random_workspace(rng)
+        chunk = (1 << 16) // max(1, len(w._edges_a))
+        n = int(math.sqrt(chunk)) + 8
+        xs = np.linspace(-0.3, 10.3, n)
+        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
+        assert len(pts) > chunk
+        for reach in (-0.1, 0.0, w.tol, 0.5, 1.0 - 1e-9):
+            want = points_in_free_space(pts, w) & (boundary_distance_many(pts, w) >= reach)
+            assert disks_free(pts, w, reach).tolist() == want.tolist()
+    assert disks_free(np.empty((0, 2)), w, 0.5).shape == (0,)

@@ -270,7 +270,7 @@ class TestNavigationFailure:
     """A stuck navigation leg names its stage, its leg and its agents.
 
     `walled_pocket.json` starts agent 0 inside a 3 x 3 pocket sealed by four
-    walls, so no slot can be reached from there."""
+    walls, so no slot can be reached from there, and the message says so."""
 
     @pytest.fixture
     def scene(self):
@@ -280,7 +280,9 @@ class TestNavigationFailure:
         with pytest.raises(NavigationFailure) as e:
             run_pipeline(scene)
         assert e.value.stuck_agents == [0]
-        assert str(e.value) == "navigate: start leg stuck for agents [0]"
+        assert str(e.value) == (
+            "navigate: start leg stuck for agents [0]; no grid path to any slot for agents [0]"
+        )
 
     def test_goal_leg(self, scene):
         # with starts and goals swapped, the goal leg is the stuck leg above
@@ -289,14 +291,19 @@ class TestNavigationFailure:
         with pytest.raises(NavigationFailure) as e:
             run_pipeline(back)
         assert e.value.stuck_agents == [0]
-        assert str(e.value) == "navigate: goal leg stuck for agents [0]"
+        assert str(e.value) == (
+            "navigate: goal leg stuck for agents [0]; no grid path to any slot for agents [0]"
+        )
 
     def test_exit_code(self, tmp_path, capsys):
         code = main(["exec", "--scenario", str(DATA / "walled_pocket.json"),
                      "--out", str(tmp_path)])
         assert code == 5
         err = capsys.readouterr().err
-        assert "error [NavigationFailure]: navigate: start leg stuck for agents [0]" in err
+        assert (
+            "error [NavigationFailure]: navigate: start leg stuck for agents [0]; "
+            "no grid path to any slot for agents [0]"
+        ) in err
 
 
 class TestSpareSlotRetries:

@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from swapmotion.conversion import RadialCorridor
-from swapmotion.errors import SwapMotionError
+from swapmotion.errors import NavigationFailure, SwapMotionError
 from swapmotion.fileio import AgentSpec, Scenario, ScenarioParams
 from swapmotion.geometry import Point2, Polygon, dist, rectangle_workspace
 from swapmotion.pipeline import run_pipeline, sample_free_positions
@@ -117,6 +117,15 @@ def test_two_rooms_verify_or_fail_typed(seed):
     assert secs <= RUN_CAP_S
     if not isinstance(out, SwapMotionError):
         assert_reaches_goals(s, *out)
+
+
+@pytest.mark.parametrize("seed", [4, 11, 12])
+def test_a_door_narrower_than_two_r_is_named(seed):
+    """Doors of 1.94, 1.68 and 1.60 leave agents in a room the graph never
+    reaches; the failure names them as having no grid path to any slot."""
+    _, out, _ = two_room_run(seed)
+    assert isinstance(out, NavigationFailure)
+    assert str(out).endswith(f"; no grid path to any slot for agents {out.stuck_agents}")
 
 
 def test_two_rooms_swap_along_corridors():

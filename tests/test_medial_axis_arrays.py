@@ -1,6 +1,7 @@
 """The flat-index reconnect, the array node checks of `skeleton_path` and the
 single grid distance pass against the reference in medial_axis_reference.py."""
 
+import itertools
 import json
 import math
 import operator
@@ -27,6 +28,7 @@ from swapmotion.geometry import (
     CapsuleCache,
     Disk,
     Point2,
+    Polygon,
     _edge_distances,
     boundary_distance_many,
     nearest_boundary,
@@ -40,6 +42,7 @@ from swapmotion.medial_axis import (
     _grid_points,
     _hypot_cmp,
     extract_medial_axis,
+    sample_circles,
     skeleton_path,
 )
 from swapmotion.pipeline import convert_scenario
@@ -221,6 +224,48 @@ class TestSkeletonPath:
         assert skeleton_path(s, circles, ia, ib, r, CapsuleCache(w)) == skeleton_path_reference(
             s, circles, ia, ib, r, CapsuleCache(w)
         )
+        # every other pair and radius through the same graph, which memoizes
+        # each circle's node masks
+        for r2 in (0.5, 1.0):
+            for i, j in itertools.permutations(range(len(circles)), 2):
+                got = skeleton_path(s, circles, i, j, r2, CapsuleCache(w))
+                assert got == skeleton_path_reference(s, circles, i, j, r2, CapsuleCache(w))
+
+    def test_many_circle_sets_through_one_skeleton(self):
+        """Circle subsets of a real skeleton share one graph's node masks, and
+        every query still equals the reference."""
+        boxes = [(8, 4, 12, 9), (20, 10, 24, 16), (30, 3, 33, 8)]
+        w = rectangle_workspace(40.0, 20.0, [
+            Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
+            for x0, y0, x1, y1 in boxes
+        ])
+        s = extract_medial_axis(w, 0.5)
+        circles = sample_circles(s, 2.0, 16, 0.5)
+        rng = np.random.default_rng(8)
+        cache = CapsuleCache(w)
+        found = 0
+        for _ in range(80):
+            subset = [circles[k] for k in sorted(rng.choice(len(circles), 4, replace=False))]
+            i, j = (int(k) for k in rng.choice(4, 2, replace=False))
+            r = float(rng.choice([0.5, 1.0]))
+            got = skeleton_path(s, subset, i, j, r, cache)
+            assert got == skeleton_path_reference(s, subset, i, j, r, cache)
+            found += got is not None
+        assert 0 < found < 80
+        assert len(s._within) <= 3 * len(circles)
+
+    def test_masks_are_kept_per_radius(self):
+        """A circle 3 off a straight skeleton blocks it for r = 2.5 but not
+        for r = 0.5, asked in that order of one graph."""
+        nodes = [SkeletonNode(Point2(float(x), 10.0), 5.0) for x in range(4, 37)]
+        s = SkeletonGraph(nodes, [(k, k + 1) for k in range(len(nodes) - 1)], 1.0)
+        w = rectangle_workspace(40.0, 20.0)
+        circles = [Disk(Point2(5.0, 10.0), 1.0), Disk(Point2(35.0, 10.0), 1.0),
+                   Disk(Point2(20.0, 13.0), 1.0)]
+        for r, found in ((2.5, False), (0.5, True)):
+            got = skeleton_path(s, circles, 0, 1, r, CapsuleCache(w))
+            assert got == skeleton_path_reference(s, circles, 0, 1, r, CapsuleCache(w))
+            assert (got is not None) == found
 
     def test_node_arrays(self):
         s = SkeletonGraph([SkeletonNode(Point2(1.0, 2.0), 0.5)], [], 1.0)

@@ -6,6 +6,12 @@ optimum). Navigation moves agents one at a time, in assignment-cost order,
 along straight free segments, falling back to via-point detours and last to
 a grid router; making it sequential keeps verification trivial and failures
 honest.
+
+Navigation keeps every point as a row of a float array: row k of its agent
+array is agent k, and its targets, vias, radial hints, routes and sidestep
+spots are (k, 2) arrays, so the capsule checks take them as they are.
+Distances that rank a candidate or time a record use `dist`/`dists`
+(math.hypot), never np.hypot, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .geometry import (
     capsules_free,
     disks_free,
     dist,
+    dists,
     point_segment_distances,
 )
 from .medial_axis import _fragments
@@ -133,15 +140,13 @@ class NavigationResult:
         return not self.stuck_agents
 
 
-def _via_candidates(w: Workspace, r: float, spacing: float) -> list[Point2]:
+def _via_candidates(w: Workspace, r: float, spacing: float) -> np.ndarray:
     b = w.bounds
     xs = np.arange(b.xmin + 2 * r, b.xmax - 2 * r + 1e-9, spacing)
     ys = np.arange(b.ymin + 2 * r, b.ymax - 2 * r + 1e-9, spacing)
-    if len(xs) == 0 or len(ys) == 0:
-        return []
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return [Point2(float(x), float(y)) for x, y in pts[disks_free(pts, w, r)]]
+    return pts[disks_free(pts, w, r)]
 
 
 def navigate(
@@ -149,7 +154,7 @@ def navigate(
     targets: dict[object, Point2],
     w: Workspace,
     r: float,
-    via_hints: Optional[dict[object, list[Point2]]] = None,
+    via_hints: Optional[dict[object, np.ndarray]] = None,
     phases: Optional[dict[object, int]] = None,
 ) -> NavigationResult:
     """Move each agent from its current point to its target, one at a time.
@@ -162,77 +167,81 @@ def navigate(
     over multiple passes; on a stall, an agent crowding a blocked route is
     sidestepped to a free spot, and a state that repeats after a sidestep
     ends the leg with the phase's agents stuck. `via_hints` supplies
-    agent-specific staging points.
+    agent-specific staging points, a (k, 2) array per agent.
     """
-    # one row per agent, written only by emit; a's others are every row but a's
+    # row k is agents[k]: where it is (written only by emit) and its target
     agents = list(current)
     row = {a: k for k, a in enumerate(agents)}
     centres = np.array(list(current.values()), dtype=float).reshape(-1, 2)
+    goals = np.array([targets.get(a, p) for a, p in current.items()], dtype=float).reshape(-1, 2)
     if phases is None:
         phases = {a: 0 for a in targets}
-    rank = {a: (phases[a], dist(current[a], targets[a]), repr(a)) for a in targets}
+    rank = {row[a]: (phases[a], dist(current[a], targets[a]), repr(a)) for a in targets}
     via_hints = via_hints or {}
     vias = grid = None
     counters = dict.fromkeys(NAV_COUNTERS, 0)
     t = 0.0
-    records = {a: [hold_record(0.0, p)] for a, p in current.items()}
+    records = [[hold_record(0.0, p)] for p in current.values()]
     stuck: list = []
     budget = 6 * len(targets) + 12
 
-    def emit(a, route):
+    def emit(k, route):
         nonlocal t
+        route = route.tolist()
         for p, q in zip(route, route[1:]):
             d = dist(p, q) / SPEED
             if d > 0:
-                records[a].append(line_record(t, t + d, p, q))
+                records[k].append(line_record(t, t + d, p, q))
                 t += d
-        centres[row[a]] = route[-1]
+        centres[k] = route[-1]
 
-    thorough_budget = {a: 8 for a in targets}
+    thorough_budget = dict.fromkeys(rank, 8)
 
-    def try_move(a, thorough=False) -> bool:
+    def try_move(k, thorough=False) -> bool:
         nonlocal vias, grid
-        here, others = Point2(*centres[row[a]].tolist()), np.delete(centres, row[a], axis=0)
+        here, goal, others = centres[k], goals[k], np.delete(centres, k, axis=0)
+        hints = via_hints.get(agents[k])
         tier = "direct"
-        route = _find_route(here, targets[a], w, r, others)
-        if route is None and a in via_hints:
+        route = _find_route(here, goal, w, r, others)
+        if route is None and hints is not None:
             tier = "hint_detour"
-            route = _detour_route(here, targets[a], w, r, others, via_hints[a])
+            route = _detour_route(here, goal, w, r, others, hints)
         if route is None:
             tier = "via_detour"
             if vias is None:
                 vias = _via_candidates(w, r, max(2.5 * r, w.bounds.diameter() / 24))
-            route = _detour_route(here, targets[a], w, r, others, vias)
-        if route is None and a in via_hints:
+            route = _detour_route(here, goal, w, r, others, vias)
+        if route is None and hints is not None:
             tier = "two_leg"
-            route = _two_leg_route(here, targets[a], w, r, others, via_hints[a], vias)
-        if route is None and thorough and thorough_budget[a] > 0:
+            route = _two_leg_route(here, goal, w, r, others, hints, vias)
+        if route is None and thorough and thorough_budget[k] > 0:
             tier = "grid"
-            thorough_budget[a] -= 1
+            thorough_budget[k] -= 1
             counters["grid_tried"] += 1
             if grid is None:
                 grid = _nav_grid(w, r)
-            route = _grid_route(here, targets[a], w, r, others, grid)
+            route = _grid_route(here, goal, w, r, others, grid)
         if route is None:
             return False
         counters[tier] += 1
-        emit(a, route)
+        emit(k, route)
         return True
 
-    remaining_all = [a for a in sorted(targets, key=rank.get) if rank[a][1] > 1e-12]
+    remaining_all = [k for k in sorted(rank, key=rank.get) if rank[k][1] > 1e-12]
     seen = set()  # (positions, queue) after each nudge
     while remaining_all:
-        min_phase = min(phases[a] for a in remaining_all)
-        active = [a for a in remaining_all if phases[a] == min_phase]
-        moved = [a for a in active if try_move(a)]
+        min_phase = min(rank[k][0] for k in remaining_all)
+        active = [k for k in remaining_all if rank[k][0] == min_phase]
+        moved = [k for k in active if try_move(k)]
         if not moved:
-            moved = [a for a in active if try_move(a, thorough=True)]
+            moved = [k for k in active if try_move(k, thorough=True)]
         if moved:
-            remaining_all = [a for a in remaining_all if a not in moved]
+            remaining_all = [k for k in remaining_all if k not in moved]
             continue
         nudged = None
         if budget > 0:
-            nudged = _clear_crowd(active, agents, centres, targets, w, r, vias or [], emit)
+            # every active agent failed the via tier, so `vias` is set
+            nudged = _clear_crowd(active, agents, centres, goals, w, r, vias, emit)
             budget -= 1
             counters["sidesteps"] += nudged is not None
         if nudged is not None and nudged not in remaining_all:
@@ -241,16 +250,16 @@ def navigate(
         # routes depend only on the positions, so a repeated state is a livelock
         state = (tuple(centres.ravel().tolist()), tuple(remaining_all))
         if nudged is None or state in seen:
-            stuck = active
+            stuck = [agents[k] for k in active]
             break
         seen.add(state)
-    tracks = {a: Track.from_records(a, recs) for a, recs in records.items()}
+    tracks = {a: Track.from_records(a, recs) for a, recs in zip(agents, records)}
     return NavigationResult(TrajectorySet(tracks, t), stuck, counters)
 
 
-def _find_route(a: Point2, b: Point2, w, r, others) -> Optional[list[Point2]]:
+def _find_route(a: np.ndarray, b: np.ndarray, w, r, others) -> Optional[np.ndarray]:
     if dist(a, b) <= 1e-12 or capsule_free(a, b, r, w, others):
-        return [a, b]
+        return np.array([a, b])
     return None
 
 
@@ -334,7 +343,7 @@ def grid_unreachable(points: dict, slots: Sequence[Point2], w: Workspace, r: flo
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _grid_route(a: Point2, b: Point2, w, r, others, grid: NavGrid) -> Optional[list[Point2]]:
+def _grid_route(a: np.ndarray, b: np.ndarray, w, r, others, grid: NavGrid) -> Optional[np.ndarray]:
     """Complete single-agent router: BFS over `grid` with the other agents
     stamped in as obstacles, then string-pulled into a short polyline."""
     from collections import deque
@@ -371,117 +380,107 @@ def _grid_route(a: Point2, b: Point2, w, r, others, grid: NavGrid) -> Optional[l
     chain = [dst]
     while chain[-1] != src:
         chain.append(prev[chain[-1]])
-    chain.reverse()
-    waypoints = [a] + [
-        Point2(float(xs[k // stride - 1]), float(ys[k % stride - 1])) for k in chain
-    ] + [b]
-    return _string_pull(waypoints, w, r, others)
+    chain = np.array(chain[::-1])
+    cells = np.stack([xs[chain // stride - 1], ys[chain % stride - 1]], axis=1)
+    return _string_pull(np.concatenate([[a], cells, [b]]), w, r, others)
 
 
-def _string_pull(waypoints, w, r, others) -> Optional[list[Point2]]:
-    """Shortcut the polyline: from each kept point jump to the farthest
+def _string_pull(waypoints: np.ndarray, w, r, others) -> Optional[np.ndarray]:
+    """Shortcut the (m, 2) polyline: from each kept point jump to the farthest
     waypoint it reaches by a free (or zero-length) segment."""
-    out = [waypoints[0]]
-    k = 0
-    while k < len(waypoints) - 1:
-        rest = waypoints[k + 1 :]
-        ok = capsules_free(out[-1], rest, r, w, others)
-        ok |= np.array([dist(out[-1], q) <= 1e-12 for q in rest])
+    keep = [0]
+    while keep[-1] < len(waypoints) - 1:
+        p, rest = waypoints[keep[-1]], waypoints[keep[-1] + 1 :]
+        ok = capsules_free(p, rest, r, w, others) | (dists(rest, p) <= 1e-12)
         hits = np.flatnonzero(ok)
         if not len(hits):
             return None
-        k += 1 + int(hits[-1])
-        out.append(waypoints[k])
-    return out
+        keep.append(keep[-1] + 1 + int(hits[-1]))
+    return waypoints[keep]
 
 
-def _free_sidestep(p, away_from, w, r, others, vias) -> Optional[Point2]:
-    """Nearest reachable via spot that steps clear of the given segment."""
-    a, b = np.array(away_from, dtype=float)
-    clear = point_segment_distances(np.asarray(vias, dtype=float).reshape(-1, 2), a, b)
-    cands, scores = [], []
-    for v, seg_clear in zip(vias, clear.tolist()):
-        d = dist(p, v)
-        if d < 2 * r or seg_clear < 2.5 * r:
-            continue
-        cands.append(v)
-        scores.append(d - 0.1 * seg_clear)
-    free = capsules_free(p, cands, r, w, others)
-    # stable order: the first candidate of minimum score wins ties
-    for k in sorted(range(len(cands)), key=scores.__getitem__):
-        if free[k] and all(dist(cands[k], o) >= 2 * r for o in others):
-            return cands[k]
-    return None
+def _free_sidestep(p, away_from, w, r, others, vias) -> Optional[np.ndarray]:
+    """Nearest reachable via spot that steps clear of the segment `away_from`
+    (a (2, 2) array) and of every one of the `others`."""
+    d = dists(vias, p)
+    clear = point_segment_distances(vias, away_from[0], away_from[1])
+    keep = (d >= 2 * r) & (clear >= 2.5 * r)
+    cands = vias[keep]
+    scores = d[keep] - 0.1 * clear[keep]
+    ok = capsules_free(p, cands, r, w, others)
+    ok[ok] = (dists(cands[ok, None], others) >= 2 * r).all(axis=1)
+    if not ok.any():
+        return None
+    # the first candidate of minimum score wins ties
+    k = np.flatnonzero(ok)
+    return cands[k[np.argmin(scores[k])]]
 
 
-def _clear_crowd(blocked, agents, centres, targets, w, r, vias, emit):
+def _clear_crowd(blocked, agents, centres, goals, w, r, vias, emit):
     """Sidestep one agent crowding a blocked agent's direct route.
 
-    Row k of `centres` is where agents[k] is. Prefers agents still waiting
-    to move; a parked agent is nudged only as a last resort (the caller
-    re-queues it). Returns the nudged agent or None.
+    `blocked` are rows of `centres` and `goals`, where agents[k] is and where
+    it is going. Prefers agents still waiting to move; a parked agent is
+    nudged only as a last resort (the caller re-queues it). Returns the
+    nudged agent's row or None.
     """
     for parked_ok in (False, True):
-        for a in blocked:
-            i = agents.index(a)
-            seg = (Point2(*centres[i].tolist()), targets[a])
-            near = point_segment_distances(centres, *np.array(seg, dtype=float))
+        for i in blocked:
+            seg = np.stack([centres[i], goals[i]])
+            near = point_segment_distances(centres, seg[0], seg[1])
             near[i] = np.inf
             crowd = np.flatnonzero(near < 2.2 * r).tolist()
             for k in sorted(crowd, key=lambda k: (near[k], repr(agents[k]))):
-                b, p = agents[k], Point2(*centres[k].tolist())
-                if dist(p, targets.get(b, p)) <= 1e-12 and not parked_ok:
+                if dist(centres[k], goals[k]) <= 1e-12 and not parked_ok:
                     continue
-                spot = _free_sidestep(p, seg, w, r, np.delete(centres, k, axis=0), vias)
+                spot = _free_sidestep(centres[k], seg, w, r, np.delete(centres, k, axis=0), vias)
                 if spot is not None:
-                    emit(b, [p, spot])
-                    return b
+                    emit(k, np.stack([centres[k], spot]))
+                    return k
     return None
 
 
-def _detour_route(a, b, w, r, others, vias) -> Optional[list[Point2]]:
+def _detour_route(a, b, w, r, others, vias) -> Optional[np.ndarray]:
     """a -> v -> b through the free via v of least extra length (first on ties)."""
-    cands = [v for v in vias if dist(a, v) >= 1e-12 and dist(v, b) >= 1e-12]
-    n = len(cands)
-    ok = capsules_free([a] * n + cands, cands + [b] * n, r, w, others)
-    best = None
-    for v, free in zip(cands, ok[:n] & ok[n:]):
-        extra = dist(a, v) + dist(v, b)
-        if free and (best is None or extra < best[0]):
-            best = (extra, v)
-    if best is None:
+    da, db = dists(vias, a), dists(vias, b)
+    keep = (da >= 1e-12) & (db >= 1e-12)
+    cands = vias[keep]
+    ok = capsules_free(a, cands, r, w, others)
+    ok[ok] = capsules_free(cands[ok], b, r, w, others)
+    free = np.flatnonzero(ok)
+    if not len(free):
         return None
-    return [a, best[1], b]
+    extra = (da + db)[keep][free]  # the first least wins ties
+    return np.array([a, cands[free[np.argmin(extra)]], b])
 
 
-def _two_leg_route(a, b, w, r, others, hints, vias) -> Optional[list[Point2]]:
+def _two_leg_route(a, b, w, r, others, hints, vias) -> Optional[np.ndarray]:
     """Route a -> grid via -> hint -> b for targets needing a staged approach."""
-    n = len(hints)
-    ok = capsules_free(list(hints) + [a] * n, [b] * n + list(hints), r, w, others)
+    to_b = (dists(hints, b) >= 1e-12) & capsules_free(hints, b, r, w, others)
+    from_a = capsules_free(a, hints, r, w, others)
     first_legs = None  # vias reachable from a, computed on first need
-    for h, to_b, from_a in zip(hints, ok[:n], ok[n:]):
-        if dist(h, b) < 1e-12 or not to_b:
-            continue
-        if from_a:
-            return [a, h, b]
+    for k in np.flatnonzero(to_b).tolist():
+        h = hints[k]
+        if from_a[k]:
+            return np.array([a, h, b])
         if first_legs is None:
-            vs = [v for v in vias or [] if dist(a, v) >= 1e-12]
-            first_legs = [v for v, f in zip(vs, capsules_free(a, vs, r, w, others)) if f]
-        cands = [v for v in first_legs if dist(v, h) >= 1e-12]
+            vs = vias[dists(vias, a) >= 1e-12]
+            first_legs = vs[capsules_free(a, vs, r, w, others)]
+        cands = first_legs[dists(first_legs, h) >= 1e-12]
         hits = np.flatnonzero(capsules_free(cands, h, r, w, others))
         if len(hits):
-            return [a, cands[hits[0]], h, b]
+            return np.array([a, cands[hits[0]], h, b])
     return None
 
 
-def radial_hints(res, vid: int, r: float) -> list[Point2]:
+def radial_hints(res, vid: int, r: float) -> np.ndarray:
     """Staging points on the outward radial of a slot, for threading into a
-    ring whose neighboring slots are already occupied."""
+    ring whose neighboring slots are already occupied; a (k, 2) array."""
     out = []
     for circle, ring, ang in res.vertex_rings[vid]:
         c = res.circles[circle].center
         ux, uy = math.cos(ang), math.sin(ang)
         for extra in (2.5, 4.5, 7.0):
             rad = 2.0 * r * ring + extra * r
-            out.append(Point2(c.x + rad * ux, c.y + rad * uy))
-    return out
+            out.append((c.x + rad * ux, c.y + rad * uy))
+    return np.array(out, dtype=float).reshape(-1, 2)

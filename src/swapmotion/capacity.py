@@ -81,6 +81,12 @@ def loop_capacity(i: int) -> int:
     return min(formula, ring_packing_max(i))
 
 
+def center_contained(a: Disk, b: Disk, D: float) -> bool:
+    """True iff, with centres D apart, one circle's centre lies inside the other."""
+    max_radius = max(a.radius, b.radius)
+    return D < max_radius - _EPS * max(1.0, max_radius)
+
+
 def classify_pair(a: Disk, i: int, b: Disk, j: int, D: float, r: float) -> PairClass:
     """Classify the interaction between ring i of circle a and ring j of b.
 
@@ -89,10 +95,9 @@ def classify_pair(a: Disk, i: int, b: Disk, j: int, D: float, r: float) -> PairC
     """
     if i < 1 or j < 1:
         raise ValueError("classification defined for ring indices >= 1")
-    max_radius = max(a.radius, b.radius)
-    if D < max_radius - _EPS * max(1.0, max_radius):
+    if center_contained(a, b, D):
         raise CenterContained(
-            f"center distance {D} smaller than max circle radius {max_radius}"
+            f"center distance {D} smaller than max circle radius {max(a.radius, b.radius)}"
         )
     t1 = (
         max(

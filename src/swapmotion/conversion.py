@@ -28,6 +28,7 @@ import numpy as np
 
 from .capacity import (
     PairClass,
+    center_contained,
     classify_pair,
     free_intervals,
     loop_capacity,
@@ -48,7 +49,6 @@ from .geometry import (
     capsule_free,  # noqa: F401  (looked up here by bench/tracing.py)
     circle_circle_intersections,
     dist,
-    point_segment_distances,
 )
 from .medial_axis import (
     BRIDGE_COUNTERS,
@@ -155,11 +155,12 @@ def realization_edge_cost(res: "ConversionResult") -> dict[tuple[int, int], floa
     return out
 
 
-def _pairwise_center_check(circles: list[Disk], tol: float) -> bool:
+def _pairwise_center_check(circles: list[Disk]) -> bool:
+    """No circle centre lies inside another, by `classify_pair`'s own test."""
     for a in range(len(circles)):
         for b in range(a + 1, len(circles)):
             D = dist(circles[a].center, circles[b].center)
-            if D < max(circles[a].radius, circles[b].radius) - tol:
+            if center_contained(circles[a], circles[b], D):
                 return False
     return True
 
@@ -190,7 +191,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
     checked against the workspace boundary, and every gap or path route
     against `cache.capsules` and the other slots."""
     tol = 1e-9 * max([c.radius for c in circles] + [r])
-    if not _pairwise_center_check(circles, tol):
+    if not _pairwise_center_check(circles):
         raise PreconditionViolated("a circle center lies inside another circle")
     if not _triple_intersection_empty(circles, tol):
         raise PreconditionViolated("three circles share a common point")
@@ -322,9 +323,9 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         return None
 
     # collision-freeness of the whole slot set
-    pts = np.array([positions[v] for v in sorted(positions)], dtype=float)
-    if len(pts) > 1:
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    slot_xy = np.array([positions[v] for v in sorted(positions)], dtype=float)  # row v: slot v
+    if len(slot_xy) > 1:
+        d2 = np.sum((slot_xy[:, None, :] - slot_xy[None, :, :]) ** 2, axis=2)
         np.fill_diagonal(d2, np.inf)
         if d2.min() < (2 * r * (1 - 1e-7)) ** 2:
             return None
@@ -335,7 +336,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
                 continue
             if dist(positions[v], cx.center) < neighbor_reach(cx.radius, r) - 1e-7 * r:
                 return None
-    if (boundary_distance_many(pts, cache.w) < r - cache.w.tol).any():
+    if (boundary_distance_many(slot_xy, cache.w) < r - cache.w.tol).any():
         return None
 
     # loops in angular order; connectors
@@ -360,17 +361,12 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             routes[e] = tuple(route if e[0] == u else reversed(route))
 
     def route_ok(route: list[Point2], u: int, v: int) -> bool:
-        spines = [(p, q) for p, q in zip(route, route[1:]) if p != q]
-        if not spines:
-            return True
-        if not cache.capsules.all_free(spines, r):
-            return False
-        static = np.array(
-            [positions[x] for x in sorted(positions) if x not in (u, v)], dtype=float
-        ).reshape(-1, 2)
-        ends = np.array(spines, dtype=float)  # (S, 2 ends, 2)
-        d = point_segment_distances(static, ends[:, None, 0], ends[:, None, 1])
-        return not (d < 2 * r * (1 - 1e-7)).any()
+        ends = np.array(route, dtype=float)
+        spines = np.stack([ends[:-1], ends[1:]], axis=1)
+        spines = spines[(spines[:, 0] != spines[:, 1]).any(axis=1)]
+        return cache.capsules.route_clear(
+            spines, r, np.delete(slot_xy, [u, v], axis=0), 2 * r * (1 - 1e-7)
+        )
 
     # radial corridors between consecutive kept rings, anchored at the outer
     # ring's port slot so the descent clears its flanking agents

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,6 +129,14 @@ class Workspace:
 
 def dist(p: Point2, q: Point2) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def dists(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`dist` elementwise over broadcast (..., 2) arrays, bit for bit: math.hypot,
+    which np.hypot can differ from in the last bit."""
+    d = np.subtract(p, q)
+    x, y = d[..., 0].ravel().tolist(), d[..., 1].ravel().tolist()
+    return np.array(list(map(math.hypot, x, y)), dtype=float).reshape(d.shape[:-1])
 
 
 def point_segment_projections(p: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -428,14 +436,24 @@ class CapsuleCache:
         self.w = w
         self.known: dict[tuple, bool] = {}
 
-    def all_free(self, spines: Sequence[tuple[Point2, Point2]], r: float) -> bool:
-        """True iff every capsule (p, q, r) lies in the free space."""
-        keys = [(tuple(p), tuple(q), r) for p, q in spines]
-        todo = list(dict.fromkeys(k for k in keys if k not in self.known))
+    def all_free(self, spines: np.ndarray, r: float) -> bool:
+        """True iff every capsule (spines[s], r) of the (S, 2, 2) `spines` lies
+        in the free space."""
+        keys = [(*k, r) for k in spines.reshape(-1, 4).tolist()]
+        todo = {k: s for s, k in enumerate(keys) if k not in self.known}
         if todo:
-            free = capsules_free([k[0] for k in todo], [k[1] for k in todo], r, self.w)
-            self.known.update(zip(todo, free.tolist()))
+            ends = spines[list(todo.values())]
+            self.known.update(zip(todo, capsules_free(ends[:, 0], ends[:, 1], r, self.w).tolist()))
         return all(self.known[k] for k in keys)
+
+    def route_clear(self, spines: np.ndarray, r: float, centres: np.ndarray, reach) -> bool:
+        """True iff every capsule (spines[s], r) of the (S, 2, 2) `spines` lies
+        in the free space and no spine comes nearer than `reach` (a scalar, or
+        one per centre) to one of the (C, 2) `centres`."""
+        if not self.all_free(spines, r):
+            return False
+        d = point_segment_distances(centres, spines[:, None, 0], spines[:, None, 1])
+        return not (d < reach).any()
 
 
 def circle_circle_intersections(

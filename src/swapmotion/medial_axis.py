@@ -35,7 +35,6 @@ from .geometry import (
     capsule_free,  # noqa: F401  (looked up here by bench/tracing.py)
     dist,
     nearest_boundary,
-    point_segment_distances,
     points_in_free_space,
 )
 
@@ -454,25 +453,13 @@ def _path_clear(
 ) -> bool:
     """Inflated-path condition for every segment not well inside a or b, in
     the workspace `capsules.w`."""
-    w = capsules.w
-
-    def well_inside(c: Disk, p: Point2) -> bool:
-        return dist(c.center, p) + r <= c.radius + w.tol
-
-    spines = [
-        (p, q)
-        for p, q in zip(waypoints, waypoints[1:])
-        if not (well_inside(a, p) and well_inside(a, q))
-        and not (well_inside(b, p) and well_inside(b, q))
-    ]
-    if not spines:
-        return True
-    if not capsules.all_free(spines, r):
-        return False
-    if not others:
-        return True
-    ends = np.array(spines, dtype=float)  # (S, 2 ends, 2)
-    centers = np.array([c.center for c in others], dtype=float)
+    tol = capsules.w.tol
+    # inside[k]: waypoint k is well inside (a, b); a segment is when both its ends are
+    inside = np.array(
+        [[dist(c.center, p) + r <= c.radius + tol for c in (a, b)] for p in waypoints]
+    )
+    pts = np.array(waypoints, dtype=float)
+    spines = np.stack([pts[:-1], pts[1:]], axis=1)[~(inside[:-1] & inside[1:]).any(axis=1)]
+    centers = np.array([c.center for c in others], dtype=float).reshape(-1, 2)
     radii = np.array([c.radius for c in others], dtype=float)
-    lo = point_segment_distances(centers, ends[:, None, 0], ends[:, None, 1])
-    return not (lo < radii + r - w.tol).any()
+    return capsules.route_clear(spines, r, centers, radii + r - tol)

@@ -161,8 +161,8 @@ def run_pipeline(
     inbound, asg_goal = _navigate_with_retries(s, res, vids, asg_goal, s.goals())
     if not inbound.ok:
         raise _stuck(s, "goal", inbound.stuck_agents, s.goals(), slots)
-    start_occ = _occupancy_from_assignment(vids, asg_start, n)
-    goal_occ = _occupancy_from_assignment(vids, asg_goal, n)
+    start_occ = _occupancy_from_assignment(vids, asg_start)
+    goal_occ = _occupancy_from_assignment(vids, asg_goal)
     timings["navigate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -218,7 +218,7 @@ def _verification_block(rep: VerificationReport) -> dict:
     }
 
 
-def _occupancy_from_assignment(vids, asg: Assignment, n: int) -> Occupancy:
+def _occupancy_from_assignment(vids, asg: Assignment) -> Occupancy:
     mapping = {v: VACANT for v in vids}
     for agent, slot in asg.agent_to_slot.items():
         mapping[vids[slot]] = agent

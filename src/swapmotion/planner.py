@@ -571,39 +571,32 @@ def exchange(
 
 
 def simplify_ops(ops, g: SwapGraph) -> list[SwapOp]:
-    """Merge adjacent rotations of one loop and cancel repeated swaps."""
-    cur = list(ops)
-    while True:
-        out: list[SwapOp] = []
-        for op in cur:
-            if isinstance(op, LoopRotation):
-                m = len(g.loops[op.loop])
-                k = op.steps % m
-                if k > m - k:
-                    k -= m
-                if k == 0:
-                    continue
-                if out and isinstance(out[-1], LoopRotation) and out[-1].loop == op.loop:
-                    k2 = (out[-1].steps + k) % m
-                    if k2 > m - k2:
-                        k2 -= m
-                    out.pop()
-                    if k2 != 0:
-                        out.append(LoopRotation(op.loop, k2))
-                    continue
-                out.append(LoopRotation(op.loop, k))
-            else:
-                if (
-                    out
-                    and isinstance(out[-1], VacancySwap)
-                    and out[-1].edge == op.edge
-                ):
-                    out.pop()
-                    continue
-                out.append(op)
-        if len(out) == len(cur):
-            return out
-        cur = out
+    """Merge adjacent rotations of one loop and cancel repeated swaps, in one
+    pass: each op meets the top of the output, so no two adjacent ops reduce."""
+    out: list[SwapOp] = []
+    for op in ops:
+        if isinstance(op, LoopRotation):
+            m = len(g.loops[op.loop])
+            k = op.steps % m
+            if k > m - k:
+                k -= m
+            if k == 0:
+                continue
+            if out and isinstance(out[-1], LoopRotation) and out[-1].loop == op.loop:
+                k2 = (out[-1].steps + k) % m
+                if k2 > m - k2:
+                    k2 -= m
+                out.pop()
+                if k2 != 0:
+                    out.append(LoopRotation(op.loop, k2))
+                continue
+            out.append(LoopRotation(op.loop, k))
+        else:
+            if out and isinstance(out[-1], VacancySwap) and out[-1].edge == op.edge:
+                out.pop()
+                continue
+            out.append(op)
+    return out
 
 
 def plan_permutation(

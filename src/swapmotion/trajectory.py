@@ -57,11 +57,11 @@ KIND_NAMES = ("hold", "line", "arc")
 
 
 def hold_record(t: float, p: Point2) -> tuple:
-    return (t, t, HOLD, p.x, p.y, 0.0, 0.0, 0.0)
+    return (t, t, HOLD, p[0], p[1], 0.0, 0.0, 0.0)
 
 
 def line_record(t0: float, t1: float, a: Point2, b: Point2) -> tuple:
-    return (t0, t1, LINE, a.x, a.y, b.x, b.y, 0.0)
+    return (t0, t1, LINE, a[0], a[1], b[0], b[1], 0.0)
 
 
 def record_end(kind: int, par) -> Point2:

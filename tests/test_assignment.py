@@ -280,10 +280,15 @@ def _route_scene(rng):
         boxes.append(Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))))
     w = rectangle_workspace(20, 14, boxes)
     r = 1.0
-    free = [Point2(*p) for p in _via_candidates(w, r, 1.3)]
+    free = [Point2(*p) for p in _via_candidates(w, r, 1.3).tolist()]
     rng.shuffle(free)
     others = np.array(free[: rng.randint(4, 12)])
     return w, r, others, free
+
+
+def _rows(points):
+    """Points (a route, or one point) as nested lists of floats, or None."""
+    return None if points is None else np.asarray(points, dtype=float).tolist()
 
 
 def test_batched_via_loops_return_the_scalar_routes():
@@ -292,24 +297,26 @@ def test_batched_via_loops_return_the_scalar_routes():
     for _ in range(25):
         w, r, others, free = _route_scene(rng)
         vias = _via_candidates(w, r, 2.5 * r)
+        points = [Point2(*v) for v in vias.tolist()]  # the scalar references' form
         for _ in range(4):
             a, b = rng.sample(free, 2)
             hints = rng.sample(free, 4) + [b]
-            got = _detour_route(a, b, w, r, others, vias)
-            assert got == scalar_detour(a, b, w, r, others, vias)
+            xa, xb, xhints = np.array(a), np.array(b), np.array(hints)
+            got = _detour_route(xa, xb, w, r, others, vias)
+            assert _rows(got) == _rows(scalar_detour(a, b, w, r, others, points))
             found["detour"] += got is not None
-            got = _two_leg_route(a, b, w, r, others, hints, vias)
-            assert got == scalar_two_leg(a, b, w, r, others, hints, vias)
+            got = _two_leg_route(xa, xb, w, r, others, xhints, vias)
+            assert _rows(got) == _rows(scalar_two_leg(a, b, w, r, others, hints, points))
             found["two_leg"] += got is not None
             seg = (b, rng.choice(free))
-            got = _free_sidestep(a, seg, w, r, others, vias)
-            assert got == scalar_sidestep(a, seg, w, r, others, vias)
+            got = _free_sidestep(xa, np.array(seg), w, r, others, vias)
+            assert _rows(got) == _rows(scalar_sidestep(a, seg, w, r, others, points))
             found["sidestep"] += got is not None
             # a jittered polyline with a repeated point, as a grid route would give
             line = [a] + rng.sample(free, rng.randint(1, 6)) + [b]
             line.insert(rng.randint(1, len(line) - 1), line[rng.randint(0, len(line) - 1)])
-            got = _string_pull(line, w, r, others)
-            assert got == scalar_string_pull(line, w, r, others)
+            got = _string_pull(np.array(line), w, r, others)
+            assert _rows(got) == _rows(scalar_string_pull(line, w, r, others))
             found["pull"] += got is not None
     assert min(found.values()) >= 10, found
 
@@ -354,19 +361,24 @@ def test_clear_crowd_picks_the_scalar_crowd_in_order(monkeypatch):
             targets[x] = p if kind < 0.3 else rng.choice(in_line if kind < 0.65 else free)
         moving = [x for x in agents if targets[x] != pos[x]]
         blocked = moving[: rng.randint(1, 3)]
-        centres = np.array(pts)
+        centres, goals = np.array(pts), np.array([targets[x] for x in agents])
+        rows = [agents.index(x) for x in blocked]
         # with every sidestep failing, each crowding agent is tried, in order
         tried, expect = [], []
         with monkeypatch.context() as m:
-            m.setattr(assignment, "_free_sidestep", lambda p, seg, *rest: tried.append((p, seg)))
-            assert _clear_crowd(blocked, agents, centres, targets, w, r, vias, None) is None
+            m.setattr(
+                assignment, "_free_sidestep",
+                lambda p, seg, *rest: tried.append((_rows(p), _rows(seg))),
+            )
+            assert _clear_crowd(rows, agents, centres, goals, w, r, vias, None) is None
         scalar_clear_crowd(
-            blocked, pos, targets, w, r, vias, lambda p, seg, *rest: expect.append((p, seg))
+            blocked, pos, targets, w, r, vias,
+            lambda p, seg, *rest: expect.append((_rows(p), _rows(seg))),
         )
         assert tried == expect
-        parked = {p for x, p in pos.items() if targets[x] == p}
+        parked = {tuple(p) for x, p in pos.items() if targets[x] == p}
         found["tried"] += len(tried)
-        found["parked_tried"] += sum(p in parked for p, _ in tried)
+        found["parked_tried"] += sum(tuple(p) in parked for p, _ in tried)
         for a in blocked:
             near = [point_segment_distance(p, pos[a], targets[a]) for p in pos.values()]
             near = [d for d in near if 0 < d < 2.2 * r]
@@ -374,13 +386,15 @@ def test_clear_crowd_picks_the_scalar_crowd_in_order(monkeypatch):
         # the nudge itself
         emitted = []
         got = _clear_crowd(
-            blocked, agents, centres, targets, w, r, vias, lambda *e: emitted.append(e)
+            rows, agents, centres, goals, w, r, vias,
+            lambda k, route: emitted.append((agents[k], _rows(route))),
         )
         want = scalar_clear_crowd(blocked, pos, targets, w, r, vias, scalar_sidestep)
         if want is None:
             assert got is None and emitted == []
         else:
-            assert got == want[0] and emitted == [(want[0], [pos[want[0]], want[1]])]
+            assert agents[got] == want[0]
+            assert emitted == [(want[0], _rows([pos[want[0]], want[1]]))]
             found["nudged"] += 1
     assert min(found.values()) >= 3, found
 
@@ -479,8 +493,11 @@ class TestGridRoute:
         a, b = Point2(3, 2), Point2(17, 2)
         others = self.wall(gap=(5, 7))
         assert not capsule_free_reference(a, b, self.R, self.W, others)
-        route = _grid_route(a, b, self.W, self.R, others, _nav_grid(self.W, self.R))
-        assert route is not None and route[0] == a and route[-1] == b
+        route = _grid_route(np.array(a), np.array(b), self.W, self.R, others,
+                            _nav_grid(self.W, self.R))
+        assert route is not None
+        route = [Point2(*p) for p in route.tolist()]
+        assert route[0] == a and route[-1] == b
         for p, q in zip(route, route[1:]):
             assert capsule_free_reference(p, q, self.R, self.W, others)
         crossing = [
@@ -491,7 +508,7 @@ class TestGridRoute:
         assert len(crossing) == 1 and 5 <= crossing[0] <= 7
 
     def test_none_once_the_gap_is_sealed(self):
-        a, b = Point2(3, 2), Point2(17, 2)
+        a, b = np.array([3.0, 2.0]), np.array([17.0, 2.0])
         grid = _nav_grid(self.W, self.R)
         assert _grid_route(a, b, self.W, self.R, self.wall(gap=()), grid) is None
         # the grid is reused as is: sealing one call leaves the next open

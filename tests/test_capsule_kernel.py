@@ -134,12 +134,12 @@ def test_large_batches_are_split_without_changing_answers():
 def test_capsule_cache_is_scoped_to_its_workspace():
     wall = Polygon((Point2(4, 0.5), Point2(6, 0.5), Point2(6, 9.5), Point2(4, 9.5)))
     open_w, walled = rectangle_workspace(10, 10), rectangle_workspace(10, 10, [wall])
-    spine = [(Point2(2.0, 5.0), Point2(8.0, 5.0))]
+    spine = np.array([[(2.0, 5.0), (8.0, 5.0)]])
     assert CapsuleCache(open_w).all_free(spine, 0.5)
     assert not CapsuleCache(walled).all_free(spine, 0.5)
     cache = CapsuleCache(walled)
-    assert cache.all_free([], 0.5)
-    assert not cache.all_free(spine * 3, 0.5) and len(cache.known) == 1
+    assert cache.all_free(np.empty((0, 2, 2)), 0.5)
+    assert not cache.all_free(np.concatenate([spine] * 3), 0.5) and len(cache.known) == 1
 
 
 def box(x0, y0, x1, y1, ccw=True) -> Polygon:

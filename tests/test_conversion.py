@@ -116,6 +116,10 @@ class TestTwoCircles:
         b = Disk(Point2(3.0, 0), 5.0)
         with pytest.raises(PreconditionViolated):
             circle_graph([a, b])
+        # inside by far less than 1e-9 of the radius: the build rejects the set
+        # by the test `classify_pair` raises CenterContained on
+        with pytest.raises(PreconditionViolated):
+            circle_graph([a, Disk(Point2(5 - 1e-10, 0), 3.0)])
 
 
 def assert_routes_match_reference(res) -> set[str]:

@@ -16,6 +16,7 @@ from swapmotion.geometry import (
     clearance,
     disk_in_free_space,
     dist,
+    dists,
     point_in_free_space,
     points_in_free_space,
     rectangle_workspace,
@@ -210,3 +211,18 @@ def test_predicates_agree_with_sampling_oracle_on_random_scenes():
             assert free[k] == point_in_free_space(p, w)
             if free[k]:
                 assert clearance(p, w) == pytest.approx(bd[k])
+
+
+def test_dists_is_dist_bit_for_bit():
+    """`dists` ranks navigation candidates, so it must give `dist`'s value
+    exactly, also where np.hypot differs from math.hypot in the last bit."""
+    rng = np.random.default_rng(4)
+    p = rng.normal(size=(20000, 2)) * rng.choice([1e-7, 1.0, 1e5], size=(20000, 1))
+    q = rng.normal(size=2)
+    want = [dist(a, q) for a in p.tolist()]
+    assert dists(p, q).tolist() == want
+    assert np.hypot(*(p - q).T).tolist() != want  # the case that matters occurs
+    assert dists(p[:3, None], p[None, :4]).tolist() == [
+        [dist(a, b) for b in p[:4].tolist()] for a in p[:3].tolist()
+    ]
+    assert dists(np.empty((0, 2)), q).shape == (0,)

@@ -311,3 +311,36 @@ class TestWorstCaseFamily:
             ys.append(math.log(len(plan.ops)))
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope >= 1.8
+
+
+def test_simplified_ops_are_irreducible():
+    """Random op sequences over the four-loop example, some followed by their
+    own inverse so that reductions cascade (to nothing): the result has no
+    zero rotation, no two adjacent rotations of one loop and no two adjacent
+    swaps on one edge, and simplifying it again changes nothing."""
+    g = four_loop_example()
+    rng = random.Random(7)
+    pairs = [(1, 2), (2, 1), (4, 14), (5, 6), (6, 5), (11, 13)]
+    reduced = 0
+    for _ in range(2000):
+        ops = []
+        for _ in range(rng.randint(0, 14)):
+            if rng.random() < 0.5:
+                ops.append(LoopRotation(rng.randrange(4), rng.randint(-7, 7)))
+            else:
+                ops.append(VacancySwap(*rng.choice(pairs)))
+        undone = rng.random() < 0.5
+        if undone:
+            ops += reverse_ops(ops)
+        out = simplify_ops(ops, g)
+        assert not undone or out == []
+        for op in out:
+            assert not isinstance(op, LoopRotation) or op.steps % len(g.loops[op.loop]), out
+        for x, y in zip(out, out[1:]):
+            assert not (isinstance(x, LoopRotation) and isinstance(y, LoopRotation)
+                        and x.loop == y.loop), out
+            assert not (isinstance(x, VacancySwap) and isinstance(y, VacancySwap)
+                        and x.edge == y.edge), out
+        assert simplify_ops(out, g) == out
+        reduced += len(out) < len(ops)
+    assert reduced > 1000

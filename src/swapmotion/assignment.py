@@ -7,11 +7,12 @@ along straight free segments, falling back to via-point detours and last to
 a grid router; making it sequential keeps verification trivial and failures
 honest.
 
-Navigation keeps every point as a row of a float array: row k of its agent
-array is agent k, and its targets, vias, radial hints, routes and sidestep
-spots are (k, 2) arrays, so the capsule checks take them as they are.
-Distances that rank a candidate or time a record use `dist`/`dists`
-(math.hypot), never np.hypot, which can differ in the last bit.
+Both key an agent by its row k, its place in the scenario, never by its id,
+so renaming agents cannot change a plan. Every point is a row of a float
+array: points, targets, vias, radial hints, routes and sidestep spots are
+(k, 2) arrays, so the capsule checks take them as they are. Distances that
+rank a candidate or time a record use `dist`/`dists` (math.hypot), never
+np.hypot, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .trajectory import SPEED, Track, TrajectorySet, hold_record, line_record
 
 @dataclass
 class Assignment:
-    """Bijection from agent index into slot indices, with its total cost."""
+    """The slot index of each agent row (no two alike), with the total cost."""
 
-    agent_to_slot: dict[int, int]
+    slot_of: list[int]
     total_cost: float
 
 
@@ -50,13 +51,12 @@ def optimal_assignment(starts: Sequence[Point2], slots: Sequence[Point2]) -> Ass
     if len(starts) > len(slots):
         raise TooFewSlots(f"{len(starts)} agents but only {len(slots)} slots")
     if not starts:
-        return Assignment({}, 0.0)
+        return Assignment([], 0.0)
     S = np.asarray(starts, dtype=float)
     T = np.asarray(slots, dtype=float)
     cost = np.linalg.norm(S[:, None, :] - T[None, :, :], axis=2)
     cols = _min_cost_columns(cost)
-    mapping = {i: int(j) for i, j in enumerate(cols)}
-    return Assignment(mapping, float(cost[np.arange(len(cols)), cols].sum()))
+    return Assignment(cols.tolist(), float(cost[np.arange(len(cols)), cols].sum()))
 
 
 def _min_cost_columns(cost: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ NAV_COUNTERS = (
 @dataclass
 class NavigationResult:
     trajectory: TrajectorySet
-    stuck_agents: list
+    stuck_agents: list  # rows
     counters: dict  # NAV_COUNTERS by name
 
     @property
@@ -150,40 +150,42 @@ def _via_candidates(w: Workspace, r: float, spacing: float) -> np.ndarray:
 
 
 def navigate(
-    current: dict[object, Point2],
-    targets: dict[object, Point2],
+    agents: Sequence,
+    points: np.ndarray,
+    targets: np.ndarray,
     w: Workspace,
     r: float,
-    via_hints: Optional[dict[object, np.ndarray]] = None,
-    phases: Optional[dict[object, int]] = None,
+    hints: Sequence[np.ndarray],
+    phases: Sequence[int],
 ) -> NavigationResult:
-    """Move each agent from its current point to its target, one at a time.
+    """Move each agent row from its point to its target, one at a time.
 
-    Both navigation legs of the pipeline run here in one mode, from scenario
-    points (starts, or goals for the goal leg, which is played backwards)
-    onto slots. Agents are grouped into phases (e.g. inner rings first); a
-    phase must finish before the next starts, so earlier arrivals never seal
-    off later targets. Within a phase agents go nearest first and are retried
-    over multiple passes; on a stall, an agent crowding a blocked route is
+    Row k of `points` and `targets` ((N, 2) arrays), `hints[k]` (staging
+    points, (m, 2), possibly empty) and `phases[k]` are agent k's; `agents[k]`
+    only names its track, and `stuck_agents` are rows. Both navigation legs
+    of the pipeline run here in one mode, from scenario points (starts, or
+    goals for the goal leg, which is played backwards) onto slots. Agents
+    are grouped into phases (e.g. inner rings first); a phase must finish
+    before the next starts, so earlier arrivals never seal off later
+    targets. Within a phase agents go nearest first and are retried over
+    multiple passes; on a stall, an agent crowding a blocked route is
     sidestepped to a free spot, and a state that repeats after a sidestep
-    ends the leg with the phase's agents stuck. `via_hints` supplies
-    agent-specific staging points, a (k, 2) array per agent.
+    ends the leg with the phase's agents stuck.
     """
-    # row k is agents[k]: where it is (written only by emit) and its target
-    agents = list(current)
-    row = {a: k for k, a in enumerate(agents)}
-    centres = np.array(list(current.values()), dtype=float).reshape(-1, 2)
-    goals = np.array([targets.get(a, p) for a, p in current.items()], dtype=float).reshape(-1, 2)
-    if phases is None:
-        phases = {a: 0 for a in targets}
-    rank = {row[a]: (phases[a], dist(current[a], targets[a]), repr(a)) for a in targets}
-    via_hints = via_hints or {}
+    n = len(agents)
+    # row k: where agent k is (written only by emit) and its target
+    centres = np.array(points, dtype=float).reshape(-1, 2)
+    goals = np.array(targets, dtype=float).reshape(-1, 2)
+    if not len(centres) == len(goals) == len(hints) == len(phases) == n:
+        rows = f"{len(centres)} points, {len(goals)} targets, {len(hints)} hints"
+        raise ValueError(f"navigate: {n} agents but {rows}, {len(phases)} phases")
+    rank = [(phases[k], dist(centres[k], goals[k]), k) for k in range(n)]
     vias = grid = None
     counters = dict.fromkeys(NAV_COUNTERS, 0)
     t = 0.0
-    records = [[hold_record(0.0, p)] for p in current.values()]
+    records = [[hold_record(0.0, p)] for p in centres.tolist()]
     stuck: list = []
-    budget = 6 * len(targets) + 12
+    budget = 6 * n + 12
 
     def emit(k, route):
         nonlocal t
@@ -195,25 +197,24 @@ def navigate(
                 t += d
         centres[k] = route[-1]
 
-    thorough_budget = dict.fromkeys(rank, 8)
+    thorough_budget = [8] * n
 
     def try_move(k, thorough=False) -> bool:
         nonlocal vias, grid
         here, goal, others = centres[k], goals[k], np.delete(centres, k, axis=0)
-        hints = via_hints.get(agents[k])
         tier = "direct"
         route = _find_route(here, goal, w, r, others)
-        if route is None and hints is not None:
+        if route is None:
             tier = "hint_detour"
-            route = _detour_route(here, goal, w, r, others, hints)
+            route = _detour_route(here, goal, w, r, others, hints[k])
         if route is None:
             tier = "via_detour"
             if vias is None:
                 vias = _via_candidates(w, r, max(2.5 * r, w.bounds.diameter() / 24))
             route = _detour_route(here, goal, w, r, others, vias)
-        if route is None and hints is not None:
+        if route is None:
             tier = "two_leg"
-            route = _two_leg_route(here, goal, w, r, others, hints, vias)
+            route = _two_leg_route(here, goal, w, r, others, hints[k], vias)
         if route is None and thorough and thorough_budget[k] > 0:
             tier = "grid"
             thorough_budget[k] -= 1
@@ -227,7 +228,7 @@ def navigate(
         emit(k, route)
         return True
 
-    remaining_all = [k for k in sorted(rank, key=rank.get) if rank[k][1] > 1e-12]
+    remaining_all = [k for k in sorted(range(n), key=rank.__getitem__) if rank[k][1] > 1e-12]
     seen = set()  # (positions, queue) after each nudge
     while remaining_all:
         min_phase = min(rank[k][0] for k in remaining_all)
@@ -241,19 +242,19 @@ def navigate(
         nudged = None
         if budget > 0:
             # every active agent failed the via tier, so `vias` is set
-            nudged = _clear_crowd(active, agents, centres, goals, w, r, vias, emit)
+            nudged = _clear_crowd(active, centres, goals, w, r, vias, emit)
             budget -= 1
             counters["sidesteps"] += nudged is not None
         if nudged is not None and nudged not in remaining_all:
             remaining_all.append(nudged)
-            remaining_all.sort(key=rank.get)
+            remaining_all.sort(key=rank.__getitem__)
         # routes depend only on the positions, so a repeated state is a livelock
         state = (tuple(centres.ravel().tolist()), tuple(remaining_all))
         if nudged is None or state in seen:
-            stuck = [agents[k] for k in active]
+            stuck = active
             break
         seen.add(state)
-    tracks = {a: Track.from_records(a, recs) for a, recs in zip(agents, records)}
+    tracks = {a: Track.from_records(recs) for a, recs in zip(agents, records)}
     return NavigationResult(TrajectorySet(tracks, t), stuck, counters)
 
 
@@ -323,10 +324,10 @@ def _near_free(grid: NavGrid, free: np.ndarray, w: Workspace, p) -> Optional[tup
     return None if best is None else best[1]
 
 
-def grid_unreachable(points: dict, slots: Sequence[Point2], w: Workspace, r: float) -> list:
-    """The agents whose point has no path to any slot on the static mask of
-    the navigation grid (`NavGrid.free`, no agents stamped), in the order of
-    `points`: their point lies in a free component that no slot is in."""
+def grid_unreachable(points, slots: Sequence[Point2], w: Workspace, r: float) -> list:
+    """The rows of `points` that have no path to any slot on the static mask
+    of the navigation grid (`NavGrid.free`, no agents stamped): their point
+    lies in a free component that no slot is in."""
     grid = _nav_grid(w, r)
     row = grid.free.shape[1] + 2
     label = _fragments(np.pad(grid.free, 1).ravel().tolist(), row)
@@ -336,7 +337,7 @@ def grid_unreachable(points: dict, slots: Sequence[Point2], w: Workspace, r: flo
         return 0 if cell is None else label[(cell[0] + 1) * row + cell[1] + 1]
 
     reached = {component(q) for q in slots} - {0}
-    return [a for a, p in points.items() if component(p) not in reached]
+    return [k for k, p in enumerate(points) if component(p) not in reached]
 
 
 # the BFS's neighbour order, as (di, dj); it fixes the BFS tree, so the route
@@ -416,12 +417,13 @@ def _free_sidestep(p, away_from, w, r, others, vias) -> Optional[np.ndarray]:
     return cands[k[np.argmin(scores[k])]]
 
 
-def _clear_crowd(blocked, agents, centres, goals, w, r, vias, emit):
+def _clear_crowd(blocked, centres, goals, w, r, vias, emit):
     """Sidestep one agent crowding a blocked agent's direct route.
 
-    `blocked` are rows of `centres` and `goals`, where agents[k] is and where
-    it is going. Prefers agents still waiting to move; a parked agent is
-    nudged only as a last resort (the caller re-queues it). Returns the
+    `blocked` are rows of `centres` and `goals`, where each agent is and
+    where it is going. Prefers agents still waiting to move; a parked agent
+    is nudged only as a last resort (the caller re-queues it). Crowding
+    agents are tried nearest first, the lower row on ties. Returns the
     nudged agent's row or None.
     """
     for parked_ok in (False, True):
@@ -430,7 +432,7 @@ def _clear_crowd(blocked, agents, centres, goals, w, r, vias, emit):
             near = point_segment_distances(centres, seg[0], seg[1])
             near[i] = np.inf
             crowd = np.flatnonzero(near < 2.2 * r).tolist()
-            for k in sorted(crowd, key=lambda k: (near[k], repr(agents[k]))):
+            for k in sorted(crowd, key=lambda k: near[k]):
                 if dist(centres[k], goals[k]) <= 1e-12 and not parked_ok:
                     continue
                 spot = _free_sidestep(centres[k], seg, w, r, np.delete(centres, k, axis=0), vias)

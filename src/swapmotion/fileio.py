@@ -147,7 +147,10 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _agent_from_dict(a: dict) -> AgentSpec:
-    aid = int(a["id"])
+    aid = a["id"]  # int() alone would turn true into 1 and 2.5 into 2
+    if isinstance(aid, bool) or (isinstance(aid, float) and not aid.is_integer()):
+        raise ValueError(f"agent id {aid!r} not an integer")
+    aid = int(aid)
     for key in ("start", "goal"):
         xy = a[key]
         if not (isinstance(xy, (list, tuple)) and len(xy) == 2 and all(map(_is_number, xy))):
@@ -279,7 +282,7 @@ def trajectory_from_csv(path) -> TrajectorySet:
     horizon = float(rows[0].split("=", 1)[1])
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"{path}: horizon {horizon!r} is not a finite time >= 0")
-    tracks = {a: Track.from_records(a, recs) for a, recs in records.items()}
+    tracks = {a: Track.from_records(recs) for a, recs in records.items()}
     for a, tr in tracks.items():
         if tr.kind[0] != HOLD:
             raise ValueError(f"{path}: agent {a!r} does not open with a hold")

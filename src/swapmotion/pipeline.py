@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .assignment import (
-    Assignment,
     grid_unreachable,
     navigate,
     optimal_assignment,
@@ -29,6 +28,7 @@ from .errors import (
     InsufficientCapacity,
     InvalidScenario,
     NavigationFailure,
+    TooFewSlots,
 )
 from .fileio import (
     Scenario,
@@ -89,7 +89,7 @@ def concat_trajectories(parts: list[TrajectorySet]) -> TrajectorySet:
         for a, track in p.segments.items():
             pieces.setdefault(a, []).append((track, t))
         t += p.horizon
-    return TrajectorySet({a: Track.joined(a, ps) for a, ps in pieces.items()}, t)
+    return TrajectorySet({a: Track.joined(ps) for a, ps in pieces.items()}, t)
 
 
 def scenario_density(s: Scenario) -> float:
@@ -148,21 +148,23 @@ def run_pipeline(
     try:
         asg_start = optimal_assignment(s.starts(), slots)
         asg_goal = optimal_assignment(s.goals(), slots)
-    except Exception as e:  # noqa: BLE001 - reported as stage failure
+    except (TooFewSlots, ValueError) as e:
         raise AssignmentFailure(f"assign: {e}") from e
     timings["assign"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # assignment and navigation key an agent by its row; from here on, its id
+    ids = [a.id for a in s.agents]
     # navigate both endpoints before planning; a stuck agent is retried on a
     # spare slot (the graph always has at least one more vertex than agents)
-    prologue, asg_start = _navigate_with_retries(s, res, vids, asg_start, s.starts())
+    prologue, start_slots = _navigate_with_retries(s, res, vids, ids, asg_start, s.starts())
     if not prologue.ok:
-        raise _stuck(s, "start", prologue.stuck_agents, s.starts(), slots)
-    inbound, asg_goal = _navigate_with_retries(s, res, vids, asg_goal, s.goals())
+        raise _stuck(s, "start", ids, prologue.stuck_agents, s.starts(), slots)
+    inbound, goal_slots = _navigate_with_retries(s, res, vids, ids, asg_goal, s.goals())
     if not inbound.ok:
-        raise _stuck(s, "goal", inbound.stuck_agents, s.goals(), slots)
-    start_occ = _occupancy_from_assignment(vids, asg_start)
-    goal_occ = _occupancy_from_assignment(vids, asg_goal)
+        raise _stuck(s, "goal", ids, inbound.stuck_agents, s.goals(), slots)
+    start_occ = _occupancy_from_slots(vids, ids, start_slots)
+    goal_occ = _occupancy_from_slots(vids, ids, goal_slots)
     timings["navigate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -218,79 +220,71 @@ def _verification_block(rep: VerificationReport) -> dict:
     }
 
 
-def _occupancy_from_assignment(vids, asg: Assignment) -> Occupancy:
+def _occupancy_from_slots(vids, ids, slot_of) -> Occupancy:
     mapping = {v: VACANT for v in vids}
-    for agent, slot in asg.agent_to_slot.items():
+    for agent, slot in zip(ids, slot_of):
         mapping[vids[slot]] = agent
     return Occupancy(mapping)
 
 
-def _navigate_with_retries(s: Scenario, res, vids, asg: Assignment, leg_points):
+def _navigate_with_retries(s: Scenario, res, vids, ids, asg, leg_points):
     """Run one navigation leg, moving stuck agents onto spare slots.
 
     A leg moves the agents from `leg_points` (the scenario's starts or goals,
-    in agent order) onto their assigned slots, inner rings first. The goal leg
-    is this same motion played backwards. On a stall each stuck agent's slot
-    is swapped for the nearest free spare that agent has not tried in this
-    leg, and the leg is retried; it stops when no stuck agent can move. The
-    result's counters are summed over the attempts, plus the `retries`.
+    in row order) onto their slots `asg.slot_of`, inner rings first, and
+    names their tracks by `ids`. The goal leg is this same motion played
+    backwards. On a stall each stuck row's slot is swapped for the nearest
+    free spare that row has not tried in this leg, and the leg is retried;
+    it stops when no stuck row can move. Returns the last result, its
+    counters summed over the attempts plus the `retries`, and the slot of
+    each row.
     """
     g = res.graph
-    asg = Assignment(dict(asg.agent_to_slot), asg.total_cost)
-    points = {a.id: p for a, p in zip(s.agents, leg_points)}
-    tried = {a: {j} for a, j in asg.agent_to_slot.items()}
+    slot_of = list(asg.slot_of)
+    tried = [{j} for j in slot_of]
     counters = Counter()
     for attempt in range(4):
-        def slot_pos(agent):
-            return g.positions[vids[asg.agent_to_slot[agent]]]
-
-        def slot_ring(agent):
-            vid = vids[asg.agent_to_slot[agent]]
-            return min(k for _, k, _ in res.vertex_rings[vid])
-
-        hints = {
-            a.id: radial_hints(res, vids[asg.agent_to_slot[a.id]], s.r)
-            for a in s.agents
-        }
+        target_vids = [vids[j] for j in slot_of]
         result = navigate(
-            points,
-            {i: slot_pos(i) for i in points},
+            ids,
+            np.asarray(leg_points, dtype=float),
+            np.array([g.positions[v] for v in target_vids], dtype=float),
             s.workspace,
             s.r,
-            via_hints=hints,
-            phases={i: slot_ring(i) for i in points},
+            [radial_hints(res, v, s.r) for v in target_vids],
+            [min(k for _, k, _ in res.vertex_rings[v]) for v in target_vids],
         )
         counters.update(result.counters)
         if result.ok:
             break
-        used = set(asg.agent_to_slot.values())
+        used = set(slot_of)
         spares = [j for j in range(len(vids)) if j not in used]
         moved = False
-        for agent in result.stuck_agents:
-            p = points[agent]
+        for k in result.stuck_agents:
+            p = leg_points[k]
             spares.sort(key=lambda j: dist(p, g.positions[vids[j]]))
-            slot = next((j for j in spares if j not in tried[agent]), None)
+            slot = next((j for j in spares if j not in tried[k]), None)
             if slot is not None:
                 spares.remove(slot)
-                asg.agent_to_slot[agent] = slot
-                tried[agent].add(slot)
+                slot_of[k] = slot
+                tried[k].add(slot)
                 moved = True
         if not moved:
             break
     result.counters = dict(counters, retries=attempt)
-    return result, asg
+    return result, slot_of
 
 
-def _stuck(s: Scenario, leg: str, stuck: list, leg_points, slots) -> NavigationFailure:
-    """The failure of a leg whose `stuck` agents could not move from their
-    `leg_points` (in agent order), naming those with no path to any slot on
-    the navigation grid."""
-    message = f"navigate: {leg} leg stuck for agents {stuck}"
-    at = {a.id: p for a, p in zip(s.agents, leg_points)}
-    cut = grid_unreachable({a: at[a] for a in stuck}, slots, s.workspace, s.r)
+def _stuck(s: Scenario, leg: str, ids, stuck: list, leg_points, slots) -> NavigationFailure:
+    """The failure of a leg whose `stuck` rows could not move from their
+    `leg_points` (in row order): it names their agents by id, and those with
+    no path to any slot on the navigation grid."""
+    names = [ids[k] for k in stuck]
+    message = f"navigate: {leg} leg stuck for agents {names}"
+    cut = grid_unreachable([leg_points[k] for k in stuck], slots, s.workspace, s.r)
     if cut:
-        message += f"; no grid path to any slot for agents {cut}"
-    return NavigationFailure(stuck, message)
+        message += f"; no grid path to any slot for agents {[names[i] for i in cut]}"
+    return NavigationFailure(names, message)
 
 
 def _write_artifacts(out_dir, s: Scenario, run: RunReport, art: RunArtifacts):

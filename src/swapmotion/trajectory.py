@@ -79,33 +79,32 @@ class Track:
     Record k runs over [t0[k], t1[k]] with shape kind[k] and parameters
     par[k] (see `HOLD`, `LINE`, `ARC`). Records are time-ordered and do not
     overlap. Between records the agent holds where the previous one ended;
-    before the first it stands at that record's start.
+    before the first it stands at that record's start. The key of a
+    `TrajectorySet` names the agent.
     """
 
-    __slots__ = ("agent", "t0", "t1", "kind", "par")
+    __slots__ = ("t0", "t1", "kind", "par")
 
-    def __init__(self, agent, t0, t1, kind, par):
+    def __init__(self, t0, t1, kind, par):
         if len(t0) == 0:
-            raise ValueError(f"track of agent {agent!r} has no records")
-        self.agent = agent
+            raise ValueError("a track needs at least one record")
         self.t0 = np.ascontiguousarray(t0, dtype=float)
         self.t1 = np.ascontiguousarray(t1, dtype=float)
         self.kind = np.ascontiguousarray(kind, dtype=np.int8)
         self.par = np.ascontiguousarray(par, dtype=float)
 
     @classmethod
-    def from_records(cls, agent, records: list[tuple]) -> "Track":
+    def from_records(cls, records: list[tuple]) -> "Track":
         a = np.array(records, dtype=float).reshape(-1, 8)
-        return cls(agent, a[:, 0], a[:, 1], a[:, 2], a[:, 3:])
+        return cls(a[:, 0], a[:, 1], a[:, 2], a[:, 3:])
 
     @classmethod
-    def joined(cls, agent, parts: list[tuple["Track", float]]) -> "Track":
+    def joined(cls, parts: list[tuple["Track", float]]) -> "Track":
         """Tracks shifted by their offsets, end to end. Holds after the
         first part are dropped, since holds are implicit."""
         keep = [np.ones(len(parts[0][0]), bool)]
         keep += [tr.kind != HOLD for tr, _ in parts[1:]]
         return cls(
-            agent,
             np.concatenate([tr.t0[k] + dt for (tr, dt), k in zip(parts, keep)]),
             np.concatenate([tr.t1[k] + dt for (tr, dt), k in zip(parts, keep)]),
             np.concatenate([tr.kind[k] for (tr, _), k in zip(parts, keep)]),
@@ -121,7 +120,6 @@ class Track:
         par[kind == ARC, 3:] = par[kind == ARC][:, [4, 3]]
         end = record_end(self.kind[-1], self.par[-1])
         return Track(
-            self.agent,
             np.r_[0.0, horizon - self.t1[keep]],
             np.r_[0.0, horizon - self.t0[keep]],
             np.r_[HOLD, kind],
@@ -349,7 +347,7 @@ def realize_plan(res: ConversionResult, plan: Plan) -> TrajectorySet:
     tracks = {}
     for a, flat in fields.items():
         rows = np.frombuffer(flat, dtype=float).reshape(-1, 8)
-        tracks[a] = Track(a, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:])
+        tracks[a] = Track(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:])
     # exact endpoint check against the final occupancy
     for a, tgt in _positions_of(res, occ.mapping).items():
         tr = tracks[a]

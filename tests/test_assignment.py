@@ -16,7 +16,6 @@ from graph_fixtures import circle_graph
 from navigation_reference import free_mask_reference
 from swapmotion import assignment, pipeline
 from swapmotion.assignment import (
-    Assignment,
     _clear_crowd,
     _detour_route,
     _free_sidestep,
@@ -32,8 +31,8 @@ from swapmotion.assignment import (
     optimal_assignment,
     radial_hints,
 )
-from swapmotion.errors import TooFewSlots
-from swapmotion.fileio import load_json, scenario_from_dict
+from swapmotion.errors import AssignmentFailure, TooFewSlots
+from swapmotion.fileio import AgentSpec, Scenario, load_json, scenario_from_dict
 from swapmotion.geometry import Disk, Point2, Polygon, dist, rectangle_workspace
 from swapmotion.swap_graph import Occupancy
 from swapmotion.trajectory import record_end, verify_trajectories
@@ -54,18 +53,18 @@ class TestOptimalAssignment:
         pts = [Point2(0, 0), Point2(3, 1), Point2(5, 4)]
         asg = optimal_assignment(pts, pts)
         assert asg.total_cost == pytest.approx(0.0)
-        assert asg.agent_to_slot == {0: 0, 1: 1, 2: 2}
+        assert asg.slot_of == [0, 1, 2]
 
     def test_non_identity_optimum(self):
         starts = [Point2(0, 0), Point2(1, 0), Point2(2, 0)]
         slots = [Point2(2.1, 0), Point2(0.1, 0), Point2(1.1, 0)]
         asg = optimal_assignment(starts, slots)
-        assert asg.agent_to_slot == {0: 1, 1: 2, 2: 0}
+        assert asg.slot_of == [1, 2, 0]
         assert asg.total_cost == pytest.approx(0.3)
 
     def test_one_agent_two_slots(self):
         asg = optimal_assignment([Point2(0, 0)], [Point2(5, 0), Point2(1, 0)])
-        assert asg.agent_to_slot == {0: 1}
+        assert asg.slot_of == [1]
 
     def test_too_few_slots(self):
         with pytest.raises(TooFewSlots):
@@ -80,8 +79,8 @@ class TestOptimalAssignment:
         starts = [Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(6)]
         slots = [Point2(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(9)]
         asg = optimal_assignment(starts, slots)
-        assert sorted(asg.agent_to_slot) == list(range(6))
-        assert len(set(asg.agent_to_slot.values())) == 6
+        assert len(asg.slot_of) == 6
+        assert len(set(asg.slot_of)) == 6
 
     def test_matches_brute_force(self):
         rng = random.Random(4)
@@ -156,25 +155,34 @@ def test_cli_and_pipeline_import_without_scipy():
     assert json.loads(out) == []
 
 
+def plain_navigate(points, targets, w, r):
+    """`navigate` with the agents named by their rows, no hints and one phase."""
+    n = len(points)
+    return navigate(
+        list(range(n)), np.array(points, dtype=float), np.array(targets, dtype=float), w, r,
+        [np.empty((0, 2))] * n, [0] * n,
+    )
+
+
 class TestNavigate:
     def test_already_at_targets(self):
         w = rectangle_workspace(10, 10)
-        cur = {0: Point2(3, 3), 1: Point2(7, 7)}
-        out = navigate(cur, dict(cur), w, 1.0)
+        cur = [Point2(3, 3), Point2(7, 7)]
+        out = plain_navigate(cur, cur, w, 1.0)
         assert out.ok
         assert out.trajectory.horizon == 0.0
 
     def test_single_straight_line(self):
         w = rectangle_workspace(10, 10)
-        out = navigate({0: Point2(2, 5)}, {0: Point2(8, 5)}, w, 1.0)
+        out = plain_navigate([Point2(2, 5)], [Point2(8, 5)], w, 1.0)
         assert out.ok
         assert out.trajectory.horizon == pytest.approx(6.0)
 
     def test_crossing_pair_resolved_sequentially(self):
         w = rectangle_workspace(12, 12)
-        cur = {0: Point2(2, 6), 1: Point2(10, 6)}
-        tgt = {0: Point2(10, 6), 1: Point2(2, 6)}
-        out = navigate(cur, tgt, w, 1.0)
+        cur = [Point2(2, 6), Point2(10, 6)]
+        tgt = [Point2(10, 6), Point2(2, 6)]
+        out = plain_navigate(cur, tgt, w, 1.0)
         assert out.ok
         rep = verify_trajectories(out.trajectory, w, 1.0)
         assert rep.ok, rep.violations[:3]
@@ -188,24 +196,45 @@ class TestNavigate:
             p = Point2(float(rng.uniform(1.5, 18.5)), float(rng.uniform(1.5, 18.5)))
             if all(dist(p, q) >= 2.0 for q in starts):
                 starts.append(p)
-        slots = [res.graph.positions[v] for v in res.graph.vertex_ids()]
-        asg = optimal_assignment(starts, slots)
         vids = res.graph.vertex_ids()
-        current = {i: starts[i] for i in asg.agent_to_slot}
-        targets = {i: slots[j] for i, j in asg.agent_to_slot.items()}
-        phases = {
-            i: min(k for _, k, _ in res.vertex_rings[vids[j]])
-            for i, j in asg.agent_to_slot.items()
-        }
-        hints = {i: radial_hints(res, vids[j], 1.0) for i, j in asg.agent_to_slot.items()}
-        out = navigate(current, targets, w, 1.0, via_hints=hints, phases=phases)
+        asg = optimal_assignment(starts, [res.graph.positions[v] for v in vids])
+        targets = [vids[j] for j in asg.slot_of]
+        out = navigate(
+            list(range(6)),
+            np.array(starts),
+            np.array([res.graph.positions[v] for v in targets]),
+            w,
+            1.0,
+            [radial_hints(res, v, 1.0) for v in targets],
+            [min(k for _, k, _ in res.vertex_rings[v]) for v in targets],
+        )
         assert out.ok, out.stuck_agents
         rep = verify_trajectories(out.trajectory, w, 1.0)
         assert rep.ok, rep.violations[:3]
-        for i, j in asg.agent_to_slot.items():
+        for i, v in enumerate(targets):
             tr = out.trajectory.segments[i]
             end = record_end(tr.kind[-1], tr.par[-1])
-            assert dist(end, res.graph.positions[vids[j]]) < 1e-9
+            assert dist(end, res.graph.positions[v]) < 1e-9
+
+    @pytest.mark.parametrize("short", ["points", "targets", "hints", "phases"])
+    def test_a_row_count_mismatch_raises(self, short):
+        """A target left out used to crash with a TypeError once a stall
+        sidestepped that agent: in this 30 x 10 room the box over the
+        corridor blocks agent 0, and agent 1, which had no target, was
+        nudged and re-queued with no rank."""
+        w = rectangle_workspace(30, 10, [Polygon(
+            (Point2(8, 3), Point2(22, 3), Point2(22, 10), Point2(8, 10))
+        )])
+        args = {
+            "points": np.array([(3.0, 1.5), (23.5, 1.5)]),
+            "targets": np.array([(27.0, 1.5), (23.5, 1.5)]),
+            "hints": [np.empty((0, 2))] * 2,
+            "phases": [0, 0],
+        }
+        args[short] = args[short][:1]
+        with pytest.raises(ValueError, match="navigate: 2 agents but"):
+            navigate([0, 1], args["points"], args["targets"], w, 1.0, args["hints"],
+                     args["phases"])
 
 
 # Scalar versions of the via loops: one capsule per via, checked in order.
@@ -324,14 +353,15 @@ def test_batched_via_loops_return_the_scalar_routes():
 def scalar_clear_crowd(blocked, pos, targets, w, r, vias, sidestep):
     """`_clear_crowd` over a dict of positions, one scalar distance at a time:
     the agents within 2.2r of a blocked agent's direct route, nearest first
-    and ties by `repr`, waiting agents before parked ones."""
+    and ties in the order of `pos` (the row order), waiting agents before
+    parked ones."""
     for parked_ok in (False, True):
         for a in blocked:
             seg = (pos[a], targets[a])
             near = {x: point_segment_distance(p, *seg) for x, p in pos.items() if x != a}
             crowd = [x for x in near if near[x] < 2.2 * r]
-            for b in sorted(crowd, key=lambda x: (near[x], repr(x))):
-                if dist(pos[b], targets.get(b, pos[b])) <= 1e-12 and not parked_ok:
+            for b in sorted(crowd, key=lambda x: near[x]):
+                if dist(pos[b], targets[b]) <= 1e-12 and not parked_ok:
                     continue
                 others = np.array([p for x, p in pos.items() if x != b])
                 spot = sidestep(pos[b], seg, w, r, others, vias)
@@ -351,7 +381,7 @@ def test_clear_crowd_picks_the_scalar_crowd_in_order(monkeypatch):
             if all(dist(p, q) >= 2 * r for q in pts):
                 pts.append(p)
         pts = pts[: rng.randint(5, 14)]
-        agents = rng.sample(range(40), len(pts))  # repr order is not numeric order
+        agents = rng.sample(range(40), len(pts))  # names in neither row nor repr order
         pos = dict(zip(agents, pts))
         targets = {}
         for x, p in pos.items():
@@ -370,7 +400,7 @@ def test_clear_crowd_picks_the_scalar_crowd_in_order(monkeypatch):
                 assignment, "_free_sidestep",
                 lambda p, seg, *rest: tried.append((_rows(p), _rows(seg))),
             )
-            assert _clear_crowd(rows, agents, centres, goals, w, r, vias, None) is None
+            assert _clear_crowd(rows, centres, goals, w, r, vias, None) is None
         scalar_clear_crowd(
             blocked, pos, targets, w, r, vias,
             lambda p, seg, *rest: expect.append((_rows(p), _rows(seg))),
@@ -382,11 +412,11 @@ def test_clear_crowd_picks_the_scalar_crowd_in_order(monkeypatch):
         for a in blocked:
             near = [point_segment_distance(p, pos[a], targets[a]) for p in pos.values()]
             near = [d for d in near if 0 < d < 2.2 * r]
-            found["ties"] += len(near) > len(set(near))  # repr breaks the tie
+            found["ties"] += len(near) > len(set(near))  # the row breaks the tie
         # the nudge itself
         emitted = []
         got = _clear_crowd(
-            rows, agents, centres, goals, w, r, vias,
+            rows, centres, goals, w, r, vias,
             lambda k, route: emitted.append((agents[k], _rows(route))),
         )
         want = scalar_clear_crowd(blocked, pos, targets, w, r, vias, scalar_sidestep)
@@ -412,7 +442,8 @@ def test_a_repeated_sidestep_ends_the_stall(monkeypatch):
     monkeypatch.setattr(
         pipeline, "navigate", lambda *a, **k: legs.append((a, k)) or navigate(*a, **k)
     )
-    leg, _ = pipeline._navigate_with_retries(s, res, vids, asg, s.goals())
+    ids = [a.id for a in s.agents]
+    leg, _ = pipeline._navigate_with_retries(s, res, vids, ids, asg, s.goals())
     assert leg.ok and len(legs) == 2  # the spare-slot retry succeeds
     sidesteps = []
     clear_crowd = assignment._clear_crowd
@@ -522,6 +553,50 @@ def test_grid_unreachable_names_the_sealed_agents_in_order():
     w, r = s.workspace, s.r
     slots = [Point2(15.0, 15.0), Point2(25.0, 5.0)]
     pocket, outside = Point2(6.5, 6.5), Point2(2.0, 2.0)
-    assert grid_unreachable({3: outside, 1: pocket, 0: pocket}, slots, w, r) == [1, 0]
-    assert grid_unreachable({a.id: a.start for a in s.agents[1:]}, slots, w, r) == []
-    assert grid_unreachable({0: outside}, [pocket], w, r) == [0]
+    assert grid_unreachable([outside, pocket, pocket], slots, w, r) == [1, 2]
+    assert grid_unreachable(np.array(s.starts()[1:]), slots, w, r) == []
+    assert grid_unreachable([outside], [pocket], w, r) == [0]
+
+
+@pytest.fixture(scope="module", params=["rect_12", "grid_20"])
+def shipped_run(request):
+    s = scenario_from_dict(load_json(SCENARIOS / f"{request.param}.json"))
+    return s, pipeline.run_pipeline(s)[0]
+
+
+@pytest.mark.parametrize("rename", ["plus_one", "reversed"])
+def test_renaming_agents_does_not_change_the_plan(shipped_run, rename):
+    """Assignment and navigation key an agent by its row, so new ids change
+    no motion. Ids + 1 used to raise a KeyError, and reversed ids gave each
+    agent another agent's slots (rect_12's horizon grew 1072 -> 1405)."""
+    s, base = shipped_run
+    ids = [a.id for a in s.agents]
+    new = [i + 1 for i in ids] if rename == "plus_one" else ids[::-1]
+    agents = [AgentSpec(i, a.start, a.goal) for i, a in zip(new, s.agents)]
+    run, art = pipeline.run_pipeline(Scenario(s.name, s.workspace, s.r, agents, s.params))
+    assert run.success and run.violations == 0
+    ts = art.trajectory
+    assert sorted(ts.segments) == sorted(new)
+    for a in agents:
+        assert dist(ts.position(a.id, 0.0), a.start) <= 1e-9 * s.r
+        assert dist(ts.position(a.id, ts.horizon), a.goal) <= 1e-9 * s.r
+    assert (run.op_count, run.horizon) == (base.op_count, base.horizon)
+
+
+@pytest.mark.parametrize(
+    "error, expect", [(TooFewSlots("3 agents but only 2 slots"), AssignmentFailure),
+                      (ValueError("cost matrix has a non-finite entry"), AssignmentFailure),
+                      (RuntimeError("a bug"), RuntimeError)],
+    ids=["too_few_slots", "value_error", "bug"],
+)
+def test_only_assignment_errors_become_assignment_failures(monkeypatch, error, expect):
+    """What `optimal_assignment` raises on its input is the stage's typed
+    failure (exit 4); any other exception is a bug and propagates as is."""
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(pipeline, "optimal_assignment", fail)
+    s = scenario_from_dict(load_json(SCENARIOS / "rect_12.json"))
+    with pytest.raises(expect) as e:
+        pipeline.run_pipeline(s)
+    assert str(error) in str(e.value)

@@ -26,13 +26,11 @@ from swapmotion.pipeline import run_pipeline
 from swapmotion.trajectory import (
     ARC,
     Track,
-    TrajectorySet,
-    hold_record,
-    line_record,
     track_jumps,
     verify_trajectories,
 )
 
+from record_fixtures import hold, line, trajectory_set
 from sampling_oracle import sampled_verify
 from test_acceptance import BENCH_NAMES, bench_runs
 
@@ -43,20 +41,8 @@ TOL = 1e-6
 ROUNDING = 1e-12
 
 
-def hold(t, p):
-    return hold_record(t, Point2(*p))
-
-
-def line(t0, t1, a, b):
-    return line_record(t0, t1, Point2(*a), Point2(*b))
-
-
 def arc(t0, t1, c, radius, a0, a1):
     return (t0, t1, ARC, c[0], c[1], radius, a0, a1)
-
-
-def trajectory_set(horizon, **records):
-    return TrajectorySet({a: Track.from_records(a, recs) for a, recs in records.items()}, horizon)
 
 
 @pytest.mark.parametrize("name", BENCH_NAMES)
@@ -196,7 +182,7 @@ def test_motion_without_a_closed_form_fails_closed(b_record, when):
     ts = trajectory_set(
         3.0,
         a=[hold(0, (7, 5)), arc(1.0, 2.0, (5, 5), 2.0, 0.0, 1.0)],
-        b=[hold(0, tuple(Track.from_records("b", [b_record]).sample(np.zeros(1))[0])), b_record],
+        b=[hold(0, tuple(Track.from_records([b_record]).sample(np.zeros(1))[0])), b_record],
     )
     with pytest.raises(UnrealizableOp) as err:
         verify_trajectories(ts, w, 1.0)

@@ -129,7 +129,7 @@ class TestExactTrajectoryExport:
         for k, a in enumerate([*range(14), *"abcdefgh", -7, "10"]):
             n = 1 + k % 4
             cells = rng.choice(values, size=(n, 7))
-            tracks[a] = Track(a, cells[:, 0], cells[:, 1], rng.integers(0, 3, n), cells[:, 2:])
+            tracks[a] = Track(cells[:, 0], cells[:, 1], rng.integers(0, 3, n), cells[:, 2:])
         ts = TrajectorySet(tracks, 1e16)
         trajectory_to_csv(ts, tmp_path / "table.csv")
         trajectory_to_csv_reference(ts, tmp_path / "reference.csv")
@@ -316,21 +316,24 @@ class TestSpareSlotRetries:
         calls = []
         navigate = pipeline.navigate
 
-        def spy(points, targets, *args, **kwargs):
-            calls.append((dict(points), dict(targets)))
-            return navigate(points, targets, *args, **kwargs)
+        def spy(agents, points, targets, *args):
+            calls.append((points.tolist(), [tuple(t) for t in targets.tolist()]))
+            return navigate(agents, points, targets, *args)
 
         monkeypatch.setattr(pipeline, "navigate", spy)
         s = scenario_from_dict(load_json(DATA / "start_leg_stuck.json"))
         run, _ = run_pipeline(s)
         assert run.success
+        def leg_calls(leg):
+            return [t for p, t in calls if p == [list(q) for q in leg]]
+
         for leg in (s.starts(), s.goals()):
-            targets = [t for p, t in calls if list(p.values()) == leg]
-            for a in targets[0]:
+            targets = leg_calls(leg)
+            for a in range(len(targets[0])):
                 sent = [t[a] for k, t in enumerate(targets) if k == 0 or t[a] != targets[k - 1][a]]
                 assert len(set(sent)) == len(sent), (a, sent)
         # agent 1 reached its third slot on the start leg
-        start_leg = [t for p, t in calls if list(p.values()) == s.starts()]
+        start_leg = leg_calls(s.starts())
         assert len({t[1] for t in start_leg}) == 3
 
 
@@ -525,6 +528,17 @@ class TestUnreadableInput:
         dump_json(d, path)
         line = self._run(["exec", "--scenario", str(path)], capsys)
         assert line.endswith(f"(ValueError: agent 1 {field} {xy!r} not two numbers)")
+
+    @pytest.mark.parametrize("aid", [2.5, True, math.inf], ids=["fraction", "bool", "inf"])
+    def test_agent_id_not_an_integer(self, aid, tmp_path, capsys):
+        """`int(id)` used to turn 2.5 into 2 and true into 1, and `Infinity`
+        ended in an untyped OverflowError."""
+        d = load_json(SCENARIOS / "rect_12.json")
+        d["agents"][1]["id"] = aid
+        path = tmp_path / "bad_id.json"
+        path.write_text(json.dumps(d))
+        line = self._run(["exec", "--scenario", str(path)], capsys)
+        assert line.endswith(f"(ValueError: agent id {aid!r} not an integer)")
 
     def test_committed_bad_coordinate_scenario(self, capsys):
         """The scenario CI runs `exec` on to check for exit code 2: valid

@@ -33,6 +33,7 @@ from swapmotion.trajectory import (
 )
 
 from graph_fixtures import circle_graph
+from record_fixtures import trajectory_set
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -240,11 +241,6 @@ def two_circle_run():
     return realize_plan(res, plan), w
 
 
-def trajectory_set(horizon, **records):
-    """A `TrajectorySet` with one track per keyword, packed from its records."""
-    return TrajectorySet({a: Track.from_records(a, recs) for a, recs in records.items()}, horizon)
-
-
 class TestVerifyTrajectories:
     def test_single_stationary_agent(self):
         w = rectangle_workspace(10, 10)
@@ -421,9 +417,10 @@ class TestReversed:
 
     def test_navigation_leg(self):
         w = rectangle_workspace(16.0, 12.0)
-        cur = {0: Point2(2, 6), 1: Point2(14, 6), 2: Point2(8, 2), 3: Point2(8, 10)}
-        tgt = {0: Point2(14, 6), 1: Point2(2, 6), 2: Point2(8, 10), 3: Point2(8, 2)}
-        out = navigate(cur, tgt, w, 1.0)
+        cur = [Point2(2, 6), Point2(14, 6), Point2(8, 2), Point2(8, 10)]
+        tgt = [Point2(14, 6), Point2(2, 6), Point2(8, 10), Point2(8, 2)]
+        out = navigate([0, 1, 2, 3], np.array(cur), np.array(tgt), w, 1.0,
+                       [np.empty((0, 2))] * 4, [0] * 4)
         assert out.ok
         ts = out.trajectory
         check_mirrored(ts)
@@ -434,7 +431,7 @@ class TestReversed:
         assert verify_trajectories(back, w, 1.0).ok
 
     def test_a_still_track_is_one_hold(self):
-        tr = Track.from_records("a", [hold_record(0.0, Point2(3, 4))])
+        tr = Track.from_records([hold_record(0.0, Point2(3, 4))])
         back = tr.reversed(7.0)
         assert back.kind.tolist() == [HOLD] and back.par[0, :2].tolist() == [3.0, 4.0]
 

@@ -14,17 +14,11 @@ import numpy as np
 import pytest
 
 from swapmotion.fileio import load_json, scenario_from_dict
-from swapmotion.geometry import Point2, boundary_distance_many, rectangle_workspace
+from swapmotion.geometry import boundary_distance_many, rectangle_workspace
 from swapmotion.pipeline import run_pipeline
-from swapmotion.trajectory import (
-    Track,
-    TrajectorySet,
-    VerificationReport,
-    Violation,
-    hold_record,
-    line_record,
-)
+from swapmotion.trajectory import VerificationReport, Violation
 
+from record_fixtures import hold, line, trajectory_set
 from sampling_oracle import sampled_verify
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -79,18 +73,6 @@ def all_agents_verify(ts, w, r, dt):
         for t0, t1 in runs(bound_bad[a])
     ]
     return VerificationReport(min_pair, min_clear, violations, len(times))
-
-
-def hold(t, p):
-    return hold_record(t, Point2(*p))
-
-
-def line(t0, t1, a, b):
-    return line_record(t0, t1, Point2(*a), Point2(*b))
-
-
-def trajectory_set(horizon, **records):
-    return TrajectorySet({a: Track.from_records(a, recs) for a, recs in records.items()}, horizon)
 
 
 def head_on():

@@ -15,7 +15,11 @@ and checks every gap or path route against the workspace's capsule cache.
 Conversion decides each gap or skeleton-path connector's route once, when it
 admits the edge: `ConversionResult.routes[e]` is the mover's polyline from
 slot `e[0]` to slot `e[1]`, the one checked clear of the workspace and of
-every other slot. Realization and the planner's edge costs read it.
+every other slot. A route is stored as its corners (`corners`): a skeleton
+waypoint that a path connector runs straight on through, or that repeats
+its neighbour, is dropped, so no leg has zero length. Realization, the
+planner's edge costs, the certificate and `trajectory.csv` see one line
+record per leg.
 """
 
 from __future__ import annotations
@@ -152,6 +156,23 @@ def realization_edge_cost(res: "ConversionResult") -> dict[tuple[int, int], floa
             route = res.routes[e]
             length = sum(dist(p, q) for p, q in zip(route, route[1:]))
             out[e] = max(1.0, length / (2.0 * res.r))
+    return out
+
+
+def corners(route: Sequence[Point2]) -> list[Point2]:
+    """`route` without the interior points it runs straight on through.
+
+    An interior point b goes when, with a the last point kept and c the next
+    point, (b - a) x (c - b) == 0 and (b - a) . (c - b) >= 0 exactly: b then
+    repeats a or c, or lies on the leg from a on to c. Turns, and points where
+    the route doubles back, stay, as do the two ends."""
+    out = [route[0]]
+    for b, c in zip(route[1:-1], route[2:]):
+        a = out[-1]
+        ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - b.x, c.y - b.y
+        if ux * vy - uy * vx != 0.0 or ux * vx + uy * vy < 0.0:
+            out.append(b)
+    out.append(route[-1])
     return out
 
 
@@ -363,7 +384,6 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
     def route_ok(route: list[Point2], u: int, v: int) -> bool:
         ends = np.array(route, dtype=float)
         spines = np.stack([ends[:-1], ends[1:]], axis=1)
-        spines = spines[(spines[:, 0] != spines[:, 1]).any(axis=1)]
         return cache.capsules.route_clear(
             spines, r, np.delete(slot_xy, [u, v], axis=0), 2 * r * (1 - 1e-7)
         )
@@ -401,7 +421,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         v = port_of_angle.get((b, kind.ring_b, ang_b))
         if u is None or v is None:
             continue
-        route = [positions[u], *mid, positions[v]]
+        route = corners([positions[u], *mid, positions[v]])
         if route_ok(route, u, v):
             add_inter(u, v, kind, route)
 

@@ -313,9 +313,8 @@ def _corridor_motion(res, u, v, mover, t0, emit) -> float:
     t = t0
     for a, b in zip(polyline, polyline[1:]):
         d = dist(a, b) / SPEED
-        if d > 0:
-            emit(mover, line_record(t, t + d, a, b))
-            t += d
+        emit(mover, line_record(t, t + d, a, b))
+        t += d
     return t - t0
 
 

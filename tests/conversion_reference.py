@@ -2,7 +2,7 @@
 rebuilt from its corridor kind, the way realization once derived it on every
 swap. The skeleton-path waypoints outside both circles sit between the two
 endpoint slots, and the route runs from the slot on `circle_a` to the other;
-it is returned here oriented from e[0] to e[1]."""
+it is returned here as its corners, oriented from e[0] to e[1]."""
 
 from __future__ import annotations
 
@@ -28,4 +28,14 @@ def corridor_route_reference(res: ConversionResult, e: tuple[int, int]) -> list[
         u, v = v, u
     mid = mid_waypoints_reference(res.circles, kind) if isinstance(kind, PathCorridor) else []
     route = [res.graph.positions[u], *mid, res.graph.positions[v]]
-    return route if u == e[0] else route[::-1]
+    # drop each interior point that repeats the last corner or the next point,
+    # or that the route runs straight on through
+    kept = [route[0]]
+    for i in range(1, len(route) - 1):
+        (ax, ay), (bx, by), (cx, cy) = kept[-1], route[i], route[i + 1]
+        parallel = (bx - ax) * (cy - by) == (by - ay) * (cx - bx)
+        onward = (bx - ax) * (cx - bx) + (by - ay) * (cy - by) >= 0.0
+        if not (parallel and onward):
+            kept.append(route[i])
+    kept.append(route[-1])
+    return kept if u == e[0] else kept[::-1]

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from swapmotion.conversion import (
     GapCorridor,
     PathCorridor,
     RadialCorridor,
+    corners,
     greedy_convert,
 )
 from swapmotion.errors import PreconditionViolated
@@ -24,12 +26,13 @@ from swapmotion.geometry import (
     Workspace,
     boundary_distance_many,
     dist,
+    point_segment_distances,
     rectangle_workspace,
 )
 from swapmotion.medial_axis import extract_medial_axis, sample_circles
 from swapmotion.pipeline import convert_scenario
 
-from conversion_reference import corridor_route_reference
+from conversion_reference import corridor_route_reference, mid_waypoints_reference
 from graph_fixtures import circle_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,8 +173,17 @@ class TestConvertCircles:
         assert res.graph.violations() == []
         # the route runs from slot e[0] through the skeleton waypoints to e[1]
         assert assert_routes_match_reference(res) == {"PathCorridor"}
-        e = next(e for e, k in res.inter_edge_kind.items() if isinstance(k, PathCorridor))
-        assert len(res.routes[e]) > 2
+        e, kind = next(
+            (e, k) for e, k in res.inter_edge_kind.items() if isinstance(k, PathCorridor)
+        )
+        route = np.array(res.routes[e])
+        assert len(route) > 2
+        # stored as corners, it still passes through every waypoint outside
+        # both circles
+        mid = np.array(mid_waypoints_reference(circles, kind))
+        assert len(mid) > len(route)
+        d = point_segment_distances(mid[:, None], route[None, :-1], route[None, 1:])
+        assert d.min(axis=1).max() <= 1e-12
 
 
 class TestWorkspaceChecks:
@@ -230,6 +242,60 @@ class TestRouteTable:
     def test_fuzz_small(self, seed):
         for scene in bench_workloads().build(ROOT, "fuzz_small", seed):
             assert_routes_match_reference(convert_scenario(scene.scenario))
+
+
+def polyline(*xy):
+    return [Point2(float(x), float(y)) for x, y in xy]
+
+
+class TestCorners:
+    """`corners` keeps a route's ends, turns and reversals, nothing else."""
+
+    def test_straight_run_collapses_to_its_ends(self):
+        assert corners(polyline((0, 0), (0.5, 0), (1, 0), (3, 0))) == polyline((0, 0), (3, 0))
+        assert corners(polyline((2, 1), (2, 1.5), (2, 4))) == polyline((2, 1), (2, 4))
+
+    def test_repeated_point_goes(self):
+        route = polyline((0, 0), (1, 0), (1, 0), (1, 1))
+        assert corners(route) == polyline((0, 0), (1, 0), (1, 1))
+        assert corners(polyline((0, 0), (0, 0), (1, 1))) == polyline((0, 0), (1, 1))
+
+    def test_turn_and_doubling_back_stay(self):
+        route = polyline((0, 0), (1, 0), (1, 1), (1, 0.5))
+        assert corners(route) == route
+        assert corners(polyline((0, 0), (2, 0), (1, 0))) == polyline((0, 0), (2, 0), (1, 0))
+
+    def test_reversed_route_has_reversed_corners(self):
+        route = polyline((0, 0), (0.5, 0), (1, 0), (1, 0), (1, 0.5), (1, 2), (0.5, 2.5), (0, 3))
+        assert corners(route) == polyline((0, 0), (1, 0), (1, 2), (0, 3))
+        assert corners(route[::-1]) == corners(route)[::-1]
+
+    def test_random_grid_polylines(self):
+        """On a 0.5 grid every product is exact: the corners have no repeated
+        or straight-on interior point, every dropped point lies on them, and
+        the reversed route has the reversed corners."""
+        rng = random.Random(23)
+        steps = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        for _ in range(500):
+            x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+            pts = [(x, y)]
+            for _ in range(rng.randint(1, 12)):
+                dx, dy = rng.choice(steps)
+                for _ in range(rng.randint(1, 3)):  # straight runs
+                    x, y = x + dx, y + dy
+                    pts.append((x, y))
+            route = polyline(*((0.5 * a, 0.5 * b) for a, b in pts))
+            out = corners(route)
+            assert (out[0], out[-1]) == (route[0], route[-1])
+            for a, b, c in zip(out, out[1:], out[2:]):
+                u, v = (b.x - a.x, b.y - a.y), (c.x - b.x, c.y - b.y)
+                assert u[0] * v[1] - u[1] * v[0] != 0 or u[0] * v[0] + u[1] * v[1] < 0
+            kept = np.array(out)
+            d = point_segment_distances(
+                np.array(route)[:, None], kept[None, :-1], kept[None, 1:]
+            )
+            assert d.min(axis=1).max() <= 1e-12
+            assert corners(route[::-1]) == out[::-1]
 
 
 def bench_workloads():

@@ -167,6 +167,8 @@ class TestRealizeType2:
         ts = realize_one(res, occ, VacancySwap(u, v))
         rep = verify_trajectories(ts, w, 1.0)
         assert rep.ok, rep.violations[:3]
+        # one line record per straight leg of the stored corner route
+        assert (ts.segments[100 + u].kind == LINE).sum() == len(res.routes[edge]) - 1
 
     def test_swap_without_vacancy_unrealizable(self):
         res, occ = single_circle_setup(hole_index=0)

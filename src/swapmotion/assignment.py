@@ -5,7 +5,8 @@ of the matching program is integral, so a combinatorial solver returns the
 optimum). Navigation moves agents one at a time, in assignment-cost order,
 along straight free segments, falling back to via-point detours and last to
 a grid router; making it sequential keeps verification trivial and failures
-honest.
+honest. The router routes on the medial axis's distance grid, whose cells
+with clearance r are its static free mask.
 
 Both key an agent by its row k, its place in the scenario, never by its id,
 so renaming agents cannot change a plan. Every point is a row of a float
@@ -34,7 +35,7 @@ from .geometry import (
     dists,
     point_segment_distances,
 )
-from .medial_axis import _fragments
+from .medial_axis import DistanceGrid, _fragments
 from .trajectory import SPEED, Track, TrajectorySet, hold_record, line_record
 
 
@@ -157,12 +158,14 @@ def navigate(
     r: float,
     hints: Sequence[np.ndarray],
     phases: Sequence[int],
+    grid: DistanceGrid,
 ) -> NavigationResult:
     """Move each agent row from its point to its target, one at a time.
 
     Row k of `points` and `targets` ((N, 2) arrays), `hints[k]` (staging
     points, (m, 2), possibly empty) and `phases[k]` are agent k's; `agents[k]`
-    only names its track, and `stuck_agents` are rows. Both navigation legs
+    only names its track, and `stuck_agents` are rows. The last resort routes
+    on `grid`, the medial axis's distance grid of `w`. Both navigation legs
     of the pipeline run here in one mode, from scenario points (starts, or
     goals for the goal leg, which is played backwards) onto slots. Agents
     are grouped into phases (e.g. inner rings first); a phase must finish
@@ -180,7 +183,7 @@ def navigate(
         rows = f"{len(centres)} points, {len(goals)} targets, {len(hints)} hints"
         raise ValueError(f"navigate: {n} agents but {rows}, {len(phases)} phases")
     rank = [(phases[k], dist(centres[k], goals[k]), k) for k in range(n)]
-    vias = grid = None
+    vias = None
     counters = dict.fromkeys(NAV_COUNTERS, 0)
     t = 0.0
     records = [[hold_record(0.0, p)] for p in centres.tolist()]
@@ -200,7 +203,7 @@ def navigate(
     thorough_budget = [8] * n
 
     def try_move(k, thorough=False) -> bool:
-        nonlocal vias, grid
+        nonlocal vias
         here, goal, others = centres[k], goals[k], np.delete(centres, k, axis=0)
         tier = "direct"
         route = _find_route(here, goal, w, r, others)
@@ -219,8 +222,6 @@ def navigate(
             tier = "grid"
             thorough_budget[k] -= 1
             counters["grid_tried"] += 1
-            if grid is None:
-                grid = _nav_grid(w, r)
             route = _grid_route(here, goal, w, r, others, grid)
         if route is None:
             return False
@@ -264,32 +265,16 @@ def _find_route(a: np.ndarray, b: np.ndarray, w, r, others) -> Optional[np.ndarr
     return None
 
 
-@dataclass
-class NavGrid:
-    """Cell centres of the router's grid and its static free mask: the cells
-    whose disk of radius r lies in the free space, ignoring the agents."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    free: np.ndarray  # bool[len(xs), len(ys)]
+def _static_free(grid: DistanceGrid, r: float) -> np.ndarray:
+    """The router's static mask: the cells whose disk of radius r lies in the
+    free space, ignoring the agents."""
+    return grid.clearance >= r - 1e-9
 
 
-def _nav_grid(w: Workspace, r: float) -> NavGrid:
-    cell = 0.5 * r
-    bx = w.bounds
-    nx = max(2, int(bx.width / cell))
-    ny = max(2, int(bx.height / cell))
-    xs = bx.xmin + (np.arange(nx) + 0.5) * (bx.width / nx)
-    ys = bx.ymin + (np.arange(ny) + 0.5) * (bx.height / ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return NavGrid(xs, ys, disks_free(pts, w, r - 1e-9).reshape(nx, ny))
-
-
-def _stamp_disks(grid: NavGrid, others: np.ndarray, r: float) -> np.ndarray:
-    """Copy of the static mask with every cell closer than 2r to one of the
-    `others` centres cleared; only the window that reach can touch is tested."""
-    free = grid.free.copy()
+def _stamp_disks(grid: DistanceGrid, others: np.ndarray, r: float) -> np.ndarray:
+    """The static mask with every cell closer than 2r to one of the `others`
+    centres cleared; only the window that reach can touch is tested."""
+    free = _static_free(grid, r)
     xs, ys = grid.xs, grid.ys
     nx, ny = free.shape
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
@@ -306,7 +291,7 @@ def _stamp_disks(grid: NavGrid, others: np.ndarray, r: float) -> np.ndarray:
     return free
 
 
-def _near_free(grid: NavGrid, free: np.ndarray, w: Workspace, p) -> Optional[tuple[int, int]]:
+def _near_free(grid: DistanceGrid, free: np.ndarray, w: Workspace, p) -> Optional[tuple[int, int]]:
     """The cell set in `free` nearest p among the 7 x 7 cells about p's
     cell, or None."""
     nx, ny = free.shape
@@ -324,16 +309,16 @@ def _near_free(grid: NavGrid, free: np.ndarray, w: Workspace, p) -> Optional[tup
     return None if best is None else best[1]
 
 
-def grid_unreachable(points, slots: Sequence[Point2], w: Workspace, r: float) -> list:
-    """The rows of `points` that have no path to any slot on the static mask
-    of the navigation grid (`NavGrid.free`, no agents stamped): their point
-    lies in a free component that no slot is in."""
-    grid = _nav_grid(w, r)
-    row = grid.free.shape[1] + 2
-    label = _fragments(np.pad(grid.free, 1).ravel().tolist(), row)
+def grid_unreachable(points, slots, w: Workspace, r: float, grid: DistanceGrid) -> list:
+    """The rows of `points` that have no path to any slot on the router's
+    static mask of `grid` (no agents stamped): their point lies in a free
+    component that no slot is in."""
+    free = _static_free(grid, r)
+    row = free.shape[1] + 2
+    label = _fragments(np.pad(free, 1).ravel().tolist(), row)
 
     def component(p) -> int:
-        cell = _near_free(grid, grid.free, w, p)
+        cell = _near_free(grid, free, w, p)
         return 0 if cell is None else label[(cell[0] + 1) * row + cell[1] + 1]
 
     reached = {component(q) for q in slots} - {0}
@@ -344,7 +329,7 @@ def grid_unreachable(points, slots: Sequence[Point2], w: Workspace, r: float) ->
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _grid_route(a: np.ndarray, b: np.ndarray, w, r, others, grid: NavGrid) -> Optional[np.ndarray]:
+def _grid_route(a: np.ndarray, b: np.ndarray, w, r, others, grid) -> Optional[np.ndarray]:
     """Complete single-agent router: BFS over `grid` with the other agents
     stamped in as obstacles, then string-pulled into a short polyline."""
     from collections import deque

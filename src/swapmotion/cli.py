@@ -52,16 +52,14 @@ def _scenario_file(path) -> Scenario:
 
 
 def _load_scenario(args) -> Scenario:
+    """The scenario of `--scenario`, trimmed to `--max-agents`; InvalidScenario
+    if `--out`, or the nearest of its ancestors that exists, is no directory."""
     s = _read(args.scenario, _scenario_file)
-    p = s.params
-    if args.epsilon is not None:
-        p.epsilon = args.epsilon
-    if args.grid is not None:
-        p.grid_resolution = args.grid
-    if args.kmax is not None:
-        p.k_max = args.kmax
-    if args.threshold is not None:
-        p.threshold = args.threshold
+    if args.out is not None:
+        out = Path(args.out)
+        there = next(q for q in (out, *out.parents) if q.exists())
+        if not there.is_dir():
+            raise InvalidScenario(f"--out {args.out}: {there} is not a directory")
     if args.max_agents is not None:
         if args.max_agents < 1:
             raise InvalidScenario(f"--max-agents {args.max_agents} below 1")
@@ -73,7 +71,7 @@ def cmd_convert(args) -> int:
     s = _load_scenario(args)
     n = len(s.agents)
     res = convert_scenario(s)
-    out = Path(args.out or "out")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(graph_to_dict(res), out / "graph.json")
     print(
@@ -125,17 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan collision-free motions for disk agents via swap graphs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, out_help in [
-        ("exec", cmd_exec, "write every artifact here (default: none, run in memory)"),
-        ("convert", cmd_convert, "write graph.json here (default: out)"),
+    for name, fn, out, out_help in [
+        ("exec", cmd_exec, None, "write every artifact here (default: none, run in memory)"),
+        ("convert", cmd_convert, "out", "write graph.json here (default: out)"),
     ]:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None, help=out_help)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--grid", type=float, default=None)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--threshold", type=int, default=None)
+        p.add_argument("--out", default=out, help=out_help)
         p.add_argument("--max-agents", type=int, default=None, dest="max_agents")
         p.set_defaults(func=fn)
     p = sub.add_parser("render")

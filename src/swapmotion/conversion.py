@@ -56,6 +56,7 @@ from .geometry import (
 )
 from .medial_axis import (
     BRIDGE_COUNTERS,
+    DistanceGrid,
     SkeletonGraph,
     _path_clear,
     extract_medial_axis,
@@ -118,6 +119,8 @@ class ConversionResult:
     routes: dict[tuple[int, int], tuple[Point2, ...]] = field(default_factory=dict)
     # what `greedy_convert` did, under the keys of CONVERT_COUNTERS
     counters: dict = field(default_factory=dict, compare=False)
+    # the medial axis's distance grid, on which navigation routes
+    grid: DistanceGrid | None = field(default=None, compare=False)
     # (vid, circle, ring) -> slot angle, the first entry of vertex_rings
     _angle: dict[tuple[int, int, int], float] = field(init=False, repr=False, compare=False)
 
@@ -590,18 +593,18 @@ def greedy_convert(
     starts: list[Point2] = (),
     *,
     epsilon: Optional[float] = None,
-    grid_resolution: Optional[float] = None,
     k_max: int = 64,
 ) -> ConversionResult:
     """Grow a swap graph circle by circle until no circle adds vertices.
 
-    Sampled circles are tried largest first, after promoting circles that
-    contain an agent start position. A tentative circle is kept only when the
-    assumptions hold, the resulting graph is valid, and the vertex count
-    strictly increases. Stops early once `threshold` vertices are reached.
+    The medial axis is read from a grid of 0.5r cells, whose distance grid
+    the result keeps (`grid`). Sampled circles are tried largest first, after
+    promoting circles that contain an agent start position. A tentative
+    circle is kept only when the assumptions hold, the resulting graph is
+    valid, and the vertex count strictly increases. Stops early once
+    `threshold` vertices are reached.
     """
     eps = epsilon if epsilon is not None else 0.5 * r
-    grid = grid_resolution if grid_resolution is not None else 0.5 * r
     limit = threshold if threshold is not None else math.inf
     counters = dict.fromkeys(CONVERT_COUNTERS, 0)
     empty = ConversionResult(
@@ -614,14 +617,12 @@ def greedy_convert(
         counters=counters,
     )
     try:
-        skeleton = extract_medial_axis(w, grid)
+        skeleton = extract_medial_axis(w, 0.5 * r)
     except EmptyFreeSpace:
         return empty
     counters.update(skeleton.counters)
     candidates = sample_circles(skeleton, eps, k_max, r)
     counters["candidates"] = len(candidates)
-    if not candidates:
-        return empty
 
     def contains_start(c: Disk) -> bool:
         return any(dist(c.center, p) <= c.radius for p in starts)
@@ -656,4 +657,5 @@ def greedy_convert(
         circles_kept=len(best.circles), paths_searched=cache.searched, paths_reused=cache.reused
     )
     best.counters = counters
+    best.grid = skeleton.grid
     return best

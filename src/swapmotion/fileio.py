@@ -30,8 +30,8 @@ from .planner import LoopRotation, Plan, VacancySwap
 from .trajectory import HOLD, KIND_NAMES, Track, TrajectorySet, track_jumps
 
 
-# cells a scenario's distance-field grids may have: over 100x the largest
-# shipped grid (rect_100, 9,152 cells), and 8 MB per float64 array of them
+# cells a scenario's distance grid may have: over 100x the largest shipped
+# grid (rect_100, 9,152 cells), and 8 MB per float64 array of them
 MAX_GRID_CELLS = 2**20
 
 
@@ -49,7 +49,6 @@ class AgentSpec:
 @dataclass
 class ScenarioParams:
     epsilon: Optional[float] = None
-    grid_resolution: Optional[float] = None
     k_max: int = 64
     threshold: Optional[int] = None
     dt: float = 0.1
@@ -74,7 +73,7 @@ class Scenario:
         """Broken scenario invariants, by name (empty list = valid)."""
         out = []
         p = self.params
-        for name in ("dt", "epsilon", "grid_resolution"):
+        for name in ("dt", "epsilon"):
             value = getattr(p, name)
             if value is None and name != "dt":
                 continue
@@ -95,13 +94,9 @@ class Scenario:
             out.append(f"r {self.r} not {'finite' if self.r > 0 else 'positive'}")
             return out  # every check below places disks of radius r
         b = self.workspace.bounds
-        medial = p.grid_resolution if p.grid_resolution is not None else 0.5 * self.r
-        for name, cell in (("medial-axis", medial), ("navigation", 0.5 * self.r)):
-            if not (_is_number(cell) and cell > 0):
-                continue  # named above
-            cells = (b.width / cell) * (b.height / cell)
-            if cells > MAX_GRID_CELLS:
-                out.append(f"{name} grid of {cells:.0f} cells above {MAX_GRID_CELLS}")
+        cells = (b.width / (0.5 * self.r)) * (b.height / (0.5 * self.r))
+        if cells > MAX_GRID_CELLS:
+            out.append(f"medial-axis grid of {cells:.0f} cells above {MAX_GRID_CELLS}")
         starts = self.starts()
         goals = self.goals()
         for k, p in enumerate(starts):
@@ -159,15 +154,21 @@ def _agent_from_dict(a: dict) -> AgentSpec:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """The scenario of `d`. Raises ValueError on a params key that no
+    `ScenarioParams` field reads, unless its value is null."""
     p = d.get("params", {})
+    if not isinstance(p, dict):
+        raise ValueError(f"params {p!r} not an object")
+    names = {f.name for f in fields(ScenarioParams)}
+    unknown = [k for k, v in p.items() if k not in names and v is not None]
+    if unknown:
+        raise ValueError(f"unknown params key {unknown[0]!r}")
     return Scenario(
         name=d.get("name", "scenario"),
         workspace=workspace_from_dict(d["workspace"]),
         r=float(d["r"]),
         agents=[_agent_from_dict(a) for a in d["agents"]],
-        params=ScenarioParams(
-            **{f.name: p[f.name] for f in fields(ScenarioParams) if f.name in p}
-        ),
+        params=ScenarioParams(**{k: v for k, v in p.items() if k in names}),
     )
 
 

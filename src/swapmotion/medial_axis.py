@@ -3,17 +3,18 @@
 A uniform grid of cell centers is classified free/occupied, and each cell
 gets its exact distance to the free-space boundary plus the boundary point
 realizing it, all from one pass over the obstacle edges
-(`geometry.nearest_boundary`). Medial cells are detected two ways: jumps in
-the nearest boundary point between neighboring cells (different walls) and
-local ridges of the clearance field. The union is thinned to one-cell-wide
-polylines, and the fragments of every free component are joined by
-widest-path bridges: one resumed widest-path search per growing fragment,
-over flat cell indices in plain lists. The result is a small geometric graph
-that also keeps its node positions and clearances as arrays, so
-`skeleton_path` checks all nodes of a query with numpy masks before its
-Dijkstra over the skeleton; the graph computes each circle's masks once. A
-query names its two circles by their indices in the circle set, and a
-skeleton path is the plain tuple of its waypoints.
+(`geometry.nearest_boundary`). The skeleton keeps them as a `DistanceGrid`,
+which navigation's grid router also routes on. Medial cells are detected
+two ways: jumps in the nearest boundary point between neighboring cells
+(different walls) and local ridges of the clearance field. The union is
+thinned to one-cell-wide polylines, and the fragments of every free
+component are joined by widest-path bridges: one resumed widest-path search
+per growing fragment, over flat cell indices in plain lists. The result is a
+small geometric graph that also keeps its node positions and clearances as
+arrays, so `skeleton_path` checks all nodes of a query with numpy masks
+before its Dijkstra over the skeleton; the graph computes each circle's
+masks once. A query names its two circles by their indices in the circle
+set, and a skeleton path is the plain tuple of its waypoints.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ class SkeletonNode:
     clearance: float
 
 
+@dataclass(frozen=True)
+class DistanceGrid:
+    """The grid the medial axis is read from: cell centres `xs` and `ys`, and
+    each cell's `clearance`, its distance to the free-space boundary where the
+    cell is free and 0 elsewhere (float[len(xs), len(ys)])."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    clearance: np.ndarray
+
+
 @dataclass
 class SkeletonGraph:
     """Piecewise-linear medial-axis approximation embedded in the free space."""
@@ -54,6 +66,8 @@ class SkeletonGraph:
     sample_interval: float
     # what the bridging did: fragments, bridges, bridge_pops
     counters: dict = field(default_factory=dict, repr=False, compare=False)
+    # the distance grid the skeleton was read from
+    grid: DistanceGrid | None = field(default=None, repr=False, compare=False)
     # node positions (n, 2) and clearances (n,) as arrays
     xy: np.ndarray = field(init=False, repr=False, compare=False)
     clearances: np.ndarray = field(init=False, repr=False, compare=False)
@@ -143,11 +157,13 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
     if grid_resolution <= 0:
         raise ValueError("grid_resolution must be positive")
     pts, nx, ny = _grid_points(w, grid_resolution)
+    pts2 = pts.reshape(nx, ny, 2)
     edge_d, bd, feat = nearest_boundary(pts, w)
     free = points_in_free_space(pts, w, edge_d)
     if not free.any():
         raise EmptyFreeSpace("no free cells at this resolution")
     D = np.where(free, bd, 0.0).reshape(nx, ny)
+    grid = DistanceGrid(pts2[:, 0, 0], pts2[0, :, 1], D)
     free2 = free.reshape(nx, ny)
     feat = feat.reshape(nx, ny, 2)
 
@@ -194,7 +210,7 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
     mask &= D > 0.75 * grid_resolution
 
     if not mask.any():
-        return SkeletonGraph([], [], grid_resolution, dict.fromkeys(BRIDGE_COUNTERS, 0))
+        return SkeletonGraph([], [], grid_resolution, dict.fromkeys(BRIDGE_COUNTERS, 0), grid)
 
     mask = _thin(mask)
     bridges, counters = _bridges(mask, free2, D)
@@ -204,7 +220,6 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
 
     idx = -np.ones((nx, ny), dtype=int)
     nodes = []
-    pts2 = pts.reshape(nx, ny, 2)
     for i, j in zip(*np.nonzero(mask)):
         idx[i, j] = len(nodes)
         nodes.append(SkeletonNode(Point2(*pts2[i, j]), float(D[i, j])))
@@ -214,7 +229,7 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
             u, v = i + dx, j + dy
             if 0 <= u < nx and 0 <= v < ny and mask[u, v]:
                 edges.append((int(idx[i, j]), int(idx[u, v])))
-    return SkeletonGraph(nodes, edges, grid_resolution, counters)
+    return SkeletonGraph(nodes, edges, grid_resolution, counters, grid)
 
 
 def _steps8(row: int) -> tuple[int, ...]:

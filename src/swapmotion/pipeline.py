@@ -114,7 +114,6 @@ def convert_scenario(s: Scenario) -> ConversionResult:
         threshold=s.params.threshold if s.params.threshold is not None else n + 1,
         starts=s.starts(),
         epsilon=s.params.epsilon,
-        grid_resolution=s.params.grid_resolution,
         k_max=s.params.k_max,
     )
 
@@ -159,10 +158,10 @@ def run_pipeline(
     # spare slot (the graph always has at least one more vertex than agents)
     prologue, start_slots = _navigate_with_retries(s, res, vids, ids, asg_start, s.starts())
     if not prologue.ok:
-        raise _stuck(s, "start", ids, prologue.stuck_agents, s.starts(), slots)
+        raise _stuck(s, "start", ids, prologue.stuck_agents, s.starts(), slots, res.grid)
     inbound, goal_slots = _navigate_with_retries(s, res, vids, ids, asg_goal, s.goals())
     if not inbound.ok:
-        raise _stuck(s, "goal", ids, inbound.stuck_agents, s.goals(), slots)
+        raise _stuck(s, "goal", ids, inbound.stuck_agents, s.goals(), slots, res.grid)
     start_occ = _occupancy_from_slots(vids, ids, start_slots)
     goal_occ = _occupancy_from_slots(vids, ids, goal_slots)
     timings["navigate"] = time.perf_counter() - t0
@@ -253,6 +252,7 @@ def _navigate_with_retries(s: Scenario, res, vids, ids, asg, leg_points):
             s.r,
             [radial_hints(res, v, s.r) for v in target_vids],
             [min(k for _, k, _ in res.vertex_rings[v]) for v in target_vids],
+            res.grid,
         )
         counters.update(result.counters)
         if result.ok:
@@ -275,13 +275,13 @@ def _navigate_with_retries(s: Scenario, res, vids, ids, asg, leg_points):
     return result, slot_of
 
 
-def _stuck(s: Scenario, leg: str, ids, stuck: list, leg_points, slots) -> NavigationFailure:
+def _stuck(s: Scenario, leg: str, ids, stuck: list, leg_points, slots, grid) -> NavigationFailure:
     """The failure of a leg whose `stuck` rows could not move from their
     `leg_points` (in row order): it names their agents by id, and those with
-    no path to any slot on the navigation grid."""
+    no path to any slot on the navigation grid `grid`."""
     names = [ids[k] for k in stuck]
     message = f"navigate: {leg} leg stuck for agents {names}"
-    cut = grid_unreachable([leg_points[k] for k in stuck], slots, s.workspace, s.r)
+    cut = grid_unreachable([leg_points[k] for k in stuck], slots, s.workspace, s.r, grid)
     if cut:
         message += f"; no grid path to any slot for agents {[names[i] for i in cut]}"
     return NavigationFailure(names, message)

@@ -13,7 +13,8 @@ from scipy.optimize import linear_sum_assignment
 
 from capsule_reference import capsule_free_reference, point_segment_distance
 from graph_fixtures import circle_graph
-from navigation_reference import free_mask_reference
+from navigation_reference import free_mask_reference, nav_grid_reference
+from test_conversion import bench_workloads
 from swapmotion import assignment, pipeline
 from swapmotion.assignment import (
     _clear_crowd,
@@ -21,8 +22,8 @@ from swapmotion.assignment import (
     _free_sidestep,
     _grid_route,
     _min_cost_columns,
-    _nav_grid,
     _stamp_disks,
+    _static_free,
     _string_pull,
     _two_leg_route,
     _via_candidates,
@@ -34,10 +35,12 @@ from swapmotion.assignment import (
 from swapmotion.errors import AssignmentFailure, TooFewSlots
 from swapmotion.fileio import AgentSpec, Scenario, load_json, scenario_from_dict
 from swapmotion.geometry import Disk, Point2, Polygon, dist, rectangle_workspace
+from swapmotion.medial_axis import extract_medial_axis
 from swapmotion.swap_graph import Occupancy
 from swapmotion.trajectory import record_end, verify_trajectories
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def brute_force_cost(starts, slots):
@@ -155,12 +158,18 @@ def test_cli_and_pipeline_import_without_scipy():
     assert json.loads(out) == []
 
 
+def distance_grid(w, r):
+    """The distance grid that conversion hands navigation: the medial axis's
+    at 0.5r."""
+    return extract_medial_axis(w, 0.5 * r).grid
+
+
 def plain_navigate(points, targets, w, r):
     """`navigate` with the agents named by their rows, no hints and one phase."""
     n = len(points)
     return navigate(
         list(range(n)), np.array(points, dtype=float), np.array(targets, dtype=float), w, r,
-        [np.empty((0, 2))] * n, [0] * n,
+        [np.empty((0, 2))] * n, [0] * n, distance_grid(w, r),
     )
 
 
@@ -207,6 +216,7 @@ class TestNavigate:
             1.0,
             [radial_hints(res, v, 1.0) for v in targets],
             [min(k for _, k, _ in res.vertex_rings[v]) for v in targets],
+            distance_grid(w, 1.0),
         )
         assert out.ok, out.stuck_agents
         rep = verify_trajectories(out.trajectory, w, 1.0)
@@ -234,7 +244,7 @@ class TestNavigate:
         args[short] = args[short][:1]
         with pytest.raises(ValueError, match="navigate: 2 agents but"):
             navigate([0, 1], args["points"], args["targets"], w, 1.0, args["hints"],
-                     args["phases"])
+                     args["phases"], distance_grid(w, 1.0))
 
 
 # Scalar versions of the via loops: one capsule per via, checked in order.
@@ -495,19 +505,54 @@ def test_stamped_mask_matches_the_distance_array(scene):
     else:
         s = scenario_from_dict(load_json(SCENARIOS / "obstacles_30.json"))
         w, r = s.workspace, s.r
-    grid = _nav_grid(w, r)
+    grid = distance_grid(w, r)
+    ref = nav_grid_reference(w, r)
     if scene == "whole_cells":
         assert grid.xs[1] - grid.xs[0] == grid.ys[1] - grid.ys[0] == r / 2
-    static = grid.free.copy()
+    clearance = grid.clearance.copy()
     rng = random.Random(12)
     cleared = 0
     for n in [0, 1, 2, 5, 20, 60] * 5:
         others = _stamp_scene(rng, grid, r, n)
         got = _stamp_disks(grid, others, r)
-        assert np.array_equal(got, free_mask_reference(grid, others, r))
-        cleared += int(static.sum() - got.sum())
-    assert np.array_equal(grid.free, static)  # the static mask is not touched
+        assert np.array_equal(got, free_mask_reference(ref, others, r))
+        cleared += int(ref.free.sum() - got.sum())
+    assert np.array_equal(grid.clearance, clearance)  # the distance grid is not touched
     assert cleared > 1000
+
+
+def _mask_scenes(scene):
+    """(workspace, r) pairs of a `test_static_mask_equals_the_router_grid_reference` case."""
+    if scene == "tangent_box":  # cells of r / 2, centres at 0.25 + k / 2
+        box = [(7.25, 4.25), (10.25, 4.25), (10.25, 8.25), (7.25, 8.25)]
+        return [(rectangle_workspace(24, 13, [Polygon(tuple(Point2(*p) for p in box))]), 1.0)]
+    if scene == "rectangle":  # 23 / 0.45 and 13 / 0.45 are not whole numbers
+        return [(rectangle_workspace(23, 13), 0.9)]
+    if scene.startswith("fuzz_small_"):
+        scenes = bench_workloads().build(ROOT, "fuzz_small", int(scene[11:]))
+        return [(sc.scenario.workspace, sc.scenario.r) for sc in scenes]
+    s = scenario_from_dict(load_json(SCENARIOS / f"{scene}.json"))
+    return [(s.workspace, s.r)]
+
+
+@pytest.mark.parametrize(
+    "scene",
+    ["corridor_narrow_4", "grid_20", "maple_approx_24", "obstacles_30", "rect_100", "rect_12",
+     "rect_50", "tangent_box", "rectangle", "fuzz_small_1", "fuzz_small_2"],
+)
+def test_static_mask_equals_the_router_grid_reference(scene):
+    """The router reads its static mask off the medial axis's distance grid.
+    It equals the mask of the router's former own grid, tested disk by disk
+    with `disks_free`, on the same cell centres. In `tangent_box` the box's
+    sides lie exactly r from rows and columns of cell centres, so the mask's
+    threshold is tested at equality."""
+    for w, r in _mask_scenes(scene):
+        grid, ref = distance_grid(w, r), nav_grid_reference(w, r)
+        assert np.array_equal(grid.xs, ref.xs) and np.array_equal(grid.ys, ref.ys)
+        assert np.array_equal(_static_free(grid, r), ref.free)
+        assert ref.free.any()
+        if scene == "tangent_box":
+            assert (grid.clearance == r).sum() > 20
 
 
 class TestGridRoute:
@@ -525,7 +570,7 @@ class TestGridRoute:
         others = self.wall(gap=(5, 7))
         assert not capsule_free_reference(a, b, self.R, self.W, others)
         route = _grid_route(np.array(a), np.array(b), self.W, self.R, others,
-                            _nav_grid(self.W, self.R))
+                            distance_grid(self.W, self.R))
         assert route is not None
         route = [Point2(*p) for p in route.tolist()]
         assert route[0] == a and route[-1] == b
@@ -540,7 +585,7 @@ class TestGridRoute:
 
     def test_none_once_the_gap_is_sealed(self):
         a, b = np.array([3.0, 2.0]), np.array([17.0, 2.0])
-        grid = _nav_grid(self.W, self.R)
+        grid = distance_grid(self.W, self.R)
         assert _grid_route(a, b, self.W, self.R, self.wall(gap=()), grid) is None
         # the grid is reused as is: sealing one call leaves the next open
         assert _grid_route(a, b, self.W, self.R, self.wall(gap=(5, 7)), grid) is not None
@@ -551,11 +596,12 @@ def test_grid_unreachable_names_the_sealed_agents_in_order():
     has no grid path to a slot outside it."""
     s = scenario_from_dict(load_json(Path(__file__).parent / "data" / "walled_pocket.json"))
     w, r = s.workspace, s.r
+    grid = distance_grid(w, r)
     slots = [Point2(15.0, 15.0), Point2(25.0, 5.0)]
     pocket, outside = Point2(6.5, 6.5), Point2(2.0, 2.0)
-    assert grid_unreachable([outside, pocket, pocket], slots, w, r) == [1, 2]
-    assert grid_unreachable(np.array(s.starts()[1:]), slots, w, r) == []
-    assert grid_unreachable([outside], [pocket], w, r) == [0]
+    assert grid_unreachable([outside, pocket, pocket], slots, w, r, grid) == [1, 2]
+    assert grid_unreachable(np.array(s.starts()[1:]), slots, w, r, grid) == []
+    assert grid_unreachable([outside], [pocket], w, r, grid) == [0]
 
 
 @pytest.fixture(scope="module", params=["rect_12", "grid_20"])

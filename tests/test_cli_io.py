@@ -223,6 +223,25 @@ class TestCli:
         report = load_json(tmp_path / "report.json")
         assert report["n_agents"] == 4
 
+    @pytest.mark.parametrize("command", ["exec", "convert"])
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "below_file"])
+    def test_out_naming_a_file_exit_2(self, command, nested, tmp_path, capsys, monkeypatch):
+        """An `--out` that names a file, or lies below one, used to crash in
+        mkdir after the whole run (exit 1, the code of a failed certificate)."""
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if nested else taken
+        code = main([command, "--scenario", str(SCENARIOS / "rect_12.json"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error [InvalidScenario]: --out {out}: {taken} is not a directory"]
+        assert taken.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_agents_below_one_exit_2(self, value, tmp_path, capsys):
         code = main(
@@ -391,18 +410,20 @@ class TestInvalidScenario:
             run_pipeline(s)
 
     @pytest.mark.parametrize(
-        "flag,value",
+        "field,value",
         # the last two make a medial-axis grid of more than MAX_GRID_CELLS
-        [("--epsilon", "0"), ("--grid", "-0.5"), ("--kmax", "0"), ("--threshold", "0"),
-         ("--grid", "0.001"), ("--grid", "1e-300")],
+        [("epsilon", 0), ("k_max", 0), ("threshold", 0), ("r", 0.001), ("r", 1e-300)],
     )
-    def test_nonpositive_step_fails_before_convert(self, flag, value, tmp_path, monkeypatch):
+    def test_nonpositive_step_fails_before_convert(self, field, value, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("greedy_convert must not run")
 
         monkeypatch.setattr(pipeline, "greedy_convert", fail)
-        code = main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"), flag, value])
-        assert code == 2
+        d = load_json(SCENARIOS / "rect_12.json")
+        (d if field == "r" else d["params"])[field] = value
+        path = tmp_path / "bad_step.json"
+        dump_json(d, path)
+        assert main(["exec", "--scenario", str(path)]) == 2
 
     @pytest.mark.parametrize(
         "r,problem",
@@ -427,13 +448,11 @@ class TestInvalidScenario:
         s = small_scenario()
         s.params.dt = 0.0
         s.params.epsilon = -1.0
-        s.params.grid_resolution = 0.0
         s.params.k_max = 0
         s.params.threshold = 0
         assert s.validate() == [
             "dt 0.0 not positive",
             "epsilon -1.0 not positive",
-            "grid_resolution 0.0 not positive",
             "k_max 0 not an integer >= 1",
             "threshold 0 below 1",
         ]
@@ -443,19 +462,16 @@ class TestInvalidScenario:
         s = small_scenario()
         s.params.dt = None
         s.params.epsilon = "a"
-        s.params.grid_resolution = "0.5"
         s.params.threshold = "x"
         assert s.validate() == [
             "dt None not a number",
             "epsilon 'a' not a number",
-            "grid_resolution '0.5' not a number",
             "threshold 'x' not a number",
         ]
 
     @pytest.mark.parametrize(
         "field,value,shown",
-        [("epsilon", "a", "'a'"), ("grid_resolution", "0.5", "'0.5'"),
-         ("threshold", "x", "'x'"), ("dt", None, "None")],
+        [("epsilon", "a", "'a'"), ("threshold", "x", "'x'"), ("dt", None, "None")],
     )
     def test_non_numeric_param_exit_2(self, field, value, shown, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -471,20 +487,56 @@ class TestInvalidScenario:
         assert err == [f"error [InvalidScenario]: scenario: {field} {shown} not a number"]
 
     def test_validate_bounds_grid_cells(self):
-        """A tiny r or grid step used to allocate a multi-GiB grid in convert.
+        """A tiny r used to allocate a multi-GiB grid in convert. Navigation
+        routes on the medial axis's grid, so there is one grid to bound.
 
         Only `validate` runs here: such a scenario must never reach convert."""
         s = small_scenario()  # 30 x 18
         s.r = 1e-3
-        assert s.validate() == [
-            f"medial-axis grid of 2160000000 cells above {MAX_GRID_CELLS}",
-            f"navigation grid of 2160000000 cells above {MAX_GRID_CELLS}",
+        assert s.validate() == [f"medial-axis grid of 2160000000 cells above {MAX_GRID_CELLS}"]
+
+
+class TestParamsKeys:
+    """Every params key that the program does not read is an error, unless
+    its value is null; a misspelled key used to be ignored without a word."""
+
+    def _with_params(self, tmp_path, **params):
+        d = load_json(SCENARIOS / "grid_20.json")
+        d["params"].update(params)
+        path = tmp_path / "params.json"
+        dump_json(d, path)
+        return d, path
+
+    @pytest.mark.parametrize("key,value", [("kmax", 8), ("grid_resolution", 0.5)])
+    def test_unread_key_is_rejected(self, key, value, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        d, path = self._with_params(tmp_path, **{key: value})
+        with pytest.raises(ValueError, match=f"unknown params key '{key}'"):
+            scenario_from_dict(d)
+        assert main(["exec", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"error [InvalidScenario]: {path}: malformed "
+            f"(ValueError: unknown params key '{key}')"
         ]
-        s = small_scenario()
-        s.params.grid_resolution = 1e-3
-        assert s.validate() == [f"medial-axis grid of 540000000 cells above {MAX_GRID_CELLS}"]
-        s.params.grid_resolution = 0.5
+
+    def test_null_unread_key_loads(self, tmp_path):
+        """The shipped scenarios carry `"grid_resolution": null`."""
+        assert load_json(SCENARIOS / "grid_20.json")["params"]["grid_resolution"] is None
+        d, _ = self._with_params(tmp_path, grid_resolution=None, kmax=None)
+        s = scenario_from_dict(d)
+        assert s.params == scenario_from_dict(load_json(SCENARIOS / "grid_20.json")).params
         assert s.validate() == []
+        assert "grid_resolution" not in scenario_to_dict(s)["params"]
+
+    def test_params_not_an_object(self, tmp_path):
+        d, _ = self._with_params(tmp_path)
+        d["params"] = ["k_max", 8]
+        with pytest.raises(ValueError, match="params .* not an object"):
+            scenario_from_dict(d)
 
 
 class TestUnreadableInput:

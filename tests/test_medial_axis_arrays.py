@@ -277,10 +277,6 @@ def _load(path):
     return scenario_from_dict(json.loads(path.read_text()))
 
 
-def _grid(s):
-    return s.params.grid_resolution if s.params.grid_resolution is not None else 0.5 * s.r
-
-
 @pytest.mark.parametrize("name,bridges,pops", [("grid_20", 31, 1777), ("maple_approx_24", 62, 5286)])
 def test_bridge_counters(name, bridges, pops):
     """One resumed search per growing fragment: grid_20 took 24,031 heap pops
@@ -293,7 +289,7 @@ def test_bridge_counters(name, bridges, pops):
 class TestShippedScenarios:
     def test_one_distance_pass_equals_three(self, path):
         s = _load(path)
-        pts, _, _ = _grid_points(s.workspace, _grid(s))
+        pts, _, _ = _grid_points(s.workspace, 0.5 * s.r)
         edge_d, bd, near = nearest_boundary(pts, s.workspace)
         assert np.array_equal(edge_d, _edge_distances(pts, s.workspace))
         assert np.array_equal(bd, boundary_distance_many(pts, s.workspace))
@@ -301,8 +297,8 @@ class TestShippedScenarios:
 
     def test_skeleton_and_graph_equal_reference(self, path, monkeypatch):
         s = _load(path)
-        new = extract_medial_axis(s.workspace, _grid(s))
-        ref = extract_medial_axis_reference(s.workspace, _grid(s))
+        new = extract_medial_axis(s.workspace, 0.5 * s.r)
+        ref = extract_medial_axis_reference(s.workspace, 0.5 * s.r)
         assert new.nodes == ref.nodes
         assert new.edges == ref.edges
         graph = graph_to_dict(convert_scenario(s))

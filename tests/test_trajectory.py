@@ -9,6 +9,7 @@ from swapmotion.assignment import navigate
 from swapmotion.errors import UnrealizableOp
 from swapmotion.fileio import load_json, scenario_from_dict, trajectory_from_csv, trajectory_to_csv
 from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
+from swapmotion.medial_axis import extract_medial_axis
 from swapmotion.pipeline import run_pipeline
 from swapmotion.planner import (
     LoopRotation,
@@ -422,7 +423,7 @@ class TestReversed:
         cur = [Point2(2, 6), Point2(14, 6), Point2(8, 2), Point2(8, 10)]
         tgt = [Point2(14, 6), Point2(2, 6), Point2(8, 10), Point2(8, 2)]
         out = navigate([0, 1, 2, 3], np.array(cur), np.array(tgt), w, 1.0,
-                       [np.empty((0, 2))] * 4, [0] * 4)
+                       [np.empty((0, 2))] * 4, [0] * 4, extract_medial_axis(w, 0.5).grid)
         assert out.ok
         ts = out.trajectory
         check_mirrored(ts)

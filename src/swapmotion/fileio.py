@@ -154,8 +154,13 @@ def _agent_from_dict(a: dict) -> AgentSpec:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """The scenario of `d`. Raises ValueError on a params key that no
-    `ScenarioParams` field reads, unless its value is null."""
+    """The scenario of `d`. Raises ValueError on a top-level key that no
+    `Scenario` field reads or a params key that no `ScenarioParams` field
+    reads, unless its value is null."""
+    keys = {f.name for f in fields(Scenario)}
+    unknown = [k for k, v in d.items() if k not in keys and v is not None]
+    if unknown:
+        raise ValueError(f"unknown scenario key {unknown[0]!r}")
     p = d.get("params", {})
     if not isinstance(p, dict):
         raise ValueError(f"params {p!r} not an object")

@@ -8,7 +8,10 @@ endpoint of a swap. Pairwise exchanges that restore every other vertex
 
 * parked core: with the vacancy parked just outside a loop, two consecutive
   slots of that loop are swapped in 6 ops (rotate, 3 vacancy swaps through
-  the portal edge, rotate back),
+  the portal edge, rotate back). Their net effect is only that the two slots'
+  contents trade places, every other vertex and the parked vacancy restored,
+  so the planner's machine emits the 6 ops and applies that effect directly
+  instead of replaying three rotations of the whole loop,
 * cross core: two endpoints of a loop-to-loop edge are swapped in 5 ops with
   the vacancy staged on a cycle neighbor,
 * bubble chains of parked cores handle arbitrary same-loop pairs, and
@@ -65,6 +68,12 @@ class Plan:
     # what plan_permutation did: cycles, exchanges, vacancy_swaps, idle_swaps,
     # ops_raw, ops
     counters: dict = field(default_factory=dict, compare=False)
+
+
+def _short_steps(steps: int, m: int) -> int:
+    """`steps` slots around a loop of m, taken the shorter way (0: no move)."""
+    k = steps % m
+    return k - m if k > m - k else k
 
 
 def _apply_inplace(mapping: dict, g: SwapGraph, op: SwapOp):
@@ -164,14 +173,19 @@ class _Machine:
 
     # --- primitive emission ----------------------------------------------
 
+    def _emit_rot(self, li: int, steps: int) -> int:
+        """Append loop li's rotation by `steps`, taken the shorter way; the
+        steps appended (0: none). The state is the caller's to update."""
+        k = _short_steps(steps, len(self.g.loops[li]))
+        if k:
+            self.ops.append(LoopRotation(li, k))
+        return k
+
     def rot(self, li: int, steps: int):
-        cyc = self.g.loops[li]
-        m = len(cyc)
-        k = steps % m
+        k = self._emit_rot(li, steps)
         if k == 0:
             return
-        if k > m - k:
-            k -= m
+        cyc = self.g.loops[li]
         state, pos = self.state, self.pos
         old = [state[v] for v in cyc]
         for c, tgt in zip(old, cyc[k:] + cyc[:k]):
@@ -180,7 +194,6 @@ class _Machine:
                 self.hole = tgt
             else:
                 pos[c] = tgt
-        self.ops.append(LoopRotation(li, k))
 
     def swap(self, u: int, v: int):
         if ((u, v) if u <= v else (v, u)) not in self.edges:
@@ -282,12 +295,11 @@ class _Machine:
         else:
             # walk through the complement of the ring to a seat bordering it
             seats: dict[int, int] = {}
+            pref = cyc[0] if near is None else near
             for u in cyc:
                 for w in g.neighbors(u):
                     if w not in ring:
-                        if w not in seats or ring_gap(u, near or cyc[0]) < ring_gap(
-                            seats[w], near or cyc[0]
-                        ):
+                        if w not in seats or ring_gap(u, pref) < ring_gap(seats[w], pref):
                             seats[w] = u
             dists = self._walk_distances(set(seats), avoid=ring)
             if not dists:
@@ -342,18 +354,42 @@ class _Machine:
         return found
 
     def core_consecutive(self, li: int, u: int, w: int, p: int):
-        """Swap contents of cycle slots (p, p+1) with the hole parked at w."""
+        """Swap contents of cycle slots (p, p+1) with the hole parked at w.
+
+        The ops are rot(-d) (slot p to the portal vertex u), swap(u, w),
+        swap(u, nxt), rot(-1), swap(u, w), rot(d + 1). Their net effect is
+        that the contents X of slot p and Y of slot p+1 trade places and every
+        other vertex, the hole at w too, is restored, so that is applied
+        directly. X steps onto and back from the vacant seat w, and Y into the
+        hole on the ring: those swaps are idle exactly when X or Y is a phantom.
+        """
         cyc = self.g.loops[li]
+        slot = self.slot[li]
+        if self.hole != w or w in slot:
+            raise PlannerError(f"core on loop {li}: hole not parked at {w} off the loop")
+        if ((u, w) if u <= w else (w, u)) not in self.edges:
+            raise PlannerError(f"machine swap on non-edge ({u},{w})")
         m = len(cyc)
-        a0 = self.slot[li][u]
+        a0 = slot[u]
         d = (p - a0) % m
-        self.rot(li, -d)
-        nxt = cyc[(a0 + 1) % m]
-        self.swap(u, w)
-        self.swap(u, nxt)
-        self.rot(li, -1)
-        self.swap(u, w)
-        self.rot(li, d + 1)
+        vx, vy = cyc[p % m], cyc[(p + 1) % m]
+        state, ops, idle = self.state, self.ops, self.idle
+        x, y = state[vx], state[vy]
+        x_idle = type(x) is _Phantom
+        self._emit_rot(li, -d)
+        if x_idle:
+            idle.append(len(ops))
+        ops.append(VacancySwap(u, w))
+        if type(y) is _Phantom:
+            idle.append(len(ops))
+        ops.append(VacancySwap(u, cyc[(a0 + 1) % m]))
+        self._emit_rot(li, -1)
+        if x_idle:
+            idle.append(len(ops))
+        ops.append(VacancySwap(u, w))
+        self._emit_rot(li, d + 1)
+        state[vx], state[vy] = y, x
+        self.pos[x], self.pos[y] = vy, vx
 
     def bubble(self, li: int, u: int, w: int, pa: int, pb: int):
         """Swap contents of cycle slots pa, pb via consecutive parked cores."""
@@ -577,15 +613,11 @@ def simplify_ops(ops, g: SwapGraph) -> list[SwapOp]:
     for op in ops:
         if isinstance(op, LoopRotation):
             m = len(g.loops[op.loop])
-            k = op.steps % m
-            if k > m - k:
-                k -= m
+            k = _short_steps(op.steps, m)
             if k == 0:
                 continue
             if out and isinstance(out[-1], LoopRotation) and out[-1].loop == op.loop:
-                k2 = (out[-1].steps + k) % m
-                if k2 > m - k2:
-                    k2 -= m
+                k2 = _short_steps(out[-1].steps + k, m)
                 out.pop()
                 if k2 != 0:
                     out.append(LoopRotation(op.loop, k2))

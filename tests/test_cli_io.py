@@ -539,6 +539,42 @@ class TestParamsKeys:
             scenario_from_dict(d)
 
 
+class TestScenarioKeys:
+    """A top-level scenario key outside name, workspace, r, agents and params
+    is an error unless its value is null: grid_20 with `params` renamed to
+    `parameters` used to load with default params and an empty validate()."""
+
+    @pytest.mark.parametrize("rename", [True, False])
+    def test_unknown_key_is_rejected(self, rename, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        d = load_json(SCENARIOS / "grid_20.json")
+        d["parameters"] = d.pop("params") if rename else {"k_max": 8}
+        path = tmp_path / "keys.json"
+        dump_json(d, path)
+        with pytest.raises(ValueError, match="unknown scenario key 'parameters'"):
+            scenario_from_dict(d)
+        assert main(["exec", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"error [InvalidScenario]: {path}: malformed "
+            "(ValueError: unknown scenario key 'parameters')"
+        ]
+
+    def test_null_unknown_key_loads(self):
+        d = load_json(SCENARIOS / "grid_20.json")
+        d["comment"] = None
+        assert scenario_from_dict(d) == scenario_from_dict(load_json(SCENARIOS / "grid_20.json"))
+
+    def test_shipped_files_use_only_the_read_keys(self):
+        files = sorted(SCENARIOS.glob("*.json")) + sorted(DATA.glob("*.json"))
+        assert len(files) >= 10
+        for f in files:
+            assert set(load_json(f)) == {"name", "workspace", "r", "agents", "params"}, f
+
+
 class TestUnreadableInput:
     """A missing or malformed input file is an InvalidScenario: exit 2, one line."""
 

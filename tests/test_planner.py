@@ -12,7 +12,7 @@ from graph_fixtures import (
     shuffled_goal,
     two_triangles,
 )
-from planner_reference import drop_idle_swaps_by_replay
+from planner_reference import core_by_replay, drop_idle_swaps_by_replay
 from swapmotion import planner
 from swapmotion.conversion import realization_edge_cost
 from swapmotion.errors import AssignmentMismatch, IllegalOp, PlannerError
@@ -26,7 +26,8 @@ from swapmotion.planner import (
     reverse_ops,
     simplify_ops,
 )
-from swapmotion.swap_graph import Occupancy, vertex_distance
+from swapmotion.geometry import Point2
+from swapmotion.swap_graph import Occupancy, SwapGraph, vertex_distance
 
 
 def occupancy_with_hole(g, hole):
@@ -252,7 +253,7 @@ class TestPlanPermutation:
             g = random_graph(rng, max_vertices=24)
             start = random_occupancy(rng, g, n_vacant=rng.randint(2, 5))
             cases.append((g, start, shuffled_goal(rng, g, start), None))
-        for name in ("rect_12", "obstacles_30"):
+        for name in ("rect_12", "obstacles_30", "rect_50", "rect_100"):
             art = bench_runs()[name][2]
             cost = realization_edge_cost(art.conversion)
             cases.append((art.conversion.graph, art.start_occ, art.goal_occ, cost))
@@ -283,6 +284,87 @@ class TestPlanPermutation:
             "cycles": 1, "exchanges": 1, "vacancy_swaps": 1, "idle_swaps": 0,
             "ops_raw": 1, "ops": 1,
         }
+
+
+def machine_with_hole(g, vacant, hole):
+    """A machine on g with `vacant` vertices, the hole at `hole` and a
+    phantom on every other vacancy."""
+    occ = Occupancy({v: (None if v in vacant else 100 + v) for v in g.vertex_ids()})
+    m = planner._Machine(g, occ)
+    if m.hole != hole:
+        ph = m.state[hole]
+        m.state[m.hole], m.pos[ph] = ph, m.hole
+        m.state[hole], m.hole = None, hole
+    return m
+
+
+def machine_view(m):
+    """state, pos, hole, ops and idle of a machine, each phantom by its number."""
+
+    def name(c):
+        return ("phantom", c.k) if isinstance(c, planner._Phantom) else c
+
+    state = {v: name(c) for v, c in m.state.items()}
+    pos = {name(c): v for c, v in m.pos.items()}
+    return state, pos, m.hole, m.ops, m.idle
+
+
+class TestParkedCore:
+    """`_Machine.core_consecutive` applies the parked core's net effect
+    directly; it leaves what a replay of its six ops through `rot` and `swap`
+    leaves."""
+
+    def test_matches_the_replay(self):
+        rng = random.Random(41)
+        graphs = [random_graph(rng, max_vertices=rng.randint(10, 24)) for _ in range(10)]
+        graphs += [two_triangles(), loop_chain(3)]
+        seen = set()
+        for g in graphs:
+            verts = g.vertex_ids()
+            for li, cyc in enumerate(g.loops):
+                n = len(cyc)
+                portals = planner._Machine(g, occupancy_with_hole(g, cyc[0])).ring_portals(li)
+                for (u, w), p in itertools.product(portals, range(n)):
+                    vx, vy = cyc[p], cyc[(p + 1) % n]
+                    rest = [v for v in verts if v not in (vx, vy, w)]
+                    for x_ph, y_ph in itertools.product((False, True), repeat=2):
+                        vacant = {w} | {v for v, ph in ((vx, x_ph), (vy, y_ph)) if ph}
+                        vacant |= set(rng.sample(rest, rng.randint(0, min(2, len(rest) - 1))))
+                        fast, slow = (machine_with_hole(g, vacant, w) for _ in range(2))
+                        fast.core_consecutive(li, u, w, p)
+                        core_by_replay(slow, li, u, w, p)
+                        assert machine_view(fast) == machine_view(slow), (li, u, w, p)
+                        d = (p - cyc.index(u)) % n
+                        seen.add((x_ph, y_ph, d == 0, p == n - 1, n == 3))
+        for k, what in enumerate(("X phantom", "Y phantom", "d = 0", "p = m - 1", "3-slot ring")):
+            assert any(flags[k] for flags in seen), what
+        assert (True, True) in {flags[:2] for flags in seen}
+
+    def test_unparked_hole_raises(self):
+        g = four_loop_example()  # loop 0 = [1, 2, 3, 4], portal (4, 14)
+        for vacant, hole in (({2, 14}, 2), ({14, 16}, 16), ({16}, 16)):
+            m = machine_with_hole(g, vacant, hole)
+            before = machine_view(m)
+            with pytest.raises(PlannerError):
+                m.core_consecutive(0, 4, 14, 1)
+            assert machine_view(m) == before
+        m = machine_with_hole(g, {14}, 14)
+        with pytest.raises(PlannerError):
+            m.core_consecutive(0, 3, 14, 1)  # (3, 14) is not an edge
+
+
+def test_park_hole_prefers_vertex_zero():
+    """A preferred ring vertex with id 0 is a preference, not "none": seat 20
+    borders ring vertices 11 and 0, and `near=0` picks 0 although 11 is the
+    nearer one to the ring's first vertex 10."""
+    loops = [[10, 11, 12, 0, 13, 14], [11, 20, 0, 21]]
+    pos = {v: Point2(math.cos(k), math.sin(k)) for k, v in enumerate(loops[0])}
+    pos[20], pos[21] = Point2(2.0, 0.5), Point2(2.0, -0.5)
+    g = SwapGraph(positions=pos, loops=loops, inter_edges=[])
+    assert not g.violations()
+    for near, seat in ((0, 0), (None, 11), (13, 0)):
+        m = planner._Machine(g, occupancy_with_hole(g, 20))
+        assert m.park_hole(0, near=near) == (seat, 20, []), near
 
 
 def loopwise_reversal_instance(q):

@@ -10,7 +10,6 @@ from .errors import (
     InvalidGraph,
     InvalidScenario,
     NavigationFailure,
-    NotInFreeSpace,
     PlannerError,
     PreconditionViolated,
     SwapMotionError,
@@ -31,7 +30,6 @@ __all__ = [
     "InvalidGraph",
     "InvalidScenario",
     "NavigationFailure",
-    "NotInFreeSpace",
     "Occupancy",
     "PlannerError",
     "Point2",

@@ -7,6 +7,7 @@ and `render` draws frames from the files an `exec --out` run wrote.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -20,6 +21,7 @@ from .errors import (
 )
 from .fileio import (
     Scenario,
+    _is_number,
     dump_json,
     graph_to_dict,
     load_json,
@@ -110,8 +112,11 @@ def cmd_exec(args) -> int:
 def cmd_render(args) -> int:
     out = Path(args.out)
     s = _read(out / "scenario.json", _scenario_file)
-    ts = _read(out / "trajectory.csv", trajectory_from_csv)
     dt = s.params.dt if args.dt is None else args.dt
+    if not (_is_number(dt) and math.isfinite(dt) and dt > 0):
+        where = "scenario.json params.dt" if args.dt is None else "--dt"
+        raise InvalidScenario(f"frame step {where} {dt!r} not a finite number > 0")
+    ts = _read(out / "trajectory.csv", trajectory_from_csv)
     frames = render_frames(out / "frames", ts, s.workspace, s.r, dt)
     print(f"render: {len(frames)} frames -> {out/'frames'}")
     return 0

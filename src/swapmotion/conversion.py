@@ -20,6 +20,12 @@ waypoint that a path connector runs straight on through, or that repeats
 its neighbour, is dropped, so no leg has zero length. Realization, the
 planner's edge costs, the certificate and `trajectory.csv` see one line
 record per leg.
+
+`_build` records each slot's angle on a ring as it places the slot (the first
+angle placed there counts) and orders every ring by it:
+`ConversionResult.slot_angles[li]` is loop li's angles in cycle order, the
+table realization reads ring motion from. A radial corridor's outer end is
+its outer ring's port, `ring_ports[(circle, outer_ring)]`.
 """
 
 from __future__ import annotations
@@ -121,22 +127,8 @@ class ConversionResult:
     counters: dict = field(default_factory=dict, compare=False)
     # the medial axis's distance grid, on which navigation routes
     grid: DistanceGrid | None = field(default=None, compare=False)
-    # (vid, circle, ring) -> slot angle, the first entry of vertex_rings
-    _angle: dict[tuple[int, int, int], float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._angle = _angle_table(self.vertex_rings)
-
-    def angle_in(self, vid: int, circle: int, ring: int) -> float:
-        return self._angle[(vid, circle, ring)]
-
-
-def _angle_table(vertex_rings) -> dict[tuple[int, int, int], float]:
-    out: dict[tuple[int, int, int], float] = {}
-    for v, rings in vertex_rings.items():
-        for c, k, ang in rings:
-            out.setdefault((v, c, k), ang)
-    return out
+    # loop index -> angle of each slot on ring loop_layer[li], in cycle order
+    slot_angles: list[list[float]] = field(default_factory=list)
 
 
 def _circle_angle(center: Point2, p: Point2) -> float:
@@ -283,10 +275,11 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             corridor_ports.setdefault((a, layer_count[a]), []).append(ang_a)
             corridor_ports.setdefault((b, layer_count[b]), []).append(ang_b)
 
-    # slot placement per ring
+    # slot placement per ring; a slot's angle on a ring is the first one
+    # placed there
     positions: dict[int, Point2] = {}
     vertex_rings: dict[int, list[tuple[int, int, float]]] = {}
-    ring_members: dict[tuple[int, int], list[int]] = {}
+    ring_angle: dict[tuple[int, int], dict[int, float]] = {}  # (circle, ring) -> vid -> angle
     point_vid: dict[tuple[float, float], int] = {}
     vid = 0
 
@@ -302,7 +295,9 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             positions[v] = p
             vertex_rings[v] = []
         ang = math.atan2(p.y - circles[circle].center.y, p.x - circles[circle].center.x)
-        vertex_rings[v].append((circle, ring, ang % (2 * math.pi)))
+        ang %= 2 * math.pi
+        vertex_rings[v].append((circle, ring, ang))
+        ring_angle.setdefault((circle, ring), {}).setdefault(v, ang)
         return v
 
     ring_port: dict[tuple[int, int], Optional[int]] = {}
@@ -310,9 +305,8 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
     for a, c in enumerate(circles):
         others = [circles[x] for x in range(len(circles)) if x != a]
         for i in range(1, layer_count[a] + 1):
-            members = []
             for (b, j, p) in shared.get((a, i), []):
-                members.append(add_vertex(p, a, i))
+                add_vertex(p, a, i)
             rad = 2.0 * r * i
             if others:
                 intervals = widen_gaps(
@@ -327,17 +321,12 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             for t in angles:
                 p = Point2(c.center.x + rad * math.cos(t), c.center.y + rad * math.sin(t))
                 v = add_vertex(p, a, i)
-                members.append(v)
                 if port_angle is not None and t == port_angle:
                     port_vid = v
                 if t in placed_ports:
                     port_of_angle[(a, i, placed_ports[t])] = v
             ring_port[(a, i)] = port_vid
-            if members:
-                ring_members[(a, i)] = members
-    angle_of = _angle_table(vertex_rings)
-    for (a, i), members in ring_members.items():
-        ring_members[(a, i)] = sorted(set(members), key=lambda v: angle_of[(v, a, i)])
+    ring_members = {key: sorted(angle, key=angle.get) for key, angle in ring_angle.items()}
 
     # reject rings too small to form a loop
     for key, members in ring_members.items():
@@ -364,11 +353,8 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         return None
 
     # loops in angular order; connectors
-    loops = []
-    loop_layer = []
-    for key in sorted(ring_members):
-        loops.append(ring_members[key])
-        loop_layer.append(key)
+    loop_layer = sorted(ring_members)
+    loops = [ring_members[key] for key in loop_layer]
 
     inter_edges: list[tuple[int, int]] = []
     edge_kind: dict[tuple[int, int], EdgeKind] = {}
@@ -399,11 +385,8 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             u = ring_port.get((a, hi))
             if u is None:
                 continue
-            ang = angle_of[(u, a, hi)]
-            v = min(
-                ring_members[(a, lo)],
-                key=lambda x: (abs(_signed_angle(angle_of[(x, a, lo)] - ang)), x),
-            )
+            ang, below = ring_angle[(a, hi)][u], ring_angle[(a, lo)]
+            v = min(below, key=lambda x: (abs(_signed_angle(below[x] - ang)), x))
             add_inter(u, v, RadialCorridor(a, hi, lo))
 
     # gap corridors: nearest wedge-boundary slots joined by a straight lens
@@ -440,6 +423,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         inter_edge_kind=edge_kind,
         ring_ports={k: v for k, v in ring_port.items() if k in ring_members},
         routes=routes,
+        slot_angles=[[ring_angle[key][v] for v in cyc] for key, cyc in zip(loop_layer, loops)],
     )
 
 

@@ -9,10 +9,6 @@ class InvalidScenario(SwapMotionError):
     """A scenario breaks an input invariant (see `Scenario.validate`)."""
 
 
-class NotInFreeSpace(SwapMotionError):
-    """A query point lies outside the free space."""
-
-
 class EmptyFreeSpace(SwapMotionError):
     """The workspace has no free interior at the requested resolution."""
 

@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotInFreeSpace
-
 TOL_SCALE = 1e-9
 
 
@@ -248,16 +246,6 @@ def _ring_depths(pts: np.ndarray, w: Workspace) -> np.ndarray:
     return parity.astype(int) @ w._ring_sign
 
 
-def point_in_free_space(p: Point2, w: Workspace) -> bool:
-    """True iff p lies strictly inside bounds and outside obstacle material.
-
-    Orientation-aware containment: CCW rings add material, CW rings carve
-    holes, so overlapping solids stay solid and holes stay free. Points on
-    any obstacle edge, hole edges included, are boundary and not free.
-    """
-    return bool(points_in_free_space(np.array([p], dtype=float), w)[0])
-
-
 def _edge_distances(pts: np.ndarray, w: Workspace) -> np.ndarray:
     """Min distance from each point to any obstacle edge (inf if none)."""
     if len(w._edges_a) == 0:
@@ -312,8 +300,11 @@ def nearest_boundary(
 
 
 def points_in_free_space(pts: np.ndarray, w: Workspace, edge_d=None) -> np.ndarray:
-    """Vectorized free-space membership (boundary treated as not free).
+    """Which points lie strictly inside the bounds and outside obstacle material.
 
+    Orientation-aware containment: CCW rings add material, CW rings carve
+    holes, so overlapping solids stay solid and holes stay free. Points on
+    any obstacle edge, hole edges included, are boundary and not free.
     `edge_d`, when given, is each point's distance to the obstacle edges."""
     b = w.bounds
     inside = (
@@ -323,13 +314,6 @@ def points_in_free_space(pts: np.ndarray, w: Workspace, edge_d=None) -> np.ndarr
         edge_d = _edge_distances(pts, w) if edge_d is None else edge_d
         inside &= (_ring_depths(pts, w) <= 0) & (edge_d > w.tol)
     return inside
-
-
-def clearance(p: Point2, w: Workspace) -> float:
-    """Distance from a free point to the free-space boundary."""
-    if not point_in_free_space(p, w):
-        raise NotInFreeSpace(f"point {tuple(p)} is not in free space")
-    return float(boundary_distance_many(np.array([p], dtype=float), w)[0])
 
 
 def disk_in_free_space(d: Disk, w: Workspace) -> bool:

@@ -145,8 +145,6 @@ class _Machine:
     def __init__(self, g: SwapGraph, occ: Occupancy, edge_cost=None):
         self.g = g
         self.edges = g.edges()
-        # slot of each vertex within each loop's cycle
-        self.slot = [{v: p for p, v in enumerate(cyc)} for cyc in g.loops]
         self.edge_cost = edge_cost or {}
         # (neighbour, edge cost) of each vertex, in `g.neighbors` order
         self.neighbor_costs = {
@@ -252,13 +250,10 @@ class _Machine:
     # --- parked core and friends -------------------------------------------
 
     def ring_portals(self, li: int) -> list[tuple[int, int]]:
-        ring = set(self.g.loops[li])
-        out = []
-        for u in self.g.loops[li]:
-            for w in self.g.neighbors(u):
-                if w not in ring:
-                    out.append((u, w))
-        return out
+        """Every edge (u, w) from a vertex u of loop li to a w off it, in
+        cycle order of u and then `g.neighbors` order of w."""
+        ring = self.g.slot[li]
+        return [(u, w) for u in self.g.loops[li] for w in self.g.neighbors(u) if w not in ring]
 
     def park_hole(self, li: int, near: int | None = None) -> tuple[int, int, list[SwapOp]]:
         """Move the hole to a seat just outside loop li; returns (u, w, ops).
@@ -266,19 +261,17 @@ class _Machine:
         `near` is a preferred ring vertex: portals close to it are favored so
         the core's alignment rotations stay short.
         """
-        g = self.g
-        ring = set(g.loops[li])
-        cyc = g.loops[li]
-        slot = self.slot[li]
+        cyc = self.g.loops[li]
+        slot = self.g.slot[li]
         m = len(cyc)
         mark = len(self.ops)
+        portals = self.ring_portals(li)
 
         def ring_gap(u, v):
             d = (slot[u] - slot[v]) % m
             return min(d, m - d)
 
-        if self.hole in ring:
-            portals = self.ring_portals(li)
+        if self.hole in slot:
             if not portals:
                 raise PlannerError(f"loop {li} has no edge leaving it")
 
@@ -296,12 +289,10 @@ class _Machine:
             # walk through the complement of the ring to a seat bordering it
             seats: dict[int, int] = {}
             pref = cyc[0] if near is None else near
-            for u in cyc:
-                for w in g.neighbors(u):
-                    if w not in ring:
-                        if w not in seats or ring_gap(u, pref) < ring_gap(seats[w], pref):
-                            seats[w] = u
-            dists = self._walk_distances(set(seats), avoid=ring)
+            for u, w in portals:
+                if w not in seats or ring_gap(u, pref) < ring_gap(seats[w], pref):
+                    seats[w] = u
+            dists = self._walk_distances(set(seats), avoid=slot)
             if not dists:
                 raise PlannerError(f"hole cannot reach loop {li} from outside")
 
@@ -364,7 +355,7 @@ class _Machine:
         hole on the ring: those swaps are idle exactly when X or Y is a phantom.
         """
         cyc = self.g.loops[li]
-        slot = self.slot[li]
+        slot = self.g.slot[li]
         if self.hole != w or w in slot:
             raise PlannerError(f"core on loop {li}: hole not parked at {w} off the loop")
         if ((u, w) if u <= w else (w, u)) not in self.edges:
@@ -436,7 +427,7 @@ def _exchange_vertices(m: _Machine, u: int, v: int, depth: int = 0):
 def _ring_pair_exchange(m: _Machine, li: int, u: int, v: int):
     cu, cv = m.state[u], m.state[v]
     pu, pw, park = m.park_hole(li, near=u)
-    slot = m.slot[li]
+    slot = m.g.slot[li]
     m.bubble(li, pu, pw, slot[m.pos[cu]], slot[m.pos[cv]])
     m.emit_reverse(park)
 
@@ -449,7 +440,7 @@ def _cross_exchange(m: _Machine, u: int, v: int, depth: int):
     for anchor, other in ((u, v), (v, u)):
         for li in g.loops_of(anchor):
             cyc = g.loops[li]
-            k = m.slot[li][anchor]
+            k = g.slot[li][anchor]
             for sigma in (1, -1):
                 n = cyc[(k + sigma) % len(cyc)]
                 if n not in (u, v):
@@ -469,7 +460,7 @@ def _cross_exchange(m: _Machine, u: int, v: int, depth: int):
                 continue
             li = g.loops_of(p)[0]
             cyc = g.loops[li]
-            pos = m.slot[li][p]
+            pos = g.slot[li][p]
             on_path = set(path)
             for k in range(1, len(cyc)):
                 for signed in (k, -k):

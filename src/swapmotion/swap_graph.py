@@ -1,4 +1,4 @@
-"""Swap graph data structure, validity checks, and loop-hop distances.
+"""Swap graph data structure, slot table, validity checks, and loop-hop distances.
 
 A swap graph partitions its vertices into K > 1 loops (unique simple cycles
 of >= 3 vertices). Two loops may share exactly 2 vertices and at most 1 edge.
@@ -26,7 +26,8 @@ class SwapGraph:
     """Vertices with positions, loop cycles, and inter-loop edges.
 
     ``loops[i]`` lists vertex ids in cycle order; consecutive entries (and the
-    wrap-around pair) are the loop's edges. ``inter_edges`` holds the
+    wrap-around pair) are the loop's edges, and ``slot[i]`` maps each vertex
+    of loop i to its place in that order. ``inter_edges`` holds the
     loop-to-loop connector edges, disjoint from every loop's cycle edges.
     """
 
@@ -39,6 +40,7 @@ class SwapGraph:
         self._build_caches()
 
     def _build_caches(self):
+        self.slot: list[dict[int, int]] = [{v: p for p, v in enumerate(c)} for c in self.loops]
         self._loops_of: dict[int, list[int]] = {v: [] for v in self.positions}
         for li, cyc in enumerate(self.loops):
             for v in cyc:

@@ -6,7 +6,9 @@ linearly between two legal configurations, so spacing is preserved), vacancy
 swaps along ring edges are single arcs into the empty slot, and connector
 swaps run in align / traverse / restore phases that rigidly rotate the rings
 involved, send the mover through the corridor, and rotate back. Ops execute
-strictly one after another.
+strictly one after another. Ring motion indexes the conversion's slot table:
+`SwapGraph.slot` for a vertex's place in its loop and
+`ConversionResult.slot_angles` for the angle of each place.
 
 A trajectory has one form: a `Track` per agent, the agent's motion records
 `(t0, t1, kind, p0..p4)` packed into parallel arrays `t0, t1, kind, par`.
@@ -166,12 +168,6 @@ class TrajectorySet:
         return sorted(self.segments, key=repr)
 
 
-def _slot_point(res: ConversionResult, circle: int, ring: int, angle: float) -> Point2:
-    c = res.circles[circle].center
-    rad = 2.0 * res.r * ring
-    return Point2(c.x + rad * math.cos(angle), c.y + rad * math.sin(angle))
-
-
 # Motion builders append (agent, record) through `emit` and return the op's
 # duration; records of one agent come out in time order.
 
@@ -191,43 +187,16 @@ def _arc_phase(res, li, t0, riders, emit) -> float:
     return dur
 
 
-def _ring_riders(res, occ_map, li, sweep):
-    """Riders for every occupied slot of a loop, starting at slot angles."""
-    circle, ring = res.loop_layer[li]
-    out = []
-    for x in res.graph.loops[li]:
-        if occ_map[x] is VACANT:
-            continue
-        out.append((occ_map[x], res.angle_in(x, circle, ring), sweep))
-    return out
-
-
-def _slot_angles(res: ConversionResult) -> list[list[float]]:
-    """Slot angles of every loop with ring metadata, in loop order."""
-    return [
-        [res.angle_in(v, circle, ring) for v in cyc]
-        for cyc, (circle, ring) in zip(res.graph.loops, res.loop_layer)
-    ]
-
-
-def _type1_motion(res, op: LoopRotation, occ_map, t0, emit, slot_angles) -> float:
-    """All loop agents sweep to their target slots simultaneously."""
-    if op.loop >= len(res.loop_layer):
-        raise UnrealizableOp(f"loop {op.loop} has no ring metadata")
-    cyc = res.graph.loops[op.loop]
-    return _ring_step(res, op.loop, op.steps, range(len(cyc)), occ_map, t0, emit, slot_angles)
-
-
-def _ring_step(res, li, steps, positions, occ_map, t0, emit, slot_angles) -> float:
-    """The agents at `positions` of loop li sweep `steps` slots along it,
-    all the short way round, simultaneously."""
+def _ring_step(res, li, steps, positions, occ_map, t0, emit) -> float:
+    """The agents at slots `positions` of loop li sweep `steps` slots along
+    it, all the short way round, simultaneously."""
     cyc = res.graph.loops[li]
     m = len(cyc)
     k = steps % m
     if k == 0:
         return 0.0
     signed = k if k <= m - k else k - m
-    angles = slot_angles[li]
+    angles = res.slot_angles[li]
     riders = []
     for p in positions:
         agent = occ_map[cyc[p]]
@@ -242,7 +211,7 @@ def _ring_step(res, li, steps, positions, occ_map, t0, emit, slot_angles) -> flo
     return _arc_phase(res, li, t0, riders, emit)
 
 
-def _type2_motion(res, op: VacancySwap, occ_map, t0, emit, slot_angles) -> float:
+def _swap_motion(res, op: VacancySwap, occ_map, t0, emit) -> float:
     """The mover's motion into the vacant endpoint: a one-slot ring step, a
     corridor traverse, or a radial align / traverse / restore."""
     u, v = op.u, op.v
@@ -259,31 +228,43 @@ def _type2_motion(res, op: VacancySwap, occ_map, t0, emit, slot_angles) -> float
         lis = res.graph.loops_containing_edge(u, v)
         if not lis:
             raise UnrealizableOp(f"edge ({u},{v}) not on any loop")
-        cyc = res.graph.loops[lis[0]]
-        pu = cyc.index(u)
+        li = lis[0]
+        cyc, pu = res.graph.loops[li], res.graph.slot[li][u]
         step = 1 if cyc[(pu + 1) % len(cyc)] == v else -1
-        return _ring_step(res, lis[0], step, [pu], occ_map, t0, emit, slot_angles)
+        return _ring_step(res, li, step, [pu], occ_map, t0, emit)
     if isinstance(kind, RadialCorridor):
         return _radial_motion(res, occ_map, kind, u, v, mover, t0, emit)
     return _corridor_motion(res, u, v, mover, t0, emit)
 
 
 def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) -> float:
-    """Align the vacant ring under the mover, move radially, rotate back."""
-    circle = kind.circle
-    ring_u = _ring_on_circle(res, u, circle)
-    ring_v = _ring_on_circle(res, v, circle)
-    li_v = res.loop_layer.index((circle, ring_v))
-    ang_u = res.angle_in(u, circle, ring_u)
-    ang_v = res.angle_in(v, circle, ring_v)
+    """Align the vacant ring under the mover, move radially, rotate back.
+    The corridor's outer end is its ring's port (`ring_ports`)."""
+    circle, g = kind.circle, res.graph
+    rings = (kind.outer_ring, kind.inner_ring)
+    ring_u, ring_v = rings if u == res.ring_ports[(circle, kind.outer_ring)] else rings[::-1]
+
+    def on_ring(x, ring):
+        """The loop of `ring` through x, and x's slot angle on it."""
+        li = next(li for li in g.loops_of(x) if res.loop_layer[li] == (circle, ring))
+        return li, res.slot_angles[li][g.slot[li][x]]
+
+    _, ang_u = on_ring(u, ring_u)
+    li_v, ang_v = on_ring(v, ring_v)
     delta = _signed_angle(ang_u - ang_v)
     if abs(delta) < 1e-12:
         delta = 0.0  # rings already aligned: no align or restore arcs
     t = t0
-    riders = _ring_riders(res, occ_map, li_v, delta)
+    riders = [
+        (occ_map[x], a0, delta)
+        for x, a0 in zip(g.loops[li_v], res.slot_angles[li_v])
+        if occ_map[x] is not VACANT
+    ]
     t += _arc_phase(res, li_v, t, riders, emit)
-    a = _slot_point(res, circle, ring_u, ang_u)
-    b = _slot_point(res, circle, ring_v, ang_u)
+    c, rad = res.circles[circle].center, 2.0 * res.r
+    cos, sin = math.cos(ang_u), math.sin(ang_u)
+    a = Point2(c.x + rad * ring_u * cos, c.y + rad * ring_u * sin)
+    b = Point2(c.x + rad * ring_v * cos, c.y + rad * ring_v * sin)
     d = dist(a, b) / SPEED
     emit(mover, line_record(t, t + d, a, b))
     t += d
@@ -291,13 +272,6 @@ def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) ->
     back.append((mover, ang_u, -delta))
     t += _arc_phase(res, li_v, t, back, emit)
     return t - t0
-
-
-def _ring_on_circle(res, vid, circle):
-    for c, k, _ in res.vertex_rings[vid]:
-        if c == circle:
-            return k
-    raise UnrealizableOp(f"vertex {vid} not on circle {circle}")
 
 
 def _corridor_motion(res, u, v, mover, t0, emit) -> float:
@@ -336,12 +310,15 @@ def realize_plan(res: ConversionResult, plan: Plan) -> TrajectorySet:
         fields[agent].extend(rec)
 
     t = 0.0
-    slot_angles = _slot_angles(res)
     for op in plan.ops:
         if isinstance(op, LoopRotation):
-            t += _type1_motion(res, op, occ.mapping, t, emit, slot_angles)
+            # every agent of the loop sweeps to its target slot at once
+            if not 0 <= op.loop < len(res.slot_angles):
+                raise UnrealizableOp(f"loop {op.loop} has no ring metadata")
+            loop = range(len(res.slot_angles[op.loop]))
+            t += _ring_step(res, op.loop, op.steps, loop, occ.mapping, t, emit)
         else:
-            t += _type2_motion(res, op, occ.mapping, t, emit, slot_angles)
+            t += _swap_motion(res, op, occ.mapping, t, emit)
         _apply_inplace(occ.mapping, res.graph, op)
     tracks = {}
     for a, flat in fields.items():

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from swapmotion.geometry import Point2, _edge_distances, point_in_free_space
+from swapmotion.geometry import Point2, _edge_distances, points_in_free_space
 
 
 def point_segment_distance(p, a, b) -> float:
@@ -64,9 +64,8 @@ def capsule_free_reference(a, b, r, w, others=()) -> bool:
         # spine endpoints inside obstacle material (covers capsule-in-obstacle);
         # spine crossing an edge is caught by the distance test below
         for p in (a, b):
-            if not point_in_free_space(p, w) and _edge_distances(
-                np.array([p], dtype=float), w
-            )[0] >= r - tol:
+            row = np.array([p], dtype=float)
+            if not points_in_free_space(row, w)[0] and _edge_distances(row, w)[0] >= r - tol:
                 return False
         for pa, pb in zip(w._edges_a, w._edges_b):
             if _segment_segment_distance(a, b, Point2(*pa), Point2(*pb)) < r - tol:

@@ -30,7 +30,7 @@ def core_by_replay(m, li: int, u: int, w: int, p: int):
     parked at w off the loop and (u, w) its portal, by replaying the ops."""
     cyc = m.g.loops[li]
     n = len(cyc)
-    a0 = m.slot[li][u]
+    a0 = m.g.slot[li][u]
     d = (p - a0) % n
     m.rot(li, -d)
     m.swap(u, w)

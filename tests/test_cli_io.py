@@ -661,17 +661,19 @@ def _out_of_order(rows):
     rows[3], rows[4] = rows[4], rows[3]
 
 
+@pytest.fixture(scope="module")
+def exec_dir(tmp_path_factory):
+    """What `exec --out` writes for rect_12."""
+    out = tmp_path_factory.mktemp("exec")
+    assert main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
 class TestMalformedTrajectory:
     """`render` reads trajectory.csv from outside the program: a table that
     breaks the record invariants is an InvalidScenario (exit 2), and no frame
     is drawn."""
-
-    @pytest.fixture(scope="class")
-    def exec_dir(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("exec")
-        assert main(["exec", "--scenario", str(SCENARIOS / "rect_12.json"),
-                     "--out", str(out)]) == 0
-        return out
 
     @pytest.mark.parametrize("edit,message", [
         (lambda rows: _bad_horizon(rows, "nan"), "horizon nan"),
@@ -693,3 +695,33 @@ class TestMalformedTrajectory:
         assert len(err) == 1 and err[0].startswith("error [InvalidScenario]: ")
         assert "trajectory.csv" in err[0] and message in err[0]
         assert not (tmp_path / "frames").exists()
+
+
+class TestFrameStep:
+    """`render`'s frame step, `--dt` or else scenario.json's params.dt, is a
+    finite number > 0; anything else is an InvalidScenario (exit 2), and no
+    frame is drawn."""
+
+    @pytest.mark.parametrize("flag,file_dt", [
+        ("-1", None), ("0", None), ("nan", None), ("inf", None), (None, "abc"), (None, 0),
+    ], ids=["flag_negative", "flag_zero", "flag_nan", "flag_inf", "file_abc", "file_zero"])
+    def test_render_rejects(self, flag, file_dt, exec_dir, tmp_path, capsys):
+        (tmp_path / "trajectory.csv").write_bytes((exec_dir / "trajectory.csv").read_bytes())
+        d = load_json(exec_dir / "scenario.json")
+        if file_dt is not None:
+            d["params"]["dt"] = file_dt
+        dump_json(d, tmp_path / "scenario.json")
+        argv = ["render", "--out", str(tmp_path)] + (["--dt", flag] if flag else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error [InvalidScenario]: frame step ")
+        assert repr(float(flag) if flag else file_dt) in err[0]
+        assert not (tmp_path / "frames").exists()
+
+    def test_flag_overrides_a_bad_file_step(self, exec_dir, tmp_path):
+        (tmp_path / "trajectory.csv").write_bytes((exec_dir / "trajectory.csv").read_bytes())
+        d = load_json(exec_dir / "scenario.json")
+        d["params"]["dt"] = "abc"
+        dump_json(d, tmp_path / "scenario.json")
+        assert main(["render", "--out", str(tmp_path), "--dt", "500"]) == 0
+        assert list((tmp_path / "frames").glob("frame_*.svg"))

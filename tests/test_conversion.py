@@ -79,13 +79,67 @@ class TestSingleCircle:
             k for k in res.inter_edge_kind.values() if isinstance(k, RadialCorridor)
         ]
         assert len(radials) == res.graph.K - 1
-        for e, kind in res.inter_edge_kind.items():
-            u = max(e, key=lambda x: _ring_of(res, x))
-            assert res.ring_ports[(kind.circle, kind.outer_ring)] in e
+        assert_radials_anchored(res)
 
 
-def _ring_of(res, v):
-    return max(k for _, k, _ in res.vertex_rings[v])
+def _ring_on(res, v, circle):
+    """The ring of `circle` that vertex v lies on."""
+    (ring,) = {k for c, k, _ in res.vertex_rings[v] if c == circle}
+    return ring
+
+
+def assert_radials_anchored(res):
+    """Every radial corridor joins its outer ring's port to a slot of its
+    inner ring: realization takes the port for the corridor's outer end."""
+    for e, kind in res.inter_edge_kind.items():
+        if not isinstance(kind, RadialCorridor):
+            continue
+        ring = {x: _ring_on(res, x, kind.circle) for x in e}
+        assert sorted(ring.values()) == [kind.inner_ring, kind.outer_ring]
+        u = max(e, key=ring.get)
+        assert u == res.ring_ports[(kind.circle, kind.outer_ring)]
+
+
+def assert_slot_angles(res):
+    """`slot_angles[li][p]` is the first angle `vertex_rings` gives slot
+    `loops[li][p]` on ring `loop_layer[li]`, and it grows strictly along
+    the cycle."""
+    g = res.graph
+    assert len(res.slot_angles) == len(res.loop_layer) == g.K
+    for cyc, (circle, ring), angles in zip(g.loops, res.loop_layer, res.slot_angles):
+        assert len(angles) == len(cyc)
+        for v, a in zip(cyc, angles):
+            assert a == next(x for c, k, x in res.vertex_rings[v] if (c, k) == (circle, ring))
+        assert all(a < b for a, b in zip(angles, angles[1:]))
+        # a slot just below angle 0 can come out at 2 pi exactly, after x % (2 pi)
+        assert 0.0 <= angles[0] and angles[-1] <= 2 * math.pi
+
+
+class TestSlotTable:
+    """The slot angles and radial anchors realization reads without a check,
+    on the shipped scenarios and on two seeds of the fuzz workload."""
+
+    @staticmethod
+    def check(res):
+        assert_slot_angles(res)
+        assert_radials_anchored(res)
+
+    def test_shipped_scenarios(self):
+        radials = 0
+        for path in sorted(SCENARIOS.glob("*.json")):
+            res = convert_scenario(scenario_from_dict(load_json(path)))
+            self.check(res)
+            radials += sum(isinstance(k, RadialCorridor) for k in res.inter_edge_kind.values())
+        assert radials > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fuzz_small(self, seed):
+        for scene in bench_workloads().build(ROOT, "fuzz_small", seed):
+            self.check(convert_scenario(scene.scenario))
+
+    def test_single_circles(self):
+        for radius in (5.0, 7.0, 9.0):
+            self.check(circle_graph([Disk(Point2(3, 4), radius)]))
 
 
 class TestTwoCircles:

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from swapmotion.errors import NotInFreeSpace
 from swapmotion.geometry import (
     Disk,
     Point2,
@@ -13,11 +12,9 @@ from swapmotion.geometry import (
     Workspace,
     boundary_distance_many,
     capsule_free,
-    clearance,
     disk_in_free_space,
     dist,
     dists,
-    point_in_free_space,
     points_in_free_space,
     rectangle_workspace,
 )
@@ -31,6 +28,11 @@ def square10():
     return rectangle_workspace(10.0, 10.0)
 
 
+def rows(*pts):
+    """The points `pts` as an (n, 2) array."""
+    return np.array(pts, dtype=float).reshape(-1, 2)
+
+
 def triangle_scene():
     tri = Polygon((Point2(4.0, 4.0), Point2(7.0, 4.0), Point2(5.5, 7.0)))
     return rectangle_workspace(10.0, 10.0, [tri]), tri
@@ -38,31 +40,27 @@ def triangle_scene():
 
 class TestPointInFreeSpace:
     def test_center_of_empty_square(self):
-        assert point_in_free_space(Point2(5.0, 5.0), square10())
+        assert points_in_free_space(rows((5.0, 5.0)), square10()).all()
 
     def test_point_inside_obstacle(self):
         w, _ = triangle_scene()
-        assert not point_in_free_space(Point2(5.5, 4.5), w)
+        assert not points_in_free_space(rows((5.5, 4.5)), w).any()
 
     def test_point_on_bounds_edge_is_not_free(self):
-        assert not point_in_free_space(Point2(0.0, 5.0), square10())
-        assert not point_in_free_space(Point2(10.0, 10.0), square10())
+        assert not points_in_free_space(rows((0.0, 5.0), (10.0, 10.0)), square10()).any()
 
     def test_hole_inside_obstacle_is_free(self):
         outer = Polygon((Point2(2, 2), Point2(8, 2), Point2(8, 8), Point2(2, 8)))
         hole = Polygon((Point2(4, 4), Point2(4, 6), Point2(6, 6), Point2(6, 4)))  # CW
         w = rectangle_workspace(10, 10, [outer, hole])
-        assert not point_in_free_space(Point2(3.0, 3.0), w)
-        assert point_in_free_space(Point2(5.0, 5.0), w)
+        assert points_in_free_space(rows((3.0, 3.0), (5.0, 5.0)), w).tolist() == [False, True]
 
     def test_point_on_hole_edge_is_not_free(self):
         hole = Polygon((Point2(2, 2), Point2(2, 6), Point2(6, 6), Point2(6, 2)))  # CW
         w = rectangle_workspace(10, 10, [hole])
-        edge_pts = [Point2(2.0, 4.0), Point2(4.0, 2.0), Point2(6.0, 4.0), Point2(4.0, 6.0)]
-        for p in edge_pts:
-            assert not point_in_free_space(p, w), p
-        assert not points_in_free_space(np.array(edge_pts), w).any()
-        assert point_in_free_space(Point2(4.0, 4.0), w)
+        edge_pts = rows((2.0, 4.0), (4.0, 2.0), (6.0, 4.0), (4.0, 6.0))
+        assert not points_in_free_space(edge_pts, w).any()
+        assert points_in_free_space(rows((4.0, 4.0)), w).all()
 
     def test_agrees_with_raycast_oracle(self):
         w, tri = triangle_scene()
@@ -82,23 +80,21 @@ class TestPointInFreeSpace:
             in_bounds = 0 < p.x < 10 and 0 < p.y < 10
             return in_bounds and not inside_tri
 
-        for _ in range(400):
-            p = Point2(rng.uniform(-1, 11), rng.uniform(-1, 11))
-            if abs(boundary_distance_many(np.array([p]), w)[0]) < 1e-6:
-                continue  # skip razor-thin boundary cases
-            assert point_in_free_space(p, w) == oracle(p), p
+        pts = rows(*[(rng.uniform(-1, 11), rng.uniform(-1, 11)) for _ in range(400)])
+        # skip razor-thin boundary cases
+        pts = pts[np.abs(boundary_distance_many(pts, w)) >= 1e-6]
+        for p, free in zip(pts, points_in_free_space(pts, w)):
+            assert free == oracle(Point2(*p)), p
 
 
 class TestClearance:
+    """`boundary_distance_many`: a free point's distance to the boundary."""
+
     def test_center_of_unit_square(self):
-        assert clearance(Point2(0.5, 0.5), unit_square()) == pytest.approx(0.5)
+        assert boundary_distance_many(rows((0.5, 0.5)), unit_square())[0] == pytest.approx(0.5)
 
     def test_near_wall(self):
-        assert clearance(Point2(1.0, 1.0), square10()) == pytest.approx(1.0)
-
-    def test_raises_outside(self):
-        with pytest.raises(NotInFreeSpace):
-            clearance(Point2(-1.0, 5.0), square10())
+        assert boundary_distance_many(rows((1.0, 1.0)), square10())[0] == pytest.approx(1.0)
 
     def test_matches_dense_sampling_oracle(self):
         w, tri = triangle_scene()
@@ -111,7 +107,7 @@ class TestClearance:
             for t in np.linspace(0.0, 1.0, 20001):
                 q = (a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
                 best = min(best, math.hypot(p.x - q[0], p.y - q[1]))
-        assert clearance(p, w) == pytest.approx(best, abs=1e-9)
+        assert boundary_distance_many(rows(p), w)[0] == pytest.approx(best, abs=1e-9)
 
     def test_lipschitz(self):
         w, _ = triangle_scene()
@@ -119,12 +115,12 @@ class TestClearance:
         pts = []
         while len(pts) < 60:
             p = Point2(rng.uniform(0.2, 9.8), rng.uniform(0.2, 9.8))
-            if point_in_free_space(p, w):
+            if points_in_free_space(rows(p), w)[0]:
                 pts.append(p)
+        c = boundary_distance_many(rows(*pts), w)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                ci, cj = clearance(pts[i], w), clearance(pts[j], w)
-                assert abs(ci - cj) <= dist(pts[i], pts[j]) + 1e-12
+                assert abs(c[i] - c[j]) <= dist(pts[i], pts[j]) + 1e-12
 
 
 class TestDiskInFreeSpace:
@@ -144,9 +140,9 @@ class TestDiskInFreeSpace:
         rng = random.Random(2)
         for _ in range(50):
             p = Point2(rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5))
-            if not point_in_free_space(p, w):
+            if not points_in_free_space(rows(p), w)[0]:
                 continue
-            c = clearance(p, w)
+            c = boundary_distance_many(rows(p), w)[0]
             assert disk_in_free_space(Disk(p, max(c - 1e-9, 1e-12)), w)
 
 
@@ -178,39 +174,6 @@ class TestCapsuleFree:
         big = Polygon((Point2(1, 1), Point2(9, 1), Point2(9, 9), Point2(1, 9)))
         w = rectangle_workspace(10, 10, [big])
         assert not capsule_free(Point2(4, 5), Point2(6, 5), 0.5, w)
-
-
-def random_scene(rng):
-    polys = []
-    for _ in range(rng.randint(0, 3)):
-        cx, cy = rng.uniform(2, 8), rng.uniform(2, 8)
-        n = rng.randint(3, 6)
-        pts = []
-        for k in range(n):
-            t = 2 * math.pi * k / n + rng.uniform(-0.2, 0.2)
-            rr = rng.uniform(0.5, 1.6)
-            pts.append(Point2(cx + rr * math.cos(t), cy + rr * math.sin(t)))
-        poly = Polygon(tuple(pts))
-        if poly.is_ccw() != (rng.random() < 0.7):  # about 3 in 10 rings are holes
-            poly = Polygon(tuple(reversed(poly.vertices)))
-        polys.append(poly)
-    return rectangle_workspace(10, 10, polys)
-
-
-def test_predicates_agree_with_sampling_oracle_on_random_scenes():
-    rng = random.Random(4)
-    for _ in range(100):
-        w = random_scene(rng)
-        pts = np.array(
-            [[rng.uniform(0, 10), rng.uniform(0, 10)] for _ in range(200)]
-        )
-        free = points_in_free_space(pts, w)
-        bd = boundary_distance_many(pts, w)
-        for k in range(len(pts)):
-            p = Point2(*pts[k])
-            assert free[k] == point_in_free_space(p, w)
-            if free[k]:
-                assert clearance(p, w) == pytest.approx(bd[k])
 
 
 def test_dists_is_dist_bit_for_bit():

@@ -55,6 +55,26 @@ class TestValidate:
         assert any("disjoint" in v for v in g.violations())
 
 
+class TestSlotTable:
+    """`slot[li]` maps each vertex of loop li to its place in `loops[li]`."""
+
+    @staticmethod
+    def assert_inverts_loops(g):
+        assert len(g.slot) == g.K
+        for cyc, slot in zip(g.loops, g.slot):
+            assert sorted(slot) == sorted(cyc)
+            assert all(cyc[slot[v]] == v for v in cyc)
+
+    def test_fixture_graphs(self):
+        for g in (four_loop_example(), two_triangles(), loop_chain(4), loop_chain(3, 5)):
+            self.assert_inverts_loops(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(26)
+        for _ in range(50):
+            self.assert_inverts_loops(random_graph(rng))
+
+
 class TestDistances:
     def test_golden_distances(self):
         g = four_loop_example()

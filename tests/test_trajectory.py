@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swapmotion.assignment import navigate
-from swapmotion.errors import UnrealizableOp
+from swapmotion.errors import IllegalOp, UnrealizableOp
 from swapmotion.fileio import load_json, scenario_from_dict, trajectory_from_csv, trajectory_to_csv
 from swapmotion.geometry import Disk, Point2, dist, rectangle_workspace
 from swapmotion.medial_axis import extract_medial_axis
@@ -182,6 +182,30 @@ class TestRealizeType2:
             b = cyc[(cyc.index(a) - 1) % len(cyc)]
         with pytest.raises(UnrealizableOp):
             realize_one(res, occ, VacancySwap(a, b))
+
+
+class TestUnknownOps:
+    """An op naming a loop or an edge the conversion lacks is a typed error."""
+
+    @pytest.mark.parametrize("loop", [-1, 2, 99])
+    def test_rotation_of_missing_loop(self, loop):
+        res, occ = single_circle_setup()
+        assert res.graph.K == 2
+        with pytest.raises(UnrealizableOp, match=f"loop {loop} "):
+            realize_one(res, occ, LoopRotation(loop, 1))
+
+    def test_swap_along_missing_edge(self):
+        res, occ = single_circle_setup(hole_index=0)
+        hole = occ.vacant_vertex()
+        g = res.graph
+        far = next(v for v in g.vertex_ids() if v != hole and not g.has_edge(v, hole))
+        with pytest.raises(UnrealizableOp, match="not on any loop"):
+            realize_one(res, occ, VacancySwap(far, hole))
+
+    def test_swap_with_missing_vertex(self):
+        res, occ = single_circle_setup(hole_index=0)
+        with pytest.raises(IllegalOp):
+            realize_one(res, occ, VacancySwap(10**6, occ.vacant_vertex()))
 
 
 class TestRealizePlan:

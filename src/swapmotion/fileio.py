@@ -81,6 +81,9 @@ class Scenario:
                 out.append(f"{name} {value!r} not a number")
             elif not value > 0:
                 out.append(f"{name} {value} not positive")
+            elif name == "dt" and not math.isfinite(value):
+                # render samples frames dt apart, so it refuses an infinite dt
+                out.append(f"dt {value} not finite")
         if not (_is_number(p.k_max) and p.k_max >= 1 and p.k_max % 1 == 0):
             out.append(f"k_max {p.k_max} not an integer >= 1")
         if p.threshold is not None and not _is_number(p.threshold):

@@ -11,7 +11,10 @@ endpoint of a swap. Pairwise exchanges that restore every other vertex
   the portal edge, rotate back). Their net effect is only that the two slots'
   contents trade places, every other vertex and the parked vacancy restored,
   so the planner's machine emits the 6 ops and applies that effect directly
-  instead of replaying three rotations of the whole loop,
+  instead of replaying three rotations of the whole loop. When one of the
+  two slots holds another vacancy, the same effect is one swap along their
+  ring edge; it goes just before a trailing rotation of the loop, so that
+  rotation still merges with the next core's,
 * cross core: two endpoints of a loop-to-loop edge are swapped in 5 ops with
   the vacancy staged on a cycle neighbor,
 * bubble chains of parked cores handle arbitrary same-loop pairs, and
@@ -66,7 +69,7 @@ class Plan:
     start: Occupancy
     goal: Occupancy
     # what plan_permutation did: cycles, exchanges, vacancy_swaps, idle_swaps,
-    # ops_raw, ops
+    # core_swaps (parked cores emitted as one ring-edge swap), ops_raw, ops
     counters: dict = field(default_factory=dict, compare=False)
 
 
@@ -168,6 +171,7 @@ class _Machine:
                 self.pos[c] = v
         self.ops: list[SwapOp] = []
         self.idle: list[int] = []
+        self.core_swaps = 0
 
     # --- primitive emission ----------------------------------------------
 
@@ -347,12 +351,19 @@ class _Machine:
     def core_consecutive(self, li: int, u: int, w: int, p: int):
         """Swap contents of cycle slots (p, p+1) with the hole parked at w.
 
-        The ops are rot(-d) (slot p to the portal vertex u), swap(u, w),
+        When the contents X of slot p and Y of slot p+1 are both agents, the
+        ops are rot(-d) (slot p to the portal vertex u), swap(u, w),
         swap(u, nxt), rot(-1), swap(u, w), rot(d + 1). Their net effect is
-        that the contents X of slot p and Y of slot p+1 trade places and every
-        other vertex, the hole at w too, is restored, so that is applied
-        directly. X steps onto and back from the vacant seat w, and Y into the
-        hole on the ring: those swaps are idle exactly when X or Y is a phantom.
+        that X and Y trade places and every other vertex, the hole at w too,
+        is restored, so that is applied directly.
+
+        A phantom's vertex is vacant, so when exactly one of X and Y is a
+        phantom the same effect is one swap along the ring edge of the two
+        slots. When the last op is a rotation of this loop (the previous
+        core's rotation back), the swap goes just before it, on the slots
+        that rotation moves to p and p+1: the rotation then still merges with
+        the next core's rot(-d), and a bubble chain stays short. When both
+        are phantoms, no agent moves and no op is emitted.
         """
         cyc = self.g.loops[li]
         slot = self.g.slot[li]
@@ -361,24 +372,27 @@ class _Machine:
         if ((u, w) if u <= w else (w, u)) not in self.edges:
             raise PlannerError(f"machine swap on non-edge ({u},{w})")
         m = len(cyc)
-        a0 = slot[u]
-        d = (p - a0) % m
         vx, vy = cyc[p % m], cyc[(p + 1) % m]
-        state, ops, idle = self.state, self.ops, self.idle
+        state, ops = self.state, self.ops
         x, y = state[vx], state[vy]
-        x_idle = type(x) is _Phantom
-        self._emit_rot(li, -d)
-        if x_idle:
-            idle.append(len(ops))
-        ops.append(VacancySwap(u, w))
-        if type(y) is _Phantom:
-            idle.append(len(ops))
-        ops.append(VacancySwap(u, cyc[(a0 + 1) % m]))
-        self._emit_rot(li, -1)
-        if x_idle:
-            idle.append(len(ops))
-        ops.append(VacancySwap(u, w))
-        self._emit_rot(li, d + 1)
+        x_phantom, y_phantom = type(x) is _Phantom, type(y) is _Phantom
+        if x_phantom != y_phantom:
+            self.core_swaps += 1
+            last = ops[-1] if ops else None
+            if type(last) is LoopRotation and last.loop == li:
+                s = last.steps
+                ops.insert(-1, VacancySwap(cyc[(p - s) % m], cyc[(p + 1 - s) % m]))
+            else:
+                ops.append(VacancySwap(vx, vy))
+        elif not x_phantom:
+            a0 = slot[u]
+            d = (p - a0) % m
+            self._emit_rot(li, -d)
+            ops.append(VacancySwap(u, w))
+            ops.append(VacancySwap(u, cyc[(a0 + 1) % m]))
+            self._emit_rot(li, -1)
+            ops.append(VacancySwap(u, w))
+            self._emit_rot(li, d + 1)
         state[vx], state[vy] = y, x
         self.pos[x], self.pos[y] = vy, vx
 
@@ -688,6 +702,7 @@ def plan_permutation(
         "exchanges": sum(len(c) - 1 for c in cycles),
         "vacancy_swaps": vacancy_swaps,
         "idle_swaps": len(m.ops) - len(moving),
+        "core_swaps": m.core_swaps,
         "ops_raw": len(m.ops),
         "ops": len(ops),
     }

@@ -257,6 +257,24 @@ def test_criterion_7_desk_scale_benchmarks():
     print("[criterion 7] PASS")
 
 
+# (op_count, horizon rounded up) of each shipped scenario before parked cores
+# with one vacancy became one ring swap; no later plan may be longer
+PLAN_CEILINGS = {
+    "rect_12": (273, 1072),
+    "rect_50": (4447, 21531),
+    "rect_100": (12982, 58833),
+    "obstacles_30": (2292, 12619),
+    "maple_approx_24": (1069, 3303),
+    "grid_20": (672, 3689),
+}
+
+
+def test_shipped_plans_stay_short():
+    for name, (s, run, art, wall) in bench_runs().items():
+        ops, horizon = PLAN_CEILINGS[name]
+        assert run.op_count <= ops and run.horizon <= horizon, (name, run.op_count, run.horizon)
+
+
 def test_criterion_8_assignment_optimality():
     t0 = time.perf_counter()
     rng = random.Random(88)

@@ -177,7 +177,7 @@ class TestCli:
         assert report["timings"]["artifacts"] > 0.0
         block = report["plan"]
         assert set(block) == {
-            "cycles", "exchanges", "vacancy_swaps", "idle_swaps", "ops_raw", "ops"
+            "cycles", "exchanges", "vacancy_swaps", "idle_swaps", "core_swaps", "ops_raw", "ops"
         }
         assert block["ops"] == report["op_count"] <= block["ops_raw"]
         assert block["vacancy_swaps"] <= block["exchanges"]
@@ -468,6 +468,28 @@ class TestInvalidScenario:
             "epsilon 'a' not a number",
             "threshold 'x' not a number",
         ]
+
+    @pytest.mark.parametrize("dt,problem", [(math.inf, "dt inf not finite"),
+                                            (math.nan, "dt nan not positive")])
+    def test_non_finite_dt_exit_2(self, dt, problem, tmp_path, capsys, monkeypatch):
+        """`exec` used to run a scenario with dt = inf that `render` then
+        refused; both now reject it before convert."""
+        s = small_scenario()
+        s.params.dt = dt
+        assert s.validate() == [problem]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        d = load_json(SCENARIOS / "rect_12.json")
+        d["params"]["dt"] = dt
+        path = tmp_path / "bad_dt.json"
+        dump_json(d, path)
+        assert main(["exec", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error [InvalidScenario]: scenario: {problem}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "field,value,shown",

@@ -282,15 +282,19 @@ class TestPlanPermutation:
         assert plan.ops == [VacancySwap(16, 17)]
         assert plan.counters == {
             "cycles": 1, "exchanges": 1, "vacancy_swaps": 1, "idle_swaps": 0,
-            "ops_raw": 1, "ops": 1,
+            "core_swaps": 0, "ops_raw": 1, "ops": 1,
         }
+
+
+def real_occupancy(g, vacant):
+    """Agent 100 + v on every vertex v not in `vacant`."""
+    return Occupancy({v: (None if v in vacant else 100 + v) for v in g.vertex_ids()})
 
 
 def machine_with_hole(g, vacant, hole):
     """A machine on g with `vacant` vertices, the hole at `hole` and a
     phantom on every other vacancy."""
-    occ = Occupancy({v: (None if v in vacant else 100 + v) for v in g.vertex_ids()})
-    m = planner._Machine(g, occ)
+    m = planner._Machine(g, real_occupancy(g, vacant))
     if m.hole != hole:
         ph = m.state[hole]
         m.state[m.hole], m.pos[ph] = ph, m.hole
@@ -311,8 +315,11 @@ def machine_view(m):
 
 class TestParkedCore:
     """`_Machine.core_consecutive` applies the parked core's net effect
-    directly; it leaves what a replay of its six ops through `rot` and `swap`
-    leaves."""
+    directly; it leaves the machine's state, positions and hole where a
+    replay of its six ops through `rot` and `swap` leaves them, and its ops
+    take the real occupancy where the replay's take it. A core with one
+    phantom is one ring-edge swap, placed before a trailing rotation of the
+    loop; a core with two emits nothing."""
 
     def test_matches_the_replay(self):
         rng = random.Random(41)
@@ -325,20 +332,39 @@ class TestParkedCore:
                 n = len(cyc)
                 portals = planner._Machine(g, occupancy_with_hole(g, cyc[0])).ring_portals(li)
                 for (u, w), p in itertools.product(portals, range(n)):
-                    vx, vy = cyc[p], cyc[(p + 1) % n]
-                    rest = [v for v in verts if v not in (vx, vy, w)]
-                    for x_ph, y_ph in itertools.product((False, True), repeat=2):
+                    for x_ph, y_ph, turned in itertools.product((False, True), repeat=3):
+                        # a trailing rotation by k brings slots p - k, p + 1 - k to p, p + 1
+                        k = planner._short_steps(rng.randrange(1, n), n) if turned else 0
+                        vx, vy = cyc[(p - k) % n], cyc[(p + 1 - k) % n]
+                        rest = [v for v in verts if v not in (vx, vy, w)]
                         vacant = {w} | {v for v, ph in ((vx, x_ph), (vy, y_ph)) if ph}
                         vacant |= set(rng.sample(rest, rng.randint(0, min(2, len(rest) - 1))))
                         fast, slow = (machine_with_hole(g, vacant, w) for _ in range(2))
+                        for mach in (fast, slow):
+                            mach.rot(li, k)
                         fast.core_consecutive(li, u, w, p)
                         core_by_replay(slow, li, u, w, p)
-                        assert machine_view(fast) == machine_view(slow), (li, u, w, p)
+                        case = (li, u, w, p, k)
+                        assert machine_view(fast)[:3] == machine_view(slow)[:3], case
+                        real = real_occupancy(g, vacant)
+                        assert (
+                            apply_ops(real, g, fast.ops).mapping
+                            == apply_ops(real, g, slow.ops).mapping
+                        ), case
+                        turn = [LoopRotation(li, k)] if k else []
+                        if x_ph != y_ph:
+                            assert fast.ops == [VacancySwap(vx, vy)] + turn, case
+                            assert fast.core_swaps == 1
+                        elif x_ph:
+                            assert fast.ops == turn, case
                         d = (p - cyc.index(u)) % n
-                        seen.add((x_ph, y_ph, d == 0, p == n - 1, n == 3))
-        for k, what in enumerate(("X phantom", "Y phantom", "d = 0", "p = m - 1", "3-slot ring")):
-            assert any(flags[k] for flags in seen), what
+                        seen.add((x_ph, y_ph, d == 0, p == n - 1, n == 3, turned))
+        what = ("X phantom", "Y phantom", "d = 0", "p = m - 1", "3-slot ring", "trailing rotation")
+        for i, name in enumerate(what):
+            assert any(flags[i] for flags in seen), name
         assert (True, True) in {flags[:2] for flags in seen}
+        for x_ph, y_ph in ((True, False), (False, True)):
+            assert (x_ph, y_ph, True) in {flags[:2] + flags[5:] for flags in seen}
 
     def test_unparked_hole_raises(self):
         g = four_loop_example()  # loop 0 = [1, 2, 3, 4], portal (4, 14)

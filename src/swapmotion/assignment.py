@@ -464,7 +464,9 @@ def radial_hints(res, vid: int, r: float) -> np.ndarray:
     """Staging points on the outward radial of a slot, for threading into a
     ring whose neighboring slots are already occupied; a (k, 2) array."""
     out = []
-    for circle, ring, ang in res.vertex_rings[vid]:
+    for li in res.graph.loops_of(vid):
+        circle, ring = res.loop_layer[li]
+        ang = res.slot_angles[li][res.graph.slot[li][vid]]
         c = res.circles[circle].center
         ux, uy = math.cos(ang), math.sin(ang)
         for extra in (2.5, 4.5, 7.0):

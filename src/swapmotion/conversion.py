@@ -24,8 +24,9 @@ record per leg.
 `_build` records each slot's angle on a ring as it places the slot (the first
 angle placed there counts) and orders every ring by it:
 `ConversionResult.slot_angles[li]` is loop li's angles in cycle order, the
-table realization reads ring motion from. A radial corridor's outer end is
-its outer ring's port, `ring_ports[(circle, outer_ring)]`.
+table realization reads ring motion from. It is the one record of a slot's
+rings: `graph.loops_of(v)` and `loop_layer` name them, and a radial
+corridor's outer end is its endpoint on ring `(circle, outer_ring)`.
 """
 
 from __future__ import annotations
@@ -118,9 +119,7 @@ class ConversionResult:
     circles: list[Disk]
     r: float
     loop_layer: list[tuple[int, int]]  # loop index -> (circle index, ring index)
-    vertex_rings: dict[int, list[tuple[int, int, float]]]  # vid -> (circle, ring, angle)
     inter_edge_kind: dict[tuple[int, int], EdgeKind]
-    ring_ports: dict[tuple[int, int], Optional[int]] = field(default_factory=dict)
     # gap or path connector -> mover polyline from slot e[0] to slot e[1]
     routes: dict[tuple[int, int], tuple[Point2, ...]] = field(default_factory=dict)
     # what `greedy_convert` did, under the keys of CONVERT_COUNTERS
@@ -278,7 +277,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
     # slot placement per ring; a slot's angle on a ring is the first one
     # placed there
     positions: dict[int, Point2] = {}
-    vertex_rings: dict[int, list[tuple[int, int, float]]] = {}
+    owners: dict[int, set[int]] = {}  # vid -> the circles it has a ring on
     ring_angle: dict[tuple[int, int], dict[int, float]] = {}  # (circle, ring) -> vid -> angle
     point_vid: dict[tuple[float, float], int] = {}
     vid = 0
@@ -293,10 +292,10 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             vid += 1
             point_vid[key] = v
             positions[v] = p
-            vertex_rings[v] = []
+            owners[v] = set()
         ang = math.atan2(p.y - circles[circle].center.y, p.x - circles[circle].center.x)
         ang %= 2 * math.pi
-        vertex_rings[v].append((circle, ring, ang))
+        owners[v].add(circle)
         ring_angle.setdefault((circle, ring), {}).setdefault(v, ang)
         return v
 
@@ -343,9 +342,8 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         if d2.min() < (2 * r * (1 - 1e-7)) ** 2:
             return None
     for v in sorted(positions):
-        owners = {c for c, _, _ in vertex_rings[v]}
         for x, cx in enumerate(circles):
-            if x in owners:
+            if x in owners[v]:
                 continue
             if dist(positions[v], cx.center) < neighbor_reach(cx.radius, r) - 1e-7 * r:
                 return None
@@ -419,9 +417,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         circles=list(circles),
         r=r,
         loop_layer=loop_layer,
-        vertex_rings=vertex_rings,
         inter_edge_kind=edge_kind,
-        ring_ports={k: v for k, v in ring_port.items() if k in ring_members},
         routes=routes,
         slot_angles=[[ring_angle[key][v] for v in cyc] for key, cyc in zip(loop_layer, loops)],
     )
@@ -596,7 +592,6 @@ def greedy_convert(
         circles=[],
         r=r,
         loop_layer=[],
-        vertex_rings={},
         inter_edge_kind={},
         counters=counters,
     )

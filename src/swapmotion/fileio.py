@@ -206,8 +206,11 @@ def graph_to_dict(res: ConversionResult) -> dict:
         "loops": [list(c) for c in g.loops],
         "loop_layer": [list(x) for x in res.loop_layer],
         "inter_edges": [list(e) for e in sorted(g.inter_edges)],
+        # each vertex's (circle, ring, slot angle) per loop through it, in loop order
         "vertex_rings": {
-            str(v): [[c, k, ang] for c, k, ang in res.vertex_rings[v]]
+            str(v): [
+                [*res.loop_layer[li], res.slot_angles[li][g.slot[li][v]]] for li in g.loops_of(v)
+            ]
             for v in g.vertex_ids()
         },
         "edge_kinds": [
@@ -275,7 +278,8 @@ def trajectory_from_csv(path) -> TrajectorySet:
 
     Raises ValueError unless the horizon is finite and non-negative and each
     agent's records open with a hold, end no earlier than they start, follow
-    one another in time without overlap, and never jump (`track_jumps`).
+    one another in time without overlap, end by the horizon, and never jump
+    (`track_jumps`).
     """
     rows = Path(path).read_text().splitlines()
     if rows[1:2] != [TRAJECTORY_HEADER] or not rows[0].startswith("# horizon="):
@@ -299,6 +303,8 @@ def trajectory_from_csv(path) -> TrajectorySet:
             raise ValueError(f"{path}: agent {a!r} has a record ending before it starts")
         if not (tr.t1[:-1] <= tr.t0[1:]).all():
             raise ValueError(f"{path}: records of agent {a!r} are not in time order")
+        if tr.t1[-1] > horizon:
+            raise ValueError(f"{path}: records of agent {a!r} run past the horizon")
         jumps = track_jumps(tr)
         if jumps:
             t, d = jumps[0]

@@ -63,7 +63,6 @@ class SkeletonGraph:
 
     nodes: list[SkeletonNode]
     edges: list[tuple[int, int]]
-    sample_interval: float
     # what the bridging did: fragments, bridges, bridge_pops
     counters: dict = field(default_factory=dict, repr=False, compare=False)
     # the distance grid the skeleton was read from
@@ -210,7 +209,7 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
     mask &= D > 0.75 * grid_resolution
 
     if not mask.any():
-        return SkeletonGraph([], [], grid_resolution, dict.fromkeys(BRIDGE_COUNTERS, 0), grid)
+        return SkeletonGraph([], [], dict.fromkeys(BRIDGE_COUNTERS, 0), grid)
 
     mask = _thin(mask)
     bridges, counters = _bridges(mask, free2, D)
@@ -229,7 +228,7 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
             u, v = i + dx, j + dy
             if 0 <= u < nx and 0 <= v < ny and mask[u, v]:
                 edges.append((int(idx[i, j]), int(idx[u, v])))
-    return SkeletonGraph(nodes, edges, grid_resolution, counters, grid)
+    return SkeletonGraph(nodes, edges, counters, grid)
 
 
 def _steps8(row: int) -> tuple[int, ...]:

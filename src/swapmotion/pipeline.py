@@ -73,16 +73,13 @@ class RunReport:
 @dataclass
 class RunArtifacts:
     conversion: ConversionResult
-    start_occ: Occupancy
-    goal_occ: Occupancy
-    plan: Plan
+    plan: Plan  # its `start` and `goal` are the occupancies the navigation legs reach
     trajectory: TrajectorySet
     verification: VerificationReport
 
 
 def concat_trajectories(parts: list[TrajectorySet]) -> TrajectorySet:
     """Stitch trajectory sets end to end; an agent missing from a part holds."""
-    parts = [p for p in parts if p is not None]
     pieces: dict[object, list] = {}
     t = 0.0
     for p in parts:
@@ -162,12 +159,12 @@ def run_pipeline(
     inbound, goal_slots = _navigate_with_retries(s, res, vids, ids, asg_goal, s.goals())
     if not inbound.ok:
         raise _stuck(s, "goal", ids, inbound.stuck_agents, s.goals(), slots, res.grid)
-    start_occ = _occupancy_from_slots(vids, ids, start_slots)
-    goal_occ = _occupancy_from_slots(vids, ids, goal_slots)
+    start = _occupancy_from_slots(vids, ids, start_slots)
+    goal = _occupancy_from_slots(vids, ids, goal_slots)
     timings["navigate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plan = plan_permutation(g, start_occ, goal_occ, realization_edge_cost(res))
+    plan = plan_permutation(g, start, goal, realization_edge_cost(res))
     timings["plan"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -202,7 +199,7 @@ def run_pipeline(
         navigate={"start": prologue.counters, "goal": inbound.counters},
         convert=res.counters,
     )
-    artifacts = RunArtifacts(res, start_occ, goal_occ, plan, full, report)
+    artifacts = RunArtifacts(res, plan, full, report)
     if out_dir is not None:
         _write_artifacts(out_dir, s, run, artifacts)
     return run, artifacts
@@ -251,7 +248,7 @@ def _navigate_with_retries(s: Scenario, res, vids, ids, asg, leg_points):
             s.workspace,
             s.r,
             [radial_hints(res, v, s.r) for v in target_vids],
-            [min(k for _, k, _ in res.vertex_rings[v]) for v in target_vids],
+            [min(res.loop_layer[li][1] for li in g.loops_of(v)) for v in target_vids],
             res.grid,
         )
         counters.update(result.counters)

@@ -69,7 +69,7 @@ class Plan:
     start: Occupancy
     goal: Occupancy
     # what plan_permutation did: cycles, exchanges, vacancy_swaps, idle_swaps,
-    # core_swaps (parked cores emitted as one ring-edge swap), ops_raw, ops
+    # core_swaps (parked cores as one ring-edge swap), ops_emitted, ops
     counters: dict = field(default_factory=dict, compare=False)
 
 
@@ -703,7 +703,7 @@ def plan_permutation(
         "vacancy_swaps": vacancy_swaps,
         "idle_swaps": len(m.ops) - len(moving),
         "core_swaps": m.core_swaps,
-        "ops_raw": len(m.ops),
+        "ops_emitted": len(m.ops),
         "ops": len(ops),
     }
     return Plan(ops=ops, start=start.copy(), goal=goal.copy(), counters=counters)

@@ -128,7 +128,7 @@ def render_scene(
             dash="4,3",
         )
     for v in g.vertex_ids():
-        shared = len(res.vertex_rings.get(v, [])) > 1
+        shared = len(g.loops_of(v)) > 1
         svg.circle(
             tuple(g.positions[v]), 0.12 * res.r,
             "#aa0000" if shared else "#000000",

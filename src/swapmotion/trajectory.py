@@ -239,16 +239,16 @@ def _swap_motion(res, op: VacancySwap, occ_map, t0, emit) -> float:
 
 def _radial_motion(res, occ_map, kind: RadialCorridor, u, v, mover, t0, emit) -> float:
     """Align the vacant ring under the mover, move radially, rotate back.
-    The corridor's outer end is its ring's port (`ring_ports`)."""
+    The corridor's outer end is its endpoint on ring `(circle, outer_ring)`."""
     circle, g = kind.circle, res.graph
-    rings = (kind.outer_ring, kind.inner_ring)
-    ring_u, ring_v = rings if u == res.ring_ports[(circle, kind.outer_ring)] else rings[::-1]
 
     def on_ring(x, ring):
-        """The loop of `ring` through x, and x's slot angle on it."""
-        li = next(li for li in g.loops_of(x) if res.loop_layer[li] == (circle, ring))
-        return li, res.slot_angles[li][g.slot[li][x]]
+        """The loop of `ring` through x and x's slot angle on it, or None."""
+        li = next((li for li in g.loops_of(x) if res.loop_layer[li] == (circle, ring)), None)
+        return None if li is None else (li, res.slot_angles[li][g.slot[li][x]])
 
+    rings = (kind.outer_ring, kind.inner_ring)
+    ring_u, ring_v = rings if on_ring(u, kind.outer_ring) else rings[::-1]
     _, ang_u = on_ring(u, ring_u)
     li_v, ang_v = on_ring(v, ring_v)
     delta = _signed_angle(ang_u - ang_v)

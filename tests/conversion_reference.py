@@ -24,7 +24,7 @@ def corridor_route_reference(res: ConversionResult, e: tuple[int, int]) -> list[
     """Mover polyline of gap or path connector e, from slot e[0] to slot e[1]."""
     kind = res.inter_edge_kind[e]
     u, v = e
-    if not any(c == kind.circle_a for c, _, _ in res.vertex_rings[u]):
+    if not any(res.loop_layer[li][0] == kind.circle_a for li in res.graph.loops_of(u)):
         u, v = v, u
     mid = mid_waypoints_reference(res.circles, kind) if isinstance(kind, PathCorridor) else []
     route = [res.graph.positions[u], *mid, res.graph.positions[v]]

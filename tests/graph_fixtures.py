@@ -23,7 +23,7 @@ def circle_graph(circles, r=1.0, w=None, skeleton=None):
             max(c.center.y + c.radius for c in circles),
         ))
     if skeleton is None:
-        skeleton = SkeletonGraph([], [], 0.5 * r)
+        skeleton = SkeletonGraph([], [])
     return _build(list(circles), r, _TauCache(skeleton, r, w))
 
 

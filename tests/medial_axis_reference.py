@@ -148,7 +148,7 @@ def extract_medial_axis_reference(w: Workspace, grid_resolution: float) -> Skele
     mask &= D > 0.75 * grid_resolution
 
     if not mask.any():
-        return SkeletonGraph(nodes=[], edges=[], sample_interval=grid_resolution)
+        return SkeletonGraph(nodes=[], edges=[])
 
     mask = _thin(mask)
     mask = reconnect_reference(mask, free2, D)
@@ -166,7 +166,7 @@ def extract_medial_axis_reference(w: Workspace, grid_resolution: float) -> Skele
             u, v = i + dx, j + dy
             if 0 <= u < nx and 0 <= v < ny and mask[u, v]:
                 edges.append((int(idx[i, j]), int(idx[u, v])))
-    return SkeletonGraph(nodes=nodes, edges=edges, sample_interval=grid_resolution)
+    return SkeletonGraph(nodes=nodes, edges=edges)
 
 
 def reconnect_reference(

@@ -215,7 +215,7 @@ class TestNavigate:
             w,
             1.0,
             [radial_hints(res, v, 1.0) for v in targets],
-            [min(k for _, k, _ in res.vertex_rings[v]) for v in targets],
+            [min(res.loop_layer[li][1] for li in res.graph.loops_of(v)) for v in targets],
             distance_grid(w, 1.0),
         )
         assert out.ok, out.stuck_agents

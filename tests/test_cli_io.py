@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -177,9 +178,9 @@ class TestCli:
         assert report["timings"]["artifacts"] > 0.0
         block = report["plan"]
         assert set(block) == {
-            "cycles", "exchanges", "vacancy_swaps", "idle_swaps", "core_swaps", "ops_raw", "ops"
+            "cycles", "exchanges", "vacancy_swaps", "idle_swaps", "core_swaps", "ops_emitted", "ops"
         }
-        assert block["ops"] == report["op_count"] <= block["ops_raw"]
+        assert block["ops"] == report["op_count"] <= block["ops_emitted"]
         assert block["vacancy_swaps"] <= block["exchanges"]
         legs = report["navigate"]
         assert set(legs) == {"start", "goal"}
@@ -596,6 +597,21 @@ class TestScenarioKeys:
         for f in files:
             assert set(load_json(f)) == {"name", "workspace", "r", "agents", "params"}, f
 
+    def test_make_scenarios_reproduces_the_shipped_files(self, tmp_path):
+        """`scripts/make_scenarios.py`, run in an empty directory, writes a
+        `scenarios/` whose every file parses to the shipped file's Scenario."""
+        root = SCENARIOS.parent
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "make_scenarios.py")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            check=True, capture_output=True,
+        )
+        made = sorted(p.name for p in (tmp_path / "scenarios").glob("*.json"))
+        assert made == sorted(p.name for p in SCENARIOS.glob("*.json"))
+        for name in made:
+            fresh = scenario_from_dict(load_json(tmp_path / "scenarios" / name))
+            assert fresh == scenario_from_dict(load_json(SCENARIOS / name)), name
+
 
 class TestUnreadableInput:
     """A missing or malformed input file is an InvalidScenario: exit 2, one line."""
@@ -701,10 +717,13 @@ class TestMalformedTrajectory:
         (lambda rows: _bad_horizon(rows, "nan"), "horizon nan"),
         (lambda rows: _bad_horizon(rows, "inf"), "horizon inf"),
         (lambda rows: _bad_horizon(rows, "-1.0"), "horizon -1.0"),
+        # rect_12's records run to about 665; render would draw only t <= 1
+        (lambda rows: _bad_horizon(rows, "1.0"), "past the horizon"),
         (_no_opening_hold, "agent 0 does not open with a hold"),
         (_ends_before_start, "agent 0 has a record ending before it starts"),
         (_out_of_order, "records of agent 0 are not in time order"),
-    ], ids=["horizon_nan", "horizon_inf", "horizon_negative", "no_opening_hold",
+    ], ids=["horizon_nan", "horizon_inf", "horizon_negative", "horizon_too_early",
+            "no_opening_hold",
             "ends_before_start", "out_of_order"])
     def test_render_rejects(self, edit, message, exec_dir, tmp_path, capsys):
         for name in ("scenario.json", "trajectory.csv"):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapmotion.capacity import loop_capacity, safe_layer_count, slot_pitch
+from swapmotion.capacity import loop_capacity, port_gap, safe_layer_count, slot_pitch
 from swapmotion.conversion import (
     GapCorridor,
     PathCorridor,
@@ -17,7 +17,7 @@ from swapmotion.conversion import (
     greedy_convert,
 )
 from swapmotion.errors import PreconditionViolated
-from swapmotion.fileio import load_json, scenario_from_dict
+from swapmotion.fileio import graph_to_dict, load_json, scenario_from_dict
 from swapmotion.geometry import (
     Disk,
     Point2,
@@ -83,33 +83,45 @@ class TestSingleCircle:
 
 
 def _ring_on(res, v, circle):
-    """The ring of `circle` that vertex v lies on."""
-    (ring,) = {k for c, k, _ in res.vertex_rings[v] if c == circle}
-    return ring
+    """The loop of `circle` that vertex v lies on, and its ring."""
+    ((li, ring),) = [
+        (li, res.loop_layer[li][1]) for li in res.graph.loops_of(v)
+        if res.loop_layer[li][0] == circle
+    ]
+    return li, ring
 
 
 def assert_radials_anchored(res):
-    """Every radial corridor joins its outer ring's port to a slot of its
-    inner ring: realization takes the port for the corridor's outer end."""
+    """Every radial corridor joins a slot of its outer ring to one of its
+    inner ring, and the outer end is a port: its cycle neighbours are at
+    least `port_gap(outer_ring)` away in angle, so the descent clears them.
+    Realization takes the end on the outer ring for the corridor's outer end."""
+    g = res.graph
     for e, kind in res.inter_edge_kind.items():
         if not isinstance(kind, RadialCorridor):
             continue
-        ring = {x: _ring_on(res, x, kind.circle) for x in e}
-        assert sorted(ring.values()) == [kind.inner_ring, kind.outer_ring]
-        u = max(e, key=ring.get)
-        assert u == res.ring_ports[(kind.circle, kind.outer_ring)]
+        on = {x: _ring_on(res, x, kind.circle) for x in e}
+        assert sorted(ring for _, ring in on.values()) == [kind.inner_ring, kind.outer_ring]
+        u = max(e, key=lambda x: on[x][1])
+        li = on[u][0]
+        angles, p = res.slot_angles[li], g.slot[li][u]
+        for q in (p - 1, p + 1):
+            gap = abs(angles[q % len(angles)] - angles[p]) % (2 * math.pi)
+            assert min(gap, 2 * math.pi - gap) >= port_gap(kind.outer_ring) - 1e-9
 
 
 def assert_slot_angles(res):
-    """`slot_angles[li][p]` is the first angle `vertex_rings` gives slot
-    `loops[li][p]` on ring `loop_layer[li]`, and it grows strictly along
-    the cycle."""
+    """`slot_angles[li][p]` is the angle of slot `loops[li][p]` about the
+    centre of ring `loop_layer[li]`'s circle, in [0, 2 pi], as `_build`
+    computes it, and it grows strictly along the cycle."""
     g = res.graph
     assert len(res.slot_angles) == len(res.loop_layer) == g.K
     for cyc, (circle, ring), angles in zip(g.loops, res.loop_layer, res.slot_angles):
         assert len(angles) == len(cyc)
+        c = res.circles[circle].center
         for v, a in zip(cyc, angles):
-            assert a == next(x for c, k, x in res.vertex_rings[v] if (c, k) == (circle, ring))
+            p = g.positions[v]
+            assert a == math.atan2(p.y - c.y, p.x - c.x) % (2 * math.pi)
         assert all(a < b for a, b in zip(angles, angles[1:]))
         # a slot just below angle 0 can come out at 2 pi exactly, after x % (2 pi)
         assert 0.0 <= angles[0] and angles[-1] <= 2 * math.pi
@@ -153,10 +165,24 @@ class TestTwoCircles:
         b = Disk(Point2(7.5, 0), 5.0)
         res = circle_graph([a, b])
         assert res is not None
-        shared = [v for v in res.graph.vertex_ids() if len(res.vertex_rings[v]) > 1]
+        shared = [v for v in res.graph.vertex_ids() if len(res.graph.loops_of(v)) > 1]
         assert len(shared) == 2
         assert res.graph.violations() == []
         assert pairwise_min_distance(res) >= 2.0 - 1e-7
+
+    def test_shared_slot_in_graph_json(self):
+        """graph.json lists a shared slot's two rings in loop order (circle
+        0's before circle 1's), each with the slot's angle about its circle."""
+        res = circle_graph([Disk(Point2(0, 0), 5.0), Disk(Point2(7.5, 0), 5.0)])
+        rings = graph_to_dict(res)["vertex_rings"]
+        shared = {int(v): entry for v, entry in rings.items() if len(entry) > 1}
+        assert len(shared) == 2
+        for v, entry in shared.items():
+            assert [[c, k] for c, k, _ in entry] == [[0, 2], [1, 2]]
+            p = res.graph.positions[v]
+            for c, _, ang in entry:
+                center = res.circles[c].center
+                assert ang == math.atan2(p.y - center.y, p.x - center.x) % (2 * math.pi)
 
     def test_gap_corridor_pair(self):
         a = Disk(Point2(0, 0), 5.0)

@@ -212,7 +212,7 @@ def skeleton_queries(draw):
     ia = draw(st.integers(0, len(circles) - 1))
     ib = draw(st.sampled_from([k for k, c in enumerate(circles) if c != circles[ia]] or [ia]))
     r = draw(st.sampled_from([0.5, 1.0]))
-    return SkeletonGraph(nodes, edges, 1.0), circles, ia, ib, r
+    return SkeletonGraph(nodes, edges), circles, ia, ib, r
 
 
 class TestSkeletonPath:
@@ -258,7 +258,7 @@ class TestSkeletonPath:
         """A circle 3 off a straight skeleton blocks it for r = 2.5 but not
         for r = 0.5, asked in that order of one graph."""
         nodes = [SkeletonNode(Point2(float(x), 10.0), 5.0) for x in range(4, 37)]
-        s = SkeletonGraph(nodes, [(k, k + 1) for k in range(len(nodes) - 1)], 1.0)
+        s = SkeletonGraph(nodes, [(k, k + 1) for k in range(len(nodes) - 1)])
         w = rectangle_workspace(40.0, 20.0)
         circles = [Disk(Point2(5.0, 10.0), 1.0), Disk(Point2(35.0, 10.0), 1.0),
                    Disk(Point2(20.0, 13.0), 1.0)]
@@ -268,9 +268,9 @@ class TestSkeletonPath:
             assert (got is not None) == found
 
     def test_node_arrays(self):
-        s = SkeletonGraph([SkeletonNode(Point2(1.0, 2.0), 0.5)], [], 1.0)
+        s = SkeletonGraph([SkeletonNode(Point2(1.0, 2.0), 0.5)], [])
         assert s.xy.tolist() == [[1.0, 2.0]] and s.clearances.tolist() == [0.5]
-        assert SkeletonGraph([], [], 1.0).xy.shape == (0, 2)
+        assert SkeletonGraph([], []).xy.shape == (0, 2)
 
 
 def _load(path):

@@ -256,7 +256,7 @@ class TestPlanPermutation:
         for name in ("rect_12", "obstacles_30", "rect_50", "rect_100"):
             art = bench_runs()[name][2]
             cost = realization_edge_cost(art.conversion)
-            cases.append((art.conversion.graph, art.start_occ, art.goal_occ, cost))
+            cases.append((art.conversion.graph, art.plan.start, art.plan.goal, cost))
         idle_total = 0
         for g, start, goal, cost in cases:
             machines.clear()
@@ -265,7 +265,7 @@ class TestPlanPermutation:
             moving = drop_idle_swaps_by_replay(start, g, m.ops)
             assert plan.ops == simplify_ops(moving, g)
             counters = {
-                "idle_swaps": len(m.ops) - len(moving), "ops_raw": len(m.ops), "ops": len(plan.ops)
+                "idle_swaps": len(m.ops) - len(moving), "ops_emitted": len(m.ops), "ops": len(plan.ops)
             }
             assert {k: plan.counters[k] for k in counters} == counters
             idle_total += counters["idle_swaps"]
@@ -282,7 +282,7 @@ class TestPlanPermutation:
         assert plan.ops == [VacancySwap(16, 17)]
         assert plan.counters == {
             "cycles": 1, "exchanges": 1, "vacancy_swaps": 1, "idle_swaps": 0,
-            "core_swaps": 0, "ops_raw": 1, "ops": 1,
+            "core_swaps": 0, "ops_emitted": 1, "ops": 1,
         }
 
 

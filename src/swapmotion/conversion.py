@@ -12,6 +12,17 @@ Every graph is built one way, by `_build` with the run's `_TauCache`: it adds
 skeleton-path connectors, keeps every slot r clear of the workspace boundary,
 and checks every gap or path route against the workspace's capsule cache.
 
+Conversion does no work whose answer is already known. Once the slots are
+placed, `_build` lists every connector the set could have; when the loops
+and all of them together leave the graph disconnected it gives the set up
+before any slot or route check, since the connectors it admits are some of
+them. `_TauCache` keeps, per circle pair, the last skeleton path found,
+whose capsule verdict and per-circle verdicts are reused so that another
+set re-checks it only against circles it has not met, or the frontier of
+the last search that reached no path: while every frontier node stays
+inadmissible, a search in another set could reach no more nodes, so the
+answer is None without one.
+
 Conversion decides each gap or skeleton-path connector's route once, when it
 admits the edge: `ConversionResult.routes[e]` is the mover's polyline from
 slot `e[0]` to slot `e[1]`, the one checked clear of the workspace and of
@@ -64,19 +75,22 @@ from .geometry import (
 from .medial_axis import (
     BRIDGE_COUNTERS,
     DistanceGrid,
+    PathCheck,
     SkeletonGraph,
-    _path_clear,
+    _admissible,
+    _skeleton_search,
     extract_medial_axis,
     sample_circles,
-    skeleton_path,
 )
 from .swap_graph import SwapGraph, edge_key
 
 
 # medial-axis fragments, bridges and bridge-search heap pops; sampled circles,
-# `_build` calls and circles kept; skeleton paths searched and reused
+# `_build` calls, those cut before their slot and route checks, and circles
+# kept; skeleton paths searched, reused and answered None without a search
 CONVERT_COUNTERS = (
-    *BRIDGE_COUNTERS, "candidates", "builds", "circles_kept", "paths_searched", "paths_reused"
+    *BRIDGE_COUNTERS, "candidates", "builds", "builds_cut", "circles_kept",
+    "paths_searched", "paths_reused", "paths_skipped",
 )
 
 
@@ -333,6 +347,44 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             return None
     if not ring_members:
         return None
+    loop_layer = sorted(ring_members)
+    loops = [ring_members[key] for key in loop_layer]
+
+    # every connector the set could have, each once, with the mover's route
+    # from u to v that it is admitted on (a radial corridor has none)
+    candidates: list[tuple[int, int, EdgeKind, list[Point2]]] = []
+    # radial corridors between consecutive kept rings, anchored at the outer
+    # ring's port slot so the descent clears its flanking agents
+    for a in range(len(circles)):
+        kept = sorted(i for (x, i) in ring_members if x == a)
+        for lo, hi in zip(kept, kept[1:]):
+            u = ring_port.get((a, hi))
+            if u is None:
+                continue
+            ang, below = ring_angle[(a, hi)][u], ring_angle[(a, lo)]
+            v = min(below, key=lambda x: (abs(_signed_angle(below[x] - ang)), x))
+            candidates.append((u, v, RadialCorridor(a, hi, lo), []))
+    # gap corridors: nearest wedge-boundary slots joined by a straight lens
+    # crossing, admitted only when the whole segment clears every other slot
+    for a, b in gap_pairs:
+        ia = max((i for (x, i) in ring_members if x == a), default=0)
+        jb = max((i for (x, i) in ring_members if x == b), default=0)
+        if ia < 1 or jb < 1:
+            continue
+        u, v = _nearest_pair(positions, ring_members[(a, ia)], ring_members[(b, jb)])
+        candidates.append((u, v, GapCorridor(a, ia, b, jb), [positions[u], positions[v]]))
+    # skeleton-path corridors attach at their reserved ports
+    for (a, b), (kind, mid, ang_a, ang_b) in sorted(taus.items()):
+        u = port_of_angle.get((a, kind.ring_a, ang_a))
+        v = port_of_angle.get((b, kind.ring_b, ang_b))
+        if u is None or v is None:
+            continue
+        candidates.append((u, v, kind, corners([positions[u], *mid, positions[v]])))
+    # the admitted connectors are some of these, so a set they leave
+    # disconnected fails `graph.violations()` whatever the checks below decide
+    if not _connected(len(positions), loops, [(u, v) for u, v, _, _ in candidates]):
+        cache.cut += 1
+        return None
 
     # collision-freeness of the whole slot set
     slot_xy = np.array([positions[v] for v in sorted(positions)], dtype=float)  # row v: slot v
@@ -341,18 +393,13 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         np.fill_diagonal(d2, np.inf)
         if d2.min() < (2 * r * (1 - 1e-7)) ** 2:
             return None
+    reach = [neighbor_reach(cx.radius, r) - 1e-7 * r for cx in circles]
     for v in sorted(positions):
         for x, cx in enumerate(circles):
-            if x in owners[v]:
-                continue
-            if dist(positions[v], cx.center) < neighbor_reach(cx.radius, r) - 1e-7 * r:
+            if x not in owners[v] and dist(positions[v], cx.center) < reach[x]:
                 return None
     if (boundary_distance_many(slot_xy, cache.w) < r - cache.w.tol).any():
         return None
-
-    # loops in angular order; connectors
-    loop_layer = sorted(ring_members)
-    loops = [ring_members[key] for key in loop_layer]
 
     inter_edges: list[tuple[int, int]] = []
     edge_kind: dict[tuple[int, int], EdgeKind] = {}
@@ -375,38 +422,9 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             spines, r, np.delete(slot_xy, [u, v], axis=0), 2 * r * (1 - 1e-7)
         )
 
-    # radial corridors between consecutive kept rings, anchored at the outer
-    # ring's port slot so the descent clears its flanking agents
-    for a in range(len(circles)):
-        kept = sorted(i for (x, i) in ring_members if x == a)
-        for lo, hi in zip(kept, kept[1:]):
-            u = ring_port.get((a, hi))
-            if u is None:
-                continue
-            ang, below = ring_angle[(a, hi)][u], ring_angle[(a, lo)]
-            v = min(below, key=lambda x: (abs(_signed_angle(below[x] - ang)), x))
-            add_inter(u, v, RadialCorridor(a, hi, lo))
-
-    # gap corridors: nearest wedge-boundary slots joined by a straight lens
-    # crossing, admitted only when the whole segment clears every other slot
-    for a, b in gap_pairs:
-        ia = max((i for (x, i) in ring_members if x == a), default=0)
-        jb = max((i for (x, i) in ring_members if x == b), default=0)
-        if ia < 1 or jb < 1:
-            continue
-        u, v = _nearest_pair(positions, ring_members[(a, ia)], ring_members[(b, jb)])
-        route = [positions[u], positions[v]]
-        if route_ok(route, u, v):
-            add_inter(u, v, GapCorridor(a, ia, b, jb), route)
-
-    # skeleton-path corridors attach at their reserved ports
-    for (a, b), (kind, mid, ang_a, ang_b) in sorted(taus.items()):
-        u = port_of_angle.get((a, kind.ring_a, ang_a))
-        v = port_of_angle.get((b, kind.ring_b, ang_b))
-        if u is None or v is None:
-            continue
-        route = corners([positions[u], *mid, positions[v]])
-        if route_ok(route, u, v):
+    # a gap or path route must clear the workspace and every other slot
+    for u, v, kind, route in candidates:
+        if not route or route_ok(route, u, v):
             add_inter(u, v, kind, route)
 
     graph = SwapGraph(positions=positions, loops=loops, inter_edges=inter_edges)
@@ -533,37 +551,73 @@ def _nearest_pair(positions, group_a: list[int], group_b: list[int]) -> tuple[in
     return best[1], best[2]
 
 
+def _connected(n: int, loops: list[list[int]], pairs: list[tuple[int, int]]) -> bool:
+    """Whether vertices 0..n-1 form one component when each loop and each
+    pair joins its vertices (union-find)."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for group in (*loops, *pairs):
+        top = find(group[0])
+        for v in group[1:]:
+            root[find(v)] = top
+    return len({find(v) for v in range(n)}) == 1
+
+
 @dataclass
 class _TauCache:
-    """Per-conversion memo: skeleton paths per circle pair (revalidated
-    against the set) and the workspace-only capsule checks of all routes."""
+    """Per-conversion memo: per circle pair, the last skeleton path found
+    (a `PathCheck`, re-checked only against circles it has not met) or the
+    frontier of the last search that found none, and the workspace-only
+    capsule checks of all routes."""
 
     skeleton: SkeletonGraph
     r: float
     w: Workspace
     store: dict = field(default_factory=dict)
     capsules: CapsuleCache = field(init=False)
-    searched: int = 0  # `skeleton_path` calls
+    searched: int = 0  # skeleton searches
     reused: int = 0  # stored paths still clear in the set asked about
+    skipped: int = 0  # None answered by a stored frontier
+    cut: int = 0  # `_build` calls whose candidate connectors leave the graph disconnected
 
     def __post_init__(self):
         self.capsules = CapsuleCache(self.w)
 
     def path(self, circles: list[Disk], ai: int, bi: int) -> Optional[tuple[Point2, ...]]:
-        """Waypoints of the skeleton path between circles ai and bi of the set
-        `circles`."""
+        """`skeleton_path` between circles ai and bi of the set `circles`, or
+        the path stored for the pair when it is still clear in this set.
+
+        A stored frontier answers None without a search while none of its
+        nodes is admissible in this set: the search could reach no more
+        nodes than the one that stored it. A found path that fails its check
+        leaves nothing stored."""
         a, b = circles[ai], circles[bi]
         key = (a.center, a.radius, b.center, b.radius)
         others = [c for k, c in enumerate(circles) if k not in (ai, bi)]
-        if key in self.store:
-            tau = self.store[key]
-            if tau is not None and _path_clear(tau, a, b, others, self.r, self.capsules):
+        known = self.store.get(key)
+        if isinstance(known, PathCheck):
+            if known.clear_of(others):
                 self.reused += 1
-                return tau
+                return known.waypoints
+        elif known is not None:
+            if not _admissible(self.skeleton, others, self.r, self.w.tol)[known].any():
+                self.skipped += 1
+                return None
         self.searched += 1
-        tau = skeleton_path(self.skeleton, circles, ai, bi, self.r, self.capsules)
-        self.store[key] = tau
-        return tau
+        tau, frontier = _skeleton_search(self.skeleton, circles, ai, bi, self.r, self.w.tol)
+        if tau is None:
+            self.store[key] = frontier
+            return None
+        check = PathCheck(tau, a, b, self.r, self.capsules)
+        clear = check.clear_of(others)
+        self.store[key] = check if clear else None
+        return tau if clear else None
 
 
 def greedy_convert(
@@ -633,7 +687,11 @@ def greedy_convert(
         if not progressed:
             break
     counters.update(
-        circles_kept=len(best.circles), paths_searched=cache.searched, paths_reused=cache.reused
+        builds_cut=cache.cut,
+        circles_kept=len(best.circles),
+        paths_searched=cache.searched,
+        paths_reused=cache.reused,
+        paths_skipped=cache.skipped,
     )
     best.counters = counters
     best.grid = skeleton.grid

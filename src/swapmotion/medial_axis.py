@@ -7,14 +7,19 @@ realizing it, all from one pass over the obstacle edges
 which navigation's grid router also routes on. Medial cells are detected
 two ways: jumps in the nearest boundary point between neighboring cells
 (different walls) and local ridges of the clearance field. The union is
-thinned to one-cell-wide polylines, and the fragments of every free
+thinned to one-cell-wide polylines (one lookup of each cell's
+8-neighbourhood code in a 256-entry table), and the fragments of every free
 component are joined by widest-path bridges: one resumed widest-path search
 per growing fragment, over flat cell indices in plain lists. The result is a
 small geometric graph that also keeps its node positions and clearances as
 arrays, so `skeleton_path` checks all nodes of a query with numpy masks
 before its Dijkstra over the skeleton; the graph computes each circle's
 masks once. A query names its two circles by their indices in the circle
-set, and a skeleton path is the plain tuple of its waypoints.
+set, and a skeleton path is the plain tuple of its waypoints. A search that
+finds no path also returns its frontier, the inadmissible nodes it stopped
+at, and a found path's capsule check (`PathCheck`) keeps one verdict per
+circle, so a conversion can ask about the same pair again in another circle
+set at the cost of what changed.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .geometry import (
     capsule_free,  # noqa: F401  (looked up here by bench/tracing.py)
     dist,
     nearest_boundary,
+    point_segment_distances,
     points_in_free_space,
 )
 
@@ -112,7 +118,20 @@ def _grid_points(w: Workspace, res: float):
 
 BRIDGE_COUNTERS = ("fragments", "bridges", "bridge_pops")
 
+# the 8 neighbours of a cell in cyclic order; bit k of a cell's code is set
+# when its neighbour _RING[k] is
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def _removable(code: int) -> bool:
+    """A cell whose 8-neighbourhood code is `code` goes in thinning: it has 2
+    to 6 set neighbours, and one run of them round the ring."""
+    bits = [code >> k & 1 for k in range(8)]
+    runs = sum(1 for k in range(8) if not bits[k] and bits[(k + 1) % 8])
+    return 2 <= sum(bits) <= 6 and runs == 1
+
+
+_REMOVABLE = [_removable(code) for code in range(256)]
 
 
 def _thin(mask: np.ndarray) -> np.ndarray:
@@ -120,35 +139,33 @@ def _thin(mask: np.ndarray) -> np.ndarray:
 
     Cells are peeled one at a time (in raster order) whenever removal
     keeps the local neighborhood connected, so the result can never split a
-    component; branch endpoints are preserved.
+    component; branch endpoints are preserved. The grid is padded by one
+    unset cell and flattened; every cell keeps its 8-neighbourhood code, a
+    removal clears its bit in its neighbours' codes, and the test is one
+    lookup in `_REMOVABLE` (Lam, Lee and Suen, TPAMI 1992).
     """
-    m = mask.copy()
-    nx, ny = m.shape
-    cells = sorted(zip(*np.nonzero(m)))
-
-    def ring(i, j):
-        out = []
-        for dx, dy in _RING:
-            u, v = i + dx, j + dy
-            out.append(bool(m[u, v]) if 0 <= u < nx and 0 <= v < ny else False)
-        return out
-
+    nx, ny = mask.shape
+    row = ny + 2
+    pad = np.pad(mask, 1)
+    code = np.zeros(pad.shape, dtype=int)
+    for k, (dx, dy) in enumerate(_RING):
+        code[1:-1, 1:-1] |= pad[1 + dx : 1 + dx + nx, 1 + dy : 1 + dy + ny].astype(int) << k
+    on = pad.ravel().tolist()
+    code = code.ravel().tolist()
+    # neighbour _RING[k] sees this cell as its neighbour _RING[k + 4]
+    unset = [(dx * row + dy, ~(1 << (k + 4) % 8)) for k, (dx, dy) in enumerate(_RING)]
+    cells = np.flatnonzero(pad).tolist()
     changed = True
     while changed:
         changed = False
-        for i, j in cells:
-            if not m[i, j]:
-                continue
-            rg = ring(i, j)
-            b = sum(rg)
-            if b < 2 or b > 6:
-                continue
-            a = sum(1 for k in range(8) if not rg[k] and rg[(k + 1) % 8])
-            if a != 1:
-                continue
-            m[i, j] = False
-            changed = True
-    return m
+        for c in cells:
+            if on[c] and _REMOVABLE[code[c]]:
+                on[c] = False
+                for step, keep in unset:
+                    code[c + step] &= keep
+                changed = True
+        cells = list(compress(cells, map(on.__getitem__, cells)))
+    return np.array(on, dtype=bool).reshape(pad.shape)[1:-1, 1:-1]
 
 
 def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
@@ -386,31 +403,41 @@ def sample_circles(
     return [Disk(s.nodes[i].position, s.nodes[i].clearance) for i in picked]
 
 
-def skeleton_path(
-    s: SkeletonGraph, circles: list[Disk], ia: int, ib: int, r: float, capsules: CapsuleCache
-) -> tuple[Point2, ...] | None:
-    """Waypoints of the shortest skeleton polyline from circle `circles[ia]`
-    to `circles[ib]` whose r-inflation, outside those two circles, avoids
-    every obstacle and every other circle of the set.
+def _admissible(s: SkeletonGraph, others: list[Disk], r: float, tol: float) -> np.ndarray:
+    """Which nodes a skeleton path may pass outside its own two circles: those
+    with clearance r that keep r clear of every circle of `others`."""
+    ok = ~(s.clearances < r - tol)
+    for c in others:
+        ok &= ~s.within(c.center, c.radius + r - tol, True)
+    return ok
 
-    The workspace is `capsules.w`, whose capsule checks `capsules` memoizes."""
-    w = capsules.w
+
+def _skeleton_search(
+    s: SkeletonGraph, circles: list[Disk], ia: int, ib: int, r: float, tol: float
+) -> tuple[tuple[Point2, ...] | None, np.ndarray]:
+    """The Dijkstra of `skeleton_path` alone: the waypoints of the shortest
+    admissible skeleton polyline from circle `circles[ia]` to `circles[ib]`,
+    before its capsule check, and the search's frontier.
+
+    When no path reaches `circles[ib]`, the frontier is every node next to
+    the part the search reached that it rejected as inadmissible (empty when
+    a circle holds no node). While each of them stays inadmissible in
+    another circle set, that set's search for the same two circles can reach
+    no more nodes, so it finds no path either."""
     a, b = circles[ia], circles[ib]
     others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
     in_a, in_b = (s.within(c.center, c.radius, False) for c in (a, b))
     sources = np.flatnonzero(in_a).tolist()
     if not sources or not in_b.any():
-        return None
+        return None, np.zeros(0, dtype=int)
     # a node is admissible inside a or b, or with clearance r and clear of the others
-    ok = ~(s.clearances < r - w.tol)
-    for c in others:
-        ok &= ~s.within(c.center, c.radius + r - w.tol, True)
-    node_ok = (ok | in_a | in_b).tolist()
+    node_ok = (_admissible(s, others, r, tol) | in_a | in_b).tolist()
     targets = in_b.tolist()
     best = [math.inf] * len(s.nodes)
     for i in sources:
         best[i] = 0.0
     prev: dict[int, int] = {}
+    rejected: set[int] = set()
     heap = [(0.0, i) for i in sources]
     heapq.heapify(heap)
     goal = None
@@ -423,6 +450,7 @@ def skeleton_path(
             break
         for v, wgt in s.neighbors(u):
             if not node_ok[v]:
+                rejected.add(v)
                 continue
             nd = d + wgt
             if nd < best[v]:
@@ -430,15 +458,28 @@ def skeleton_path(
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     if goal is None:
-        return None
+        return None, np.array(sorted(rejected), dtype=int)
     chain = [goal]
     while chain[-1] in prev:
         chain.append(prev[chain[-1]])
     chain.reverse()
-    waypoints = tuple(s.nodes[i].position for i in chain)
-    if not _path_clear(waypoints, a, b, others, r, capsules):
+    return tuple(s.nodes[i].position for i in chain), np.zeros(0, dtype=int)
+
+
+def skeleton_path(
+    s: SkeletonGraph, circles: list[Disk], ia: int, ib: int, r: float, capsules: CapsuleCache
+) -> tuple[Point2, ...] | None:
+    """Waypoints of the shortest skeleton polyline from circle `circles[ia]`
+    to `circles[ib]` whose r-inflation, outside those two circles, avoids
+    every obstacle and every other circle of the set.
+
+    The workspace is `capsules.w`, whose capsule checks `capsules` memoizes."""
+    waypoints, _ = _skeleton_search(s, circles, ia, ib, r, capsules.w.tol)
+    if waypoints is None:
         return None
-    return waypoints
+    others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
+    check = PathCheck(waypoints, circles[ia], circles[ib], r, capsules)
+    return waypoints if check.clear_of(others) else None
 
 
 def _hypot_cmp(op, dx: np.ndarray, dy: np.ndarray, bound) -> np.ndarray:
@@ -457,23 +498,40 @@ def _hypot_cmp(op, dx: np.ndarray, dy: np.ndarray, bound) -> np.ndarray:
     return out
 
 
-def _path_clear(
-    waypoints: tuple[Point2, ...],
-    a: Disk,
-    b: Disk,
-    others: list[Disk],
-    r: float,
-    capsules: CapsuleCache,
-) -> bool:
-    """Inflated-path condition for every segment not well inside a or b, in
-    the workspace `capsules.w`."""
-    tol = capsules.w.tol
-    # inside[k]: waypoint k is well inside (a, b); a segment is when both its ends are
-    inside = np.array(
-        [[dist(c.center, p) + r <= c.radius + tol for c in (a, b)] for p in waypoints]
-    )
-    pts = np.array(waypoints, dtype=float)
-    spines = np.stack([pts[:-1], pts[1:]], axis=1)[~(inside[:-1] & inside[1:]).any(axis=1)]
-    centers = np.array([c.center for c in others], dtype=float).reshape(-1, 2)
-    radii = np.array([c.radius for c in others], dtype=float)
-    return capsules.route_clear(spines, r, centers, radii + r - tol)
+class PathCheck:
+    """The inflated-path condition of one skeleton path between circles a and
+    b in the workspace `capsules.w`: every segment not well inside a or b
+    keeps its r-capsule in the free space and keeps r clear of each other
+    circle.
+
+    The capsule verdict is taken once and each circle's verdict the first
+    time it is asked for, so a path asked about again in another circle set
+    is measured only against the circles it has not met."""
+
+    def __init__(
+        self, waypoints: tuple[Point2, ...], a: Disk, b: Disk, r: float, capsules: CapsuleCache
+    ):
+        self.waypoints = waypoints
+        self.r, self.tol = r, capsules.w.tol
+        # inside[k]: waypoint k is well inside (a, b); a segment is when both its ends are
+        inside = np.array(
+            [[dist(c.center, p) + r <= c.radius + self.tol for c in (a, b)] for p in waypoints]
+        )
+        pts = np.array(waypoints, dtype=float)
+        self.spines = np.stack([pts[:-1], pts[1:]], axis=1)[
+            ~(inside[:-1] & inside[1:]).any(axis=1)
+        ]
+        self.free = capsules.all_free(self.spines, r)
+        self.clear: dict[Disk, bool] = {}  # circle -> no spine within its radius + r
+
+    def clear_of(self, others: list[Disk]) -> bool:
+        """True iff the path is free and clear of every circle of `others`."""
+        if not self.free:
+            return False
+        new = [c for c in others if c not in self.clear]
+        if new:
+            centres = np.array([c.center for c in new], dtype=float)
+            reach = np.array([c.radius for c in new], dtype=float) + self.r - self.tol
+            d = point_segment_distances(centres, self.spines[:, None, 0], self.spines[:, None, 1])
+            self.clear.update(zip(new, (~(d < reach).any(axis=0)).tolist()))
+        return all(self.clear[c] for c in others)

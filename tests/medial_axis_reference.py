@@ -1,8 +1,10 @@
 """Reference for the array code in `swapmotion.medial_axis`: the medial-axis
 extraction with three grid distance passes, the cell-by-cell component
 labeling and resumed widest-path reconnect over numpy scalars, the widest
-bridge searched from scratch as a width oracle, and the skeleton Dijkstra
-that checks each node with `dist` as it is reached."""
+bridge searched from scratch as a width oracle, the thinning that reads each
+cell's ring of 8 neighbours from the mask, and the skeleton Dijkstra that
+checks each node with `dist` as it is reached, followed by one capsule check
+of the whole path against every other circle."""
 
 from __future__ import annotations
 
@@ -20,13 +22,42 @@ from swapmotion.geometry import (
     dist,
     points_in_free_space,
 )
-from swapmotion.medial_axis import (
-    SkeletonGraph,
-    SkeletonNode,
-    _grid_points,
-    _path_clear,
-    _thin,
-)
+from swapmotion.medial_axis import SkeletonGraph, SkeletonNode, _grid_points
+
+_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def thin_reference(mask: np.ndarray) -> np.ndarray:
+    """Sequential simple-point thinning: passes over the set cells in raster
+    order, each removing a cell at once when it has 2 to 6 set neighbours in
+    one run round its ring, until a pass removes none."""
+    m = mask.copy()
+    nx, ny = m.shape
+    cells = sorted(zip(*np.nonzero(m)))
+
+    def ring(i, j):
+        out = []
+        for dx, dy in _RING:
+            u, v = i + dx, j + dy
+            out.append(bool(m[u, v]) if 0 <= u < nx and 0 <= v < ny else False)
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for i, j in cells:
+            if not m[i, j]:
+                continue
+            rg = ring(i, j)
+            b = sum(rg)
+            if b < 2 or b > 6:
+                continue
+            a = sum(1 for k in range(8) if not rg[k] and rg[(k + 1) % 8])
+            if a != 1:
+                continue
+            m[i, j] = False
+            changed = True
+    return m
 
 
 def nearest_boundary_points_reference(pts: np.ndarray, w: Workspace) -> np.ndarray:
@@ -150,9 +181,9 @@ def extract_medial_axis_reference(w: Workspace, grid_resolution: float) -> Skele
     if not mask.any():
         return SkeletonGraph(nodes=[], edges=[])
 
-    mask = _thin(mask)
+    mask = thin_reference(mask)
     mask = reconnect_reference(mask, free2, D)
-    mask = _thin(mask)
+    mask = thin_reference(mask)
 
     idx = -np.ones((nx, ny), dtype=int)
     nodes = []
@@ -304,6 +335,28 @@ def skeleton_path_reference(
         chain.append(prev[chain[-1]])
     chain.reverse()
     waypoints = tuple(s.nodes[i].position for i in chain)
-    if not _path_clear(waypoints, a, b, others, r, capsules):
+    if not path_clear_reference(waypoints, a, b, others, r, capsules):
         return None
     return waypoints
+
+
+def path_clear_reference(
+    waypoints: tuple[Point2, ...],
+    a: Disk,
+    b: Disk,
+    others: list[Disk],
+    r: float,
+    capsules: CapsuleCache,
+) -> bool:
+    """Inflated-path condition for every segment not well inside a or b, in
+    the workspace `capsules.w`, checked against all of `others` at once."""
+    tol = capsules.w.tol
+    # inside[k]: waypoint k is well inside (a, b); a segment is when both its ends are
+    inside = np.array(
+        [[dist(c.center, p) + r <= c.radius + tol for c in (a, b)] for p in waypoints]
+    )
+    pts = np.array(waypoints, dtype=float)
+    spines = np.stack([pts[:-1], pts[1:]], axis=1)[~(inside[:-1] & inside[1:]).any(axis=1)]
+    centers = np.array([c.center for c in others], dtype=float).reshape(-1, 2)
+    radii = np.array([c.radius for c in others], dtype=float)
+    return capsules.route_clear(spines, r, centers, radii + r - tol)

@@ -194,12 +194,13 @@ class TestCli:
             assert sum(leg[k] for k in tiers) == report["n_agents"]  # one route each
         block = report["convert"]
         assert set(block) == {
-            "fragments", "bridges", "bridge_pops", "candidates", "builds",
-            "circles_kept", "paths_searched", "paths_reused",
+            "fragments", "bridges", "bridge_pops", "candidates", "builds", "builds_cut",
+            "circles_kept", "paths_searched", "paths_reused", "paths_skipped",
         }
         assert block["circles_kept"] == len(load_json(tmp_path / "graph.json")["circles"])
         assert block["circles_kept"] <= min(block["builds"], block["candidates"])
         assert block["bridges"] < block["fragments"]
+        assert block["builds_cut"] <= block["builds"]
 
     def test_convert_only(self, tmp_path):
         code = main(

@@ -8,17 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swapmotion import conversion
 from swapmotion.capacity import loop_capacity, port_gap, safe_layer_count, slot_pitch
 from swapmotion.conversion import (
     GapCorridor,
     PathCorridor,
     RadialCorridor,
+    _build,
+    _TauCache,
     corners,
     greedy_convert,
 )
 from swapmotion.errors import PreconditionViolated
 from swapmotion.fileio import graph_to_dict, load_json, scenario_from_dict
 from swapmotion.geometry import (
+    CapsuleCache,
     Disk,
     Point2,
     Polygon,
@@ -29,10 +33,12 @@ from swapmotion.geometry import (
     point_segment_distances,
     rectangle_workspace,
 )
-from swapmotion.medial_axis import extract_medial_axis, sample_circles
+from swapmotion.medial_axis import SkeletonGraph, extract_medial_axis, sample_circles
 from swapmotion.pipeline import convert_scenario
+from swapmotion.swap_graph import edge_key
 
 from conversion_reference import corridor_route_reference, mid_waypoints_reference
+from medial_axis_reference import path_clear_reference, skeleton_path_reference
 from graph_fixtures import circle_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -469,3 +475,110 @@ def test_consecutive_conversions_equal_fresh_ones():
         ).stdout.strip()
         assert got == fresh
     assert in_a_row[0] != in_a_row[1]
+
+
+def memo_scenes():
+    """grid_20, whose conversion answers most path requests from the memo,
+    and the scenes of fuzz_small seeds 1 and 2."""
+    yield "grid_20", scenario_from_dict(load_json(SCENARIOS / "grid_20.json"))
+    for seed in (1, 2):
+        for scene in bench_workloads().build(ROOT, "fuzz_small", seed):
+            yield f"{seed}/{scene.label}", scene.scenario
+
+
+MEMO_SCENES = list(memo_scenes())
+
+
+class TestMemoAndCut:
+    """The skeleton-path memo and the connectivity cut of `_build` change no
+    answer: each path request answered without a search is the reference
+    search's answer for that circle set, and each cut set is one that
+    `_build` rejects without the cut."""
+
+    @pytest.mark.parametrize("scene", MEMO_SCENES, ids=[k for k, _ in MEMO_SCENES])
+    def test_memo_answers_equal_reference(self, scene, monkeypatch):
+        requests = []
+        path = _TauCache.path
+
+        def spy(cache, circles, ai, bi):
+            before = (cache.searched, cache.reused, cache.skipped)
+            tau = path(cache, circles, ai, bi)
+            after = (cache.searched, cache.reused, cache.skipped)
+            requests.append((list(circles), ai, bi, tau, [y - x for x, y in zip(before, after)]))
+            return tau
+
+        monkeypatch.setattr(_TauCache, "path", spy)
+        s = scene[1]
+        c = convert_scenario(s).counters
+        assert c["paths_searched"] + c["paths_reused"] + c["paths_skipped"] == len(requests)
+        skeleton = extract_medial_axis(s.workspace, 0.5 * s.r)
+        capsules = CapsuleCache(s.workspace)
+        for circles, ai, bi, tau, (searched, reused, skipped) in requests:
+            assert searched + reused + skipped == 1
+            a, b = circles[ai], circles[bi]
+            others = [x for k, x in enumerate(circles) if k not in (ai, bi)]
+            if skipped:
+                assert tau is None
+                assert skeleton_path_reference(skeleton, circles, ai, bi, s.r, capsules) is None
+            if reused:
+                assert path_clear_reference(tau, a, b, others, s.r, capsules)
+        if scene[0] == "grid_20":
+            assert (c["paths_searched"], c["paths_reused"], c["paths_skipped"]) == (97, 164, 172)
+
+    @pytest.mark.parametrize("scene", MEMO_SCENES, ids=[k for k, _ in MEMO_SCENES])
+    def test_cut_is_exact(self, scene, monkeypatch):
+        """Every graph `_build` returns admits only connectors that the cut
+        counted, and with the cut disabled every build returns the same."""
+        results, pairs = [], []
+        build, connected = _build, conversion._connected
+
+        def spy_build(circles, r, cache):
+            res = build(circles, r, cache)
+            results.append(None if res is None else graph_to_dict(res))
+            if res is not None:
+                assert set(res.graph.inter_edges) <= {edge_key(u, v) for u, v in pairs[-1]}
+            return res
+
+        def spy_connected(n, loops, candidates):
+            pairs.append(candidates)
+            return connected(n, loops, candidates)
+
+        def no_cut(n, loops, candidates):
+            pairs.append(candidates)
+            return True
+
+        monkeypatch.setattr(conversion, "_build", spy_build)
+        monkeypatch.setattr(conversion, "_connected", spy_connected)
+        cut = convert_scenario(scene[1]).counters["builds_cut"]
+        with_cut, results[:] = list(results), []
+        monkeypatch.setattr(conversion, "_connected", no_cut)
+        assert convert_scenario(scene[1]).counters["builds_cut"] == 0
+        assert results == with_cut
+        if scene[0] == "grid_20":
+            assert cut == 22
+
+    def test_portless_ring_is_cut_before_route_checks(self, monkeypatch):
+        """Three radius-3 circles round a radius-5 one leave its ring 2 no
+        room for a radial port, so its ring 1 joins nothing: `_build` gives
+        the set up without checking a route."""
+        ports = []
+        layout = conversion._ring_layout
+
+        def spy_layout(i, intervals, corridor_angles=()):
+            out = layout(i, intervals, corridor_angles)
+            ports.append((i, out[1]))
+            return out
+
+        def no_route_check(*args):
+            raise AssertionError("a route was checked")
+
+        monkeypatch.setattr(conversion, "_ring_layout", spy_layout)
+        monkeypatch.setattr(CapsuleCache, "route_clear", no_route_check)
+        turns = [2 * math.pi * k / 3 for k in range(3)]
+        circles = [Disk(Point2(0.0, 0.0), 5.0)] + [
+            Disk(Point2(5.5 * math.cos(t), 5.5 * math.sin(t)), 3.0) for t in turns
+        ]
+        cache = _TauCache(SkeletonGraph([], []), 1.0, Workspace(Rect(-15.0, -15.0, 15.0, 15.0)))
+        assert _build(circles, 1.0, cache) is None
+        assert ports[:2] == [(1, None), (2, None)]
+        assert cache.cut == 1

@@ -1,5 +1,6 @@
-"""The flat-index reconnect, the array node checks of `skeleton_path` and the
-single grid distance pass against the reference in medial_axis_reference.py."""
+"""The flat-index reconnect, the lookup-table thinning, the array node checks
+of `skeleton_path` and the single grid distance pass against the reference
+in medial_axis_reference.py."""
 
 import itertools
 import json
@@ -14,15 +15,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from conversion_reference import tau_path_reference
 from medial_axis_reference import (
     components_reference,
     extract_medial_axis_reference,
     nearest_boundary_points_reference,
     reconnect_reference,
     skeleton_path_reference,
+    thin_reference,
     widest_bridge_reference,
 )
-from swapmotion import conversion
+from swapmotion import conversion, medial_axis
 from swapmotion.fileio import graph_to_dict, scenario_from_dict
 from swapmotion.geometry import (
     CapsuleCache,
@@ -41,6 +44,7 @@ from swapmotion.medial_axis import (
     _fragments,
     _grid_points,
     _hypot_cmp,
+    _thin,
     extract_medial_axis,
     sample_circles,
     skeleton_path,
@@ -162,6 +166,33 @@ class TestReconnect:
         assert labels.max() == 2
         assert set(labels[:4][mask[:4]].tolist()) == {1}
         assert set(labels[5:][mask[5:]].tolist()) == {2}
+
+
+class TestThin:
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_random_masks_equal_reference(self, density):
+        """Masks from 1 x 1 to 24 x 24, the border cells set as often as any."""
+        rng = np.random.default_rng(int(density * 10))
+        for _ in range(150):
+            mask = rng.random((int(rng.integers(1, 25)), int(rng.integers(1, 25)))) < density
+            got = _thin(mask)
+            assert got.dtype == bool and np.array_equal(got, thin_reference(mask))
+
+    def test_masks_of_a_cluttered_pass_equal_reference(self, monkeypatch):
+        """Both thinning calls of grid_20 and of maple_approx_24."""
+        masks = []
+
+        def spy(mask):
+            masks.append(mask.copy())
+            return _thin(mask)
+
+        monkeypatch.setattr(medial_axis, "_thin", spy)
+        for name in ("grid_20", "maple_approx_24"):
+            s = _load(SCENARIOS[0].parent / f"{name}.json")
+            extract_medial_axis(s.workspace, 0.5 * s.r)
+        assert len(masks) == 4
+        for mask in masks:
+            assert np.array_equal(_thin(mask), thin_reference(mask))
 
 
 class TestHypotCmp:
@@ -303,5 +334,5 @@ class TestShippedScenarios:
         assert new.edges == ref.edges
         graph = graph_to_dict(convert_scenario(s))
         monkeypatch.setattr(conversion, "extract_medial_axis", extract_medial_axis_reference)
-        monkeypatch.setattr(conversion, "skeleton_path", skeleton_path_reference)
+        monkeypatch.setattr(conversion._TauCache, "path", tau_path_reference)
         assert graph == graph_to_dict(convert_scenario(s))

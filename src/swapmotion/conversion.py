@@ -8,20 +8,21 @@ corridors between consecutive rings of one circle, gap corridors between the
 outermost rings of two nearby circles, and skeleton-path corridors between
 far circles. A greedy driver admits sampled circles one at a time, keeping a
 tentative circle only when the resulting graph is valid and strictly larger.
-Every graph is built one way, by `_build` with the run's `_TauCache`: it adds
-skeleton-path connectors, keeps every slot r clear of the workspace boundary,
-and checks every gap or path route against the workspace's capsule cache.
+Every graph is built one way, by `_build` with the run's `SkeletonPaths`
+query: it adds skeleton-path connectors, keeps every slot r clear of the
+workspace boundary, and checks every gap or path route against the query's
+capsule cache.
 
-Conversion does no work whose answer is already known. Once the slots are
-placed, `_build` lists every connector the set could have; when the loops
-and all of them together leave the graph disconnected it gives the set up
+Conversion does no work whose answer is already known. Each crossing point
+of two rings is numbered once, where the pair of circles is classified, so
+its one shared slot is placed on both rings by construction. Once the slots
+are placed, `_build` lists every connector the set could have; when the
+loops and all of them together leave the graph disconnected
+(`SwapGraph.connected`, the test `violations()` uses) it gives the set up
 before any slot or route check, since the connectors it admits are some of
-them. `_TauCache` keeps, per circle pair, the last skeleton path found,
-whose capsule verdict and per-circle verdicts are reused so that another
-set re-checks it only against circles it has not met, or the frontier of
-the last search that reached no path: while every frontier node stays
-inadmissible, a search in another set could reach no more nodes, so the
-answer is None without one.
+them. The skeleton-path query answers a pair it was asked about in an
+earlier set without a search only where that is the search's own answer
+(`medial_axis.SkeletonPaths`).
 
 Conversion decides each gap or skeleton-path connector's route once, when it
 admits the edge: `ConversionResult.routes[e]` is the mover's polyline from
@@ -32,8 +33,8 @@ its neighbour, is dropped, so no leg has zero length. Realization, the
 planner's edge costs, the certificate and `trajectory.csv` see one line
 record per leg.
 
-`_build` records each slot's angle on a ring as it places the slot (the first
-angle placed there counts) and orders every ring by it:
+`_build` records each slot's angle on a ring as it places the slot there,
+and orders every ring by it:
 `ConversionResult.slot_angles[li]` is loop li's angles in cycle order, the
 table realization reads ring motion from. It is the one record of a slot's
 rings: `graph.loops_of(v)` and `loop_layer` name them, and a radial
@@ -61,7 +62,7 @@ from .capacity import (
     safe_layer_count,
     slot_pitch,
 )
-from .errors import EmptyFreeSpace, PreconditionViolated
+from .errors import EmptyFreeSpace, InvalidGraph, PreconditionViolated
 from .geometry import (
     CapsuleCache,
     Disk,
@@ -75,10 +76,7 @@ from .geometry import (
 from .medial_axis import (
     BRIDGE_COUNTERS,
     DistanceGrid,
-    PathCheck,
-    SkeletonGraph,
-    _admissible,
-    _skeleton_search,
+    SkeletonPaths,
     extract_medial_axis,
     sample_circles,
 )
@@ -212,13 +210,15 @@ def _triple_intersection_empty(circles: list[Disk], tol: float) -> bool:
     return True
 
 
-def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[ConversionResult]:
+def _build(circles: list[Disk], r: float, paths: SkeletonPaths) -> Optional[ConversionResult]:
     """Assemble the swap graph for a fixed circle set in the workspace
-    `cache.w`; None when invalid.
+    `paths.capsules.w`; None when invalid.
 
-    Far circle pairs get connectors along `cache.skeleton`; every slot is
-    checked against the workspace boundary, and every gap or path route
-    against `cache.capsules` and the other slots."""
+    Far circle pairs get connectors along the skeleton paths of `paths`;
+    every slot is checked against the workspace boundary, and every gap or
+    path route against `paths.capsules` and the other slots. Raises
+    InvalidGraph, before any slot or route check, when the loops and every
+    candidate connector together leave the graph disconnected."""
     tol = 1e-9 * max([c.radius for c in circles] + [r])
     if not _pairwise_center_check(circles):
         raise PreconditionViolated("a circle center lies inside another circle")
@@ -228,8 +228,10 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
     layer_count = [safe_layer_count(c.radius, r) for c in circles]
 
     # per circle pair: shared slots where rings cross (classes III and IV),
-    # and a gap corridor when the outermost rings are in the gap class
-    shared: dict[tuple[int, int], list[tuple[int, int, Point2]]] = {}
+    # and a gap corridor when the outermost rings are in the gap class. Each
+    # crossing point is numbered once and listed on both of its rings
+    crossings: list[Point2] = []
+    shared: dict[tuple[int, int], list[int]] = {}  # (circle, ring) -> its crossings
     linked: set[tuple[int, int]] = set()
     gap_pairs: list[tuple[int, int]] = []
     for a in range(len(circles)):
@@ -245,12 +247,10 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
                     )
                     if len(pts) != 2:
                         return None
-                    shared.setdefault((a, i), []).extend(
-                        (b, j, p) for p in sorted(pts)
-                    )
-                    shared.setdefault((b, j), []).extend(
-                        (a, i, p) for p in sorted(pts)
-                    )
+                    ks = range(len(crossings), len(crossings) + 2)
+                    crossings.extend(sorted(pts))
+                    shared.setdefault((a, i), []).extend(ks)
+                    shared.setdefault((b, j), []).extend(ks)
                     linked.add((a, b))
             if layer_count[a] >= 1 and layer_count[b] >= 1 and classify_pair(
                 circles[a], layer_count[a], circles[b], layer_count[b], D, r
@@ -260,8 +260,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
 
     # skeleton paths for pairs with no direct link, with the waypoints outside
     # both circles and the angles they leave them at; those exits become
-    # ports. This pass runs only once the set passed the one above, since
-    # `cache` remembers every path it is asked for
+    # ports
     taus: dict[tuple[int, int], tuple[PathCorridor, list[Point2], float, float]] = {}
     corridor_ports: dict[tuple[int, int], list[float]] = {}
     for a in range(len(circles)):
@@ -270,7 +269,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
                 continue
             if layer_count[a] < 1 or layer_count[b] < 1:
                 continue
-            tau = cache.path(circles, a, b)
+            tau = paths.path(circles, a, b)
             if tau is None:
                 continue
             ca, cb = circles[a], circles[b]
@@ -288,29 +287,26 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             corridor_ports.setdefault((a, layer_count[a]), []).append(ang_a)
             corridor_ports.setdefault((b, layer_count[b]), []).append(ang_b)
 
-    # slot placement per ring; a slot's angle on a ring is the first one
-    # placed there
+    # slot placement per ring, vertex ids in order of first placement: a
+    # crossing's one vertex is placed on both of its rings, every ring-layout
+    # slot is a new vertex
     positions: dict[int, Point2] = {}
     owners: dict[int, set[int]] = {}  # vid -> the circles it has a ring on
     ring_angle: dict[tuple[int, int], dict[int, float]] = {}  # (circle, ring) -> vid -> angle
-    point_vid: dict[tuple[float, float], int] = {}
-    vid = 0
+    crossing_vid: dict[int, int] = {}
 
-    def add_vertex(p: Point2, circle: int, ring: int) -> int:
-        nonlocal vid
-        key = (round(p.x, 9), round(p.y, 9))
-        if key in point_vid:
-            v = point_vid[key]
-        else:
-            v = vid
-            vid += 1
-            point_vid[key] = v
-            positions[v] = p
-            owners[v] = set()
-        ang = math.atan2(p.y - circles[circle].center.y, p.x - circles[circle].center.x)
-        ang %= 2 * math.pi
+    def place(v: int, circle: int, ring: int) -> int:
+        """Put vertex v on ring `ring` of `circle`, at its own angle there."""
+        p, c = positions[v], circles[circle].center
         owners[v].add(circle)
-        ring_angle.setdefault((circle, ring), {}).setdefault(v, ang)
+        ang = math.atan2(p.y - c.y, p.x - c.x) % (2 * math.pi)
+        ring_angle.setdefault((circle, ring), {})[v] = ang
+        return v
+
+    def new_vertex(p: Point2) -> int:
+        v = len(positions)
+        positions[v] = p
+        owners[v] = set()
         return v
 
     ring_port: dict[tuple[int, int], Optional[int]] = {}
@@ -318,8 +314,10 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
     for a, c in enumerate(circles):
         others = [circles[x] for x in range(len(circles)) if x != a]
         for i in range(1, layer_count[a] + 1):
-            for (b, j, p) in shared.get((a, i), []):
-                add_vertex(p, a, i)
+            for k in shared.get((a, i), ()):
+                if k not in crossing_vid:
+                    crossing_vid[k] = new_vertex(crossings[k])
+                place(crossing_vid[k], a, i)
             rad = 2.0 * r * i
             if others:
                 intervals = widen_gaps(
@@ -333,7 +331,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
             port_vid = None
             for t in angles:
                 p = Point2(c.center.x + rad * math.cos(t), c.center.y + rad * math.sin(t))
-                v = add_vertex(p, a, i)
+                v = place(new_vertex(p), a, i)
                 if port_angle is not None and t == port_angle:
                     port_vid = v
                 if t in placed_ports:
@@ -382,9 +380,8 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         candidates.append((u, v, kind, corners([positions[u], *mid, positions[v]])))
     # the admitted connectors are some of these, so a set they leave
     # disconnected fails `graph.violations()` whatever the checks below decide
-    if not _connected(len(positions), loops, [(u, v) for u, v, _, _ in candidates]):
-        cache.cut += 1
-        return None
+    if not SwapGraph(positions, loops, [(u, v) for u, v, _, _ in candidates]).connected():
+        raise InvalidGraph(["connectivity: disconnected by every candidate connector"])
 
     # collision-freeness of the whole slot set
     slot_xy = np.array([positions[v] for v in sorted(positions)], dtype=float)  # row v: slot v
@@ -398,7 +395,8 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
         for x, cx in enumerate(circles):
             if x not in owners[v] and dist(positions[v], cx.center) < reach[x]:
                 return None
-    if (boundary_distance_many(slot_xy, cache.w) < r - cache.w.tol).any():
+    w = paths.capsules.w
+    if (boundary_distance_many(slot_xy, w) < r - w.tol).any():
         return None
 
     inter_edges: list[tuple[int, int]] = []
@@ -418,7 +416,7 @@ def _build(circles: list[Disk], r: float, cache: _TauCache) -> Optional[Conversi
     def route_ok(route: list[Point2], u: int, v: int) -> bool:
         ends = np.array(route, dtype=float)
         spines = np.stack([ends[:-1], ends[1:]], axis=1)
-        return cache.capsules.route_clear(
+        return paths.capsules.route_clear(
             spines, r, np.delete(slot_xy, [u, v], axis=0), 2 * r * (1 - 1e-7)
         )
 
@@ -551,75 +549,6 @@ def _nearest_pair(positions, group_a: list[int], group_b: list[int]) -> tuple[in
     return best[1], best[2]
 
 
-def _connected(n: int, loops: list[list[int]], pairs: list[tuple[int, int]]) -> bool:
-    """Whether vertices 0..n-1 form one component when each loop and each
-    pair joins its vertices (union-find)."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for group in (*loops, *pairs):
-        top = find(group[0])
-        for v in group[1:]:
-            root[find(v)] = top
-    return len({find(v) for v in range(n)}) == 1
-
-
-@dataclass
-class _TauCache:
-    """Per-conversion memo: per circle pair, the last skeleton path found
-    (a `PathCheck`, re-checked only against circles it has not met) or the
-    frontier of the last search that found none, and the workspace-only
-    capsule checks of all routes."""
-
-    skeleton: SkeletonGraph
-    r: float
-    w: Workspace
-    store: dict = field(default_factory=dict)
-    capsules: CapsuleCache = field(init=False)
-    searched: int = 0  # skeleton searches
-    reused: int = 0  # stored paths still clear in the set asked about
-    skipped: int = 0  # None answered by a stored frontier
-    cut: int = 0  # `_build` calls whose candidate connectors leave the graph disconnected
-
-    def __post_init__(self):
-        self.capsules = CapsuleCache(self.w)
-
-    def path(self, circles: list[Disk], ai: int, bi: int) -> Optional[tuple[Point2, ...]]:
-        """`skeleton_path` between circles ai and bi of the set `circles`, or
-        the path stored for the pair when it is still clear in this set.
-
-        A stored frontier answers None without a search while none of its
-        nodes is admissible in this set: the search could reach no more
-        nodes than the one that stored it. A found path that fails its check
-        leaves nothing stored."""
-        a, b = circles[ai], circles[bi]
-        key = (a.center, a.radius, b.center, b.radius)
-        others = [c for k, c in enumerate(circles) if k not in (ai, bi)]
-        known = self.store.get(key)
-        if isinstance(known, PathCheck):
-            if known.clear_of(others):
-                self.reused += 1
-                return known.waypoints
-        elif known is not None:
-            if not _admissible(self.skeleton, others, self.r, self.w.tol)[known].any():
-                self.skipped += 1
-                return None
-        self.searched += 1
-        tau, frontier = _skeleton_search(self.skeleton, circles, ai, bi, self.r, self.w.tol)
-        if tau is None:
-            self.store[key] = frontier
-            return None
-        check = PathCheck(tau, a, b, self.r, self.capsules)
-        clear = check.clear_of(others)
-        self.store[key] = check if clear else None
-        return tau if clear else None
-
-
 def greedy_convert(
     w: Workspace,
     r: float,
@@ -663,7 +592,7 @@ def greedy_convert(
     ordered = [c for c in candidates if contains_start(c)] + [
         c for c in candidates if not contains_start(c)
     ]
-    cache = _TauCache(skeleton, r, w)
+    paths = SkeletonPaths(skeleton, r, CapsuleCache(w))
     chosen: list[Disk] = []
     best = empty
     while best.graph.num_vertices() < limit:
@@ -674,8 +603,11 @@ def greedy_convert(
             tentative = chosen + [c]
             counters["builds"] += 1
             try:
-                res = _build(tentative, r, cache)
+                res = _build(tentative, r, paths)
             except PreconditionViolated:
+                continue
+            except InvalidGraph:
+                counters["builds_cut"] += 1
                 continue
             if res is None or res.graph.num_vertices() <= best.graph.num_vertices():
                 continue
@@ -687,11 +619,10 @@ def greedy_convert(
         if not progressed:
             break
     counters.update(
-        builds_cut=cache.cut,
         circles_kept=len(best.circles),
-        paths_searched=cache.searched,
-        paths_reused=cache.reused,
-        paths_skipped=cache.skipped,
+        paths_searched=paths.searched,
+        paths_reused=paths.reused,
+        paths_skipped=paths.skipped,
     )
     best.counters = counters
     best.grid = skeleton.grid

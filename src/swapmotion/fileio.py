@@ -39,6 +39,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _numbers(xs, n: int) -> bool:
+    """Whether `xs` is a list of n numbers."""
+    return isinstance(xs, (list, tuple)) and len(xs) == n and all(map(_is_number, xs))
+
+
 @dataclass
 class AgentSpec:
     id: int
@@ -125,6 +130,14 @@ def workspace_to_dict(w: Workspace) -> dict:
 
 
 def workspace_from_dict(d: dict) -> Workspace:
+    """The workspace of `d`; ValueError on bounds that are not four numbers
+    or an obstacle vertex that is not two."""
+    if not _numbers(d["bounds"], 4):
+        raise ValueError(f"bounds {d['bounds']!r} not four numbers")
+    for k, ring in enumerate(d["obstacles"]):
+        for p in ring:
+            if not _numbers(p, 2):
+                raise ValueError(f"obstacle {k} vertex {p!r} not two numbers")
     return Workspace(
         Rect(*d["bounds"]),
         tuple(Polygon(tuple(Point2(*p) for p in ring)) for ring in d["obstacles"]),
@@ -151,7 +164,7 @@ def _agent_from_dict(a: dict) -> AgentSpec:
     aid = int(aid)
     for key in ("start", "goal"):
         xy = a[key]
-        if not (isinstance(xy, (list, tuple)) and len(xy) == 2 and all(map(_is_number, xy))):
+        if not _numbers(xy, 2):
             raise ValueError(f"agent {aid} {key} {xy!r} not two numbers")
     return AgentSpec(aid, Point2(*a["start"]), Point2(*a["goal"]))
 
@@ -159,7 +172,8 @@ def _agent_from_dict(a: dict) -> AgentSpec:
 def scenario_from_dict(d: dict) -> Scenario:
     """The scenario of `d`. Raises ValueError on a top-level key that no
     `Scenario` field reads or a params key that no `ScenarioParams` field
-    reads, unless its value is null."""
+    reads, unless its value is null, and on an `r`, a bound or a coordinate
+    that is not a number (`float` would take "1.0" and true as 1.0)."""
     keys = {f.name for f in fields(Scenario)}
     unknown = [k for k, v in d.items() if k not in keys and v is not None]
     if unknown:
@@ -171,6 +185,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     unknown = [k for k, v in p.items() if k not in names and v is not None]
     if unknown:
         raise ValueError(f"unknown params key {unknown[0]!r}")
+    if not _is_number(d["r"]):
+        raise ValueError(f"r {d['r']!r} not a number")
     return Scenario(
         name=d.get("name", "scenario"),
         workspace=workspace_from_dict(d["workspace"]),

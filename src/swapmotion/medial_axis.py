@@ -12,14 +12,17 @@ thinned to one-cell-wide polylines (one lookup of each cell's
 component are joined by widest-path bridges: one resumed widest-path search
 per growing fragment, over flat cell indices in plain lists. The result is a
 small geometric graph that also keeps its node positions and clearances as
-arrays, so `skeleton_path` checks all nodes of a query with numpy masks
-before its Dijkstra over the skeleton; the graph computes each circle's
-masks once. A query names its two circles by their indices in the circle
-set, and a skeleton path is the plain tuple of its waypoints. A search that
-finds no path also returns its frontier, the inadmissible nodes it stopped
-at, and a found path's capsule check (`PathCheck`) keeps one verdict per
-circle, so a conversion can ask about the same pair again in another circle
-set at the cost of what changed.
+arrays.
+
+`SkeletonPaths` is the one skeleton-path query of a conversion: built from
+the skeleton, the agent radius and the run's `CapsuleCache`, it answers
+`path(circles, ia, ib)` for any circle set, where a path is the plain tuple
+of its waypoints. It checks all nodes of a query with numpy masks, each
+circle's computed once, before its Dijkstra over the skeleton, and answers
+a pair asked about before without a search only where the last search for
+the pair shows what a new one would find: a found path still admissible
+among a set that holds every circle it was searched among, or a frontier of
+nodes the set still rejects.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .geometry import (
     capsule_free,  # noqa: F401  (looked up here by bench/tracing.py)
     dist,
     nearest_boundary,
-    point_segment_distances,
     points_in_free_space,
 )
 
@@ -89,20 +91,9 @@ class SkeletonGraph:
             self._adj[j].append((i, w))
         for i in self._adj:
             self._adj[i].sort()
-        self._within: dict[tuple, np.ndarray] = {}
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         return self._adj[i]
-
-    def within(self, center: Point2, bound: float, strict: bool) -> np.ndarray:
-        """Which nodes lie within `bound` of `center`, strictly if `strict`;
-        memoized per graph, so one conversion computes each circle's mask once."""
-        key = (tuple(center), bound, strict)
-        if key not in self._within:
-            op = operator.lt if strict else operator.le
-            dx, dy = center[0] - self.xy[:, 0], center[1] - self.xy[:, 1]
-            self._within[key] = _hypot_cmp(op, dx, dy, bound)
-        return self._within[key]
 
 
 def _grid_points(w: Workspace, res: float):
@@ -403,85 +394,6 @@ def sample_circles(
     return [Disk(s.nodes[i].position, s.nodes[i].clearance) for i in picked]
 
 
-def _admissible(s: SkeletonGraph, others: list[Disk], r: float, tol: float) -> np.ndarray:
-    """Which nodes a skeleton path may pass outside its own two circles: those
-    with clearance r that keep r clear of every circle of `others`."""
-    ok = ~(s.clearances < r - tol)
-    for c in others:
-        ok &= ~s.within(c.center, c.radius + r - tol, True)
-    return ok
-
-
-def _skeleton_search(
-    s: SkeletonGraph, circles: list[Disk], ia: int, ib: int, r: float, tol: float
-) -> tuple[tuple[Point2, ...] | None, np.ndarray]:
-    """The Dijkstra of `skeleton_path` alone: the waypoints of the shortest
-    admissible skeleton polyline from circle `circles[ia]` to `circles[ib]`,
-    before its capsule check, and the search's frontier.
-
-    When no path reaches `circles[ib]`, the frontier is every node next to
-    the part the search reached that it rejected as inadmissible (empty when
-    a circle holds no node). While each of them stays inadmissible in
-    another circle set, that set's search for the same two circles can reach
-    no more nodes, so it finds no path either."""
-    a, b = circles[ia], circles[ib]
-    others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
-    in_a, in_b = (s.within(c.center, c.radius, False) for c in (a, b))
-    sources = np.flatnonzero(in_a).tolist()
-    if not sources or not in_b.any():
-        return None, np.zeros(0, dtype=int)
-    # a node is admissible inside a or b, or with clearance r and clear of the others
-    node_ok = (_admissible(s, others, r, tol) | in_a | in_b).tolist()
-    targets = in_b.tolist()
-    best = [math.inf] * len(s.nodes)
-    for i in sources:
-        best[i] = 0.0
-    prev: dict[int, int] = {}
-    rejected: set[int] = set()
-    heap = [(0.0, i) for i in sources]
-    heapq.heapify(heap)
-    goal = None
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > best[u]:
-            continue
-        if targets[u]:
-            goal = u
-            break
-        for v, wgt in s.neighbors(u):
-            if not node_ok[v]:
-                rejected.add(v)
-                continue
-            nd = d + wgt
-            if nd < best[v]:
-                best[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if goal is None:
-        return None, np.array(sorted(rejected), dtype=int)
-    chain = [goal]
-    while chain[-1] in prev:
-        chain.append(prev[chain[-1]])
-    chain.reverse()
-    return tuple(s.nodes[i].position for i in chain), np.zeros(0, dtype=int)
-
-
-def skeleton_path(
-    s: SkeletonGraph, circles: list[Disk], ia: int, ib: int, r: float, capsules: CapsuleCache
-) -> tuple[Point2, ...] | None:
-    """Waypoints of the shortest skeleton polyline from circle `circles[ia]`
-    to `circles[ib]` whose r-inflation, outside those two circles, avoids
-    every obstacle and every other circle of the set.
-
-    The workspace is `capsules.w`, whose capsule checks `capsules` memoizes."""
-    waypoints, _ = _skeleton_search(s, circles, ia, ib, r, capsules.w.tol)
-    if waypoints is None:
-        return None
-    others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
-    check = PathCheck(waypoints, circles[ia], circles[ib], r, capsules)
-    return waypoints if check.clear_of(others) else None
-
-
 def _hypot_cmp(op, dx: np.ndarray, dy: np.ndarray, bound) -> np.ndarray:
     """`op(math.hypot(dx, dy), bound)` elementwise over broadcast arrays.
 
@@ -498,40 +410,141 @@ def _hypot_cmp(op, dx: np.ndarray, dy: np.ndarray, bound) -> np.ndarray:
     return out
 
 
-class PathCheck:
-    """The inflated-path condition of one skeleton path between circles a and
-    b in the workspace `capsules.w`: every segment not well inside a or b
-    keeps its r-capsule in the free space and keeps r clear of each other
-    circle.
+class SkeletonPaths:
+    """The skeleton paths of one conversion: over `skeleton`, for agents of
+    radius `r`, in the workspace `capsules.w`, whose capsule checks
+    `capsules` memoizes.
 
-    The capsule verdict is taken once and each circle's verdict the first
-    time it is asked for, so a path asked about again in another circle set
-    is measured only against the circles it has not met."""
+    `path` may be asked about any circle set. Per circle pair it keeps what
+    the last search for the pair found, and answers a later request from it
+    only where that is what a search would answer (`reused`, `skipped`;
+    `searched` counts the searches). Circles joining a set only take
+    admissible nodes away, so:
+    - a found path is returned again while every circle it was searched
+      among is still in the set and it keeps r clear of each circle added
+      since: it is still admissible, so still the shortest;
+    - a search that reached no path keeps its frontier, the inadmissible
+      nodes next to what it reached. While each of them stays inadmissible,
+      a search could reach no more nodes, so it would find no path either.
+    Each circle's node masks are computed once."""
 
-    def __init__(
-        self, waypoints: tuple[Point2, ...], a: Disk, b: Disk, r: float, capsules: CapsuleCache
-    ):
-        self.waypoints = waypoints
-        self.r, self.tol = r, capsules.w.tol
-        # inside[k]: waypoint k is well inside (a, b); a segment is when both its ends are
+    def __init__(self, skeleton: SkeletonGraph, r: float, capsules: CapsuleCache):
+        self.skeleton, self.r, self.capsules = skeleton, r, capsules
+        self.tol = capsules.w.tol
+        self.roomy = ~(skeleton.clearances < r - self.tol)  # nodes with clearance r
+        self.masks: dict[tuple[Disk, bool], np.ndarray] = {}
+        # circle pair -> (waypoints, its nodes outside both circles, its
+        # checked spines, the other circles searched among), or the frontier
+        # of a search that found no path
+        self.known: dict = {}
+        self.searched = self.reused = self.skipped = 0
+
+    def path(self, circles: list[Disk], ia: int, ib: int) -> tuple[Point2, ...] | None:
+        """Waypoints of the shortest skeleton polyline from circle
+        `circles[ia]` to `circles[ib]` whose nodes outside those two circles
+        have clearance r and keep r clear of every other circle of the set,
+        if its r-inflation outside the two circles avoids every obstacle and
+        every other circle; else None."""
+        a, b = circles[ia], circles[ib]
+        others = [c for k, c in enumerate(circles) if k not in (ia, ib)]
+        known = self.known.get((a, b))
+        if isinstance(known, tuple):
+            waypoints, outside, spines, among = known
+            added = [c for c in others if c not in among]
+            if (
+                among <= set(others)
+                and self._admissible(added)[outside].all()
+                and self._clear(spines, added)
+            ):
+                self.reused += 1
+                return waypoints
+        elif known is not None and not self._admissible(others)[known].any():
+            self.skipped += 1
+            return None
+        self.searched += 1
+        chain, frontier = self._search(a, b, others)
+        if chain is None:
+            self.known[(a, b)] = frontier
+            return None
+        waypoints = tuple(self.skeleton.nodes[i].position for i in chain)
+        nodes = np.array(chain)
+        outside = nodes[~(self._within(a, False) | self._within(b, False))[nodes]]
+        # a segment with both ends r inside a, or both r inside b, is not checked
         inside = np.array(
-            [[dist(c.center, p) + r <= c.radius + self.tol for c in (a, b)] for p in waypoints]
+            [[dist(c.center, p) + self.r <= c.radius + self.tol for c in (a, b)] for p in waypoints]
         )
         pts = np.array(waypoints, dtype=float)
-        self.spines = np.stack([pts[:-1], pts[1:]], axis=1)[
-            ~(inside[:-1] & inside[1:]).any(axis=1)
-        ]
-        self.free = capsules.all_free(self.spines, r)
-        self.clear: dict[Disk, bool] = {}  # circle -> no spine within its radius + r
+        spines = np.stack([pts[:-1], pts[1:]], axis=1)[~(inside[:-1] & inside[1:]).any(axis=1)]
+        if not self._clear(spines, others):
+            self.known[(a, b)] = None
+            return None
+        self.known[(a, b)] = (waypoints, outside, spines, frozenset(others))
+        return waypoints
 
-    def clear_of(self, others: list[Disk]) -> bool:
-        """True iff the path is free and clear of every circle of `others`."""
-        if not self.free:
-            return False
-        new = [c for c in others if c not in self.clear]
-        if new:
-            centres = np.array([c.center for c in new], dtype=float)
-            reach = np.array([c.radius for c in new], dtype=float) + self.r - self.tol
-            d = point_segment_distances(centres, self.spines[:, None, 0], self.spines[:, None, 1])
-            self.clear.update(zip(new, (~(d < reach).any(axis=0)).tolist()))
-        return all(self.clear[c] for c in others)
+    def _within(self, c: Disk, blocks: bool) -> np.ndarray:
+        """The nodes in disk c or, if `blocks`, those nearer than c.radius + r
+        to its centre, where a path between two other circles may not pass."""
+        key = (c, blocks)
+        if key not in self.masks:
+            xy = self.skeleton.xy
+            dx, dy = c.center[0] - xy[:, 0], c.center[1] - xy[:, 1]
+            if blocks:
+                self.masks[key] = _hypot_cmp(operator.lt, dx, dy, c.radius + self.r - self.tol)
+            else:
+                self.masks[key] = _hypot_cmp(operator.le, dx, dy, c.radius)
+        return self.masks[key]
+
+    def _admissible(self, others: list[Disk]) -> np.ndarray:
+        """The nodes a path may pass outside its own two circles: those with
+        clearance r that keep r clear of every circle of `others`."""
+        ok = self.roomy.copy()
+        for c in others:
+            ok &= ~self._within(c, True)
+        return ok
+
+    def _clear(self, spines: np.ndarray, others: list[Disk]) -> bool:
+        """Whether every r-capsule of `spines` lies in the free space and
+        keeps r clear of every circle of `others`."""
+        centres = np.array([c.center for c in others], dtype=float).reshape(-1, 2)
+        reach = np.array([c.radius for c in others], dtype=float) + self.r - self.tol
+        return self.capsules.route_clear(spines, self.r, centres, reach)
+
+    def _search(self, a: Disk, b: Disk, others: list[Disk]):
+        """Dijkstra from the nodes in a to the nearest node in b, over the
+        nodes in a or b and those admissible among `others`: the node chain
+        and None; or None and the frontier, every node next to the part the
+        search reached that it rejected as inadmissible (empty when a circle
+        holds no node)."""
+        s = self.skeleton
+        in_a, in_b = self._within(a, False), self._within(b, False)
+        sources = np.flatnonzero(in_a).tolist()
+        if not sources or not in_b.any():
+            return None, np.zeros(0, dtype=int)
+        node_ok = (self._admissible(others) | in_a | in_b).tolist()
+        targets = in_b.tolist()
+        best = [math.inf] * len(s.nodes)
+        for i in sources:
+            best[i] = 0.0
+        prev: dict[int, int] = {}
+        rejected: set[int] = set()
+        heap = [(0.0, i) for i in sources]
+        heapq.heapify(heap)
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > best[u]:
+                continue
+            if targets[u]:
+                chain = [u]
+                while chain[-1] in prev:
+                    chain.append(prev[chain[-1]])
+                return chain[::-1], None
+            for v, wgt in s.neighbors(u):
+                if not node_ok[v]:
+                    rejected.add(v)
+                    continue
+                nd = d + wgt
+                if nd < best[v]:
+                    best[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
+        return None, np.array(sorted(rejected), dtype=int)

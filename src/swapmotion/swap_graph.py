@@ -141,11 +141,12 @@ class SwapGraph:
                 out.append(f"simple graph: self-loop at {u}")
             if u not in self.positions or v not in self.positions:
                 out.append(f"inter edge ({u},{v}): unknown endpoint")
-        if self.positions and not self._connected():
+        if self.positions and not self.connected():
             out.append("connectivity: graph is not connected")
         return out
 
-    def _connected(self) -> bool:
+    def connected(self) -> bool:
+        """Whether the loop and inter-loop edges join every vertex (at least one)."""
         start = next(iter(self.positions))
         seen = {start}
         stack = [start]

@@ -2,32 +2,12 @@
 rebuilt from its corridor kind, the way realization once derived it on every
 swap. The skeleton-path waypoints outside both circles sit between the two
 endpoint slots, and the route runs from the slot on `circle_a` to the other;
-it is returned here as its corners, oriented from e[0] to e[1].
-
-Also the skeleton-path memo of one conversion without its frontiers and
-per-circle verdicts: `tau_path_reference`."""
+it is returned here as its corners, oriented from e[0] to e[1]."""
 
 from __future__ import annotations
 
 from swapmotion.conversion import ConversionResult, PathCorridor
 from swapmotion.geometry import Point2, dist
-
-from medial_axis_reference import path_clear_reference, skeleton_path_reference
-
-
-def tau_path_reference(cache, circles, ai: int, bi: int):
-    """`conversion._TauCache.path` as a memo of found paths alone: the path
-    stored for the pair when it passes `path_clear_reference` in this set,
-    else a new `skeleton_path_reference` search, whose result is stored."""
-    a, b = circles[ai], circles[bi]
-    key = ("reference", a.center, a.radius, b.center, b.radius)
-    others = [c for k, c in enumerate(circles) if k not in (ai, bi)]
-    tau = cache.store.get(key)
-    if tau is not None and path_clear_reference(tau, a, b, others, cache.r, cache.capsules):
-        return tau
-    tau = skeleton_path_reference(cache.skeleton, circles, ai, bi, cache.r, cache.capsules)
-    cache.store[key] = tau
-    return tau
 
 
 def mid_waypoints_reference(circles, kind: PathCorridor) -> list[Point2]:

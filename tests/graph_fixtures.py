@@ -4,9 +4,10 @@ and swap graphs converted from hand-picked circles."""
 import math
 import random
 
-from swapmotion.conversion import _build, _TauCache
-from swapmotion.geometry import Point2, Rect, Workspace
-from swapmotion.medial_axis import SkeletonGraph
+from swapmotion.conversion import _build
+from swapmotion.errors import InvalidGraph
+from swapmotion.geometry import CapsuleCache, Point2, Rect, Workspace
+from swapmotion.medial_axis import SkeletonGraph, SkeletonPaths
 from swapmotion.swap_graph import Occupancy, SwapGraph
 
 
@@ -14,7 +15,8 @@ def circle_graph(circles, r=1.0, w=None, skeleton=None):
     """`conversion._build` of a hand-picked circle set, called the way
     `greedy_convert` calls it: in workspace `w` (default: the circles'
     bounding box, with no obstacle) and with path connectors along
-    `skeleton` (default: an empty skeleton, so none)."""
+    `skeleton` (default: an empty skeleton, so none). None when the set is
+    invalid, also when `_build` cuts it as disconnected."""
     if w is None:
         w = Workspace(Rect(
             min(c.center.x - c.radius for c in circles),
@@ -24,7 +26,10 @@ def circle_graph(circles, r=1.0, w=None, skeleton=None):
         ))
     if skeleton is None:
         skeleton = SkeletonGraph([], [])
-    return _build(list(circles), r, _TauCache(skeleton, r, w))
+    try:
+        return _build(list(circles), r, SkeletonPaths(skeleton, r, CapsuleCache(w)))
+    except InvalidGraph:
+        return None
 
 
 def four_loop_example() -> SwapGraph:

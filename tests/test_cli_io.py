@@ -656,6 +656,31 @@ class TestUnreadableInput:
         line = self._run(["exec", "--scenario", str(path)], capsys)
         assert line.endswith(f"(ValueError: agent 1 {field} {xy!r} not two numbers)")
 
+    @pytest.mark.parametrize("value", ["30", True], ids=["str", "bool"])
+    @pytest.mark.parametrize("field", ["r", "bound", "vertex"])
+    def test_workspace_number_not_a_number(self, field, value, tmp_path, capsys, monkeypatch):
+        """`"r": "1.0"` and `"r": true` used to load as r = 1.0, and `exec`
+        exited 0; a string or bool bound or obstacle vertex is rejected too."""
+        def fail(*args, **kwargs):
+            raise AssertionError("greedy_convert must not run")
+
+        monkeypatch.setattr(pipeline, "greedy_convert", fail)
+        d = load_json(SCENARIOS / "obstacles_30.json")
+        w = d["workspace"]
+        if field == "r":
+            d["r"] = value
+            problem = f"r {value!r} not a number"
+        elif field == "bound":
+            w["bounds"][2] = value
+            problem = f"bounds {w['bounds']!r} not four numbers"
+        else:
+            w["obstacles"][0][1][0] = value
+            problem = f"obstacle 0 vertex {w['obstacles'][0][1]!r} not two numbers"
+        path = tmp_path / "bad_number.json"
+        dump_json(d, path)
+        line = self._run(["exec", "--scenario", str(path)], capsys)
+        assert line.endswith(f"(ValueError: {problem})")
+
     @pytest.mark.parametrize("aid", [2.5, True, math.inf], ids=["fraction", "bool", "inf"])
     def test_agent_id_not_an_integer(self, aid, tmp_path, capsys):
         """`int(id)` used to turn 2.5 into 2 and true into 1, and `Infinity`

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import math
 import random
 import sys
@@ -15,11 +16,10 @@ from swapmotion.conversion import (
     PathCorridor,
     RadialCorridor,
     _build,
-    _TauCache,
     corners,
     greedy_convert,
 )
-from swapmotion.errors import PreconditionViolated
+from swapmotion.errors import InvalidGraph, PreconditionViolated
 from swapmotion.fileio import graph_to_dict, load_json, scenario_from_dict
 from swapmotion.geometry import (
     CapsuleCache,
@@ -33,12 +33,17 @@ from swapmotion.geometry import (
     point_segment_distances,
     rectangle_workspace,
 )
-from swapmotion.medial_axis import SkeletonGraph, extract_medial_axis, sample_circles
+from swapmotion.medial_axis import (
+    SkeletonGraph,
+    SkeletonPaths,
+    extract_medial_axis,
+    sample_circles,
+)
 from swapmotion.pipeline import convert_scenario
-from swapmotion.swap_graph import edge_key
+from swapmotion.swap_graph import SwapGraph, edge_key
 
 from conversion_reference import corridor_route_reference, mid_waypoints_reference
-from medial_axis_reference import path_clear_reference, skeleton_path_reference
+from medial_axis_reference import skeleton_path_reference
 from graph_fixtures import circle_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -313,6 +318,24 @@ class TestWorkspaceChecks:
         assert gaps[(0, 2)] not in walled.routes
 
 
+SHAPES = json.loads((ROOT / "tests" / "graph_shapes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shipped_graph_shape(name):
+    """Each shipped scenario's vertex count, loop lengths in order and inter
+    edges with their kinds, as conversion built them when `_build` still
+    found a crossing's shared slot again by its rounded coordinates: a
+    change that merges or splits a slot changes them."""
+    res = convert_scenario(scenario_from_dict(load_json(SCENARIOS / f"{name}.json")))
+    shape = {
+        "vertices": res.graph.num_vertices(),
+        "loop_lengths": [len(c) for c in res.graph.loops],
+        "inter_edges": [[*k["edge"], k["kind"]] for k in graph_to_dict(res)["edge_kinds"]],
+    }
+    assert shape == SHAPES[name]
+
+
 class TestRouteTable:
     """`ConversionResult.routes` equals the route rebuilt from each corridor
     (the 64 x 12 two-circle case is `test_corridor_connects_far_circles`)."""
@@ -490,24 +513,24 @@ MEMO_SCENES = list(memo_scenes())
 
 
 class TestMemoAndCut:
-    """The skeleton-path memo and the connectivity cut of `_build` change no
-    answer: each path request answered without a search is the reference
-    search's answer for that circle set, and each cut set is one that
-    `_build` rejects without the cut."""
+    """The skeleton-path query's stored answers and the connectivity cut of
+    `_build` change no answer: each path request answered without a search
+    is the reference search's answer for that circle set, and each cut set
+    is one that `_build` rejects without the cut."""
 
     @pytest.mark.parametrize("scene", MEMO_SCENES, ids=[k for k, _ in MEMO_SCENES])
     def test_memo_answers_equal_reference(self, scene, monkeypatch):
         requests = []
-        path = _TauCache.path
+        path = SkeletonPaths.path
 
-        def spy(cache, circles, ai, bi):
-            before = (cache.searched, cache.reused, cache.skipped)
-            tau = path(cache, circles, ai, bi)
-            after = (cache.searched, cache.reused, cache.skipped)
+        def spy(paths, circles, ai, bi):
+            before = (paths.searched, paths.reused, paths.skipped)
+            tau = path(paths, circles, ai, bi)
+            after = (paths.searched, paths.reused, paths.skipped)
             requests.append((list(circles), ai, bi, tau, [y - x for x, y in zip(before, after)]))
             return tau
 
-        monkeypatch.setattr(_TauCache, "path", spy)
+        monkeypatch.setattr(SkeletonPaths, "path", spy)
         s = scene[1]
         c = convert_scenario(s).counters
         assert c["paths_searched"] + c["paths_reused"] + c["paths_skipped"] == len(requests)
@@ -515,47 +538,47 @@ class TestMemoAndCut:
         capsules = CapsuleCache(s.workspace)
         for circles, ai, bi, tau, (searched, reused, skipped) in requests:
             assert searched + reused + skipped == 1
-            a, b = circles[ai], circles[bi]
-            others = [x for k, x in enumerate(circles) if k not in (ai, bi)]
+            if reused or skipped:
+                assert tau == skeleton_path_reference(skeleton, circles, ai, bi, s.r, capsules)
             if skipped:
                 assert tau is None
-                assert skeleton_path_reference(skeleton, circles, ai, bi, s.r, capsules) is None
-            if reused:
-                assert path_clear_reference(tau, a, b, others, s.r, capsules)
         if scene[0] == "grid_20":
-            assert (c["paths_searched"], c["paths_reused"], c["paths_skipped"]) == (97, 164, 172)
+            assert (c["paths_searched"], c["paths_reused"], c["paths_skipped"]) == (104, 157, 172)
 
     @pytest.mark.parametrize("scene", MEMO_SCENES, ids=[k for k, _ in MEMO_SCENES])
     def test_cut_is_exact(self, scene, monkeypatch):
         """Every graph `_build` returns admits only connectors that the cut
         counted, and with the cut disabled every build returns the same."""
-        results, pairs = [], []
-        build, connected = _build, conversion._connected
+        tested, results = [], []  # the graphs the current build tested for connectivity
+        build, connected = _build, SwapGraph.connected
+        cut = True
 
-        def spy_build(circles, r, cache):
-            res = build(circles, r, cache)
+        def spy_build(circles, r, paths):
+            tested.clear()
+            try:
+                res = build(circles, r, paths)
+            except InvalidGraph:
+                results.append(None)
+                raise
             results.append(None if res is None else graph_to_dict(res))
             if res is not None:
-                assert set(res.graph.inter_edges) <= {edge_key(u, v) for u, v in pairs[-1]}
+                assert set(res.graph.inter_edges) <= set(tested[0].inter_edges)
             return res
 
-        def spy_connected(n, loops, candidates):
-            pairs.append(candidates)
-            return connected(n, loops, candidates)
-
-        def no_cut(n, loops, candidates):
-            pairs.append(candidates)
-            return True
+        def spy_connected(graph):
+            tested.append(graph)
+            # a build's first connectivity test is its cut
+            return connected(graph) or (not cut and len(tested) == 1)
 
         monkeypatch.setattr(conversion, "_build", spy_build)
-        monkeypatch.setattr(conversion, "_connected", spy_connected)
-        cut = convert_scenario(scene[1]).counters["builds_cut"]
+        monkeypatch.setattr(SwapGraph, "connected", spy_connected)
+        cuts = convert_scenario(scene[1]).counters["builds_cut"]
         with_cut, results[:] = list(results), []
-        monkeypatch.setattr(conversion, "_connected", no_cut)
+        cut = False
         assert convert_scenario(scene[1]).counters["builds_cut"] == 0
         assert results == with_cut
         if scene[0] == "grid_20":
-            assert cut == 22
+            assert cuts == 22
 
     def test_portless_ring_is_cut_before_route_checks(self, monkeypatch):
         """Three radius-3 circles round a radius-5 one leave its ring 2 no
@@ -578,7 +601,7 @@ class TestMemoAndCut:
         circles = [Disk(Point2(0.0, 0.0), 5.0)] + [
             Disk(Point2(5.5 * math.cos(t), 5.5 * math.sin(t)), 3.0) for t in turns
         ]
-        cache = _TauCache(SkeletonGraph([], []), 1.0, Workspace(Rect(-15.0, -15.0, 15.0, 15.0)))
-        assert _build(circles, 1.0, cache) is None
+        w = Workspace(Rect(-15.0, -15.0, 15.0, 15.0))
+        with pytest.raises(InvalidGraph):
+            _build(circles, 1.0, SkeletonPaths(SkeletonGraph([], []), 1.0, CapsuleCache(w)))
         assert ports[:2] == [(1, None), (2, None)]
-        assert cache.cut == 1

@@ -15,7 +15,7 @@ from swapmotion.geometry import (
     Disk,
     rectangle_workspace,
 )
-from swapmotion.medial_axis import extract_medial_axis, sample_circles, skeleton_path
+from swapmotion.medial_axis import SkeletonPaths, extract_medial_axis, sample_circles
 
 
 def is_connected(s):
@@ -126,7 +126,7 @@ class TestSkeletonPath:
         w = rectangle_workspace(40.0, 8.0)
         s = extract_medial_axis(w, 0.5)
         picks = sample_circles(s, 1.0, 2, 1.0)
-        tau = skeleton_path(s, picks, 0, 1, 1.0, CapsuleCache(w))
+        tau = SkeletonPaths(s, 1.0, CapsuleCache(w)).path(picks, 0, 1)
         assert tau is not None
 
     def test_far_circles_joined_by_corridor(self):
@@ -134,7 +134,7 @@ class TestSkeletonPath:
         s = extract_medial_axis(w, 0.5)
         picks = sample_circles(s, 20.0, 3, 1.0)
         two = picks[:2]
-        tau = skeleton_path(s, two, 0, 1, 1.0, CapsuleCache(w))
+        tau = SkeletonPaths(s, 1.0, CapsuleCache(w)).path(two, 0, 1)
         assert tau is not None
         assert sum(dist(p, q) for p, q in zip(tau, tau[1:])) > 10.0
 
@@ -149,7 +149,7 @@ class TestSkeletonPath:
         left = [c for c in picks if c.center.x < 14]
         right = [c for c in picks if c.center.x > 16]
         assert left and right
-        assert skeleton_path(s, [left[0], right[0]], 0, 1, 1.0, CapsuleCache(w)) is None
+        assert SkeletonPaths(s, 1.0, CapsuleCache(w)).path([left[0], right[0]], 0, 1) is None
 
     def test_other_circle_blocks_path(self):
         w = rectangle_workspace(60.0, 8.0)
@@ -157,5 +157,5 @@ class TestSkeletonPath:
         picks = sample_circles(s, 20.0, 3, 1.0)
         # middle circle occupies the only corridor between the outer two
         ends = sorted(picks, key=lambda c: c.center.x)
-        tau = skeleton_path(s, ends, 0, 2, 1.0, CapsuleCache(w))
+        tau = SkeletonPaths(s, 1.0, CapsuleCache(w)).path(ends, 0, 2)
         assert tau is None

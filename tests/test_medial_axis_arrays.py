@@ -1,6 +1,6 @@
-"""The flat-index reconnect, the lookup-table thinning, the array node checks
-of `skeleton_path` and the single grid distance pass against the reference
-in medial_axis_reference.py."""
+"""The flat-index reconnect, the lookup-table thinning, the skeleton-path
+query (array node checks and answers kept between circle sets) and the
+single grid distance pass against the reference in medial_axis_reference.py."""
 
 import itertools
 import json
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from conversion_reference import tau_path_reference
 from medial_axis_reference import (
     components_reference,
     extract_medial_axis_reference,
@@ -40,6 +39,7 @@ from swapmotion.geometry import (
 from swapmotion.medial_axis import (
     SkeletonGraph,
     SkeletonNode,
+    SkeletonPaths,
     _bridges,
     _fragments,
     _grid_points,
@@ -47,7 +47,6 @@ from swapmotion.medial_axis import (
     _thin,
     extract_medial_axis,
     sample_circles,
-    skeleton_path,
 )
 from swapmotion.pipeline import convert_scenario
 
@@ -252,19 +251,23 @@ class TestSkeletonPath:
     def test_equals_reference(self, q):
         s, circles, ia, ib, r = q
         w = rectangle_workspace(16.0, 16.0)
-        assert skeleton_path(s, circles, ia, ib, r, CapsuleCache(w)) == skeleton_path_reference(
-            s, circles, ia, ib, r, CapsuleCache(w)
-        )
-        # every other pair and radius through the same graph, which memoizes
-        # each circle's node masks
+        got = SkeletonPaths(s, r, CapsuleCache(w)).path(circles, ia, ib)
+        assert got == skeleton_path_reference(s, circles, ia, ib, r, CapsuleCache(w))
+        # every pair, without one other circle and then in the whole set,
+        # which may reuse the last answer, through one query per radius
         for r2 in (0.5, 1.0):
+            paths = SkeletonPaths(s, r2, CapsuleCache(w))
             for i, j in itertools.permutations(range(len(circles)), 2):
-                got = skeleton_path(s, circles, i, j, r2, CapsuleCache(w))
-                assert got == skeleton_path_reference(s, circles, i, j, r2, CapsuleCache(w))
+                for drop in (*(k for k in range(len(circles)) if k not in (i, j)), None):
+                    subset = [c for k, c in enumerate(circles) if k != drop]
+                    i2, j2 = subset.index(circles[i]), subset.index(circles[j])
+                    got = paths.path(subset, i2, j2)
+                    assert got == skeleton_path_reference(s, subset, i2, j2, r2, CapsuleCache(w))
 
     def test_many_circle_sets_through_one_skeleton(self):
-        """Circle subsets of a real skeleton share one graph's node masks, and
-        every query still equals the reference."""
+        """Circle subsets of a real skeleton share one query per radius, its
+        node masks and stored answers, and every request still equals the
+        reference."""
         boxes = [(8, 4, 12, 9), (20, 10, 24, 16), (30, 3, 33, 8)]
         w = rectangle_workspace(40.0, 20.0, [
             Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
@@ -274,16 +277,17 @@ class TestSkeletonPath:
         circles = sample_circles(s, 2.0, 16, 0.5)
         rng = np.random.default_rng(8)
         cache = CapsuleCache(w)
+        queries = {r: SkeletonPaths(s, r, cache) for r in (0.5, 1.0)}
         found = 0
         for _ in range(80):
             subset = [circles[k] for k in sorted(rng.choice(len(circles), 4, replace=False))]
             i, j = (int(k) for k in rng.choice(4, 2, replace=False))
             r = float(rng.choice([0.5, 1.0]))
-            got = skeleton_path(s, subset, i, j, r, cache)
+            got = queries[r].path(subset, i, j)
             assert got == skeleton_path_reference(s, subset, i, j, r, cache)
             found += got is not None
         assert 0 < found < 80
-        assert len(s._within) <= 3 * len(circles)
+        assert all(len(q.masks) <= 2 * len(circles) for q in queries.values())
 
     def test_masks_are_kept_per_radius(self):
         """A circle 3 off a straight skeleton blocks it for r = 2.5 but not
@@ -294,9 +298,41 @@ class TestSkeletonPath:
         circles = [Disk(Point2(5.0, 10.0), 1.0), Disk(Point2(35.0, 10.0), 1.0),
                    Disk(Point2(20.0, 13.0), 1.0)]
         for r, found in ((2.5, False), (0.5, True)):
-            got = skeleton_path(s, circles, 0, 1, r, CapsuleCache(w))
+            got = SkeletonPaths(s, r, CapsuleCache(w)).path(circles, 0, 1)
             assert got == skeleton_path_reference(s, circles, 0, 1, r, CapsuleCache(w))
             assert (got is not None) == found
+
+    def test_stored_path_needs_every_circle_it_was_searched_among(self):
+        """Between a and b run a short upper arc (y = 28) and a long lower one
+        (y = 10). c0 blocks the upper arc, c1 and c2 block nothing. Asked
+        with c0, the query finds the lower arc; asked next with c1 instead, a
+        search finds the upper arc, which a store that only re-checked the
+        lower arc against c1 would miss."""
+        upper = [(x, 28) for x in range(10, 51)]
+        lower = [(10, y) for y in range(28, 10, -1)] + [(x, 10) for x in range(10, 51)]
+        lower += [(50, y) for y in range(11, 29)]
+        xy = list(dict.fromkeys(upper + lower))
+        s = SkeletonGraph(
+            [SkeletonNode(Point2(float(x), float(y)), 5.0) for x, y in xy],
+            [(xy.index(p), xy.index(q)) for arc in (upper, lower) for p, q in zip(arc, arc[1:])],
+        )
+        w = rectangle_workspace(60.0, 40.0)
+        a, b = Disk(Point2(10.0, 28.0), 3.0), Disk(Point2(50.0, 28.0), 3.0)
+        c0, c1, c2 = (
+            Disk(Point2(30.0, y), rad) for y, rad in ((26.5, 2.0), (36.5, 2.5), (2.0, 1.0))
+        )
+        paths = SkeletonPaths(s, 1.0, CapsuleCache(w))
+        expected = [
+            ([a, b, c0], "lower", (1, 0)),
+            ([a, b, c1], "upper", (2, 0)),  # c0 has left the set: a new search
+            ([a, b, c1, c2], "upper", (2, 1)),  # only c2 joined, and it blocks nothing
+            ([a, b, c1, c0], "lower", (3, 1)),  # c0 joined and blocks the stored path
+        ]
+        for circles, arc, counts in expected:
+            got = paths.path(circles, 0, 1)
+            assert got == skeleton_path_reference(s, circles, 0, 1, 1.0, CapsuleCache(w))
+            assert (min(p.y for p in got) == 28.0) == (arc == "upper")
+            assert (paths.searched, paths.reused) == counts
 
     def test_node_arrays(self):
         s = SkeletonGraph([SkeletonNode(Point2(1.0, 2.0), 0.5)], [])
@@ -334,5 +370,8 @@ class TestShippedScenarios:
         assert new.edges == ref.edges
         graph = graph_to_dict(convert_scenario(s))
         monkeypatch.setattr(conversion, "extract_medial_axis", extract_medial_axis_reference)
-        monkeypatch.setattr(conversion._TauCache, "path", tau_path_reference)
+        # every request a new reference search: no answer kept between circle sets
+        monkeypatch.setattr(SkeletonPaths, "path", lambda paths, circles, ia, ib: (
+            skeleton_path_reference(paths.skeleton, circles, ia, ib, paths.r, paths.capsules)
+        ))
         assert graph == graph_to_dict(convert_scenario(s))

@@ -4,14 +4,12 @@ from .errors import (
     AssignmentFailure,
     AssignmentMismatch,
     CenterContained,
-    EmptyFreeSpace,
     IllegalOp,
     InsufficientCapacity,
     InvalidGraph,
     InvalidScenario,
     NavigationFailure,
     PlannerError,
-    PreconditionViolated,
     SwapMotionError,
     TooFewSlots,
     UnrealizableOp,
@@ -24,7 +22,6 @@ __all__ = [
     "AssignmentMismatch",
     "CenterContained",
     "Disk",
-    "EmptyFreeSpace",
     "IllegalOp",
     "InsufficientCapacity",
     "InvalidGraph",
@@ -34,7 +31,6 @@ __all__ = [
     "PlannerError",
     "Point2",
     "Polygon",
-    "PreconditionViolated",
     "Rect",
     "SwapGraph",
     "SwapMotionError",

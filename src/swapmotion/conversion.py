@@ -62,7 +62,7 @@ from .capacity import (
     safe_layer_count,
     slot_pitch,
 )
-from .errors import EmptyFreeSpace, InvalidGraph, PreconditionViolated
+from .errors import InvalidGraph
 from .geometry import (
     CapsuleCache,
     Disk,
@@ -212,18 +212,18 @@ def _triple_intersection_empty(circles: list[Disk], tol: float) -> bool:
 
 def _build(circles: list[Disk], r: float, paths: SkeletonPaths) -> Optional[ConversionResult]:
     """Assemble the swap graph for a fixed circle set in the workspace
-    `paths.capsules.w`; None when invalid.
+    `paths.capsules.w`; None when the set is invalid, also when a circle
+    centre lies inside another circle or three circles share a point.
 
     Far circle pairs get connectors along the skeleton paths of `paths`;
     every slot is checked against the workspace boundary, and every gap or
-    path route against `paths.capsules` and the other slots. Raises
-    InvalidGraph, before any slot or route check, when the loops and every
-    candidate connector together leave the graph disconnected."""
+    path route against `paths.capsules` and the other slots. The one set
+    refused by raising is the cut: InvalidGraph, before any slot or route
+    check, when the loops and every candidate connector together leave the
+    graph disconnected (`greedy_convert` counts it as `builds_cut`)."""
     tol = 1e-9 * max([c.radius for c in circles] + [r])
-    if not _pairwise_center_check(circles):
-        raise PreconditionViolated("a circle center lies inside another circle")
-    if not _triple_intersection_empty(circles, tol):
-        raise PreconditionViolated("three circles share a common point")
+    if not _pairwise_center_check(circles) or not _triple_intersection_empty(circles, tol):
+        return None
 
     layer_count = [safe_layer_count(c.radius, r) for c in circles]
 
@@ -309,8 +309,8 @@ def _build(circles: list[Disk], r: float, paths: SkeletonPaths) -> Optional[Conv
         owners[v] = set()
         return v
 
-    ring_port: dict[tuple[int, int], Optional[int]] = {}
-    port_of_angle: dict[tuple[int, int, float], int] = {}
+    # (circle, ring, requested exit angle, or None for the radial port) -> vid
+    port: dict[tuple[int, int, Optional[float]], int] = {}
     for a, c in enumerate(circles):
         others = [circles[x] for x in range(len(circles)) if x != a]
         for i in range(1, layer_count[a] + 1):
@@ -325,18 +325,13 @@ def _build(circles: list[Disk], r: float, paths: SkeletonPaths) -> Optional[Conv
                 )
             else:
                 intervals = [(0.0, 2.0 * math.pi)]
-            angles, port_angle, placed_ports = _ring_layout(
-                i, intervals, corridor_ports.get((a, i), ())
-            )
-            port_vid = None
+            angles, port_slots = _ring_layout(i, intervals, corridor_ports.get((a, i), ()))
+            vids = []
             for t in angles:
                 p = Point2(c.center.x + rad * math.cos(t), c.center.y + rad * math.sin(t))
-                v = place(new_vertex(p), a, i)
-                if port_angle is not None and t == port_angle:
-                    port_vid = v
-                if t in placed_ports:
-                    port_of_angle[(a, i, placed_ports[t])] = v
-            ring_port[(a, i)] = port_vid
+                vids.append(place(new_vertex(p), a, i))
+            for key, k in port_slots.items():
+                port[(a, i, key)] = vids[k]
     ring_members = {key: sorted(angle, key=angle.get) for key, angle in ring_angle.items()}
 
     # reject rings too small to form a loop
@@ -356,7 +351,7 @@ def _build(circles: list[Disk], r: float, paths: SkeletonPaths) -> Optional[Conv
     for a in range(len(circles)):
         kept = sorted(i for (x, i) in ring_members if x == a)
         for lo, hi in zip(kept, kept[1:]):
-            u = ring_port.get((a, hi))
+            u = port.get((a, hi, None))
             if u is None:
                 continue
             ang, below = ring_angle[(a, hi)][u], ring_angle[(a, lo)]
@@ -373,8 +368,8 @@ def _build(circles: list[Disk], r: float, paths: SkeletonPaths) -> Optional[Conv
         candidates.append((u, v, GapCorridor(a, ia, b, jb), [positions[u], positions[v]]))
     # skeleton-path corridors attach at their reserved ports
     for (a, b), (kind, mid, ang_a, ang_b) in sorted(taus.items()):
-        u = port_of_angle.get((a, kind.ring_a, ang_a))
-        v = port_of_angle.get((b, kind.ring_b, ang_b))
+        u = port.get((a, kind.ring_a, ang_a))
+        v = port.get((b, kind.ring_b, ang_b))
         if u is None or v is None:
             continue
         candidates.append((u, v, kind, corners([positions[u], *mid, positions[v]])))
@@ -441,22 +436,22 @@ def _build(circles: list[Disk], r: float, paths: SkeletonPaths) -> Optional[Conv
 
 def _ring_layout(
     i: int, intervals, corridor_angles=()
-) -> tuple[list[float], Optional[float], dict[float, float]]:
-    """Slot angles for ring i within its free intervals.
+) -> tuple[list[float], dict[Optional[float], int]]:
+    """Slot angles for ring i within its free intervals, and its ports.
 
-    Returns (angles, radial_port_angle, placed_corridor_ports) where the last
-    maps a placed slot angle to the requested corridor exit angle. Ports are
-    slots flanked by an extra-wide gap so a radial departure at their angle
-    clears the neighboring agents: every requested corridor exit gets one
-    when it fits, and rings >= 2 get one more for the corridor to the ring
-    below, placed as far from the other ports as possible.
+    Returns (angles, port_slots), where port_slots maps each placed port to
+    its index in `angles`: a corridor port under the exit angle requested
+    for it, the radial port under None. Ports are slots flanked by an
+    extra-wide gap so a radial departure at their angle clears the
+    neighboring agents: every requested corridor exit gets one when it fits,
+    and rings >= 2 get one more for the corridor to the ring below, placed
+    as far from the other ports as possible.
     """
     pitch = slot_pitch(i)
     g = port_gap(i)
     two_pi = 2.0 * math.pi
     full = len(intervals) == 1 and intervals[0][1] - intervals[0][0] >= two_pi - 1e-12
-    ports: list[float] = []
-    placed: dict[float, float] = {}
+    ports: dict[float, Optional[float]] = {}  # port angle -> its key in port_slots
 
     def fits(base):
         """A port at `base` keeps off the other ports and, unless the ring
@@ -470,11 +465,9 @@ def _ring_layout(
         a_ = ca % two_pi
         base = next((x for x in (a_, a_ + two_pi, a_ - two_pi) if fits(x)), None)
         if base is not None:
-            ports.append(base)
-            placed[base] = ca
+            ports[base] = ca
 
     # radial port in the largest remaining gap
-    radial_port = None
     if i >= 2:
         cands = []
         if full:
@@ -498,36 +491,35 @@ def _ring_layout(
             ),
         ):
             if fits(cand):
-                radial_port = cand
-                ports.append(cand)
+                ports[cand] = None
                 break
 
-    angles: list[float] = []
     if full:
-        ps = sorted(p % two_pi for p in ports)
-        if not ps:
+        if not ports:
             n = loop_capacity(i)
-            return [two_pi * k / n for k in range(n)], None, {}
-        angles.extend(ps)
+            return [two_pi * k / n for k in range(n)], {}
+        order = sorted(ports, key=lambda p: p % two_pi)
+        ps = [p % two_pi for p in order]
+        angles = list(ps)
         for k, p in enumerate(ps):
             q = ps[(k + 1) % len(ps)] + (two_pi if k == len(ps) - 1 else 0.0)
             angles.extend(_pack_interval(p + g, q - g, pitch))
-        placed = {p % two_pi: ca for p, ca in placed.items()}
-        if radial_port is not None:
-            radial_port %= two_pi
-        return angles, radial_port, placed
+        return angles, {ports[p]: k for k, p in enumerate(order)}
 
+    angles: list[float] = []
+    slot: dict[float, int] = {}  # port angle -> its index in angles
     for lo, hi in intervals:
         inside = sorted(
             p for p in ports if lo - 1e-12 <= p <= hi + 1e-12
         )
+        slot.update((p, len(angles) + k) for k, p in enumerate(inside))
         angles.extend(inside)
         cur = lo
         for p in inside:
             angles.extend(_pack_interval(cur, p - g, pitch))
             cur = p + g
         angles.extend(_pack_interval(cur, hi, pitch))
-    return angles, radial_port, placed
+    return angles, {ports[p]: k for p, k in slot.items()}
 
 
 def _pack_interval(lo: float, hi: float, pitch: float) -> list[float]:
@@ -578,10 +570,7 @@ def greedy_convert(
         inter_edge_kind={},
         counters=counters,
     )
-    try:
-        skeleton = extract_medial_axis(w, 0.5 * r)
-    except EmptyFreeSpace:
-        return empty
+    skeleton = extract_medial_axis(w, 0.5 * r)
     counters.update(skeleton.counters)
     candidates = sample_circles(skeleton, eps, k_max, r)
     counters["candidates"] = len(candidates)
@@ -604,8 +593,6 @@ def greedy_convert(
             counters["builds"] += 1
             try:
                 res = _build(tentative, r, paths)
-            except PreconditionViolated:
-                continue
             except InvalidGraph:
                 counters["builds_cut"] += 1
                 continue

@@ -9,16 +9,8 @@ class InvalidScenario(SwapMotionError):
     """A scenario breaks an input invariant (see `Scenario.validate`)."""
 
 
-class EmptyFreeSpace(SwapMotionError):
-    """The workspace has no free interior at the requested resolution."""
-
-
 class CenterContained(SwapMotionError):
     """Two circles are too close: one center lies inside the other circle."""
-
-
-class PreconditionViolated(SwapMotionError):
-    """A conversion assumption (center-outside or empty triple overlap) fails."""
 
 
 class InvalidGraph(SwapMotionError):

@@ -12,7 +12,8 @@ thinned to one-cell-wide polylines (one lookup of each cell's
 component are joined by widest-path bridges: one resumed widest-path search
 per growing fragment, over flat cell indices in plain lists. The result is a
 small geometric graph that also keeps its node positions and clearances as
-arrays.
+arrays. A free space without medial cells, none free at all included, has
+the empty skeleton, so conversion has one answer for it: no circles.
 
 `SkeletonPaths` is the one skeleton-path query of a conversion: built from
 the skeleton, the agent radius and the run's `CapsuleCache`, it answers
@@ -35,7 +36,6 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import EmptyFreeSpace
 from .geometry import (
     CapsuleCache,
     Disk,
@@ -160,15 +160,17 @@ def _thin(mask: np.ndarray) -> np.ndarray:
 
 
 def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
-    """Medial-axis approximation of the free space at the given cell size."""
+    """Medial-axis approximation of the free space at the given cell size.
+
+    A free space with no medial cell, also one with no free cell at all,
+    gives the empty skeleton: no nodes or edges, zero bridge counters, and
+    the distance grid."""
     if grid_resolution <= 0:
         raise ValueError("grid_resolution must be positive")
     pts, nx, ny = _grid_points(w, grid_resolution)
     pts2 = pts.reshape(nx, ny, 2)
     edge_d, bd, feat = nearest_boundary(pts, w)
     free = points_in_free_space(pts, w, edge_d)
-    if not free.any():
-        raise EmptyFreeSpace("no free cells at this resolution")
     D = np.where(free, bd, 0.0).reshape(nx, ny)
     grid = DistanceGrid(pts2[:, 0, 0], pts2[0, :, 1], D)
     free2 = free.reshape(nx, ny)
@@ -179,31 +181,19 @@ def extract_medial_axis(w: Workspace, grid_resolution: float) -> SkeletonGraph:
     # drops leftover two-wide bands so thinning cannot unravel them
     sep = 2.5 * grid_resolution
     mask = np.zeros((nx, ny), dtype=bool)
+    # cell k and cell k + 1 along each axis, through views of the same arrays
+    here, nxt = slice(None, -1), slice(1, None)
     jumps = []
     for axis in (0, 1):
-        b = np.roll(feat, -1, axis=axis)
-        jump = np.linalg.norm(feat - b, axis=2) > sep
-        ok = free2 & np.roll(free2, -1, axis=axis)
-        if axis == 0:
-            jump[-1, :] = False
-            ok[-1, :] = False
-        else:
-            jump[:, -1] = False
-            ok[:, -1] = False
-        both = jump & ok
-        jumps.append(both)
-        d_next = np.roll(D, -1, axis=axis)
-        take_here = both & (D >= d_next)
-        take_next = both & (D < d_next)
-        mask |= take_here
-        mask |= np.roll(take_next, 1, axis=axis)
-    for axis in (0, 1):
-        pair = mask & np.roll(mask, -1, axis=axis) & jumps[axis]
-        d_next = np.roll(D, -1, axis=axis)
-        drop_here = pair & (D < d_next)
-        drop_next = pair & (D >= d_next)
-        mask &= ~drop_here
-        mask &= ~np.roll(drop_next, 1, axis=axis)
+        f, ok, d, m = (np.swapaxes(x, 0, axis) for x in (feat, free2, D, mask))
+        jump = (np.linalg.norm(f[here] - f[nxt], axis=-1) > sep) & ok[here] & ok[nxt]
+        m[here] |= jump & (d[here] >= d[nxt])
+        m[nxt] |= jump & (d[here] < d[nxt])
+        jumps.append((jump, d, m))
+    for jump, d, m in jumps:
+        pair = jump & m[here] & m[nxt]
+        m[here] &= ~(pair & (d[here] < d[nxt]))
+        m[nxt] &= ~(pair & (d[here] >= d[nxt]))
     # clearance ridges and peaks (centers of near-circular pockets)
     pad = np.pad(D, 1)
     is_peak = free2.copy()

@@ -461,8 +461,8 @@ def _cross_exchange(m: _Machine, u: int, v: int, depth: int):
                     cands.setdefault(n, (anchor, other, li, sigma))
     path = m.hole_path(cands.keys(), avoid={u, v})
     if path is None:
-        # rare: the pair separates the hole from every staging seat (both
-        # endpoints are connector hubs). Rotate each endpoint's ring so its
+        # the hole reaches no staging seat (a cycle neighbour of u or v)
+        # without passing through u or v. Rotate each endpoint's ring so its
         # content steps off the walk path, walk the hole straight through to
         # a seat, redo the exchange on the shifted homes, and unwind.
         path = m.hole_path(cands.keys())

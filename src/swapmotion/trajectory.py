@@ -47,7 +47,7 @@ from .geometry import (
     segment_distances,
     sweep_fractions,
 )
-from .planner import LoopRotation, Plan, VacancySwap, _apply_inplace
+from .planner import LoopRotation, Plan, VacancySwap, _apply_inplace, _short_steps
 from .swap_graph import VACANT, edge_key
 
 SPEED = 1.0
@@ -192,17 +192,16 @@ def _ring_step(res, li, steps, positions, occ_map, t0, emit) -> float:
     it, all the short way round, simultaneously."""
     cyc = res.graph.loops[li]
     m = len(cyc)
-    k = steps % m
-    if k == 0:
+    signed = _short_steps(steps, m)
+    if signed == 0:
         return 0.0
-    signed = k if k <= m - k else k - m
     angles = res.slot_angles[li]
     riders = []
     for p in positions:
         agent = occ_map[cyc[p]]
         if agent is VACANT:
             continue
-        tgt = angles[(p + k) % m]
+        tgt = angles[(p + signed) % m]
         if signed > 0:
             dlt = (tgt - angles[p]) % (2 * math.pi)
         else:

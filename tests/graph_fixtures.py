@@ -15,8 +15,9 @@ def circle_graph(circles, r=1.0, w=None, skeleton=None):
     """`conversion._build` of a hand-picked circle set, called the way
     `greedy_convert` calls it: in workspace `w` (default: the circles'
     bounding box, with no obstacle) and with path connectors along
-    `skeleton` (default: an empty skeleton, so none). None when the set is
-    invalid, also when `_build` cuts it as disconnected."""
+    `skeleton` (default: an empty skeleton, so none). None for every set
+    `_build` refuses: those it returns None for, and the cut, which it raises
+    as InvalidGraph so that `greedy_convert` can count it."""
     if w is None:
         w = Workspace(Rect(
             min(c.center.x - c.radius for c in circles),

@@ -12,7 +12,6 @@ import heapq
 
 import numpy as np
 
-from swapmotion.errors import EmptyFreeSpace
 from swapmotion.geometry import (
     CapsuleCache,
     Disk,
@@ -131,7 +130,7 @@ def extract_medial_axis_reference(w: Workspace, grid_resolution: float) -> Skele
     pts, nx, ny = _grid_points(w, grid_resolution)
     free = points_in_free_space(pts, w)
     if not free.any():
-        raise EmptyFreeSpace("no free cells at this resolution")
+        return SkeletonGraph(nodes=[], edges=[])
     D = np.where(free, boundary_distance_many(pts, w), 0.0).reshape(nx, ny)
     free2 = free.reshape(nx, ny)
     feat = nearest_boundary_points_reference(pts, w).reshape(nx, ny, 2)

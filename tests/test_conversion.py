@@ -19,7 +19,7 @@ from swapmotion.conversion import (
     corners,
     greedy_convert,
 )
-from swapmotion.errors import InvalidGraph, PreconditionViolated
+from swapmotion.errors import InvalidGraph
 from swapmotion.fileio import graph_to_dict, load_json, scenario_from_dict
 from swapmotion.geometry import (
     CapsuleCache,
@@ -208,12 +208,10 @@ class TestTwoCircles:
     def test_center_inside_violates_precondition(self):
         a = Disk(Point2(0, 0), 5.0)
         b = Disk(Point2(3.0, 0), 5.0)
-        with pytest.raises(PreconditionViolated):
-            circle_graph([a, b])
+        assert circle_graph([a, b]) is None
         # inside by far less than 1e-9 of the radius: the build rejects the set
         # by the test `classify_pair` raises CenterContained on
-        with pytest.raises(PreconditionViolated):
-            circle_graph([a, Disk(Point2(5 - 1e-10, 0), 3.0)])
+        assert circle_graph([a, Disk(Point2(5 - 1e-10, 0), 3.0)]) is None
 
 
 def assert_routes_match_reference(res) -> set[str]:
@@ -249,8 +247,7 @@ class TestConvertCircles:
             Disk(Point2(5.5, 0), 5.0),
             Disk(Point2(2.75, 4.5), 5.0),
         ]
-        with pytest.raises(PreconditionViolated):
-            circle_graph(circles)
+        assert circle_graph(circles) is None
 
     def test_corridor_connects_far_circles(self):
         w = rectangle_workspace(64.0, 12.0)
@@ -417,6 +414,33 @@ def bench_workloads():
     return sys.modules[name]
 
 
+class TestRingLayout:
+    """`_ring_layout` gives each port as its index into the slot angles,
+    under the exit angle requested for it, or under None for the radial
+    port."""
+
+    @pytest.mark.parametrize(
+        "i, intervals, exits, keys",
+        [
+            (2, [(0.0, 2 * math.pi)], (-0.3, 2.0), {-0.3, 2.0, None}),
+            (3, [(0.5, 2.5), (3.0, 5.5)], (-1.5, 1.2, 0.6), {-1.5, 1.2, None}),
+        ],
+        ids=["full", "partial"],
+    )
+    def test_port_slots_point_at_their_ports(self, i, intervals, exits, keys):
+        angles, port_slots = conversion._ring_layout(i, intervals, exits)
+        assert set(port_slots) == keys
+        assert len(set(port_slots.values())) == len(port_slots)
+        two_pi = 2 * math.pi
+        for key, k in port_slots.items():
+            if key is not None:
+                assert angles[k] % two_pi == key % two_pi
+            # a port's neighbours keep the widened gap off it
+            gaps = [abs(conversion._signed_angle(t - angles[k])) for t in angles]
+            del gaps[k]
+            assert min(gaps) >= port_gap(i) - 1e-12
+
+
 class TestGreedy:
     def test_square_reaches_threshold(self):
         w = rectangle_workspace(24.0, 24.0)
@@ -428,6 +452,17 @@ class TestGreedy:
         w = rectangle_workspace(40.0, 4.0)
         res = greedy_convert(w, 1.0)
         assert res.graph.num_vertices() == 0
+
+    def test_covered_workspace_yields_empty(self):
+        """An obstacle over the whole workspace leaves no free cell: the
+        skeleton is empty, so no circle is sampled and no build runs."""
+        box = (Point2(0, 0), Point2(10, 0), Point2(10, 8), Point2(0, 8))
+        w = Workspace(Rect(0, 0, 10, 8), (Polygon(box),))
+        skeleton = extract_medial_axis(w, 0.5)
+        assert skeleton.nodes == [] and skeleton.edges == []
+        res = greedy_convert(w, 1.0)
+        assert res.graph.num_vertices() == 0
+        assert res.counters == dict.fromkeys(conversion.CONVERT_COUNTERS, 0)
 
     def test_early_stop_at_threshold(self):
         w = rectangle_workspace(40.0, 24.0)
@@ -589,7 +624,7 @@ class TestMemoAndCut:
 
         def spy_layout(i, intervals, corridor_angles=()):
             out = layout(i, intervals, corridor_angles)
-            ports.append((i, out[1]))
+            ports.append((i, out[1].get(None)))
             return out
 
         def no_route_check(*args):
